@@ -15,16 +15,6 @@ from twpw.harness import SplitMix64, random_graph
 from twpw.kernels import load_backend
 
 
-def masks_of(g):
-    order = g.vertices_sorted()
-    pos = {v: i for i, v in enumerate(order)}
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[pos[u]] |= 1 << pos[v]
-        masks[pos[v]] |= 1 << pos[u]
-    return masks
-
-
 def time_backend(module, batches):
     start = time.perf_counter()
     out = []
@@ -54,7 +44,7 @@ def main(argv=None) -> int:
     rng = SplitMix64(args.seed)
     print(f"{'n':>3} {'pure (s)':>10} {'compiled (s)':>13} {'speedup':>8}")
     for n in range(args.min_n, args.max_n + 1):
-        batches = [masks_of(random_graph(rng, n, 5)) for _ in range(args.samples)]
+        batches = [random_graph(rng, n, 5).masks() for _ in range(args.samples)]
         t_pure, r_pure = time_backend(pure, batches)
         t_c, r_c = time_backend(compiled, batches)
         if r_pure != r_c:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .decomposition import PathDecomposition, TreeDecomposition, width
 from .errors import ParameterError
 from .graphs import Graph
-from .unary import CarriedDecomposition
+from .unary import CarriedDecomposition, _bound
 
 PRODUCT_KINDS = (
     "cartesian",
@@ -34,10 +34,6 @@ class CombineResult:
     id_map: dict[tuple[int, int], int]  # (origin 1|2, old id) -> new id
     merged_id: int | None = None  # the fused vertex of a 1-sum
     pair_ids: dict[tuple[int, int], int] | None = None  # products and corona
-
-
-def _bound(w: int | None) -> int:
-    return -1 if w is None else w
 
 
 def _rank_maps(g1: Graph, g2: Graph) -> tuple[dict[int, int], dict[int, int]]:

@@ -15,7 +15,6 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from . import binary, unary
 from .decomposition import (
     PathDecomposition,
     TreeDecomposition,
@@ -27,6 +26,8 @@ from .exact import exact_pathwidth, exact_treewidth
 from .fileformats import read_gr, read_td, write_gr, write_td
 from .graphs import Graph, generate, generator_names
 from .harness import SUITES, SweepConfig, render_tap, run_suite
+from .operations import OPCODES
+from .unary import _bound
 
 
 # --- operation scripts ------------------------------------------------------
@@ -36,33 +37,6 @@ from .harness import SUITES, SweepConfig, render_tap, run_suite
 class OpScript:
     lines: tuple[tuple[int, str, tuple], ...]  # (line number, opcode, args)
     source: str
-
-
-# opcode -> (binary?, argument pattern); "v" = vertex rank, "n" = literal
-# count, "w" = word
-_OPCODES = {
-    "delv": (False, "v"),
-    "addv": (False, "v*"),
-    "dele": (False, "vv"),
-    "adde": (False, "vv"),
-    "ident": (False, "vv"),
-    "contract": (False, "vv"),
-    "subdiv": (False, "vv"),
-    "inci": (False, ""),
-    "power": (False, "n"),
-    "linegraph": (False, ""),
-    "complement": (False, ""),
-    "localcomp": (False, "v"),
-    "seidelcomp": (False, "v"),
-    "switch": (False, "v"),
-    "dunion": (True, ""),
-    "join": (True, ""),
-    "union": (True, ""),
-    "subst": (True, "v"),
-    "prod": (True, "w"),
-    "onesum": (True, "vv"),
-    "corona": (True, ""),
-}
 
 
 def _parse_token(token: str, lineno: int) -> int:
@@ -82,19 +56,17 @@ def parse_opscript(text: str, source: str = "<script>") -> OpScript:
         if not line:
             continue
         opcode, *args = line.split()
-        if opcode not in _OPCODES:
+        if opcode not in OPCODES:
             raise ScriptError(f"line {lineno}: unknown operation {opcode!r}")
-        _, pattern = _OPCODES[opcode]
-        if pattern == "v*":
-            parsed = tuple(_parse_token(t, lineno) for t in args)
-        elif pattern == "w":
+        names = OPCODES[opcode].args.split()
+        if names == ["<kind>"]:
             if len(args) != 1:
                 raise ScriptError(f"line {lineno}: {opcode} takes one argument")
             parsed = (args[0],)
         else:
-            if len(args) != len(pattern):
+            if names != ["[v...]"] and len(args) != len(names):
                 raise ScriptError(
-                    f"line {lineno}: {opcode} takes {len(pattern)} argument(s)"
+                    f"line {lineno}: {opcode} takes {len(names)} argument(s)"
                 )
             parsed = tuple(_parse_token(t, lineno) for t in args)
         lines.append((lineno, opcode, parsed))
@@ -102,8 +74,12 @@ def parse_opscript(text: str, source: str = "<script>") -> OpScript:
 
 
 def read_opscript(path) -> OpScript:
-    with open(path, encoding="utf-8") as fh:
-        return parse_opscript(fh.read(), source=str(path))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ScriptError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return parse_opscript(text, source=str(path))
 
 
 def _rank_to_vertex(g: Graph, rank: int, lineno: int) -> int:
@@ -115,6 +91,18 @@ def _rank_to_vertex(g: Graph, rank: int, lineno: int) -> int:
     return vs[rank - 1]
 
 
+def _resolve(op, args: tuple, g: Graph, g2: Graph | None, lineno: int) -> tuple:
+    """Script arguments to operation arguments: vertex ranks become ids."""
+    names = op.args.split()
+    if names == ["[v...]"]:
+        return ([_rank_to_vertex(g, k, lineno) for k in args],)
+    return tuple(
+        _rank_to_vertex(g2 if name == "w" else g, a, lineno)
+        if name in ("u", "v", "w") else a
+        for name, a in zip(names, args)
+    )
+
+
 @dataclass
 class _PipeState:
     graph: Graph
@@ -122,132 +110,49 @@ class _PipeState:
     claimed: int | None
 
 
-def _need_carry_support(lineno: int, opcode: str):
-    raise ScriptError(
-        f"line {lineno}: {opcode} has no decomposition transformer; "
-        "drop --carry or split the pipeline"
-    )
-
-
 def _certificate_for(g: Graph, kind: str):
     report = exact_treewidth(g) if kind == "tree" else exact_pathwidth(g)
     return report.certificate
 
 
-def _apply_unary(state: _PipeState, lineno: int, opcode: str, args: tuple):
-    g = state.graph
-    rank = lambda k: _rank_to_vertex(g, k, lineno)
+def _apply(state: _PipeState, lineno: int, opcode: str, script_args: tuple,
+           g2: Graph | None, kind: str) -> None:
+    op = OPCODES[opcode]
+    g, d1, d2 = state.graph, state.carried, None
+    if op.binary:
+        if g2 is None:
+            raise ScriptError(f"line {lineno}: {opcode} needs --graph2")
+        if d1 is not None and op.decs == 2:
+            # the second input arrives without a decomposition; solve for one
+            d2 = _certificate_for(g2, kind)
+    args = _resolve(op, script_args, g, g2, lineno)
+    if d1 is not None and not op.can_carry(*args):
+        # a word argument picks a variant of the operation (a product kind)
+        name = " ".join([opcode, *(a for a in args if isinstance(a, str))])
+        raise ScriptError(
+            f"line {lineno}: {name} has no decomposition transformer; "
+            "drop --carry or split the pipeline"
+        )
     try:
-        if opcode == "delv":
-            res, tf, targs = unary.delete_vertex(g, rank(args[0])), \
-                unary.delete_vertex_decomposition, (rank(args[0]),)
-        elif opcode == "addv":
-            nbrs = [rank(k) for k in args]
-            res, tf, targs = unary.add_vertex(g, nbrs), \
-                unary.add_vertex_decomposition, (nbrs,)
-        elif opcode == "dele":
-            u, v = rank(args[0]), rank(args[1])
-            res, tf, targs = unary.delete_edge(g, u, v), \
-                unary.delete_edge_decomposition, (u, v)
-        elif opcode == "adde":
-            u, v = rank(args[0]), rank(args[1])
-            res, tf, targs = unary.add_edge(g, u, v), \
-                unary.add_edge_decomposition, (u, v)
-        elif opcode == "ident":
-            u, v = rank(args[0]), rank(args[1])
-            res, tf, targs = unary.identify_vertices(g, u, v), \
-                unary.identify_vertices_decomposition, (u, v)
-        elif opcode == "contract":
-            u, v = rank(args[0]), rank(args[1])
-            res, tf, targs = unary.contract_edge(g, u, v), \
-                unary.contract_edge_decomposition, (u, v)
-        elif opcode == "subdiv":
-            u, v = rank(args[0]), rank(args[1])
-            res, tf, targs = unary.subdivide_edge(g, u, v), \
-                unary.subdivide_edge_decomposition, (u, v)
-        elif opcode == "inci":
-            res, tf, targs = unary.incidence_graph(g), \
-                unary.incidence_graph_decomposition, ()
-        elif opcode == "power":
-            res, tf, targs = unary.graph_power(g, args[0]), \
-                unary.graph_power_decomposition, (args[0],)
-        elif opcode == "linegraph":
-            res, tf, targs = unary.line_graph(g), \
-                unary.line_graph_decomposition, ()
-        elif opcode == "complement":
-            res, tf, targs = unary.edge_complement(g), None, ()
-        elif opcode == "localcomp":
-            res, tf, targs = unary.local_complement(g, rank(args[0])), None, ()
-        elif opcode == "seidelcomp":
-            res, tf, targs = unary.seidel_complement(g, rank(args[0])), None, ()
-        else:  # switch
-            v = rank(args[0])
-            res, tf, targs = unary.seidel_switch(g, v), \
-                unary.seidel_switch_decomposition, (v,)
+        if op.binary:
+            res = op.op(g, g2, d1, d2, *args)
+            graph, carried = res.graph, res.decomposition
+        else:
+            graph = op.op(g, *args)
+            carried = None if d1 is None else op.transform(d1, *args)
     except ParameterError as exc:
         raise ScriptError(f"line {lineno}: {exc}") from exc
-    if state.carried is not None:
-        if tf is None:
-            _need_carry_support(lineno, opcode)
-        try:
-            carried = tf(state.carried, *targs)
-        except ParameterError as exc:
-            raise ScriptError(f"line {lineno}: {exc}") from exc
+    if carried is not None:
         state.carried = carried.decomposition
         state.claimed = carried.claimed_bound
-    state.graph = res.graph
-
-
-def _apply_binary(state: _PipeState, lineno: int, opcode: str, args: tuple,
-                  g2: Graph | None, kind: str):
-    if g2 is None:
-        raise ScriptError(f"line {lineno}: {opcode} needs --graph2")
-    g = state.graph
-    d1 = state.carried
-    d2 = None
-    if d1 is not None and opcode in ("dunion", "join", "subst", "onesum", "corona"):
-        # the second input arrives without a decomposition; solve for one
-        d2 = _certificate_for(g2, kind)
-    try:
-        if opcode == "dunion":
-            res = binary.disjoint_union(g, g2, d1, d2)
-        elif opcode == "join":
-            res = binary.join(g, g2, d1, d2)
-        elif opcode == "union":
-            if d1 is not None:
-                _need_carry_support(lineno, opcode)
-            res = binary.union_same_vertices(g, g2)
-        elif opcode == "subst":
-            v = _rank_to_vertex(g, args[0], lineno)
-            res = binary.substitute(g, v, g2, d1, d2)
-        elif opcode == "prod":
-            if d1 is not None and args[0] != "lexicographic":
-                _need_carry_support(lineno, f"prod {args[0]}")
-            res = binary.product(args[0], g, g2, d1)
-        elif opcode == "onesum":
-            v = _rank_to_vertex(g, args[0], lineno)
-            w = _rank_to_vertex(g2, args[1], lineno)
-            res = binary.one_sum(g, v, g2, w, d1, d2)
-        else:  # corona
-            res = binary.corona(g, g2, d1, d2)
-    except ParameterError as exc:
-        raise ScriptError(f"line {lineno}: {exc}") from exc
-    if d1 is not None:
-        state.carried = res.decomposition.decomposition
-        state.claimed = res.decomposition.claimed_bound
-    state.graph = res.graph
+    state.graph = graph
 
 
 def apply_opscript(script: OpScript, g: Graph, g2: Graph | None = None,
                    carry=None, kind: str = "tree") -> _PipeState:
-    state = _PipeState(g, carry, None if carry is None else width(carry))
-    if state.claimed is None and carry is not None:
-        state.claimed = -1
+    state = _PipeState(g, carry, None if carry is None else _bound(width(carry)))
     for lineno, opcode, args in script.lines:
-        if _OPCODES[opcode][0]:
-            _apply_binary(state, lineno, opcode, args, g2, kind)
-        else:
-            _apply_unary(state, lineno, opcode, args)
+        _apply(state, lineno, opcode, args, g2, kind)
     return state
 
 

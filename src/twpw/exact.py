@@ -36,15 +36,6 @@ class WidthReport:
     method: str
 
 
-def _dense_masks(g: Graph) -> tuple[list[int], list[int]]:
-    order = g.vertices_sorted()
-    pos = {v: i for i, v in enumerate(order)}
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[pos[u]] |= 1 << pos[v]
-        masks[pos[v]] |= 1 << pos[u]
-    return masks, order
-
 def _guard(g: Graph) -> None:
     if g.n > SOLVER_MAX_VERTICES:
         raise CapabilityError(
@@ -113,8 +104,8 @@ def exact_treewidth(g: Graph) -> WidthReport:
     _guard(g)
     if g.n == 0:
         return WidthReport("tw", None, trivial_tree_decomposition(g), METHOD_SUBSET_DP)
-    masks, order = _dense_masks(g)
-    value, elim = kernels.treewidth_dp(masks)
+    order = g.vertices_sorted()
+    value, elim = kernels.treewidth_dp(g.masks())
     cert = elimination_decomposition(g, [order[i] for i in elim])
     return _finish(g, "tw", value, cert)
 
@@ -123,8 +114,8 @@ def exact_pathwidth(g: Graph) -> WidthReport:
     _guard(g)
     if g.n == 0:
         return WidthReport("pw", None, trivial_path_decomposition(g), METHOD_SUBSET_DP)
-    masks, order = _dense_masks(g)
-    value, layout = kernels.pathwidth_dp(masks)
+    order = g.vertices_sorted()
+    value, layout = kernels.pathwidth_dp(g.masks())
     cert = layout_decomposition(g, [order[i] for i in layout])
     return _finish(g, "pw", value, cert)
 

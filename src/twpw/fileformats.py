@@ -68,9 +68,16 @@ def format_gr(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_ascii(path: PathLike) -> str:
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not ASCII text (byte {exc.start})") from None
+
+
 def read_gr(path: PathLike) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_gr(fh.read())
+    return parse_gr(_read_ascii(path))
 
 
 def write_gr(g: Graph, path: PathLike) -> None:
@@ -174,8 +181,7 @@ def format_td(d: Decomposition) -> str:
 
 
 def read_td(path: PathLike, host: Graph, kind: str = "tree") -> Decomposition:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_td(fh.read(), host, kind)
+    return parse_td(_read_ascii(path), host, kind)
 
 
 def write_td(d: Decomposition, path: PathLike) -> None:

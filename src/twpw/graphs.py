@@ -81,6 +81,16 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
+    def masks(self) -> list[int]:
+        """Adjacency bitmasks over the sorted vertex order: bit j of entry i
+        is set when the i-th and j-th smallest vertices are adjacent."""
+        pos = {v: i for i, v in enumerate(self.vertices_sorted())}
+        masks = [0] * self.n
+        for u, v in self._edges:
+            masks[pos[u]] |= 1 << pos[v]
+            masks[pos[v]] |= 1 << pos[u]
+        return masks
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -91,11 +101,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def neighborhood(g: Graph, v: int) -> frozenset[int]:
-    """Open neighborhood of v in g."""
-    return g.neighbors(v)
 
 
 def max_degree(g: Graph) -> int:

@@ -4,8 +4,9 @@ Sampling is bit-reproducible: a splitmix64 generator drives every draw.
 Graphs are Erdos-Renyi with n uniform in min_n..max_n, edge probability
 uniform over {0.2, 0.5, 0.8} (an edge exists when the next 64-bit draw is
 below floor(p * 2^64)), vertex pairs scanned in lexicographic order.  Each
-table row draws from its own generator seeded with cfg.seed + its index in
-the row tuple, so rows can be re-run independently of one another.
+table row draws from its own generator seeded with cfg.seed + its index
+among the unary or the binary rows of the operation table, so rows can be
+re-run independently of one another.
 
 A failing check serializes its inputs and an operation transcript under the
 witness directory; the TAP line points at the bundle.
@@ -17,14 +18,14 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import binary, unary
+from . import unary
 from .decomposition import tree_to_path, validate, width
 from .errors import CapabilityError, ParameterError
 from .exact import exact_pathwidth, exact_treewidth
 from .fileformats import format_gr, format_td
 from .graphs import Graph
 from .invariants import graph_invariants
-from .minors import MinorScript, apply_minor_script
+from .operations import BINARY_ROWS, UNARY_ROWS
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -189,51 +190,7 @@ def run_relation_suite(cfg: SweepConfig, witness_dir=None) -> list[BoundCheck]:
 
 
 # ---------------------------------------------------------------------------
-# unary table
-
-
-def _pick_vertex(rng, g: Graph) -> int:
-    vs = g.vertices_sorted()
-    return vs[rng.next_below(len(vs))]
-
-
-def _pick_edge(rng, g: Graph) -> tuple[int, int]:
-    es = g.edges_sorted()
-    return es[rng.next_below(len(es))]
-
-
-def _pick_distinct_pair(rng, g: Graph) -> tuple[int, int]:
-    vs = g.vertices_sorted()
-    i = rng.next_below(len(vs))
-    j = rng.next_below(len(vs) - 1)
-    if j >= i:
-        j += 1
-    return vs[i], vs[j]
-
-
-def _pick_nonedge(rng, g: Graph) -> tuple[int, int]:
-    vs = g.vertices_sorted()
-    gaps = [
-        (u, v)
-        for i, u in enumerate(vs)
-        for v in vs[i + 1:]
-        if not g.has_edge(u, v)
-    ]
-    return gaps[rng.next_below(len(gaps))]
-
-
-@dataclass
-class _RowSample:
-    """One evaluated table row: the claim, the table bound, and the truth."""
-
-    graph: Graph
-    result: Graph
-    transcript: list[str]
-    # per parameter: (carried result or None, table bound, lower bound, exact)
-    tw: tuple
-    pw: tuple
-    relation_tw: str = "<="
-    relation_pw: str = "<="
+# operation table rows
 
 
 def _eval_param(res, carried, table, lower, exactw, relation, kind):
@@ -258,438 +215,86 @@ def _eval_param(res, carried, table, lower, exactw, relation, kind):
     return True, ""
 
 
-def _row_checks(row, idx, sample: _RowSample, witness_dir) -> list[BoundCheck]:
-    out = []
-    for kind, cell, rel in (("tw", sample.tw, sample.relation_tw),
-                            ("pw", sample.pw, sample.relation_pw)):
-        carried, table, lower, exactw = cell
-        passed, why = _eval_param(
-            sample.result, carried, table, lower, exactw, rel, kind
-        )
-        name = f"{row}/{kind}/s{idx:03d}"
-        witness = ()
-        if not passed:
-            decs = {}
-            if carried is not None:
-                decs["carried"] = (sample.result, carried.decomposition)
-            witness = _write_witness(
-                witness_dir, name,
-                {"input": sample.graph, "result": sample.result}, decs,
-                sample.transcript + [why],
-            )
-        out.append(BoundCheck(name, exactw, table, rel, passed,
-                              detail=why, witness=witness))
-    return out
-
-
 def _certificates(g: Graph):
+    """((tw, tree certificate), (pw, path certificate)) of g."""
     twr = exact_treewidth(g)
     pwr = exact_pathwidth(g)
-    return twr.value, pwr.value, twr.certificate, pwr.certificate
+    return (twr.value, twr.certificate), (pwr.value, pwr.certificate)
 
 
-def _unary_delete_vertex(rng, max_n):
-    g = sample_graph(rng, max_n)
-    ktw, kpw, dt, dp = _certificates(g)
-    v = _pick_vertex(rng, g)
-    res = unary.delete_vertex(g, v)
-    ct = unary.delete_vertex_decomposition(dt, v)
-    cp = unary.delete_vertex_decomposition(dp, v)
-    etw, epw = _widths(res.graph)
-    return _RowSample(
-        g, res.graph, [f"delete vertex {v}"],
-        (ct, ktw, ktw - 1, etw),
-        (cp, kpw, kpw - 1, epw),
-    )
+def _unary_sample(op, rng, max_n):
+    g = sample_graph(rng, max_n, op.min_n, op.predicate)
+    solved = _certificates(g)
+    args = op.pick(rng, g)
+    result = op.op(g, *args)
+    cells = [
+        (param, None if op.transform is None else op.transform(d, *args),
+         op.bound(param, k, g, *args))
+        for param, (k, d) in zip(("tw", "pw"), solved)
+    ]
+    return g, result, cells, lambda: [op.label.format(*args)]
 
 
-def _unary_add_vertex(rng, max_n):
-    g = sample_graph(rng, max_n)
-    ktw, kpw, dt, dp = _certificates(g)
-    nbrs = [v for v in g.vertices_sorted() if rng.next_below(2) == 1]
-    res = unary.add_vertex(g, nbrs)
-    ct = unary.add_vertex_decomposition(dt, nbrs)
-    cp = unary.add_vertex_decomposition(dp, nbrs)
-    etw, epw = _widths(res.graph)
-    if len(nbrs) == 1:
-        # pendant attachment keeps the treewidth at max(k, 1) exactly
-        tw_cell = (ct, max(ktw, 1), max(ktw, 1), etw)
-        rel_tw = "=="
-    else:
-        tw_cell = (ct, ktw + 1, ktw, etw)
-        rel_tw = "<="
-    return _RowSample(
-        g, res.graph, [f"add vertex adjacent to {nbrs}"],
-        tw_cell,
-        (cp, kpw + 1, kpw, epw),
-        relation_tw=rel_tw,
-    )
+def _binary_sample(op, rng, max_n):
+    g1 = sample_graph(rng, min(max_n, op.caps[0]), op.min_n, op.predicate)
+    g2 = sample_graph(rng, min(max_n, op.caps[1]))
+    solved = zip(("tw", "pw"), _certificates(g1), _certificates(g2))
+    args = op.pick(rng, g1, g2)
+    result, cells = None, []
+    for param, (k1, d1), (k2, d2) in solved:
+        bound = op.bound(param, k1, k2, g1, g2, *args)
+        carried = None
+        if bound is not None:
+            res = op.op(g1, g2, d1, d2, *args)
+            result = res.graph if result is None else result
+            carried = res.decomposition
+        cells.append((param, carried, bound))
+    return g1, result, cells, lambda: [
+        f"{op.label.format(*args)}, second input:\n{format_gr(g2)}"
+    ]
 
 
-def _unary_delete_edge(rng, max_n):
-    g = sample_graph(rng, max_n, min_n=2, predicate=lambda h: h.m >= 1)
-    ktw, kpw, dt, dp = _certificates(g)
-    u, v = _pick_edge(rng, g)
-    res = unary.delete_edge(g, u, v)
-    ct = unary.delete_edge_decomposition(dt, u, v)
-    cp = unary.delete_edge_decomposition(dp, u, v)
-    etw, epw = _widths(res.graph)
-    return _RowSample(
-        g, res.graph, [f"delete edge {u} {v}"],
-        (ct, ktw, ktw - 1, etw),
-        (cp, kpw, kpw - 1, epw),
-    )
-
-
-def _unary_add_edge(rng, max_n):
-    g = sample_graph(rng, max_n, min_n=2,
-                     predicate=lambda h: h.m < h.n * (h.n - 1) // 2)
-    ktw, kpw, dt, dp = _certificates(g)
-    u, v = _pick_nonedge(rng, g)
-    res = unary.add_edge(g, u, v)
-    ct = unary.add_edge_decomposition(dt, u, v)
-    cp = unary.add_edge_decomposition(dp, u, v)
-    etw, epw = _widths(res.graph)
-    return _RowSample(
-        g, res.graph, [f"add edge {u} {v}"],
-        (ct, ktw + 1, ktw, etw),
-        (cp, kpw + 1, kpw, epw),
-    )
-
-
-def _unary_identify(rng, max_n):
-    g = sample_graph(rng, max_n, min_n=2)
-    ktw, kpw, dt, dp = _certificates(g)
-    v, w = _pick_distinct_pair(rng, g)
-    res = unary.identify_vertices(g, v, w)
-    ct = unary.identify_vertices_decomposition(dt, v, w)
-    cp = unary.identify_vertices_decomposition(dp, v, w)
-    etw, epw = _widths(res.graph)
-    return _RowSample(
-        g, res.graph, [f"identify {v} {w}"],
-        (ct, ktw + 1, ktw - 2, etw),
-        (cp, kpw + 1, kpw - 2, epw),
-    )
-
-
-def _unary_contract(rng, max_n):
-    g = sample_graph(rng, max_n, min_n=2, predicate=lambda h: h.m >= 1)
-    ktw, kpw, dt, dp = _certificates(g)
-    v, w = _pick_edge(rng, g)
-    res = unary.contract_edge(g, v, w)
-    ct = unary.contract_edge_decomposition(dt, v, w)
-    cp = unary.contract_edge_decomposition(dp, v, w)
-    etw, epw = _widths(res.graph)
-    return _RowSample(
-        g, res.graph, [f"contract {v} {w}"],
-        (ct, ktw, ktw - 1, etw),
-        (cp, kpw, kpw - 1, epw),
-    )
-
-
-def _unary_subdivide(rng, max_n):
-    g = sample_graph(rng, max_n, min_n=2, predicate=lambda h: h.m >= 1)
-    ktw, kpw, dt, dp = _certificates(g)
-    v, w = _pick_edge(rng, g)
-    res = unary.subdivide_edge(g, v, w)
-    ct = unary.subdivide_edge_decomposition(dt, v, w)
-    cp = unary.subdivide_edge_decomposition(dp, v, w)
-    etw, epw = _widths(res.graph)
-    return _RowSample(
-        g, res.graph, [f"subdivide {v} {w}"],
-        (ct, max(ktw, 1), max(ktw, 1), etw),
-        (cp, kpw + 1, kpw, epw),
-        relation_tw="==",
-    )
-
-
-def _unary_incidence(rng, max_n):
-    g = sample_graph(rng, max_n, min_n=2,
-                     predicate=lambda h: 1 <= h.m and h.n + h.m <= 16)
-    ktw, kpw, dt, dp = _certificates(g)
-    res = unary.incidence_graph(g)
-    ct = unary.incidence_graph_decomposition(dt)
-    cp = unary.incidence_graph_decomposition(dp)
-    etw, epw = _widths(res.graph)
-    return _RowSample(
-        g, res.graph, ["incidence graph"],
-        (ct, max(ktw, 1), max(ktw, 1), etw),
-        (cp, kpw + 1, kpw, epw),
-        relation_tw="==",
-    )
-
-
-def _unary_power(rng, max_n):
-    g = sample_graph(rng, max_n)
-    ktw, kpw, dt, dp = _certificates(g)
-    d = 2 + rng.next_below(2)
-    res = unary.graph_power(g, d)
-    ct = unary.graph_power_decomposition(dt, d)
-    cp = unary.graph_power_decomposition(dp, d)
-    etw, epw = _widths(res.graph)
-    table_tw = (ktw + 1) * (1 + unary.power_degree_bound(g, d)) - 1
-    table_pw = (kpw + 1) * (1 + unary.power_degree_bound(g, d)) - 1
-    return _RowSample(
-        g, res.graph, [f"power {d}"],
-        (ct, table_tw, ktw, etw),
-        (cp, table_pw, kpw, epw),
-    )
-
-
-def _unary_linegraph(rng, max_n):
-    g = sample_graph(rng, max_n, min_n=2,
-                     predicate=lambda h: 1 <= h.m <= 16)
-    ktw, kpw, dt, dp = _certificates(g)
-    res = unary.line_graph(g)
-    ct = unary.line_graph_decomposition(dt)
-    cp = unary.line_graph_decomposition(dp)
-    etw, epw = _widths(res.graph)
-    dmax = max(g.degree(v) for v in g.vertices)
-    # the line graph holds a clique per vertex of positive degree, and a
-    # decomposition of it doubles back into one of the base graph, hence
-    # the lower bounds max(deg)-1, tw-1 and floor(pw/2)
-    low_tw = max(dmax - 1, ktw - 1)
-    low_pw = max(dmax - 1, kpw // 2)
-    return _RowSample(
-        g, res.graph, ["line graph"],
-        (ct, (ktw + 1) * dmax - 1, low_tw, etw),
-        (cp, (kpw + 1) * dmax - 1, low_pw, epw),
-    )
-
-
-def _unary_switch(rng, max_n):
-    g = sample_graph(rng, max_n)
-    ktw, kpw, dt, dp = _certificates(g)
-    v = _pick_vertex(rng, g)
-    res = unary.seidel_switch(g, v)
-    ct = unary.seidel_switch_decomposition(dt, v)
-    cp = unary.seidel_switch_decomposition(dp, v)
-    etw, epw = _widths(res.graph)
-    return _RowSample(
-        g, res.graph, [f"switch at {v}"],
-        (ct, ktw + 1, ktw - 1, etw),
-        (cp, kpw + 1, kpw - 1, epw),
-    )
-
-
-def _unary_minor(rng, max_n):
-    g = sample_graph(rng, max_n, min_n=2)
-    ktw, kpw, _, _ = _certificates(g)
-    steps = []
-    h = g
-    for _ in range(1 + rng.next_below(3)):
-        if h.n <= 1:
-            break
-        ops = ["dv"] + (["d", "c"] if h.m else [])
-        op = ops[rng.next_below(len(ops))]
-        if op == "dv":
-            step = ("dv", _pick_vertex(rng, h))
-        else:
-            step = (op, *_pick_edge(rng, h))
-        steps.append(step)
-        h = apply_minor_script(h, MinorScript((step,)))
-    result = apply_minor_script(g, MinorScript(tuple(steps)))
-    etw, epw = _widths(result) if result.n else (-1, -1)
-    return _RowSample(
-        g, result, [f"minor script {steps!r}"],
-        (None, ktw, -1, etw),
-        (None, kpw, -1, epw),
-    )
-
-
-_UNARY_ROWS = (
-    ("delete-vertex", _unary_delete_vertex),
-    ("add-vertex", _unary_add_vertex),
-    ("delete-edge", _unary_delete_edge),
-    ("add-edge", _unary_add_edge),
-    ("identify", _unary_identify),
-    ("contract", _unary_contract),
-    ("subdivide", _unary_subdivide),
-    ("incidence", _unary_incidence),
-    ("power", _unary_power),
-    ("linegraph", _unary_linegraph),
-    ("switch", _unary_switch),
-    ("minor", _unary_minor),
-)
-
-
-def _select_rows(rows, ops):
-    if ops is None:
-        return list(rows)
-    known = {name for name, _ in rows}
-    missing = [op for op in ops if op not in known]
-    if missing:
-        raise ParameterError(f"unknown table rows: {', '.join(missing)}")
-    return [(name, fn) for name, fn in rows if name in set(ops)]
+def _run_rows(prefix, rows, sample, cfg, witness_dir) -> list[BoundCheck]:
+    """Each row draws from SplitMix64(cfg.seed + its index in rows)."""
+    _check_cfg(cfg)
+    if cfg.ops is not None:
+        missing = [name for name in cfg.ops if name not in {op.row for op in rows}]
+        if missing:
+            raise ParameterError(f"unknown table rows: {', '.join(missing)}")
+    checks: list[BoundCheck] = []
+    for index, op in enumerate(rows):
+        if cfg.ops is not None and op.row not in cfg.ops:
+            continue
+        rng = SplitMix64(cfg.seed + index)
+        for s in range(cfg.samples):
+            g, result, cells, transcript = sample(op, rng, cfg.max_n)
+            exact = dict(zip(("tw", "pw"), _widths(result)))
+            for param, carried, bound in cells:
+                # no bound: the sweep claims nothing beyond the exact width
+                table, lower, rel = bound or (exact[param], -1, "<=")
+                passed, why = _eval_param(
+                    result, carried, table, lower, exact[param], rel, param
+                )
+                name = f"{prefix}/{op.row}/{param}/s{s:03d}"
+                witness = ()
+                if not passed:
+                    decs = {} if carried is None else {"carried": carried.decomposition}
+                    witness = _write_witness(
+                        witness_dir, name, {"input": g, "result": result}, decs,
+                        transcript() + [why],
+                    )
+                checks.append(BoundCheck(name, exact[param], table, rel, passed,
+                                         detail=why, witness=witness))
+    checks.sort(key=lambda c: c.name)
+    return checks
 
 
 def run_unary_table(cfg: SweepConfig, witness_dir=None) -> list[BoundCheck]:
-    _check_cfg(cfg)
-    wanted = {name for name, _ in _select_rows(_UNARY_ROWS, cfg.ops)}
-    checks: list[BoundCheck] = []
-    for index, (name, fn) in enumerate(_UNARY_ROWS):
-        if name not in wanted:
-            continue
-        rng = SplitMix64(cfg.seed + index)
-        for s in range(cfg.samples):
-            sample = fn(rng, cfg.max_n)
-            checks.extend(_row_checks(f"unary/{name}", s, sample, witness_dir))
-    checks.sort(key=lambda c: c.name)
-    return checks
-
-
-# ---------------------------------------------------------------------------
-# binary table
-
-
-def _binary_disjoint_union(rng, max_n):
-    cap = min(max_n, 8)
-    g1 = sample_graph(rng, cap)
-    g2 = sample_graph(rng, cap)
-    k1t, k1p, d1t, d1p = _certificates(g1)
-    k2t, k2p, d2t, d2p = _certificates(g2)
-    rt = binary.disjoint_union(g1, g2, d1t, d2t)
-    rp = binary.disjoint_union(g1, g2, d1p, d2p)
-    etw, epw = _widths(rt.graph)
-    return _RowSample(
-        g1, rt.graph, [f"disjoint union, second input:\n{format_gr(g2)}"],
-        (rt.decomposition, max(k1t, k2t), max(k1t, k2t), etw),
-        (rp.decomposition, max(k1p, k2p), max(k1p, k2p), epw),
-        relation_tw="==", relation_pw="==",
-    )
-
-
-def _binary_join(rng, max_n):
-    cap = min(max_n, 8)
-    g1 = sample_graph(rng, cap)
-    g2 = sample_graph(rng, cap)
-    k1t, k1p, d1t, d1p = _certificates(g1)
-    k2t, k2p, d2t, d2p = _certificates(g2)
-    rt = binary.join(g1, g2, d1t, d2t)
-    rp = binary.join(g1, g2, d1p, d2p)
-    etw, epw = _widths(rt.graph)
-    bt = min(k1t + g2.n, k2t + g1.n)
-    bp = min(k1p + g2.n, k2p + g1.n)
-    return _RowSample(
-        g1, rt.graph, [f"join, second input:\n{format_gr(g2)}"],
-        (rt.decomposition, bt, bt, etw),
-        (rp.decomposition, bp, bp, epw),
-        relation_tw="==", relation_pw="==",
-    )
-
-
-def _binary_substitute(rng, max_n):
-    cap = min(max_n, 8)
-    g1 = sample_graph(rng, cap)
-    g2 = sample_graph(rng, cap)
-    k1t, k1p, d1t, d1p = _certificates(g1)
-    k2t, k2p, d2t, d2p = _certificates(g2)
-    v = _pick_vertex(rng, g1)
-    rt = binary.substitute(g1, v, g2, d1t, d2t)
-    rp = binary.substitute(g1, v, g2, d1p, d2p)
-    etw, epw = _widths(rt.graph)
-    bt = min(k1t + g2.n, k2t + g1.n) - 1
-    bp = min(k1p + g2.n, k2p + g1.n) - 1
-    return _RowSample(
-        g1, rt.graph, [f"substitute at {v}, second input:\n{format_gr(g2)}"],
-        (rt.decomposition, bt, max(k1t - 1, k2t), etw),
-        (rp.decomposition, bp, max(k1p - 1, k2p), epw),
-    )
-
-
-def _binary_substitute_neighbors(rng, max_n):
-    cap = min(max_n, 8)
-    g1 = sample_graph(rng, cap, min_n=2, predicate=lambda h: h.m >= 1)
-    g2 = sample_graph(rng, cap)
-    k1t, _, d1t, _ = _certificates(g1)
-    k2t, _, d2t, _ = _certificates(g2)
-    live = [v for v in g1.vertices_sorted() if g1.degree(v) > 0]
-    v = live[rng.next_below(len(live))]
-    rt = binary.substitute(g1, v, g2, d1t, d2t, combiner="neighbors")
-    etw, epw = _widths(rt.graph)
-    bound = max(k1t - 1, k2t) + g1.degree(v)
-    return _RowSample(
-        g1, rt.graph,
-        [f"substitute (neighbor route) at {v}, second input:\n{format_gr(g2)}"],
-        (rt.decomposition, bound, max(k1t - 1, k2t), etw),
-        (None, epw, -1, epw),  # no path-decomposition route for this combiner
-    )
-
-
-def _binary_lexicographic(rng, max_n):
-    cap = min(max_n, 4)
-    g1 = sample_graph(rng, cap)
-    g2 = sample_graph(rng, cap)
-    k1t, k1p, d1t, d1p = _certificates(g1)
-    k2t, k2p, d2t, d2p = _certificates(g2)
-    rt = binary.product("lexicographic", g1, g2, d1t)
-    rp = binary.product("lexicographic", g1, g2, d1p)
-    etw, epw = _widths(rt.graph)
-    return _RowSample(
-        g1, rt.graph, [f"lexicographic product, second input:\n{format_gr(g2)}"],
-        (rt.decomposition, (k1t + 1) * g2.n - 1, max(k1t, k2t), etw),
-        (rp.decomposition, (k1p + 1) * g2.n - 1, max(k1p, k2p), epw),
-    )
-
-
-def _binary_one_sum(rng, max_n):
-    cap = min(max_n, 8)
-    g1 = sample_graph(rng, cap)
-    g2 = sample_graph(rng, cap)
-    k1t, k1p, d1t, d1p = _certificates(g1)
-    k2t, k2p, d2t, d2p = _certificates(g2)
-    v = _pick_vertex(rng, g1)
-    w = _pick_vertex(rng, g2)
-    rt = binary.one_sum(g1, v, g2, w, d1t, d2t)
-    rp = binary.one_sum(g1, v, g2, w, d1p, d2p)
-    etw, epw = _widths(rt.graph)
-    return _RowSample(
-        g1, rt.graph, [f"one-sum at {v}/{w}, second input:\n{format_gr(g2)}"],
-        (rt.decomposition, max(k1t, k2t), max(k1t, k2t), etw),
-        (rp.decomposition, max(k1p, k2p) + 1, max(k1p, k2p), epw),
-        relation_tw="==",
-    )
-
-
-def _binary_corona(rng, max_n):
-    g1 = sample_graph(rng, min(max_n, 3))
-    g2 = sample_graph(rng, min(max_n, 4))
-    k1t, k1p, d1t, d1p = _certificates(g1)
-    k2t, k2p, d2t, d2p = _certificates(g2)
-    rt = binary.corona(g1, g2, d1t, d2t)
-    rp = binary.corona(g1, g2, d1p, d2p)
-    etw, epw = _widths(rt.graph)
-    return _RowSample(
-        g1, rt.graph, [f"corona, second input:\n{format_gr(g2)}"],
-        (rt.decomposition, max(k1t, k2t) + 1, max(k1t, k2t), etw),
-        (rp.decomposition, max(k1p, k2p) + g1.n, max(k1p, k2p), epw),
-    )
-
-
-_BINARY_ROWS = (
-    ("disjoint-union", _binary_disjoint_union),
-    ("join", _binary_join),
-    ("substitute", _binary_substitute),
-    ("substitute-neighbors", _binary_substitute_neighbors),
-    ("lexicographic", _binary_lexicographic),
-    ("one-sum", _binary_one_sum),
-    ("corona", _binary_corona),
-)
+    return _run_rows("unary", UNARY_ROWS, _unary_sample, cfg, witness_dir)
 
 
 def run_binary_table(cfg: SweepConfig, witness_dir=None) -> list[BoundCheck]:
-    _check_cfg(cfg)
-    wanted = {name for name, _ in _select_rows(_BINARY_ROWS, cfg.ops)}
-    checks: list[BoundCheck] = []
-    for index, (name, fn) in enumerate(_BINARY_ROWS):
-        if name not in wanted:
-            continue
-        rng = SplitMix64(cfg.seed + index)
-        for s in range(cfg.samples):
-            sample = fn(rng, cfg.max_n)
-            checks.extend(_row_checks(f"binary/{name}", s, sample, witness_dir))
-    checks.sort(key=lambda c: c.name)
-    return checks
+    return _run_rows("binary", BINARY_ROWS, _binary_sample, cfg, witness_dir)
 
 
 # ---------------------------------------------------------------------------

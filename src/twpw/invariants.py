@@ -22,16 +22,6 @@ def _guard(g: Graph) -> None:
         )
 
 
-def _dense_masks(g: Graph) -> list[int]:
-    order = g.vertices_sorted()
-    pos = {v: i for i, v in enumerate(order)}
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[pos[u]] |= 1 << pos[v]
-        masks[pos[v]] |= 1 << pos[u]
-    return masks
-
-
 def _max_clique_size(masks: list[int]) -> int:
     n = len(masks)
     if n == 0:
@@ -52,12 +42,12 @@ def _max_clique_size(masks: list[int]) -> int:
 
 def clique_number(g: Graph) -> int:
     _guard(g)
-    return _max_clique_size(_dense_masks(g))
+    return _max_clique_size(g.masks())
 
 
 def independence_number(g: Graph) -> int:
     _guard(g)
-    masks = _dense_masks(g)
+    masks = g.masks()
     full = (1 << g.n) - 1
     co = [full & ~masks[i] & ~(1 << i) for i in range(g.n)]
     return _max_clique_size(co)

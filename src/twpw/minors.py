@@ -107,11 +107,7 @@ def is_minor(h: Graph, g: Graph) -> tuple[bool, MinorScript | None]:
         return True, MinorScript(tuple(("dv", v) for v in g.vertices_sorted()))
 
     gorder = g.vertices_sorted()
-    adj = [0] * g.n
-    pos = {v: i for i, v in enumerate(gorder)}
-    for u, v in g.edges:
-        adj[pos[u]] |= 1 << pos[v]
-        adj[pos[v]] |= 1 << pos[u]
+    adj = g.masks()
 
     horder = sorted(h.vertices, key=lambda v: (-h.degree(v), v))
     hnbrs = [

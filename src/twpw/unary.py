@@ -24,7 +24,6 @@ from .decomposition import (
 )
 from .errors import ParameterError
 from .graphs import Graph, fresh_id, is_forest, max_degree
-from .minors import MinorScript, apply_minor_script  # noqa: F401  (script replay lives here)
 
 
 @dataclass(frozen=True)
@@ -399,6 +398,8 @@ def graph_power(g: Graph, d: int) -> UnaryResult:
         depth = {src: 0}
         frontier = [src]
         for _ in range(d):
+            if not frontier:
+                break
             nxt = []
             for x in frontier:
                 for y in adj[x]:
@@ -413,15 +414,18 @@ def graph_power(g: Graph, d: int) -> UnaryResult:
 
 
 def power_degree_bound(g: Graph, d: int) -> int:
-    """Upper bound on |N_{G^d}(v)|: Delta * sum_{i<d} (Delta-1)^i."""
+    """Upper bound on |N_{G^d}(v)|: Delta * sum_{i<d} (Delta-1)^i.
+
+    For Delta >= 3, d is first clamped to n-1: every distance in G is below
+    n, so G^d = G^(n-1) once d >= n-1."""
     if d < 1:
         raise ParameterError("power needs d >= 1")
     if g.n == 0:
         raise ParameterError("degree bound needs a nonempty graph")
     delta = max_degree(g)
-    if delta == 0:
-        return 0
-    return delta * sum((delta - 1) ** i for i in range(d))
+    if delta <= 2:
+        return delta * (d if delta == 2 else 1)
+    return delta * sum((delta - 1) ** i for i in range(min(d, g.n - 1)))
 
 
 def graph_power_decomposition(dec: Decomposition, d: int) -> CarriedDecomposition:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from twpw.cli import apply_opscript, main, parse_opscript
@@ -7,6 +9,7 @@ from twpw.exact import exact_pathwidth, exact_treewidth
 from twpw.graphs import (
     caterpillar_example,
     complete_graph,
+    cycle_graph,
     grid_graph,
     incidence_star_example,
     is_isomorphic,
@@ -96,6 +99,12 @@ class TestGenAndWidth:
     def test_missing_file(self, tmp_path):
         assert main(["width", str(tmp_path / "nope.gr"), "--param", "tw"]) == 2
 
+    def test_non_ascii_graph_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.gr"
+        bad.write_bytes(b"p tw 2 1\n1 2\xff\n")
+        assert main(["width", str(bad), "--param", "tw"]) == 2
+        assert "not ASCII text" in capsys.readouterr().err
+
     def test_malformed_graph_file(self, tmp_path):
         bad = write(tmp_path / "bad.gr", "p tw 2 1\n1 2\n1 5\n")
         assert main(["width", bad, "--param", "tw"]) == 2
@@ -117,6 +126,13 @@ class TestValidate:
         td_path = write(tmp_path / "p.td", "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")
         assert main(["validate", g_path, td_path, "--kind", "path"]) == 0
         assert capsys.readouterr().out == "valid width 1\n"
+
+    def test_non_ascii_td(self, tmp_path, capsys):
+        g_path = gr(tmp_path, path_graph(2))
+        bad = tmp_path / "bad.td"
+        bad.write_bytes(b"s td 1 2 2\nb 1 1 2 \xff\n")
+        assert main(["validate", g_path, str(bad)]) == 2
+        assert "not ASCII text" in capsys.readouterr().err
 
     def test_malformed_td(self, tmp_path):
         g_path = gr(tmp_path, path_graph(2))
@@ -227,6 +243,26 @@ class TestApply:
         s_path = write(tmp_path / "s.ops", "inci\n")
         assert main(["apply", g_path, s_path, str(tmp_path / "o.gr"),
                      "--carry-out", str(tmp_path / "o.td")]) == 2
+
+    def test_undecodable_script(self, tmp_path, capsys):
+        g_path = gr(tmp_path, path_graph(3))
+        s_path = tmp_path / "s.ops"
+        s_path.write_bytes(b"delv 1\xff\n")
+        assert main(["apply", g_path, str(s_path), str(tmp_path / "o.gr")]) == 2
+        assert "not UTF-8 text" in capsys.readouterr().err
+
+    def test_huge_power_finishes(self, tmp_path, capsys):
+        g = cycle_graph(4)
+        g_path = gr(tmp_path, g)
+        td_path = write(tmp_path / "in.td", format_td(exact_treewidth(g).certificate))
+        s_path = write(tmp_path / "s.ops", "power 1000000000\n")
+        out = str(tmp_path / "out.gr")
+        start = time.perf_counter()
+        assert main(["apply", g_path, s_path, out, "--carry", td_path]) == 0
+        assert time.perf_counter() - start < 2.0
+        assert read_gr(out) == complete_graph(4)
+        # Delta = 2: the degree bound 2d keeps growing with d
+        assert capsys.readouterr().out == "claimed 6000000002\n"
 
     def test_script_errors_exit_2(self, tmp_path):
         g_path = gr(tmp_path, path_graph(3))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from twpw import harness
@@ -5,6 +7,7 @@ from twpw.decomposition import is_valid
 from twpw.errors import CapabilityError, ParameterError
 from twpw.fileformats import parse_gr, parse_td
 from twpw.graphs import Graph, is_connected
+from twpw.operations import OPCODES
 from twpw.harness import (
     BoundCheck,
     SplitMix64,
@@ -162,6 +165,29 @@ class TestTapAndWitnesses:
         parsed = parse_td((root / "input-tw.td").read_text(), g)
         assert is_valid(g, parsed)
         assert (root / "transcript.txt").read_text() == "lhs=3\nrhs=2\n"
+
+    @pytest.mark.parametrize("opcode", ["delv", "join"])
+    def test_failing_row_writes_carried_witness(self, tmp_path, opcode):
+        # a bound one below the claim makes every tree-width cell fail
+        op = OPCODES[opcode]
+        tight = dataclasses.replace(
+            op, bound=lambda p, *a: (-2, -2, "<=") if p == "tw" else op.bound(p, *a)
+        )
+        sample = harness._binary_sample if op.binary else harness._unary_sample
+        checks = harness._run_rows("t", (tight,), sample,
+                                   SweepConfig(max_n=4, samples=2, seed=5), tmp_path)
+        failed = [c for c in checks if not c.passed]
+        assert [c.name for c in failed] == [f"t/{op.row}/tw/s000", f"t/{op.row}/tw/s001"]
+        from pathlib import Path
+
+        root = Path(failed[0].witness[0])
+        assert sorted(p.name for p in root.iterdir()) == [
+            "carried.td", "input.gr", "result.gr", "transcript.txt"]
+        result = parse_gr((root / "result.gr").read_text())
+        assert is_valid(result, parse_td((root / "carried.td").read_text(), result))
+        transcript = (root / "transcript.txt").read_text()
+        assert transcript.startswith(op.label.split(" {")[0])
+        assert transcript.endswith(f"{failed[0].detail}\n")
 
     def test_no_witness_dir_means_no_paths(self):
         assert harness._write_witness(None, "x", {}, {}, []) == ()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twpw import kernels
+from twpw.graphs import Graph
 from twpw.harness import SplitMix64, random_graph
 
 
@@ -20,6 +21,16 @@ def adjacency_masks(g):
 
 
 PURE = kernels.load_backend("python")
+
+
+def test_graph_masks_match_reference():
+    rng = SplitMix64(11)
+    for n in range(9):
+        for p in (2, 5, 8):
+            g = random_graph(rng, n, p)
+            assert g.masks() == adjacency_masks(g)
+    sparse_ids = Graph([3, 7, 10], [(3, 10)])
+    assert sparse_ids.masks() == adjacency_masks(sparse_ids) == [0b100, 0, 0b001]
 
 
 def available_backends():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from twpw import unary
@@ -145,6 +147,25 @@ class TestDerivedGraphs:
         # on a path, at most 4 other vertices sit within distance 2
         assert unary.power_degree_bound(path_graph(9), 2) == 4
         assert unary.power_degree_bound(Graph(range(3)), 5) == 0
+
+    def test_power_degree_bound_closed_forms(self):
+        # Delta <= 2 in closed form, Delta >= 3 clamped at d = n - 1
+        for g in (Graph(range(4), [(0, 1)]), path_graph(6), cycle_graph(5),
+                  star_graph(3), Graph(range(6), [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])):
+            delta = max(g.degree(v) for v in g.vertices)
+            for d in range(1, 8):
+                steps = d if delta <= 2 else min(d, g.n - 1)
+                assert unary.power_degree_bound(g, d) == delta * sum(
+                    (delta - 1) ** i for i in range(steps))
+
+    def test_huge_power_is_power_n_minus_1(self):
+        g = Graph(range(6), [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
+        start = time.perf_counter()
+        for h in (g, cycle_graph(4), path_graph(5)):
+            assert unary.graph_power(h, 10**9).graph == unary.graph_power(h, h.n - 1).graph
+            assert unary.power_degree_bound(h, 10**9) >= unary.power_degree_bound(h, h.n - 1)
+        assert unary.power_degree_bound(g, 10**9) == unary.power_degree_bound(g, g.n - 1)
+        assert time.perf_counter() - start < 2.0
 
     def test_line_graph_of_path_and_cycle(self):
         assert is_isomorphic(unary.line_graph(path_graph(5)).graph, path_graph(4))

@@ -3,7 +3,8 @@
 Both kernels take a dense adjacency-mask list (bit j of masks[i] set when
 vertices i and j are adjacent) and return the exact parameter value plus an
 optimal vertex ordering as index lists.  The compiled extension in
-_speedups.pyx implements the same contract; keep the two in sync.
+_speedups.pyx implements the same contract: for every input both backends
+must return the same value and the same order.
 """
 
 from __future__ import annotations
@@ -14,8 +15,19 @@ def treewidth_dp(masks: list[int]) -> tuple[int, list[int]]:
 
     value[S] is the best possible maximum fill-degree when the vertices of
     S are eliminated first, minimized over orderings of S; the answer is
-    value[V].  Returns (tree-width, elimination order), (-1, []) for the
-    empty graph.
+    value[V].  The recurrence is the one of Bodlaender, Fomin, Koster,
+    Kratsch and Thilikos, "On exact algorithms for treewidth" (ESA 2006):
+
+        value[S] = min over v in S of max(value[S - v], Q(S - v, v))
+
+    where Q(S - v, v) counts the vertices outside S adjacent to the
+    component C of v in G[S].  Q depends only on C, so G[S] is split into
+    its components once per subset and Q is counted once per component;
+    a component whose Q already exceeds the best value found is skipped.
+    Among minimizing vertices the lowest index is chosen, the choice the
+    compiled kernel's ascending scan with strict < makes, so both backends
+    return the same order.  masks must be symmetric.  Returns (tree-width,
+    elimination order), (-1, []) for the empty graph.
     """
     n = len(masks)
     if n == 0:
@@ -26,36 +38,36 @@ def treewidth_dp(masks: list[int]) -> tuple[int, list[int]]:
     value[0] = -1
     for s in range(1, full + 1):
         best = n
-        bestv = -1
-        t = s
-        while t:
-            low = t & -t
-            v = low.bit_length() - 1
-            t ^= low
-            rest = s ^ low
-            # q = neighbors, outside s, of the component of v induced on s
-            allowed = s
+        bestbit = 0
+        left = s
+        while left:
+            low = left & -left
+            # grow the component of low in G[s]; nb collects its neighbors
             comp = low
-            nb = masks[v]
-            frontier = nb & allowed & ~comp
+            nb = masks[low.bit_length() - 1]
+            frontier = nb & s & ~comp
             while frontier:
                 comp |= frontier
-                grow = 0
-                f = frontier
-                while f:
-                    fb = f & -f
-                    grow |= masks[fb.bit_length() - 1]
-                    f ^= fb
-                nb |= grow
-                frontier = nb & allowed & ~comp
-            cand = (nb & ~allowed).bit_count()
-            if value[rest] > cand:
-                cand = value[rest]
-            if cand < best:
-                best = cand
-                bestv = v
+                while frontier:
+                    fb = frontier & -frontier
+                    nb |= masks[fb.bit_length() - 1]
+                    frontier ^= fb
+                frontier = nb & s & ~comp
+            left ^= comp
+            q = (nb & ~s).bit_count()
+            if q > best or (q == best and low > bestbit):
+                continue
+            while comp:
+                b = comp & -comp
+                comp ^= b
+                cand = value[s ^ b]
+                if cand < q:
+                    cand = q
+                if cand < best or (cand == best and b < bestbit):
+                    best = cand
+                    bestbit = b
         value[s] = best
-        choice[s] = bestv
+        choice[s] = bestbit.bit_length() - 1
     order = []
     s = full
     while s:

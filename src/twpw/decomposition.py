@@ -12,7 +12,7 @@ Width is the largest bag size minus one, or None when all bags are empty
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import InconsistencyError, ParameterError
 from .graphs import Graph, connected_components, is_tree
@@ -96,22 +96,39 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
-def _validate_tree(g: Graph, d: TreeDecomposition) -> list[Violation]:
+def _check_bags(
+    g: Graph,
+    items: list[tuple[int, frozenset[int]]],
+    tag: str,
+    contiguous: Callable[[set[int]], bool],
+) -> list[Violation]:
+    """The bag, <tag>-1, <tag>-2 and <tag>-3 checks over (node, bag) items.
+
+    One pass over the bags builds the index vertex -> holding nodes; vertex
+    cover, edge cover and contiguity are read off it.  contiguous(nodes)
+    says whether two or more holding nodes of one vertex form a subtree.
+    """
     out = []
-    for u, bag in d.bag_items():
+    held: dict[int, set[int]] = {v: set() for v in g.vertices}
+    for u, bag in items:
         for v in sorted(bag - g.vertices):
             out.append(Violation("bag", (u, v)))
-    covered = frozenset().union(*d.all_bags()) if d.all_bags() else frozenset()
-    for v in sorted(g.vertices - covered):
-        out.append(Violation("tw-1", (v,)))
-    for u, v in g.edges_sorted():
-        if not any(u in bag and v in bag for bag in d.all_bags()):
-            out.append(Violation("tw-2", (u, v)))
+        for v in bag:
+            if v in held:
+                held[v].add(u)
+    vertices = g.vertices_sorted()
+    out.extend(Violation(f"{tag}-1", (v,)) for v in vertices if not held[v])
+    out.extend(Violation(f"{tag}-2", (u, v)) for u, v in g.edges_sorted()
+               if held[u].isdisjoint(held[v]))
+    out.extend(Violation(f"{tag}-3", (v,)) for v in vertices
+               if len(held[v]) > 1 and not contiguous(held[v]))
+    return out
+
+
+def _validate_tree(g: Graph, d: TreeDecomposition) -> list[Violation]:
     tree_adj = d.tree.adjacency()
-    for v in sorted(g.vertices):
-        nodes = {u for u, bag in d.bags.items() if v in bag}
-        if len(nodes) <= 1:
-            continue
+
+    def subtree(nodes: set[int]) -> bool:
         start = min(nodes)
         seen = {start}
         stack = [start]
@@ -121,27 +138,14 @@ def _validate_tree(g: Graph, d: TreeDecomposition) -> list[Violation]:
                 if y in nodes and y not in seen:
                     seen.add(y)
                     stack.append(y)
-        if seen != nodes:
-            out.append(Violation("tw-3", (v,)))
-    return out
+        return seen == nodes
+
+    return _check_bags(g, d.bag_items(), "tw", subtree)
 
 
 def _validate_path(g: Graph, d: PathDecomposition) -> list[Violation]:
-    out = []
-    for i, bag in d.bag_items():
-        for v in sorted(bag - g.vertices):
-            out.append(Violation("bag", (i, v)))
-    covered = frozenset().union(*d.bags)
-    for v in sorted(g.vertices - covered):
-        out.append(Violation("pw-1", (v,)))
-    for u, v in g.edges_sorted():
-        if not any(u in bag and v in bag for bag in d.bags):
-            out.append(Violation("pw-2", (u, v)))
-    for v in sorted(g.vertices):
-        idxs = [i for i, bag in enumerate(d.bags) if v in bag]
-        if idxs and idxs[-1] - idxs[0] + 1 != len(idxs):
-            out.append(Violation("pw-3", (v,)))
-    return out
+    return _check_bags(g, d.bag_items(), "pw",
+                       lambda idxs: max(idxs) - min(idxs) + 1 == len(idxs))
 
 
 def validate(g: Graph, d: Decomposition) -> ValidationReport:

@@ -416,16 +416,18 @@ def graph_power(g: Graph, d: int) -> UnaryResult:
 def power_degree_bound(g: Graph, d: int) -> int:
     """Upper bound on |N_{G^d}(v)|: Delta * sum_{i<d} (Delta-1)^i.
 
-    For Delta >= 3, d is first clamped to n-1: every distance in G is below
-    n, so G^d = G^(n-1) once d >= n-1."""
+    d is first clamped to n-1: every distance in G is below n, so
+    G^d = G^(n-1) once d >= n-1.  In closed form the bound is 0 for
+    Delta = 0, 1 for Delta = 1 and 2 * min(d, n-1) for Delta = 2."""
     if d < 1:
         raise ParameterError("power needs d >= 1")
     if g.n == 0:
         raise ParameterError("degree bound needs a nonempty graph")
     delta = max_degree(g)
+    steps = min(d, g.n - 1)
     if delta <= 2:
-        return delta * (d if delta == 2 else 1)
-    return delta * sum((delta - 1) ** i for i in range(min(d, g.n - 1)))
+        return delta * (steps if delta == 2 else 1)
+    return delta * sum((delta - 1) ** i for i in range(steps))
 
 
 def graph_power_decomposition(dec: Decomposition, d: int) -> CarriedDecomposition:

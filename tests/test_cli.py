@@ -261,8 +261,8 @@ class TestApply:
         assert main(["apply", g_path, s_path, out, "--carry", td_path]) == 0
         assert time.perf_counter() - start < 2.0
         assert read_gr(out) == complete_graph(4)
-        # Delta = 2: the degree bound 2d keeps growing with d
-        assert capsys.readouterr().out == "claimed 6000000002\n"
+        # Delta = 2: the degree bound 2 * min(d, n - 1) = 6 gives (2 + 1) * 7 - 1
+        assert capsys.readouterr().out == "claimed 20\n"
 
     def test_script_errors_exit_2(self, tmp_path):
         g_path = gr(tmp_path, path_graph(3))

@@ -14,12 +14,13 @@ from twpw.decomposition import (
     tree_to_path,
     trivial_path_decomposition,
     trivial_tree_decomposition,
+    Violation,
     validate,
     width,
     width_within,
 )
 from twpw.errors import InconsistencyError, ParameterError
-from twpw.exact import exact_treewidth
+from twpw.exact import exact_pathwidth, exact_treewidth
 from twpw.graphs import (
     Graph,
     caterpillar_example,
@@ -149,6 +150,96 @@ class TestValidation:
         g, d = spider_fixture()
         with pytest.raises(ParameterError):
             validate(path_graph(3), d)
+
+
+def scan_validate_tree(g, d):
+    """The tree validator as it was before the vertex -> nodes index: one
+    scan of every bag per host edge and per host vertex.  Frozen here as the
+    oracle for the current validator's violation lists."""
+    out = []
+    for u, bag in d.bag_items():
+        for v in sorted(bag - g.vertices):
+            out.append(Violation("bag", (u, v)))
+    covered = frozenset().union(*d.all_bags()) if d.all_bags() else frozenset()
+    for v in sorted(g.vertices - covered):
+        out.append(Violation("tw-1", (v,)))
+    for u, v in g.edges_sorted():
+        if not any(u in bag and v in bag for bag in d.all_bags()):
+            out.append(Violation("tw-2", (u, v)))
+    tree_adj = d.tree.adjacency()
+    for v in sorted(g.vertices):
+        nodes = {u for u, bag in d.bags.items() if v in bag}
+        if len(nodes) <= 1:
+            continue
+        start = min(nodes)
+        seen = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in tree_adj[x]:
+                if y in nodes and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if seen != nodes:
+            out.append(Violation("tw-3", (v,)))
+    return out
+
+
+def scan_validate_path(g, d):
+    """The path validator before the index, frozen as an oracle."""
+    out = []
+    for i, bag in d.bag_items():
+        for v in sorted(bag - g.vertices):
+            out.append(Violation("bag", (i, v)))
+    covered = frozenset().union(*d.bags)
+    for v in sorted(g.vertices - covered):
+        out.append(Violation("pw-1", (v,)))
+    for u, v in g.edges_sorted():
+        if not any(u in bag and v in bag for bag in d.bags):
+            out.append(Violation("pw-2", (u, v)))
+    for v in sorted(g.vertices):
+        idxs = [i for i, bag in enumerate(d.bags) if v in bag]
+        if idxs and idxs[-1] - idxs[0] + 1 != len(idxs):
+            out.append(Violation("pw-3", (v,)))
+    return out
+
+
+def corrupt(rng, g, bags):
+    """Apply one to three seeded corruptions to a list of bags: add a vertex
+    foreign to the host, drop a vertex, or add a host vertex to a bag that
+    lacks it (which can break its subtree)."""
+    bags = [set(bag) for bag in bags]
+    hosts = g.vertices_sorted()
+    for _ in range(1 + rng.next_below(3)):
+        bag = bags[rng.next_below(len(bags))]
+        kind = rng.next_below(3)
+        if kind == 0:
+            bag.update(g.n + rng.next_below(64) for _ in range(2))
+        elif kind == 1 and bag:
+            bag.discard(sorted(bag)[rng.next_below(len(bag))])
+        else:
+            bag.add(hosts[rng.next_below(len(hosts))])
+    return bags
+
+
+class TestValidatorAgainstScanOracle:
+    def test_seeded_corruptions(self):
+        rng = SplitMix64(31)
+        tags = set()
+        for _ in range(150):
+            g = random_graph(rng, 3 + rng.next_below(8), (2, 5, 8)[rng.next_below(3)])
+            td = exact_treewidth(g).certificate
+            nodes = td.tree.vertices_sorted()
+            bags = corrupt(rng, g, [td.bags[u] for u in nodes])
+            bad_td = TreeDecomposition(g, td.tree, dict(zip(nodes, bags)))
+            pd = exact_pathwidth(g).certificate
+            bad_pd = PathDecomposition(g, corrupt(rng, g, pd.bags))
+            for d, oracle in ((td, scan_validate_tree), (bad_td, scan_validate_tree),
+                              (pd, scan_validate_path), (bad_pd, scan_validate_path)):
+                got = list(validate(g, d).violations)
+                assert got == oracle(g, d), (g, d.bag_items())
+                tags.update(v.tag for v in got)
+        assert tags == {"bag", "tw-1", "tw-2", "tw-3", "pw-1", "pw-2", "pw-3"}
 
 
 class TestPathToTree:

@@ -17,8 +17,11 @@ from twpw.fileformats import format_gr, format_td
 from twpw.graphs import Graph, path_graph
 from twpw.harness import SUITES, SweepConfig, run_suite
 
+# recorded with the power degree bound clamped at d = n - 1 for Delta = 2,
+# which sets the claimed bound of unary/power/{tw,pw}/s008 (3 vertices,
+# d = 3) to 9
 SWEEP_CHECKS_SHA256 = (
-    "9ff157346714f0ff1e06a7359ff7edd40a5cce2e15fb4b290d59d2905beb6de3"
+    "8574d4f6b81eb94a25f204daeb5f6443a4055246a30b4b9c5fd9a45123c1c133"
 )
 SWEEP_TAP_SHA256 = (
     "3aca313ede8c3923d3a9a024ba064c69e3d34e16eb52ee05607be6452035ee3b"

@@ -2,11 +2,12 @@ import os
 import subprocess
 import sys
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twpw import kernels
-from twpw.graphs import Graph
+from twpw.graphs import Graph, from_networkx, is_connected
 from twpw.harness import SplitMix64, random_graph
 
 
@@ -72,6 +73,76 @@ class TestPureKernelValues:
         for fn in (PURE.treewidth_dp, PURE.pathwidth_dp):
             _, order = fn(masks)
             assert sorted(order) == list(range(7))
+
+
+def per_vertex_treewidth_dp(masks):
+    """The tree-width kernel as it was before the component pass: one BFS
+    per vertex of every subset, ties to the lowest vertex index.  Frozen
+    here as the oracle for the current kernel's values and orders."""
+    n = len(masks)
+    if n == 0:
+        return -1, []
+    full = (1 << n) - 1
+    value = [0] * (full + 1)
+    choice = [0] * (full + 1)
+    value[0] = -1
+    for s in range(1, full + 1):
+        best = n
+        bestv = -1
+        t = s
+        while t:
+            low = t & -t
+            v = low.bit_length() - 1
+            t ^= low
+            rest = s ^ low
+            allowed = s
+            comp = low
+            nb = masks[v]
+            frontier = nb & allowed & ~comp
+            while frontier:
+                comp |= frontier
+                grow = 0
+                f = frontier
+                while f:
+                    fb = f & -f
+                    grow |= masks[fb.bit_length() - 1]
+                    f ^= fb
+                nb |= grow
+                frontier = nb & allowed & ~comp
+            cand = (nb & ~allowed).bit_count()
+            if value[rest] > cand:
+                cand = value[rest]
+            if cand < best:
+                best = cand
+                bestv = v
+        value[s] = best
+        choice[s] = bestv
+    order = []
+    s = full
+    while s:
+        v = choice[s]
+        order.append(v)
+        s ^= 1 << v
+    order.reverse()
+    return value[full], order
+
+
+class TestTreewidthAgainstPerVertexOracle:
+    def test_every_atlas_graph(self):
+        for h in nx.graph_atlas_g():
+            masks = from_networkx(h).masks()
+            assert PURE.treewidth_dp(masks) == per_vertex_treewidth_dp(masks), masks
+
+    def test_seeded_graphs_up_to_13_vertices(self):
+        rng = SplitMix64(23)
+        disconnected = 0
+        for n in range(8, 14):
+            for p in (2, 2, 5, 8):
+                g = random_graph(rng, n, p)
+                disconnected += not is_connected(g)
+                masks = g.masks()
+                assert PURE.treewidth_dp(masks) == per_vertex_treewidth_dp(masks), masks
+        assert disconnected > 0
 
 
 class TestBackendAgreement:

@@ -149,12 +149,12 @@ class TestDerivedGraphs:
         assert unary.power_degree_bound(Graph(range(3)), 5) == 0
 
     def test_power_degree_bound_closed_forms(self):
-        # Delta <= 2 in closed form, Delta >= 3 clamped at d = n - 1
+        # every Delta clamped at d = n - 1
         for g in (Graph(range(4), [(0, 1)]), path_graph(6), cycle_graph(5),
                   star_graph(3), Graph(range(6), [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])):
             delta = max(g.degree(v) for v in g.vertices)
             for d in range(1, 8):
-                steps = d if delta <= 2 else min(d, g.n - 1)
+                steps = min(d, g.n - 1)
                 assert unary.power_degree_bound(g, d) == delta * sum(
                     (delta - 1) ** i for i in range(steps))
 

@@ -113,16 +113,10 @@ def join(g1: Graph, g2: Graph, d1=None, d2=None) -> CombineResult:
             base, m_keep, pour = d1, m1, frozenset(m2.values())
         else:
             base, m_keep, pour = d2, m2, frozenset(m1.values())
-        claimed = min(cost1, cost2)
-        if isinstance(base, TreeDecomposition):
-            _, edges, bags = _mapped_tree(base, m_keep.__getitem__, 0)
-            bags = {u: bag | pour for u, bag in bags.items()}
-            carried = CarriedDecomposition(
-                TreeDecomposition(graph, Graph(range(base.tree.n), edges), bags), claimed
-            )
-        else:
-            bags = [frozenset(m_keep[x] for x in bag) | pour for bag in base.bags]
-            carried = CarriedDecomposition(PathDecomposition(graph, bags), claimed)
+        carried = CarriedDecomposition(
+            base.rebag(graph, lambda bag: frozenset(m_keep[x] for x in bag) | pour),
+            min(cost1, cost2),
+        )
     return CombineResult(graph, carried, id_map)
 
 
@@ -185,22 +179,11 @@ def _substitute_replace(graph, v, d1, d2, m2) -> CarriedDecomposition:
     cost2 = _bound(width(d2)) + d1.host.n
     claimed = min(cost1, cost2) - 1
     if cost1 <= cost2:
-        repl = lambda bag: (bag - {v}) | block if v in bag else bag
-        if isinstance(d1, TreeDecomposition):
-            bags = {u: repl(bag) for u, bag in d1.bags.items()}
-            return CarriedDecomposition(TreeDecomposition(graph, d1.tree, bags), claimed)
-        return CarriedDecomposition(
-            PathDecomposition(graph, [repl(bag) for bag in d1.bags]), claimed
-        )
-    rest = frozenset(d1.host.vertices - {v})
-    if isinstance(d2, TreeDecomposition):
-        _, edges, bags = _mapped_tree(d2, m2.__getitem__, 0)
-        bags = {u: bag | rest for u, bag in bags.items()}
-        return CarriedDecomposition(
-            TreeDecomposition(graph, Graph(range(d2.tree.n), edges), bags), claimed
-        )
-    bags = [frozenset(m2[x] for x in bag) | rest for bag in d2.bags]
-    return CarriedDecomposition(PathDecomposition(graph, bags), claimed)
+        dec = d1.rebag(graph, lambda bag: (bag - {v}) | block if v in bag else bag)
+    else:
+        rest = frozenset(d1.host.vertices - {v})
+        dec = d2.rebag(graph, lambda bag: frozenset(m2[x] for x in bag) | rest)
+    return CarriedDecomposition(dec, claimed)
 
 
 def _substitute_neighbors(graph, v, nb, d1, d2, m2) -> CarriedDecomposition:
@@ -273,14 +256,10 @@ def product(kind: str, g1: Graph, g2: Graph, d1=None) -> CombineResult:
             u1: frozenset(pair[(u1, u2)] for u2 in g2.vertices) for u1 in g1.vertices
         }
         claimed = (_bound(width(d1)) + 1) * g2.n - 1
-        expand = lambda bag: frozenset().union(*(blocks[x] for x in bag)) if bag else frozenset()
-        if isinstance(d1, TreeDecomposition):
-            bags = {u: expand(bag) for u, bag in d1.bags.items()}
-            carried = CarriedDecomposition(TreeDecomposition(graph, d1.tree, bags), claimed)
-        else:
-            carried = CarriedDecomposition(
-                PathDecomposition(graph, [expand(bag) for bag in d1.bags]), claimed
-            )
+        carried = CarriedDecomposition(
+            d1.rebag(graph, lambda bag: frozenset().union(*(blocks[x] for x in bag))),
+            claimed,
+        )
     return CombineResult(graph, carried, {}, pair_ids=pair)
 
 
@@ -361,14 +340,9 @@ def corona(g1: Graph, g2: Graph, d1=None, d2=None) -> CombineResult:
         w1 = _bound(width(d1))
         w2 = _bound(width(d2))
         if n2 == 0:
-            if isinstance(d1, TreeDecomposition):
-                _, e1, b1 = _mapped_tree(d1, m1.__getitem__, 0)
-                dec = TreeDecomposition(graph, Graph(range(d1.tree.n), e1), b1)
-            else:
-                dec = PathDecomposition(
-                    graph, [frozenset(m1[x] for x in bag) for bag in d1.bags]
-                )
-            carried = CarriedDecomposition(dec, w1)
+            carried = CarriedDecomposition(
+                d1.rebag(graph, lambda bag: frozenset(m1[x] for x in bag)), w1
+            )
         elif isinstance(d1, TreeDecomposition):
             _, e1, b1 = _mapped_tree(d1, m1.__getitem__, 0)
             nodes = d1.tree.n + n1 * d2.tree.n

@@ -12,14 +12,19 @@ Width is the largest bag size minus one, or None when all bags are empty
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import InconsistencyError, ParameterError
 from .graphs import Graph, connected_components, is_tree
 
 
+Rebag = Callable[[frozenset[int]], Iterable[int]]
+
+
 class TreeDecomposition:
-    """A bag per tree node; the tree is a Graph over node ids."""
+    """A bag per tree node; the tree is a Graph over node ids.  The bags
+    are a read-only mapping, so a validated decomposition stays valid."""
 
     __slots__ = ("host", "tree", "bags")
 
@@ -33,7 +38,12 @@ class TreeDecomposition:
             raise ParameterError("bags must be keyed exactly by the tree nodes")
         self.host = host
         self.tree = tree
-        self.bags = bagmap
+        self.bags = MappingProxyType(bagmap)
+
+    def rebag(self, host: Graph, f: Rebag) -> TreeDecomposition:
+        """The same tree and node ids over host, each bag B replaced by f(B)."""
+        bags = {u: f(bag) for u, bag in self.bags.items()}
+        return TreeDecomposition(host, self.tree, bags)
 
     def bag_items(self) -> list[tuple[int, frozenset[int]]]:
         return [(u, self.bags[u]) for u in self.tree.vertices_sorted()]
@@ -56,6 +66,10 @@ class PathDecomposition:
             raise ParameterError("decomposition needs at least one bag")
         self.host = host
         self.bags = seq
+
+    def rebag(self, host: Graph, f: Rebag) -> PathDecomposition:
+        """The same bag sequence over host, each bag B replaced by f(B)."""
+        return PathDecomposition(host, [f(bag) for bag in self.bags])
 
     def bag_items(self) -> list[tuple[int, frozenset[int]]]:
         return list(enumerate(self.bags))
@@ -172,13 +186,9 @@ def trivial_path_decomposition(g: Graph) -> PathDecomposition:
     return PathDecomposition(g, [g.vertices])
 
 
-def _path_shaped_tree(r: int) -> Graph:
-    return Graph(range(r), [(i, i + 1) for i in range(r - 1)])
-
-
 def path_to_tree(d: PathDecomposition) -> TreeDecomposition:
     """View a path-decomposition as a tree-decomposition over a path."""
-    tree = _path_shaped_tree(len(d.bags))
+    tree = Graph(range(len(d.bags)), [(i, i + 1) for i in range(len(d.bags) - 1)])
     return TreeDecomposition(d.host, tree, dict(enumerate(d.bags)))
 
 

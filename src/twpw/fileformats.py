@@ -131,6 +131,8 @@ def parse_td(text: str, host: Graph, kind: str = "tree") -> Decomposition:
             tree_edges.append((a - 1, b - 1))
     if len(bags) != r:
         raise FormatError(f"header announces {r} bags, file has {len(bags)}")
+    if len(tree_edges) != r - 1:
+        raise FormatError(f"{r} bags need {r - 1} tree edges, file has {len(tree_edges)}")
     if maxbag != max(len(b) for b in bags.values()):
         raise FormatError("header max bag size disagrees with the bags")
     bagmap = {ident - 1: bags[ident] for ident in bags}
@@ -143,16 +145,15 @@ def parse_td(text: str, host: Graph, kind: str = "tree") -> Decomposition:
 
 def _as_path(td: TreeDecomposition) -> PathDecomposition:
     """Reorder a path-shaped tree into a bag sequence."""
-    tree = td.tree
-    if tree.n == 1:
-        return PathDecomposition(td.host, [td.bags[next(iter(tree.vertices))]])
-    if any(len(nb) > 2 for nb in tree.adjacency().values()):
+    adj = td.tree.adjacency()
+    if any(len(nb) > 2 for nb in adj.values()):
         raise FormatError("decomposition tree is not path-shaped")
-    start = min(u for u, nb in tree.adjacency().items() if len(nb) == 1)
+    # an end of the path, or the only node of a one-bag tree
+    start = min(u for u, nb in adj.items() if len(nb) <= 1)
     seq = [start]
     prev = None
-    while len(seq) < tree.n:
-        nxt = [w for w in tree.adjacency()[seq[-1]] if w != prev]
+    while len(seq) < td.tree.n:
+        nxt = [w for w in adj[seq[-1]] if w != prev]
         prev = seq[-1]
         seq.append(nxt[0])
     return PathDecomposition(td.host, [td.bags[u] for u in seq])

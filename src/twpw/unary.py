@@ -68,7 +68,7 @@ def delete_vertex(g: Graph, v: int) -> UnaryResult:
     return UnaryResult(Graph(keep, edges), _identity(keep), frozenset())
 
 
-def _drop_empty_bags_tree(d: TreeDecomposition, host: Graph) -> TreeDecomposition:
+def _drop_empty_bags_tree(d: TreeDecomposition) -> TreeDecomposition:
     adj = {u: set(nb) for u, nb in d.tree.adjacency().items()}
     bags = dict(d.bags)
     # an empty bag crosses no vertex subtree, so its neighbors re-link freely
@@ -86,17 +86,16 @@ def _drop_empty_bags_tree(d: TreeDecomposition, host: Graph) -> TreeDecompositio
             adj[hub].add(x)
         del adj[u], bags[u]
     tree = Graph(adj, [(a, b) for a in adj for b in adj[a] if a < b])
-    return TreeDecomposition(host, tree, bags)
+    return TreeDecomposition(d.host, tree, bags)
 
 
 def delete_vertex_decomposition(d: Decomposition, v: int) -> CarriedDecomposition:
     g2 = delete_vertex(d.host, v).graph
     claimed = _bound(width(d))
-    if isinstance(d, TreeDecomposition):
-        stripped = TreeDecomposition(g2, d.tree, {u: bag - {v} for u, bag in d.bags.items()})
-        return CarriedDecomposition(_drop_empty_bags_tree(stripped, g2), claimed)
-    bags = [bag - {v} for bag in d.bags]
-    kept = [bag for bag in bags if bag] or [frozenset()]
+    stripped = d.rebag(g2, lambda bag: bag - {v})
+    if isinstance(stripped, TreeDecomposition):
+        return CarriedDecomposition(_drop_empty_bags_tree(stripped), claimed)
+    kept = [bag for bag in stripped.bags if bag] or [frozenset()]
     return CarriedDecomposition(PathDecomposition(g2, kept), claimed)
 
 
@@ -127,12 +126,7 @@ def add_vertex_decomposition(d: Decomposition, neighbors, v: int | None = None) 
         bags = dict(d.bags)
         bags[z] = frozenset({u, v})
         return CarriedDecomposition(TreeDecomposition(g2, tree, bags), max(_bound(w), 1))
-    if isinstance(d, TreeDecomposition):
-        bags = {u: bag | {v} for u, bag in d.bags.items()}
-        return CarriedDecomposition(TreeDecomposition(g2, d.tree, bags), _bound(w) + 1)
-    return CarriedDecomposition(
-        PathDecomposition(g2, [bag | {v} for bag in d.bags]), _bound(w) + 1
-    )
+    return CarriedDecomposition(d.rebag(g2, lambda bag: bag | {v}), _bound(w) + 1)
 
 
 def delete_edge(g: Graph, u: int, v: int) -> UnaryResult:
@@ -143,10 +137,7 @@ def delete_edge(g: Graph, u: int, v: int) -> UnaryResult:
 
 def delete_edge_decomposition(d: Decomposition, u: int, v: int) -> CarriedDecomposition:
     g2 = delete_edge(d.host, u, v).graph
-    claimed = _bound(width(d))
-    if isinstance(d, TreeDecomposition):
-        return CarriedDecomposition(TreeDecomposition(g2, d.tree, d.bags), claimed)
-    return CarriedDecomposition(PathDecomposition(g2, d.bags), claimed)
+    return CarriedDecomposition(d.rebag(g2, lambda bag: bag), _bound(width(d)))
 
 
 def add_edge(g: Graph, u: int, v: int) -> UnaryResult:
@@ -164,11 +155,7 @@ def add_edge(g: Graph, u: int, v: int) -> UnaryResult:
 def add_edge_decomposition(d: Decomposition, u: int, v: int) -> CarriedDecomposition:
     # the second endpoint is the one added to every bag
     g2 = add_edge(d.host, u, v).graph
-    claimed = _bound(width(d)) + 1
-    if isinstance(d, TreeDecomposition):
-        bags = {x: bag | {v} for x, bag in d.bags.items()}
-        return CarriedDecomposition(TreeDecomposition(g2, d.tree, bags), claimed)
-    return CarriedDecomposition(PathDecomposition(g2, [bag | {v} for bag in d.bags]), claimed)
+    return CarriedDecomposition(d.rebag(g2, lambda bag: bag | {v}), _bound(width(d)) + 1)
 
 
 # --- identification, contraction, subdivision ---------------------------
@@ -246,12 +233,9 @@ def contract_edge_decomposition(d: Decomposition, v: int, w: int) -> CarriedDeco
     g2 = res.graph
     (z,) = res.new_ids
     # some bag held both endpoints, so the renamed occurrences stay connected
-    claimed = _bound(width(d))
-    if isinstance(d, TreeDecomposition):
-        bags = {u: _rename_pair(bag, v, w, z) for u, bag in d.bags.items()}
-        return CarriedDecomposition(TreeDecomposition(g2, d.tree, bags), claimed)
-    bags = [_rename_pair(bag, v, w, z) for bag in d.bags]
-    return CarriedDecomposition(PathDecomposition(g2, bags), claimed)
+    return CarriedDecomposition(
+        d.rebag(g2, lambda bag: _rename_pair(bag, v, w, z)), _bound(width(d))
+    )
 
 
 def subdivide_edge(g: Graph, v: int, w: int) -> UnaryResult:
@@ -432,21 +416,13 @@ def power_degree_bound(g: Graph, d: int) -> int:
 
 def graph_power_decomposition(dec: Decomposition, d: int) -> CarriedDecomposition:
     g = dec.host
-    res = graph_power(g, d)
-    g2 = res.graph
+    g2 = graph_power(g, d).graph
     adj2 = g2.adjacency()
     reach = power_degree_bound(g, d) if g.n else 0
     claimed = (_bound(width(dec)) + 1) * (1 + reach) - 1
-
-    def grow(bag: frozenset[int]) -> frozenset[int]:
-        return bag.union(*(adj2[v] for v in bag)) if bag else bag
-
-    if isinstance(dec, TreeDecomposition):
-        bags = {u: grow(bag) for u, bag in dec.bags.items()}
-        return CarriedDecomposition(TreeDecomposition(g2, dec.tree, bags), claimed)
-    return CarriedDecomposition(
-        PathDecomposition(g2, [grow(bag) for bag in dec.bags]), claimed
-    )
+    # each bag grows by the G^d-neighbors of its members
+    grow = lambda bag: bag.union(*(adj2[v] for v in bag))
+    return CarriedDecomposition(dec.rebag(g2, grow), claimed)
 
 
 def line_graph_edge_ids(g: Graph) -> dict[tuple[int, int], int]:
@@ -472,16 +448,8 @@ def line_graph_decomposition(d: Decomposition) -> CarriedDecomposition:
     ids = line_graph_edge_ids(g)
     g2 = line_graph(g).graph
     claimed = (_bound(width(d)) + 1) * max_degree(g) - 1
-
-    def incident(bag: frozenset[int]) -> frozenset[int]:
-        return frozenset(x for e, x in ids.items() if e[0] in bag or e[1] in bag)
-
-    if isinstance(d, TreeDecomposition):
-        bags = {u: incident(bag) for u, bag in d.bags.items()}
-        return CarriedDecomposition(TreeDecomposition(g2, d.tree, bags), claimed)
-    return CarriedDecomposition(
-        PathDecomposition(g2, [incident(bag) for bag in d.bags]), claimed
-    )
+    incident = lambda bag: frozenset(x for e, x in ids.items() if e[0] in bag or e[1] in bag)
+    return CarriedDecomposition(d.rebag(g2, incident), claimed)
 
 
 # --- complement-like operations ------------------------------------------
@@ -555,9 +523,4 @@ def switch_sequence_decomposition(d: Decomposition, vs) -> CarriedDecomposition:
     g2 = switch_sequence(d.host, vs).graph
     switched = frozenset(vs)
     claimed = _bound(width(d)) + len(switched)
-    if isinstance(d, TreeDecomposition):
-        bags = {u: bag | switched for u, bag in d.bags.items()}
-        return CarriedDecomposition(TreeDecomposition(g2, d.tree, bags), claimed)
-    return CarriedDecomposition(
-        PathDecomposition(g2, [bag | switched for bag in d.bags]), claimed
-    )
+    return CarriedDecomposition(d.rebag(g2, lambda bag: bag | switched), claimed)

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import time
 
 import pytest
@@ -138,6 +140,18 @@ class TestValidate:
         g_path = gr(tmp_path, path_graph(2))
         td_path = write(tmp_path / "bad.td", "b 1 1 2\n")
         assert main(["validate", g_path, td_path]) == 2
+
+    def test_extra_tree_edge_lines_exit_2(self, tmp_path):
+        g_path = gr(tmp_path, path_graph(3))
+        td_path = write(tmp_path / "extra.td",
+                        "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n1 2\n2 1\n")
+        out = subprocess.run(
+            [sys.executable, "-m", "twpw.cli", "validate", g_path, td_path],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "2 bags need 1 tree edges, file has 3" in out.stderr
 
 
 class TestApply:

@@ -96,6 +96,44 @@ class TestConstruction:
         assert width(t) == width(p) == 3
 
 
+class TestRebag:
+    def test_identity_keeps_the_shape_and_takes_the_new_host(self):
+        g, d = spider_fixture()
+        host = Graph(g.vertices, [])
+        same = d.rebag(host, lambda bag: bag)
+        assert type(same) is TreeDecomposition
+        assert same.host is host
+        assert same.tree is d.tree
+        assert dict(same.bags) == dict(d.bags)
+        g, p = spider_path_fixture()
+        same = p.rebag(host, lambda bag: bag)
+        assert type(same) is PathDecomposition
+        assert same.host is host
+        assert same.bags == p.bags
+
+    def test_every_bag_is_rewritten_in_place(self):
+        g, d = spider_fixture()
+        host = Graph(g.vertices | {7}, g.edges)
+        grown = d.rebag(host, lambda bag: bag | {7})
+        assert dict(grown.bags) == {u: bag | {7} for u, bag in d.bags.items()}
+        g, p = spider_path_fixture()
+        grown = p.rebag(host, lambda bag: bag | {7})
+        assert grown.bags == tuple(bag | {7} for bag in p.bags)
+
+
+class TestImmutability:
+    def test_certificate_bags_cannot_be_reassigned(self):
+        g = cycle_graph(5)
+        tree_cert = exact_treewidth(g).certificate
+        k = next(iter(tree_cert.bags))
+        with pytest.raises(TypeError):
+            tree_cert.bags[k] = frozenset({99})
+        path_cert = exact_pathwidth(g).certificate
+        with pytest.raises(TypeError):
+            path_cert.bags[0] = frozenset({99})
+        assert validate(g, tree_cert).valid and validate(g, path_cert).valid
+
+
 class TestValidation:
     def test_spider_tree_decomposition_valid(self):
         g, d = spider_fixture()

@@ -132,6 +132,13 @@ class TestTdParsing:
         with pytest.raises((FormatError, ParameterError)):
             parse_td(text, g)
 
+    def test_extra_tree_edge_lines_rejected(self):
+        # Graph would collapse the repeated edges into one valid tree
+        g = path_graph(3)
+        text = "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n1 2\n2 1\n"
+        with pytest.raises(FormatError, match="2 bags need 1 tree edges, file has 3"):
+            parse_td(text, g)
+
     def test_file_round_trip(self, tmp_path):
         g, d = spider_tree_decomposition()
         p = tmp_path / "spider.td"

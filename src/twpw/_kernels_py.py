@@ -4,10 +4,31 @@ Both kernels take a dense adjacency-mask list (bit j of masks[i] set when
 vertices i and j are adjacent) and return the exact parameter value plus an
 optimal vertex ordering as index lists.  The compiled extension in
 _speedups.pyx implements the same contract: for every input both backends
-must return the same value and the same order.
+must return the same value and the same order.  Both refuse more than 16
+vertices before allocating anything.
+
+The tree-width kernel fills one table entry per subset.  The path-width
+kernel works on whole subset families instead: a family of subsets of the
+n vertices is one Python int of 2^n bits whose bit S is set when the subset
+with mask S belongs to it (at most 8 KB at n = 16).  One big-int operation
+then acts on all subsets at once: & and | intersect and unite families,
+and shifting a family that avoids v left by 2^v adds v to each member.
+The one-subset-at-a-time loop of the same recurrence is kept in
+tests/test_kernels.py (loop_pathwidth_dp) as the readable oracle both
+values and orders are checked against.
 """
 
 from __future__ import annotations
+
+MAX_VERTICES = 16
+
+
+def _check_size(masks: list[int]) -> int:
+    """len(masks), refused before any table is sized by it."""
+    n = len(masks)
+    if n > MAX_VERTICES:
+        raise ValueError(f"kernel supports at most {MAX_VERTICES} vertices")
+    return n
 
 
 def treewidth_dp(masks: list[int]) -> tuple[int, list[int]]:
@@ -29,7 +50,7 @@ def treewidth_dp(masks: list[int]) -> tuple[int, list[int]]:
     return the same order.  masks must be symmetric.  Returns (tree-width,
     elimination order), (-1, []) for the empty graph.
     """
-    n = len(masks)
+    n = _check_size(masks)
     if n == 0:
         return -1, []
     full = (1 << n) - 1
@@ -81,39 +102,96 @@ def treewidth_dp(masks: list[int]) -> tuple[int, list[int]]:
 def pathwidth_dp(masks: list[int]) -> tuple[int, list[int]]:
     """Exact path-width via the vertex separation number.
 
-    value[S] = max(boundary(S), min over v in S of value[S - v]) where
-    boundary(S) counts vertices of S with a neighbor outside S; the vertex
-    separation number value[V] equals the path-width.  Returns
-    (path-width, placement order), (-1, []) for the empty graph.
+    value[S] = max(boundary(S), min over v in S of value[S - v]), with
+    value[{}] = 0, where boundary(S) counts the vertices of S with a
+    neighbor outside S; value[V] is the path-width.  Instead of filling
+    value[] one subset at a time, the kernel works on subset families (see
+    the module docstring) and builds F_k = {S : value[S] <= k} for
+    k = 0, 1, ...: value[S] <= k exactly when S is in LE_k, the family of
+    subsets with at most k boundary vertices, and S is empty or some S - v
+    is in F_k.  So F_k is the closure of F_{k-1} (of {empty set} for k = 0)
+    under
+
+        F |= ((F & ~has[v]) << 2^v) & LE_k    for v = 0 .. n-1,
+
+    repeated until a pass adds nothing, and the first k whose family holds
+    V is the path-width.  The layout is read back from the stored families:
+    from V, repeatedly remove the lowest-index v minimising value[S - v],
+    the choice of the compiled kernel's ascending scan with strict <, so
+    both backends return the same order.  Returns (path-width, placement
+    order), (-1, []) for the empty graph.
     """
-    n = len(masks)
+    n = _check_size(masks)
     if n == 0:
         return -1, []
     full = (1 << n) - 1
-    value = [0] * (full + 1)
-    choice = [0] * (full + 1)
-    for s in range(1, full + 1):
-        boundary = 0
-        best = n
-        bestv = -1
-        t = s
-        while t:
-            low = t & -t
-            v = low.bit_length() - 1
-            t ^= low
-            if masks[v] & ~s:
-                boundary += 1
-            cand = value[s ^ low]
-            if cand < best:
-                best = cand
-                bestv = v
-        value[s] = boundary if boundary > best else best
-        choice[s] = bestv
+    everything = (1 << (full + 1)) - 1
+    has = [_containing(v, n) for v in range(n)]
+    lacks = [everything ^ h for h in has]
+    # bit-sliced boundary counts: bit S of counter[i] is bit i of boundary(S)
+    counter = [0] * n.bit_length()
+    for v in range(n):
+        # v counts in S when some neighbor is outside S; one beyond the n
+        # vertices always is, as in the tree-width kernel
+        outside = everything if masks[v] >> n else 0
+        for u in range(n):
+            if masks[v] >> u & 1:
+                outside |= lacks[u]
+        carry = has[v] & outside
+        for i, c in enumerate(counter):
+            counter[i], carry = c ^ carry, c & carry
+    at_most_k = 0
+    family = 1
+    families = []
+    for k in range(n):
+        exactly_k = everything
+        for i, c in enumerate(counter):
+            exactly_k &= c if k >> i & 1 else everything ^ c
+        at_most_k |= exactly_k
+        grown = 0
+        while grown != family:
+            grown = family
+            for v in range(n):
+                family |= ((family & lacks[v]) << (1 << v)) & at_most_k
+        families.append(family.to_bytes((full >> 3) + 1, "little"))
+        if family >> full:
+            break
     order = []
     s = full
     while s:
-        v = choice[s]
-        order.append(v)
-        s ^= 1 << v
+        low = _best_removal(s, families)
+        order.append(low.bit_length() - 1)
+        s ^= low
     order.reverse()
-    return value[full], order
+    return len(families) - 1, order
+
+
+def _containing(v: int, n: int) -> int:
+    """has[v]: the family of subsets of n vertices that contain v.
+
+    Its bit pattern is a repunit times a block: 2^v clear bits, then 2^v
+    set ones, repeated; the repeats are made by doubling.
+    """
+    family = ((1 << (1 << v)) - 1) << (1 << v)
+    span = 2 << v
+    while span < 1 << n:
+        family |= family << span
+        span <<= 1
+    return family
+
+
+def _best_removal(s: int, families: list[bytes]) -> int:
+    """The bit of the lowest-index v in s minimising value[s - v].
+
+    families[k] is F_k as little-endian bytes; s lies in the last family,
+    so some s - v does too.
+    """
+    for table in families:
+        t = s
+        while t:
+            low = t & -t
+            rest = s ^ low
+            if table[rest >> 3] >> (rest & 7) & 1:
+                return low
+            t ^= low
+    raise AssertionError("a subset in the last family has no predecessor in it")

@@ -304,10 +304,9 @@ def tree_to_path(g: Graph, td: TreeDecomposition) -> PathDecomposition:
     and unions the bags along each path node.  Width grows by a factor
     logarithmic in the number of bags.
     """
-    report = validate(g, td)
-    if not report.valid:
-        raise ParameterError("decomposition invalid")
-    slim = remove_redundant_bags(td)
+    if td.host != g:
+        raise ParameterError("decomposition was built for a different graph")
+    slim = remove_redundant_bags(td)  # validates td
     if slim.tree.n == 1:
         bags = [slim.bags[next(iter(slim.tree.vertices))]]
     else:

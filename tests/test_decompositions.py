@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twpw import decomposition
 from twpw.decomposition import (
     PathDecomposition,
     TreeDecomposition,
@@ -415,6 +416,26 @@ class TestTreeToPath:
         bad = TreeDecomposition(g, Graph([0]), {0: frozenset({0, 1})})
         with pytest.raises(ParameterError):
             tree_to_path(g, bad)
+
+    def test_foreign_host_rejected(self):
+        d = exact_treewidth(cycle_graph(5)).certificate
+        with pytest.raises(ParameterError, match="built for a different graph"):
+            tree_to_path(path_graph(5), d)
+
+    def test_validates_input_and_output_once_each(self, monkeypatch):
+        calls = []
+
+        def spy(g, d):
+            calls.append((g, d))
+            return validate(g, d)
+
+        monkeypatch.setattr(decomposition, "validate", spy)
+        g = cycle_graph(8)
+        td = exact_treewidth(g).certificate
+        pd = tree_to_path(g, td)
+        assert len(calls) == 2
+        assert calls[0][0] == g and calls[0][1] is td
+        assert calls[1][0] == g and calls[1][1] is pd
 
 
 @settings(max_examples=60)

@@ -170,8 +170,15 @@ class TestGuards:
             exact_pathwidth(g)
 
     def test_limit_size_accepted(self):
-        g = Graph(range(SOLVER_MAX_VERTICES))
-        assert exact_treewidth(g).value == 0
+        n = SOLVER_MAX_VERTICES
+        for g, expected in ((Graph(range(n)), 0), (grid_graph(4, 4), 4),
+                            (complete_graph(n), n - 1), (path_graph(n), 1)):
+            assert g.n == n
+            for parameter in ("tw", "pw"):
+                report = exact_width(g, parameter)
+                assert report.value == expected, (parameter, g.edges_sorted())
+                assert is_valid(g, report.certificate)
+                assert width(report.certificate) == expected
 
     def test_exact_width_dispatch(self):
         g = cycle_graph(5)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twpw import kernels
-from twpw.graphs import Graph, from_networkx, is_connected
+from twpw.graphs import Graph, complete_graph, from_networkx, is_connected, path_graph
 from twpw.harness import SplitMix64, random_graph
 
 
@@ -145,6 +145,81 @@ class TestTreewidthAgainstPerVertexOracle:
         assert disconnected > 0
 
 
+def loop_pathwidth_dp(masks):
+    """The path-width kernel as it was before subset families: one pass over
+    every vertex of every subset, ties to the lowest vertex index.  Frozen
+    here as the readable oracle for the current kernel's values and orders."""
+    n = len(masks)
+    if n == 0:
+        return -1, []
+    full = (1 << n) - 1
+    value = [0] * (full + 1)
+    choice = [0] * (full + 1)
+    for s in range(1, full + 1):
+        boundary = 0
+        best = n
+        bestv = -1
+        t = s
+        while t:
+            low = t & -t
+            v = low.bit_length() - 1
+            t ^= low
+            if masks[v] & ~s:
+                boundary += 1
+            cand = value[s ^ low]
+            if cand < best:
+                best = cand
+                bestv = v
+        value[s] = boundary if boundary > best else best
+        choice[s] = bestv
+    order = []
+    s = full
+    while s:
+        v = choice[s]
+        order.append(v)
+        s ^= 1 << v
+    order.reverse()
+    return value[full], order
+
+
+class TestPathwidthAgainstLoopOracle:
+    def test_every_atlas_graph(self):
+        for h in nx.graph_atlas_g():
+            masks = from_networkx(h).masks()
+            assert PURE.pathwidth_dp(masks) == loop_pathwidth_dp(masks), masks
+
+    def test_seeded_graphs_up_to_16_vertices(self):
+        rng = SplitMix64(29)
+        disconnected = 0
+        for n in range(8, 17):
+            for p in (2, 5, 8):
+                g = random_graph(rng, n, p)
+                disconnected += not is_connected(g)
+                masks = g.masks()
+                assert PURE.pathwidth_dp(masks) == loop_pathwidth_dp(masks), masks
+        assert disconnected > 0
+
+    @pytest.mark.parametrize("g", [Graph(range(16)), path_graph(16), complete_graph(16)],
+                             ids=["edgeless", "path", "complete"])
+    def test_sixteen_vertex_extremes(self, g):
+        masks = g.masks()
+        assert PURE.pathwidth_dp(masks) == loop_pathwidth_dp(masks)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from((2, 5, 8)))
+def test_pathwidth_matches_loop_oracle(seed, n, p):
+    masks = random_graph(SplitMix64(seed), n, p).masks()
+    assert PURE.pathwidth_dp(masks) == loop_pathwidth_dp(masks)
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize("name", ["treewidth_dp", "pathwidth_dp"])
+    def test_more_than_16_masks_refused(self, name):
+        with pytest.raises(ValueError, match="at most 16 vertices"):
+            getattr(PURE, name)([0] * 17)
+
+
 class TestBackendAgreement:
     def test_backends_match_on_seeded_graphs(self):
         backends = list(available_backends())
@@ -157,18 +232,17 @@ class TestBackendAgreement:
             masks = adjacency_masks(random_graph(rng, n, p))
             for name in ("treewidth_dp", "pathwidth_dp"):
                 results = [getattr(b, name)(masks) for b in backends]
-                values = {r[0] for r in results}
-                assert len(values) == 1, (name, masks, results)
-                for _, order in results:
-                    assert sorted(order) == list(range(n))
+                assert all(r == results[0] for r in results), (name, masks, results)
+                assert sorted(results[0][1]) == list(range(n))
 
     def test_compiled_guards_width(self):
         try:
             fast = kernels.load_backend("c")
         except ImportError:
             pytest.skip("compiled kernels not built")
-        with pytest.raises(ValueError):
-            fast.treewidth_dp([0] * 17)
+        for fn in (fast.treewidth_dp, fast.pathwidth_dp):
+            with pytest.raises(ValueError):
+                fn([0] * 17)
 
 
 class TestSelection:

@@ -4,7 +4,10 @@ A .gr file has one header line ``p tw <n> <m>`` followed by m edge lines
 with 1-based endpoints.  A .td file has one header ``s td <r> <maxbagsize>
 <n>``, r bag lines ``b <i> <v...>`` and r-1 tree edge lines.  Lines starting
 with ``c`` are comments.  Writers normalize vertex ids to 1..n in sorted
-order, so files written here parse back to graphs with ids 0..n-1.
+order, so files written here parse back to graphs with ids 0..n-1.  A .gr
+header announcing more than ``GRAPH_MAX_VERTICES`` vertices or
+``GRAPH_MAX_EDGES`` edges (see graphs.py) raises CapabilityError before
+anything is built.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Union
 
 from .decomposition import Decomposition, PathDecomposition, TreeDecomposition
 from .errors import FormatError
-from .graphs import Graph
+from .graphs import Graph, guard_size
 
 PathLike = Union[str, os.PathLike]
 
@@ -39,6 +42,7 @@ def parse_gr(text: str) -> Graph:
         raise FormatError("non-numeric header fields") from None
     if n < 0 or m < 0:
         raise FormatError("negative counts in header")
+    guard_size(n, m)
     edges = set()
     for tokens in lines[1:]:
         if len(tokens) != 2:

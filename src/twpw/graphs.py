@@ -12,6 +12,10 @@ from typing import Iterable, Iterator
 from .errors import CapabilityError, ParameterError
 
 ISO_MAX_VERTICES = 10
+# .gr headers and generator arguments are checked against these before any
+# graph is built, so no untrusted count sizes an allocation
+GRAPH_MAX_VERTICES = 100_000
+GRAPH_MAX_EDGES = 1_000_000
 
 
 class Graph:
@@ -166,24 +170,37 @@ def biconnected_components(g: Graph) -> list[frozenset[int]]:
     return sorted(comps, key=min)
 
 
+def guard_size(n: int, m: int) -> None:
+    """CapabilityError when a graph of n vertices and m edges is too big."""
+    if n > GRAPH_MAX_VERTICES:
+        raise CapabilityError(
+            f"graphs support at most {GRAPH_MAX_VERTICES} vertices, got {n}"
+        )
+    if m > GRAPH_MAX_EDGES:
+        raise CapabilityError(f"graphs support at most {GRAPH_MAX_EDGES} edges, got {m}")
+
+
 # --- generators ---------------------------------------------------------
 
 
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise ParameterError("path needs n >= 1")
+    guard_size(n, n - 1)
     return Graph(range(n), [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ParameterError("cycle needs n >= 3")
+    guard_size(n, n)
     return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ParameterError("complete graph needs n >= 1")
+    guard_size(n, n * (n - 1) // 2)
     return Graph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
@@ -191,6 +208,7 @@ def star_graph(leaves: int) -> Graph:
     """K_{1,leaves} with the center at id 0."""
     if leaves < 1:
         raise ParameterError("star needs at least one leaf")
+    guard_size(leaves + 1, leaves)
     return Graph(range(leaves + 1), [(0, i) for i in range(1, leaves + 1)])
 
 
@@ -198,6 +216,7 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
     """K_{a,b}: side ids 0..a-1 and a..a+b-1."""
     if a < 1 or b < 1:
         raise ParameterError("complete bipartite graph needs both sides nonempty")
+    guard_size(a + b, a * b)
     return Graph(range(a + b), [(i, a + j) for i in range(a) for j in range(b)])
 
 
@@ -205,6 +224,7 @@ def grid_graph(rows: int, cols: int) -> Graph:
     """rows x cols grid, vertex (r, c) at id r * cols + c."""
     if rows < 1 or cols < 1:
         raise ParameterError("grid needs rows, cols >= 1")
+    guard_size(rows * cols, rows * (cols - 1) + cols * (rows - 1))
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -219,6 +239,7 @@ def grid_graph(rows: int, cols: int) -> Graph:
 def isolated_graph(n: int) -> Graph:
     if n < 1:
         raise ParameterError("isolated graph needs n >= 1")
+    guard_size(n, 0)
     return Graph(range(n))
 
 

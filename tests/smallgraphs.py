@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import CapabilityError
-from .graphs import Graph, from_networkx
+from twpw.errors import CapabilityError
+from twpw.graphs import Graph, from_networkx
 
 ATLAS_MAX_VERTICES = 7
 

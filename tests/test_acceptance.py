@@ -42,7 +42,8 @@ from twpw.minors import (
     classify_treewidth_le,
     is_minor,
 )
-from twpw.smallgraphs import all_graphs_up_to
+
+from smallgraphs import all_graphs_up_to
 
 _SLACK = 1e-9
 

@@ -1,3 +1,4 @@
+import resource
 import subprocess
 import sys
 import time
@@ -303,3 +304,46 @@ class TestHarnessCommand:
             "--max-n", "13", "--samples", "1",
             "--witness-dir", str(tmp_path / "w"),
         ]) == 3
+
+
+class TestSizeGuards:
+    """Oversized headers and generator arguments exit 3 before anything is
+    allocated.  Each probe runs in a child whose address space is capped,
+    so an allocation at the refused size would end in MemoryError, exit 1."""
+
+    CAP = 1 << 30
+
+    def run_capped(self, *argv):
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (self.CAP, self.CAP))
+
+        return subprocess.run([sys.executable, "-m", "twpw.cli", *argv],
+                              capture_output=True, text=True, preexec_fn=cap,
+                              timeout=60)
+
+    def test_header_vertex_count(self, tmp_path):
+        g_path = write(tmp_path / "big.gr", "p tw 300000000 0\n")
+        out = self.run_capped("width", g_path, "--param", "tw")
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert out.stderr == (
+            "error: graphs support at most 100000 vertices, got 300000000\n"
+        )
+
+    def test_complete_graph_edge_count(self, tmp_path):
+        out_path = tmp_path / "k.gr"
+        out = self.run_capped("gen", "complete", "50000", str(out_path))
+        assert out.returncode == 3
+        assert out.stderr == (
+            "error: graphs support at most 1000000 edges, got 1249975000\n"
+        )
+        assert not out_path.exists()
+
+    def test_grid_vertex_count(self, tmp_path):
+        out_path = tmp_path / "grid.gr"
+        out = self.run_capped("gen", "grid", "100000", "100000", str(out_path))
+        assert out.returncode == 3
+        assert out.stderr == (
+            "error: graphs support at most 100000 vertices, got 10000000000\n"
+        )
+        assert not out_path.exists()

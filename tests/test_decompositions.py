@@ -311,7 +311,7 @@ class TestFindCliqueBag:
     def test_every_clique_of_every_small_graph_lands_in_a_bag(self):
         from itertools import combinations
 
-        from twpw.smallgraphs import all_graphs_up_to
+        from smallgraphs import all_graphs_up_to
 
         for g in all_graphs_up_to(5):
             if g.n == 0:

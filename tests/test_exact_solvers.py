@@ -22,7 +22,8 @@ from twpw.graphs import (
     star_graph,
 )
 from twpw.harness import SplitMix64, random_graph
-from twpw.smallgraphs import all_graphs_up_to
+
+from smallgraphs import all_graphs_up_to
 
 
 def brute_force_treewidth(g):

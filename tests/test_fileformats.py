@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twpw.decomposition import PathDecomposition, TreeDecomposition, validate
-from twpw.errors import FormatError, ParameterError
+from twpw.errors import CapabilityError, FormatError, ParameterError
 from twpw.fileformats import (
     format_gr,
     format_td,
@@ -13,7 +13,14 @@ from twpw.fileformats import (
     write_gr,
     write_td,
 )
-from twpw.graphs import Graph, cycle_graph, incidence_star_example, path_graph
+from twpw.graphs import (
+    GRAPH_MAX_EDGES,
+    GRAPH_MAX_VERTICES,
+    Graph,
+    cycle_graph,
+    incidence_star_example,
+    path_graph,
+)
 
 
 class TestGrParsing:
@@ -51,6 +58,14 @@ class TestGrParsing:
     def test_non_numeric(self):
         with pytest.raises(FormatError):
             parse_gr("p tw 2 1\n1 x\n")
+
+    def test_oversized_header_refused(self):
+        # the header alone would size the graph; nothing is built from it
+        with pytest.raises(CapabilityError, match="vertices"):
+            parse_gr(f"p tw {GRAPH_MAX_VERTICES + 1} 0\n")
+        with pytest.raises(CapabilityError, match="edges"):
+            parse_gr(f"p tw 2 {GRAPH_MAX_EDGES + 1}\n1 2\n")
+        assert parse_gr(f"p tw {GRAPH_MAX_VERTICES} 0\n").n == GRAPH_MAX_VERTICES
 
 
 class TestGrFormatting:

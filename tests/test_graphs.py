@@ -3,6 +3,8 @@ from hypothesis import given, strategies as st
 
 from twpw.errors import CapabilityError, ParameterError
 from twpw.graphs import (
+    GRAPH_MAX_EDGES,
+    GRAPH_MAX_VERTICES,
     Graph,
     biconnected_components,
     caterpillar_example,
@@ -21,6 +23,7 @@ from twpw.graphs import (
     is_forest,
     is_isomorphic,
     is_tree,
+    isolated_graph,
     max_degree,
     path_graph,
     star_graph,
@@ -176,6 +179,25 @@ class TestGenerators:
             generate("grid", 3)
         with pytest.raises(ParameterError):
             generate("moebius", 5)
+
+    def test_size_limits(self):
+        assert isolated_graph(GRAPH_MAX_VERTICES).n == GRAPH_MAX_VERTICES
+        with pytest.raises(CapabilityError):
+            isolated_graph(GRAPH_MAX_VERTICES + 1)
+        side = 1414  # the largest complete graph within GRAPH_MAX_EDGES
+        assert side * (side - 1) // 2 <= GRAPH_MAX_EDGES < side * (side + 1) // 2
+        with pytest.raises(CapabilityError):
+            complete_graph(side + 1)
+        with pytest.raises(CapabilityError):
+            complete_bipartite_graph(1001, 1000)
+        with pytest.raises(CapabilityError):
+            grid_graph(400, 400)
+        with pytest.raises(CapabilityError):
+            path_graph(GRAPH_MAX_VERTICES + 1)
+        with pytest.raises(CapabilityError):
+            cycle_graph(GRAPH_MAX_VERTICES + 1)
+        with pytest.raises(CapabilityError):
+            star_graph(GRAPH_MAX_VERTICES)
 
     def test_generator_names_sorted(self):
         names = generator_names()

@@ -22,7 +22,8 @@ from twpw.invariants import (
     independence_number,
     vertex_connectivity,
 )
-from twpw.smallgraphs import all_graphs_up_to
+
+from smallgraphs import all_graphs_up_to
 
 
 def colorable(g, k):

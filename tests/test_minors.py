@@ -23,7 +23,8 @@ from twpw.minors import (
     is_minor,
     parse_minor_script,
 )
-from twpw.smallgraphs import all_graphs_up_to
+
+from smallgraphs import all_graphs_up_to
 
 
 class TestScripts:

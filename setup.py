@@ -1,24 +1,5 @@
-"""Build script for the optional compiled kernels.
+"""Build script; all metadata lives in pyproject.toml."""
 
-The package works without the extension (pure-Python kernels are used as a
-fallback), so a missing Cython or C compiler must not break installation.
-Set TWPW_NO_EXT=1 to skip the extension build entirely.
-"""
+from setuptools import setup
 
-import os
-
-from setuptools import Extension, setup
-
-ext_modules = []
-if os.environ.get("TWPW_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [Extension("twpw._speedups", ["src/twpw/_speedups.pyx"])],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup()

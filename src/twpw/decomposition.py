@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import InconsistencyError, ParameterError
-from .graphs import Graph, connected_components, is_tree
+from .graphs import Graph, components_within, is_tree
 
 
 Rebag = Callable[[frozenset[int]], Iterable[int]]
@@ -263,11 +263,11 @@ def tree_path_decomposition(t: Graph) -> PathDecomposition:
         best = None
         for v in sorted(sub):
             rest = sub - {v}
-            largest = max(len(c) for c in _components_within(rest, adj))
+            largest = max(len(c) for c in components_within(rest, adj))
             if best is None or largest < best[0]:
                 best = (largest, v)
         s = best[1]
-        comps = sorted(_components_within(sub - {s}, adj), key=min)
+        comps = sorted(components_within(sub - {s}, adj), key=min)
         bags: list[set[int]] = []
         for comp in comps:
             for bag in build(comp):
@@ -276,25 +276,6 @@ def tree_path_decomposition(t: Graph) -> PathDecomposition:
         return bags
 
     return PathDecomposition(t, build(t.vertices))
-
-
-def _components_within(sub: frozenset[int], adj: Mapping[int, frozenset[int]]) -> list[frozenset[int]]:
-    seen: set[int] = set()
-    comps = []
-    for start in sorted(sub):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in sub and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
 
 
 def tree_to_path(g: Graph, td: TreeDecomposition) -> PathDecomposition:

@@ -7,7 +7,7 @@ be represented.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from .errors import CapabilityError, ParameterError
 
@@ -114,12 +114,14 @@ def max_degree(g: Graph) -> int:
     return max(len(s) for s in g.adjacency().values())
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Components ordered by their smallest vertex id."""
-    adj = g.adjacency()
+def components_within(
+    vertices: AbstractSet[int], adj: Mapping[int, Iterable[int]]
+) -> list[frozenset[int]]:
+    """Components of the subgraph that vertices induce under adj, ordered
+    by their smallest vertex id."""
     seen: set[int] = set()
     comps = []
-    for start in g.vertices_sorted():
+    for start in sorted(vertices):
         if start in seen:
             continue
         comp = {start}
@@ -127,12 +129,17 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
         while stack:
             u = stack.pop()
             for w in adj[u]:
-                if w not in comp:
+                if w in vertices and w not in comp:
                     comp.add(w)
                     stack.append(w)
         seen |= comp
         comps.append(frozenset(comp))
     return comps
+
+
+def connected_components(g: Graph) -> list[frozenset[int]]:
+    """Components ordered by their smallest vertex id."""
+    return components_within(g.vertices, g.adjacency())
 
 
 def is_connected(g: Graph) -> bool:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CapabilityError
-from .graphs import Graph, connected_components, is_connected
+from .graphs import Graph, components_within, is_connected
 
 INVARIANT_MAX_VERTICES = 12
 
@@ -97,11 +97,10 @@ def vertex_connectivity(g: Graph) -> int:
     if not is_connected(g):
         return 0
     order = g.vertices_sorted()
+    adj = g.adjacency()
     for k in range(1, g.n - 1):
         for cut in combinations(order, k):
-            rest = g.vertices - set(cut)
-            sub = Graph(rest, [e for e in g.edges if e[0] in rest and e[1] in rest])
-            if len(connected_components(sub)) > 1:
+            if len(components_within(g.vertices.difference(cut), adj)) > 1:
                 return k
     return g.n - 1
 

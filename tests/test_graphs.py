@@ -10,6 +10,7 @@ from twpw.graphs import (
     caterpillar_example,
     complete_bipartite_graph,
     complete_graph,
+    components_within,
     connected_components,
     cycle_graph,
     empty_graph,
@@ -28,6 +29,7 @@ from twpw.graphs import (
     path_graph,
     star_graph,
 )
+from twpw.harness import SplitMix64, random_graph
 
 
 def edge_set(pairs):
@@ -83,6 +85,22 @@ class TestTraversal:
             frozenset({2}),
             frozenset({3, 4}),
         ]
+
+    def test_components_within_a_vertex_set(self):
+        # the path 0-1-2-3-4 without 2, and a set that skips an isolated 5
+        g = Graph(range(6), [(0, 1), (1, 2), (2, 3), (3, 4)])
+        assert components_within({0, 1, 3, 4}, g.adjacency()) == [
+            frozenset({0, 1}),
+            frozenset({3, 4}),
+        ]
+        assert components_within(set(), g.adjacency()) == []
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 9), st.integers(0, 2**9 - 1))
+    def test_components_within_match_the_induced_subgraph(self, seed, n, keep):
+        g = random_graph(SplitMix64(seed), n, 5)
+        sub = {v for v in g.vertices if keep >> v & 1}
+        assert components_within(sub, g.adjacency()) == connected_components(
+            induced_subgraph(g, sub))
 
     def test_connected(self):
         assert is_connected(path_graph(5))

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,9 +17,6 @@ def adjacency_masks(g):
     return masks
 
 
-PURE = kernels.load_backend("python")
-
-
 def test_graph_masks_match_reference():
     rng = SplitMix64(11)
     for n in range(9):
@@ -34,43 +27,35 @@ def test_graph_masks_match_reference():
     assert sparse_ids.masks() == adjacency_masks(sparse_ids) == [0b100, 0, 0b001]
 
 
-def available_backends():
-    yield PURE
-    try:
-        yield kernels.load_backend("c")
-    except ImportError:
-        pytest.skip("compiled kernels not built")
-
-
 class TestPureKernelValues:
     def test_empty(self):
-        assert PURE.treewidth_dp([]) == (-1, [])
-        assert PURE.pathwidth_dp([]) == (-1, [])
+        assert kernels.treewidth_dp([]) == (-1, [])
+        assert kernels.pathwidth_dp([]) == (-1, [])
 
     def test_single_vertex(self):
-        assert PURE.treewidth_dp([0]) == (0, [0])
-        assert PURE.pathwidth_dp([0]) == (0, [0])
+        assert kernels.treewidth_dp([0]) == (0, [0])
+        assert kernels.pathwidth_dp([0]) == (0, [0])
 
     def test_edge(self):
         masks = [2, 1]
-        value, order = PURE.treewidth_dp(masks)
+        value, order = kernels.treewidth_dp(masks)
         assert value == 1 and sorted(order) == [0, 1]
-        value, order = PURE.pathwidth_dp(masks)
+        value, order = kernels.pathwidth_dp(masks)
         assert value == 1
 
     def test_triangle(self):
         masks = [6, 5, 3]
-        assert PURE.treewidth_dp(masks)[0] == 2
-        assert PURE.pathwidth_dp(masks)[0] == 2
+        assert kernels.treewidth_dp(masks)[0] == 2
+        assert kernels.pathwidth_dp(masks)[0] == 2
 
     def test_path4(self):
         masks = [2, 5, 10, 4]
-        assert PURE.treewidth_dp(masks)[0] == 1
-        assert PURE.pathwidth_dp(masks)[0] == 1
+        assert kernels.treewidth_dp(masks)[0] == 1
+        assert kernels.pathwidth_dp(masks)[0] == 1
 
     def test_order_is_permutation(self):
         masks = adjacency_masks(random_graph(SplitMix64(3), 7, 5))
-        for fn in (PURE.treewidth_dp, PURE.pathwidth_dp):
+        for fn in (kernels.treewidth_dp, kernels.pathwidth_dp):
             _, order = fn(masks)
             assert sorted(order) == list(range(7))
 
@@ -131,7 +116,7 @@ class TestTreewidthAgainstPerVertexOracle:
     def test_every_atlas_graph(self):
         for h in nx.graph_atlas_g():
             masks = from_networkx(h).masks()
-            assert PURE.treewidth_dp(masks) == per_vertex_treewidth_dp(masks), masks
+            assert kernels.treewidth_dp(masks) == per_vertex_treewidth_dp(masks), masks
 
     def test_seeded_graphs_up_to_13_vertices(self):
         rng = SplitMix64(23)
@@ -141,7 +126,7 @@ class TestTreewidthAgainstPerVertexOracle:
                 g = random_graph(rng, n, p)
                 disconnected += not is_connected(g)
                 masks = g.masks()
-                assert PURE.treewidth_dp(masks) == per_vertex_treewidth_dp(masks), masks
+                assert kernels.treewidth_dp(masks) == per_vertex_treewidth_dp(masks), masks
         assert disconnected > 0
 
 
@@ -186,7 +171,7 @@ class TestPathwidthAgainstLoopOracle:
     def test_every_atlas_graph(self):
         for h in nx.graph_atlas_g():
             masks = from_networkx(h).masks()
-            assert PURE.pathwidth_dp(masks) == loop_pathwidth_dp(masks), masks
+            assert kernels.pathwidth_dp(masks) == loop_pathwidth_dp(masks), masks
 
     def test_seeded_graphs_up_to_16_vertices(self):
         rng = SplitMix64(29)
@@ -196,89 +181,74 @@ class TestPathwidthAgainstLoopOracle:
                 g = random_graph(rng, n, p)
                 disconnected += not is_connected(g)
                 masks = g.masks()
-                assert PURE.pathwidth_dp(masks) == loop_pathwidth_dp(masks), masks
+                assert kernels.pathwidth_dp(masks) == loop_pathwidth_dp(masks), masks
         assert disconnected > 0
 
     @pytest.mark.parametrize("g", [Graph(range(16)), path_graph(16), complete_graph(16)],
                              ids=["edgeless", "path", "complete"])
     def test_sixteen_vertex_extremes(self, g):
         masks = g.masks()
-        assert PURE.pathwidth_dp(masks) == loop_pathwidth_dp(masks)
+        assert kernels.pathwidth_dp(masks) == loop_pathwidth_dp(masks)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from((2, 5, 8)))
 def test_pathwidth_matches_loop_oracle(seed, n, p):
     masks = random_graph(SplitMix64(seed), n, p).masks()
-    assert PURE.pathwidth_dp(masks) == loop_pathwidth_dp(masks)
+    assert kernels.pathwidth_dp(masks) == loop_pathwidth_dp(masks)
 
 
 class TestSizeGuard:
     @pytest.mark.parametrize("name", ["treewidth_dp", "pathwidth_dp"])
     def test_more_than_16_masks_refused(self, name):
         with pytest.raises(ValueError, match="at most 16 vertices"):
-            getattr(PURE, name)([0] * 17)
+            getattr(kernels, name)([0] * 17)
 
 
-class TestBackendAgreement:
-    def test_backends_match_on_seeded_graphs(self):
-        backends = list(available_backends())
-        if len(backends) < 2:
-            pytest.skip("only one backend present")
-        rng = SplitMix64(17)
-        for _ in range(120):
-            n = 1 + rng.next_below(8)
-            p = (2, 5, 8)[rng.next_below(3)]
-            masks = adjacency_masks(random_graph(rng, n, p))
-            for name in ("treewidth_dp", "pathwidth_dp"):
-                results = [getattr(b, name)(masks) for b in backends]
-                assert all(r == results[0] for r in results), (name, masks, results)
-                assert sorted(results[0][1]) == list(range(n))
+# masks that describe no simple graph, by the message the kernels give
+BAD_MASKS = {
+    "bit at n": ([0b100, 0b000], "outside the 2 vertices"),
+    "bit far beyond n": ([0b10, 0b01, 1 << 40], "outside the 3 vertices"),
+    "negative mask": ([0b10, -1], "outside the 2 vertices"),
+    "loop": ([0b10, 0b11], "loop at vertex 1"),
+    "asymmetric pair": ([0b110, 0b001, 0b000], r"asymmetric pair \(0, 2\)"),
+}
 
-    def test_compiled_guards_width(self):
-        try:
-            fast = kernels.load_backend("c")
-        except ImportError:
-            pytest.skip("compiled kernels not built")
-        for fn in (fast.treewidth_dp, fast.pathwidth_dp):
-            with pytest.raises(ValueError):
-                fn([0] * 17)
+
+class TestInputCheck:
+    @pytest.mark.parametrize("name", ["treewidth_dp", "pathwidth_dp"])
+    @pytest.mark.parametrize("kind", sorted(BAD_MASKS))
+    def test_masks_of_no_simple_graph_refused(self, name, kind):
+        masks, message = BAD_MASKS[kind]
+        with pytest.raises(ValueError, match=message):
+            getattr(kernels, name)(masks)
+
+    @pytest.mark.parametrize("name", ["treewidth_dp", "pathwidth_dp"])
+    def test_sixteen_vertex_input_refused_for_one_bad_bit(self, name):
+        masks = complete_graph(16).masks()
+        masks[15] ^= 1 << 14
+        with pytest.raises(ValueError, match=r"asymmetric pair \(14, 15\)"):
+            getattr(kernels, name)(masks)
 
 
 class TestSelection:
     def test_module_binds_some_backend(self):
-        assert kernels.BACKEND in ("python", "c")
+        assert kernels.backend() == "python"
+        assert kernels.load_backend("python") is kernels
         assert callable(kernels.treewidth_dp)
         assert callable(kernels.pathwidth_dp)
+
+    def test_compiled_backend_is_not_importable(self):
+        with pytest.raises(ImportError):
+            kernels.load_backend("c")
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             kernels.load_backend("fortran")
-
-    @pytest.mark.parametrize("name,expected", [("python", "python"), ("pure", "python")])
-    def test_env_var_forces_pure(self, name, expected):
-        env = dict(os.environ, TWPW_KERNELS=name)
-        out = subprocess.run(
-            [sys.executable, "-c", "import twpw.kernels as k; print(k.BACKEND)"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == expected
-
-    def test_env_var_auto_prefers_compiled_when_built(self):
-        try:
-            kernels.load_backend("c")
-        except ImportError:
-            pytest.skip("compiled kernels not built")
-        env = dict(os.environ, TWPW_KERNELS="auto")
-        out = subprocess.run(
-            [sys.executable, "-c", "import twpw.kernels as k; print(k.BACKEND)"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "c"
 
 
 @settings(max_examples=50)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 7))
 def test_treewidth_never_exceeds_pathwidth(seed, n):
     masks = adjacency_masks(random_graph(SplitMix64(seed), n, 5))
-    assert PURE.treewidth_dp(masks)[0] <= PURE.pathwidth_dp(masks)[0]
+    assert kernels.treewidth_dp(masks)[0] <= kernels.pathwidth_dp(masks)[0]

@@ -1,0 +1,83 @@
+"""Fuzz the text parsers: any input ends in a value or a ToolError.
+
+Inputs are arbitrary text, or a header and body lines built from each
+format's own vocabulary (header words, opcodes, vertex letters, product
+kinds, small, negative and huge numbers), so that most examples get past
+the header and reach the checks on the body.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from twpw.cli import parse_opscript
+from twpw.errors import ToolError
+from twpw.fileformats import parse_gr, parse_td
+from twpw.graphs import Graph, path_graph
+from twpw.operations import OPCODES
+
+SMALL = st.integers(-1, 5).map(str)
+NUMBERS = SMALL | SMALL | st.integers(-10**30, 10**30).map(str)
+WORDS = st.one_of(
+    st.sampled_from(["p", "tw", "s", "td", "b", "c", "#", "a", "z", "d", "dv", "1.5", "٣"]),
+    st.sampled_from(sorted(OPCODES)),
+    st.text(max_size=4),
+)
+HOSTS = st.sampled_from([Graph(), Graph([0]), path_graph(2), path_graph(3),
+                         Graph(range(4), [(0, 1), (2, 3)])])
+
+
+def lines(shaped):
+    """Lines shaped like the format's own, or any few tokens."""
+    return shaped | st.lists(NUMBERS | WORDS, max_size=7).map(" ".join)
+
+
+def lead_and_args(lead, args):
+    return st.builds(lambda head, rest: " ".join([head, *rest]), lead, st.lists(args, max_size=5))
+
+
+def document(header, body):
+    """A header line followed by body lines; arbitrary text one time in four."""
+    built = st.builds(lambda head, rest: "\n".join([head, *rest]),
+                      header, st.lists(body, max_size=10))
+    return st.integers(0, 3).flatmap(lambda pick: built if pick else st.text())
+
+
+PAIRS = st.builds("{} {}".format, SMALL, SMALL)
+OPCODE_LINES = lines(lead_and_args(st.sampled_from(sorted(OPCODES)), NUMBERS | WORDS))
+GR_TEXT = document(st.builds("p tw {} {}".format, SMALL, NUMBERS), lines(PAIRS))
+SCRIPT_TEXT = document(OPCODE_LINES, OPCODE_LINES)
+
+
+@st.composite
+def td_inputs(draw):
+    """(text, host), the header's vertex count mostly the host's."""
+    host = draw(HOSTS)
+    n = draw(st.just(str(host.n)) | NUMBERS)
+    header = st.builds("s td {} {} {}".format, SMALL, SMALL, st.just(n))
+    return draw(document(header, lines(lead_and_args(st.just("b"), SMALL) | PAIRS))), host
+
+
+def value_or_tool_error(parse, *args):
+    try:
+        parse(*args)
+    except ToolError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(GR_TEXT)
+def test_parse_gr_raises_only_tool_errors(text):
+    value_or_tool_error(parse_gr, text)
+
+
+@pytest.mark.parametrize("kind", ["tree", "path"])
+@settings(max_examples=100, deadline=None)
+@given(td_inputs())
+def test_parse_td_raises_only_tool_errors(kind, text_and_host):
+    value_or_tool_error(parse_td, *text_and_host, kind)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SCRIPT_TEXT)
+def test_parse_opscript_raises_only_tool_errors(text):
+    value_or_tool_error(parse_opscript, text)

@@ -1,6 +1,6 @@
 """The solver layer in exact.py against the bare subset-DP kernels.
 
-The oracle is the pure kernel called directly on the whole graph's masks;
+The oracle is the kernel called directly on the whole graph's masks;
 `exact_treewidth` and `exact_pathwidth` reduce and split first, so
 their values must still equal the kernel's and their certificates must
 validate at exactly that width.
@@ -10,7 +10,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twpw import _kernels_py, exact, kernels
+from twpw import exact, kernels
 from twpw.decomposition import is_valid, width
 from twpw.exact import exact_pathwidth, exact_treewidth
 from twpw.fileformats import format_td
@@ -26,6 +26,10 @@ from twpw.graphs import (
 from twpw.harness import SplitMix64, random_graph, random_tree
 
 
+# the bare kernels, bound before the kernel_calls fixture can replace the
+# module attributes, so oracle calls are not counted as solver calls
+BARE_TW, BARE_PW = kernels.treewidth_dp, kernels.pathwidth_dp
+
 # a 4-cycle 0-1-2-3 with a roof vertex 4 over the edge 2-3
 HOUSE = Graph(range(5), [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (3, 4)])
 
@@ -36,8 +40,7 @@ def atlas():
 
 def assert_matches_kernel(g):
     masks = g.masks()
-    for solve, oracle in ((exact_treewidth, _kernels_py.treewidth_dp),
-                          (exact_pathwidth, _kernels_py.pathwidth_dp)):
+    for solve, oracle in ((exact_treewidth, BARE_TW), (exact_pathwidth, BARE_PW)):
         report = solve(g)
         expected = oracle(masks)[0]
         got = -1 if report.value is None else report.value
@@ -141,7 +144,7 @@ class TestBranches:
         g = dense_graph()
         masks = g.masks()
         assert exact._peel_simplicial(list(masks))[0] == []
-        value, order = _kernels_py.treewidth_dp(masks)
+        value, order = BARE_TW(masks)
         report = exact_treewidth(g)
         assert report.value == value
         assert kernel_calls["tw"] == [14]

@@ -11,7 +11,9 @@ Width is the largest bag size minus one, or None when all bags are empty
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -33,7 +35,7 @@ class TreeDecomposition:
             raise ParameterError("decomposition needs at least one node")
         if not is_tree(tree):
             raise ParameterError("decomposition nodes must form a tree")
-        bagmap = {int(u): frozenset(int(v) for v in bag) for u, bag in bags.items()}
+        bagmap = {int(u): frozenset(map(int, bag)) for u, bag in bags.items()}
         if set(bagmap) != set(tree.vertices):
             raise ParameterError("bags must be keyed exactly by the tree nodes")
         self.host = host
@@ -61,7 +63,7 @@ class PathDecomposition:
     __slots__ = ("host", "bags")
 
     def __init__(self, host: Graph, bags: Sequence[Iterable[int]]):
-        seq = tuple(frozenset(int(v) for v in bag) for bag in bags)
+        seq = tuple(frozenset(map(int, bag)) for bag in bags)
         if not seq:
             raise ParameterError("decomposition needs at least one bag")
         self.host = host
@@ -114,52 +116,35 @@ def _check_bags(
     g: Graph,
     items: list[tuple[int, frozenset[int]]],
     tag: str,
-    contiguous: Callable[[set[int]], bool],
+    tree_edges: Iterable[tuple[int, int]],
 ) -> list[Violation]:
-    """The bag, <tag>-1, <tag>-2 and <tag>-3 checks over (node, bag) items.
+    """The bag, <tag>-1, <tag>-2 and <tag>-3 checks over (node, bag) items
+    whose nodes tree_edges join into a tree.
 
     One pass over the bags builds the index vertex -> holding nodes; vertex
-    cover, edge cover and contiguity are read off it.  contiguous(nodes)
-    says whether two or more holding nodes of one vertex form a subtree.
+    cover and edge cover are read off it.  The holding nodes of a vertex
+    form a subtree exactly when |nodes| - 1 tree edges join two of them, so
+    contiguity needs one bag intersection per tree edge.  The cost is linear
+    in the size of the bags, the tree and the graph.
     """
     out = []
-    held: dict[int, set[int]] = {v: set() for v in g.vertices}
+    hosted = g.vertices
+    held: dict[int, set[int]] = {v: set() for v in hosted}
     for u, bag in items:
-        for v in sorted(bag - g.vertices):
-            out.append(Violation("bag", (u, v)))
+        if not bag <= hosted:
+            out.extend(Violation("bag", (u, v)) for v in sorted(bag - hosted))
+            bag = bag & hosted
         for v in bag:
-            if v in held:
-                held[v].add(u)
+            held[v].add(u)
+    bag_of = dict(items)
+    joined = Counter(chain.from_iterable(bag_of[a] & bag_of[b] for a, b in tree_edges))
     vertices = g.vertices_sorted()
     out.extend(Violation(f"{tag}-1", (v,)) for v in vertices if not held[v])
     out.extend(Violation(f"{tag}-2", (u, v)) for u, v in g.edges_sorted()
                if held[u].isdisjoint(held[v]))
     out.extend(Violation(f"{tag}-3", (v,)) for v in vertices
-               if len(held[v]) > 1 and not contiguous(held[v]))
+               if joined[v] + 1 < len(held[v]))
     return out
-
-
-def _validate_tree(g: Graph, d: TreeDecomposition) -> list[Violation]:
-    tree_adj = d.tree.adjacency()
-
-    def subtree(nodes: set[int]) -> bool:
-        start = min(nodes)
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in tree_adj[x]:
-                if y in nodes and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen == nodes
-
-    return _check_bags(g, d.bag_items(), "tw", subtree)
-
-
-def _validate_path(g: Graph, d: PathDecomposition) -> list[Violation]:
-    return _check_bags(g, d.bag_items(), "pw",
-                       lambda idxs: max(idxs) - min(idxs) + 1 == len(idxs))
 
 
 def validate(g: Graph, d: Decomposition) -> ValidationReport:
@@ -167,9 +152,10 @@ def validate(g: Graph, d: Decomposition) -> ValidationReport:
     if d.host != g:
         raise ParameterError("decomposition was built for a different graph")
     if isinstance(d, TreeDecomposition):
-        violations = _validate_tree(g, d)
+        violations = _check_bags(g, d.bag_items(), "tw", d.tree.edges)
     else:
-        violations = _validate_path(g, d)
+        k = len(d.bags)
+        violations = _check_bags(g, d.bag_items(), "pw", zip(range(k - 1), range(1, k)))
     return ValidationReport(not violations, tuple(violations))
 
 

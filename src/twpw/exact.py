@@ -70,11 +70,16 @@ def elimination_decomposition(g: Graph, order: list[int]) -> TreeDecomposition:
     are then completed into a clique.  The bag node of v hangs off the bag
     node of its earliest-eliminated remaining neighbor; vertices eliminated
     with no remaining neighbor root their components and are chained.
+
+    Each neighbor's row takes the clique in one set union, so the Python
+    steps are linear in the total size of the bags; the unions add up to
+    the sum of the squared bag sizes, done in C.  Checking the order costs
+    O(n log n).
     """
     if sorted(order) != g.vertices_sorted():
         raise ParameterError("elimination order must list every vertex once")
     pos = {v: i for i, v in enumerate(order)}
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    adj = {v: set(nb) for v, nb in g.adjacency().items()}
     bags = {}
     tree_edges = []
     roots = []
@@ -86,12 +91,10 @@ def elimination_decomposition(g: Graph, order: list[int]) -> TreeDecomposition:
         else:
             roots.append(v)
         for a in nb:
-            adj[a].discard(v)
-        for a in nb:
-            for b in nb:
-                if a < b:
-                    adj[a].add(b)
-                    adj[b].add(a)
+            row = adj[a]
+            row |= nb
+            row.discard(a)
+            row.discard(v)
     tree_edges.extend(zip(roots, roots[1:]))
     return TreeDecomposition(g, Graph(g.vertices, tree_edges), bags)
 
@@ -100,16 +103,25 @@ def layout_decomposition(g: Graph, order: list[int]) -> PathDecomposition:
     """Path-decomposition read off a vertex layout.
 
     Bag i holds v_i plus every earlier vertex that still has a neighbor
-    outside the first i-1 vertices.
+    outside the first i-1 vertices.  A count of not-yet-placed neighbors
+    per vertex keeps that boundary as the layout goes, so the cost is
+    linear in the size of the graph plus the total size of the bags.
+    Checking the layout costs O(n log n).
     """
     if sorted(order) != g.vertices_sorted():
         raise ParameterError("layout must list every vertex once")
-    placed: set[int] = set()
+    adj = g.adjacency()
+    unplaced = {v: len(nb) for v, nb in adj.items()}
+    boundary: set[int] = set()
     bags = []
     for v in order:
-        boundary = {u for u in placed if g.neighbors(u) - placed}
         bags.append(boundary | {v})
-        placed.add(v)
+        for u in adj[v]:
+            unplaced[u] -= 1
+            if not unplaced[u]:
+                boundary.discard(u)
+        if unplaced[v]:
+            boundary.add(v)
     return PathDecomposition(g, bags)
 
 

@@ -2,8 +2,9 @@
 
 A .gr file has one header line ``p tw <n> <m>`` followed by m edge lines
 with 1-based endpoints.  A .td file has one header ``s td <r> <maxbagsize>
-<n>``, r bag lines ``b <i> <v...>`` and r-1 tree edge lines.  Lines starting
-with ``c`` are comments.  Writers normalize vertex ids to 1..n in sorted
+<n>``, r bag lines ``b <i> <v...>`` and r-1 tree edge lines, which must
+form a tree with no loop and no repeated edge.  Lines starting with ``c``
+are comments.  Writers normalize vertex ids to 1..n in sorted
 order, so files written here parse back to graphs with ids 0..n-1.  A .gr
 header announcing more than ``GRAPH_MAX_VERTICES`` vertices or
 ``GRAPH_MAX_EDGES`` edges (see graphs.py) raises CapabilityError before
@@ -16,19 +17,21 @@ import os
 from typing import Union
 
 from .decomposition import Decomposition, PathDecomposition, TreeDecomposition
-from .errors import FormatError
+from .errors import FormatError, ParameterError
 from .graphs import Graph, guard_size
 
 PathLike = Union[str, os.PathLike]
 
 
 def _content_lines(text: str) -> list[list[str]]:
+    """The tokens of each line that is neither blank nor a comment.  A
+    comment line is "c" alone or "c" followed by a space, after any
+    leading whitespace."""
     out = []
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line == "c" or line.startswith("c "):
-            continue
-        out.append(line.split())
+        tokens = raw.split()
+        if tokens and not (tokens[0] == "c" and (len(tokens) == 1 or raw.lstrip()[1] == " ")):
+            out.append(tokens)
     return out
 
 
@@ -90,6 +93,14 @@ def write_gr(g: Graph, path: PathLike) -> None:
 
 
 def parse_td(text: str, host: Graph, kind: str = "tree") -> Decomposition:
+    """The decomposition of host that a .td text describes.
+
+    Bag i of the file becomes tree node i - 1, and vertex i the i-th
+    smallest vertex of host.  kind "path" asks for a path-shaped tree and
+    returns its bags in order from the lowest-numbered end.  The text is
+    read in one pass and the tree edges are checked in another, so the
+    cost is linear in the length of the text.
+    """
     if kind not in ("tree", "path"):
         raise FormatError(f"unknown decomposition kind {kind!r}")
     lines = _content_lines(text)
@@ -103,7 +114,8 @@ def parse_td(text: str, host: Graph, kind: str = "tree") -> Decomposition:
         raise FormatError(f"header announces {n} vertices, graph has {host.n}")
     if r < 1:
         raise FormatError("decomposition needs at least one bag")
-    order = host.vertices_sorted()
+    # ranked[i] is the vertex numbered i in the file; ranked[0] is never read
+    ranked = [-1, *host.vertices_sorted()]
     bags: dict[int, frozenset[int]] = {}
     tree_edges = []
     for tokens in lines[1:]:
@@ -112,17 +124,17 @@ def parse_td(text: str, host: Graph, kind: str = "tree") -> Decomposition:
                 raise FormatError("bag line without an id")
             try:
                 ident = int(tokens[1])
-                members = [int(t) for t in tokens[2:]]
+                members = list(map(int, tokens[2:]))
             except ValueError:
                 raise FormatError(f"non-numeric bag line: {' '.join(tokens)!r}") from None
             if not 1 <= ident <= r:
                 raise FormatError(f"bag id {ident} out of range 1..{r}")
             if ident in bags:
                 raise FormatError(f"duplicate bag id {ident}")
-            for v in members:
-                if not 1 <= v <= n:
-                    raise FormatError(f"bag {ident} holds out-of-range vertex {v}")
-            bags[ident] = frozenset(order[v - 1] for v in members)
+            if members and (min(members) < 1 or max(members) > n):
+                v = next(v for v in members if not 1 <= v <= n)
+                raise FormatError(f"bag {ident} holds out-of-range vertex {v}")
+            bags[ident] = frozenset(map(ranked.__getitem__, members))
         else:
             if len(tokens) != 2:
                 raise FormatError(f"bad tree edge line: {' '.join(tokens)!r}")
@@ -132,35 +144,60 @@ def parse_td(text: str, host: Graph, kind: str = "tree") -> Decomposition:
                 raise FormatError(f"non-numeric tree edge: {' '.join(tokens)!r}") from None
             if not (1 <= a <= r and 1 <= b <= r):
                 raise FormatError(f"tree edge ({a}, {b}) out of range 1..{r}")
-            tree_edges.append((a - 1, b - 1))
+            tree_edges.append((a, b))
     if len(bags) != r:
         raise FormatError(f"header announces {r} bags, file has {len(bags)}")
     if len(tree_edges) != r - 1:
         raise FormatError(f"{r} bags need {r - 1} tree edges, file has {len(tree_edges)}")
-    if maxbag != max(len(b) for b in bags.values()):
+    if maxbag != max(map(len, bags.values())):
         raise FormatError("header max bag size disagrees with the bags")
-    bagmap = {ident - 1: bags[ident] for ident in bags}
-    tree = Graph(range(r), tree_edges)
-    td = TreeDecomposition(host, tree, bagmap)
+    _check_tree_edges(tree_edges)
     if kind == "tree":
-        return td
-    return _as_path(td)
+        tree = Graph(range(r), [(a - 1, b - 1) for a, b in tree_edges])
+        return TreeDecomposition(host, tree, {u - 1: bag for u, bag in bags.items()})
+    return PathDecomposition(host, [bags[u] for u in _path_order(r, tree_edges)])
 
 
-def _as_path(td: TreeDecomposition) -> PathDecomposition:
-    """Reorder a path-shaped tree into a bag sequence."""
-    adj = td.tree.adjacency()
-    if any(len(nb) > 2 for nb in adj.values()):
+def _check_tree_edges(tree_edges: list[tuple[int, int]]) -> None:
+    """FormatError for the first loop or repeated edge, in line order."""
+    seen = set()
+    for a, b in tree_edges:
+        if a == b:
+            raise FormatError(f"tree edge loop at bag {a}")
+        e = (a, b) if a < b else (b, a)
+        if e in seen:
+            raise FormatError(f"duplicate tree edge ({a}, {b})")
+        seen.add(e)
+
+
+def _path_order(r: int, tree_edges: list[tuple[int, int]]) -> list[int]:
+    """The nodes 1..r of a path-shaped tree, from its lowest-numbered end.
+
+    tree_edges are r - 1 edges without loops or repeats, so they form a
+    tree exactly when they connect the nodes."""
+    adj: list[list[int]] = [[] for _ in range(r + 1)]
+    for a, b in tree_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    reached = {1}
+    stack = [1]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    if len(reached) != r:
+        raise ParameterError("decomposition nodes must form a tree")
+    if any(len(nb) > 2 for nb in adj):
         raise FormatError("decomposition tree is not path-shaped")
     # an end of the path, or the only node of a one-bag tree
-    start = min(u for u, nb in adj.items() if len(nb) <= 1)
-    seq = [start]
-    prev = None
-    while len(seq) < td.tree.n:
-        nxt = [w for w in adj[seq[-1]] if w != prev]
-        prev = seq[-1]
-        seq.append(nxt[0])
-    return PathDecomposition(td.host, [td.bags[u] for u in seq])
+    prev, u = 0, next(u for u in range(1, r + 1) if len(adj[u]) <= 1)
+    seq = [u]
+    for _ in range(r - 1):
+        nb = adj[u]
+        prev, u = u, nb[0] if nb[0] != prev else nb[-1]
+        seq.append(u)
+    return seq
 
 
 def format_td(d: Decomposition) -> str:
@@ -168,11 +205,13 @@ def format_td(d: Decomposition) -> str:
     index = {v: i + 1 for i, v in enumerate(host.vertices_sorted())}
     items = d.bag_items()
     node_rank = {u: i + 1 for i, (u, _) in enumerate(items)}
+    # numerals[i] is str(i) for every bag and vertex number, made once each
+    numerals = list(map(str, range(max(host.n, len(items)) + 1)))
     maxbag = max(len(bag) for _, bag in items)
     lines = [f"s td {len(items)} {maxbag} {host.n}"]
-    for u, bag in items:
-        members = " ".join(str(x) for x in sorted(index[v] for v in bag))
-        lines.append(f"b {node_rank[u]}" + (f" {members}" if members else ""))
+    for rank, (_, bag) in enumerate(items, 1):
+        members = map(numerals.__getitem__, sorted(map(index.__getitem__, bag)))
+        lines.append(" ".join(["b", numerals[rank], *members]))
     if isinstance(d, TreeDecomposition):
         edges = sorted(
             (min(node_rank[a], node_rank[b]), max(node_rank[a], node_rank[b]))

@@ -24,10 +24,10 @@ class Graph:
     __slots__ = ("_vertices", "_edges", "_adj")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
-        vs = frozenset(int(v) for v in vertices)
-        for v in vs:
-            if v < 0:
-                raise ParameterError(f"negative vertex id {v}")
+        vs = frozenset(map(int, vertices))
+        if vs and min(vs) < 0:
+            v = next(v for v in vs if v < 0)
+            raise ParameterError(f"negative vertex id {v}")
         es = set()
         for u, v in edges:
             u, v = int(u), int(v)

@@ -347,3 +347,48 @@ class TestSizeGuards:
             "error: graphs support at most 100000 vertices, got 10000000000\n"
         )
         assert not out_path.exists()
+
+
+TD_HEAD = "s td 2 2 3\nb 1 1 2\nb 2 2 3\n"
+
+
+class TestValidateTdMessages:
+    """Every .td error message, as `twpw validate` prints it, on path_graph(3)."""
+
+    @pytest.mark.parametrize("kind, text, message", [
+        ("tree", "b 1 1 2\n", "missing 's td <bags> <maxbagsize> <n>' header"),
+        ("tree", "s td 1 x 3\nb 1 1\n", "non-numeric header fields"),
+        ("tree", "s td 1 2 4\nb 1 1 2\n", "header announces 4 vertices, graph has 3"),
+        ("tree", "s td 0 0 3\n", "decomposition needs at least one bag"),
+        ("tree", "s td 1 2 3\nb\n", "bag line without an id"),
+        ("tree", "s td 1 2 3\nb 1 x\n", "non-numeric bag line: 'b 1 x'"),
+        ("tree", "s td 1 2 3\nb 2 1 2\n", "bag id 2 out of range 1..1"),
+        ("tree", "s td 2 2 3\nb 1 1 2\nb 1 2 3\n", "duplicate bag id 1"),
+        ("tree", "s td 1 3 3\nb 1 2 5 0 4\n", "bag 1 holds out-of-range vertex 5"),
+        ("tree", "s td 1 3 3\nb 1 3 -1 9\n", "bag 1 holds out-of-range vertex -1"),
+        ("tree", TD_HEAD + "1 2 3\n", "bad tree edge line: '1 2 3'"),
+        ("tree", TD_HEAD + "1 x\n", "non-numeric tree edge: '1 x'"),
+        ("tree", TD_HEAD + "1 3\n", "tree edge (1, 3) out of range 1..2"),
+        ("tree", "s td 2 2 3\nb 1 1 2\n1 2\n", "header announces 2 bags, file has 1"),
+        ("tree", TD_HEAD, "2 bags need 1 tree edges, file has 0"),
+        ("tree", "s td 1 2 3\nb 1 1 2 3\n", "header max bag size disagrees with the bags"),
+        ("tree", "s td 4 1 3\nb 1 1\nb 2 2\nb 3 3\nb 4\n1 2\n2 3\n3 1\n",
+         "decomposition nodes must form a tree"),
+        ("path", "s td 4 1 3\nb 1 1\nb 2 2\nb 3 3\nb 4\n1 2\n2 3\n3 1\n",
+         "decomposition nodes must form a tree"),
+        ("path", "s td 4 2 3\nb 1 2\nb 2 1 2\nb 3 2 3\nb 4 2\n1 2\n1 3\n1 4\n",
+         "decomposition tree is not path-shaped"),
+        ("tree", TD_HEAD + "2 2\n", "tree edge loop at bag 2"),
+        ("path", TD_HEAD + "2 2\n", "tree edge loop at bag 2"),
+        ("tree", "s td 3 2 3\nb 1 1 2\nb 2 2 3\nb 3 3\n1 2\n2 1\n",
+         "duplicate tree edge (2, 1)"),
+        ("path", "s td 3 2 3\nb 1 1 2\nb 2 2 3\nb 3 3\n1 2\n2 1\n",
+         "duplicate tree edge (2, 1)"),
+    ])
+    def test_message_and_exit_2(self, tmp_path, capsys, kind, text, message):
+        g_path = gr(tmp_path, path_graph(3))
+        td_path = write(tmp_path / "bad.td", text)
+        assert main(["validate", g_path, td_path, "--kind", kind]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"

@@ -1,5 +1,6 @@
 import math
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,12 +22,20 @@ from twpw.decomposition import (
     width_within,
 )
 from twpw.errors import InconsistencyError, ParameterError
-from twpw.exact import exact_pathwidth, exact_treewidth
+from twpw.exact import (
+    elimination_decomposition,
+    exact_pathwidth,
+    exact_treewidth,
+    layout_decomposition,
+)
+from twpw.fileformats import format_td
 from twpw.graphs import (
     Graph,
     caterpillar_example,
     complete_graph,
     cycle_graph,
+    from_networkx,
+    grid_graph,
     incidence_star_example,
     path_graph,
     star_graph,
@@ -280,6 +289,21 @@ class TestValidatorAgainstScanOracle:
                 tags.update(v.tag for v in got)
         assert tags == {"bag", "tw-1", "tw-2", "tw-3", "pw-1", "pw-2", "pw-3"}
 
+    def test_seeded_corruptions_of_certify_family_certificates(self):
+        rng = SplitMix64(37)
+        for _ in range(2):
+            for g in certify_family_graphs(rng):
+                order = seeded_order(rng, g)
+                td = elimination_decomposition(g, order)
+                nodes = td.tree.vertices_sorted()
+                bags = corrupt(rng, g, [td.bags[u] for u in nodes])
+                bad_td = TreeDecomposition(g, td.tree, dict(zip(nodes, bags)))
+                pd = layout_decomposition(g, order)
+                bad_pd = PathDecomposition(g, corrupt(rng, g, pd.bags))
+                for d, oracle in ((td, scan_validate_tree), (bad_td, scan_validate_tree),
+                                  (pd, scan_validate_path), (bad_pd, scan_validate_path)):
+                    assert list(validate(g, d).violations) == oracle(g, d)
+
 
 class TestPathToTree:
     def test_path_becomes_spine(self):
@@ -444,3 +468,134 @@ def test_trivial_decompositions_always_valid(seed, n):
     g = random_graph(SplitMix64(seed), n, 5)
     assert is_valid(g, trivial_tree_decomposition(g))
     assert is_valid(g, trivial_path_decomposition(g))
+
+
+def pairwise_elimination_decomposition(g, order):
+    """The elimination certificate as it was before the fill became one set
+    union per neighbor: one Python step per pair of neighbors.  Frozen here
+    as the oracle for the current builder's bags and tree edges."""
+    pos = {v: i for i, v in enumerate(order)}
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    bags = {}
+    tree_edges = []
+    roots = []
+    for v in order:
+        nb = adj.pop(v)
+        bags[v] = frozenset(nb | {v})
+        if nb:
+            tree_edges.append((v, min(nb, key=pos.__getitem__)))
+        else:
+            roots.append(v)
+        for a in nb:
+            adj[a].discard(v)
+        for a in nb:
+            for b in nb:
+                if a < b:
+                    adj[a].add(b)
+                    adj[b].add(a)
+    tree_edges.extend(zip(roots, roots[1:]))
+    return TreeDecomposition(g, Graph(g.vertices, tree_edges), bags)
+
+
+def rescan_layout_decomposition(g, order):
+    """The layout certificate as it was before the running boundary: the
+    whole boundary recomputed for every placed vertex.  Frozen here as the
+    oracle for the current builder's bags."""
+    placed = set()
+    bags = []
+    for v in order:
+        boundary = {u for u in placed if g.neighbors(u) - placed}
+        bags.append(boundary | {v})
+        placed.add(v)
+    return PathDecomposition(g, bags)
+
+
+def min_degree_order(g):
+    """Greedy elimination order: always eliminate a vertex of least degree,
+    ties to the smallest id."""
+    adj = {v: set(nb) for v, nb in g.adjacency().items()}
+    order = []
+    while adj:
+        v = min(adj, key=lambda x: (len(adj[x]), x))
+        nb = adj.pop(v)
+        for a in nb:
+            adj[a].discard(v)
+            adj[a].update(nb - {a})
+        order.append(v)
+    return order
+
+
+def seeded_order(rng, g):
+    order = g.vertices_sorted()
+    for i in range(len(order) - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+def gnp(rng, n, p):
+    threshold = int(p * (1 << 64))
+    return Graph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)
+                            if rng.next_u64() < threshold])
+
+
+def caterpillar(rng, spine):
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    n = spine
+    for i in range(spine):
+        for _ in range(rng.next_below(4)):
+            edges.append((i, n))
+            n += 1
+    return Graph(range(n), edges)
+
+
+def certify_family_graphs(rng):
+    """One graph from each family of the certify benchmark workload."""
+    yield gnp(rng, 40 + rng.next_below(61), 0.2)
+    n = 100 + rng.next_below(101)
+    yield gnp(rng, n, 3.0 / n)
+    rows = 3 + rng.next_below(4)
+    low, high = -(-40 // rows), 200 // rows
+    yield grid_graph(rows, low + rng.next_below(high - low + 1))
+    yield random_tree(rng, 40 + rng.next_below(161))
+    yield caterpillar(rng, 20 + rng.next_below(41))
+
+
+def assert_builders_match_oracles(g, order):
+    td = elimination_decomposition(g, order)
+    old_td = pairwise_elimination_decomposition(g, order)
+    assert td.bag_items() == old_td.bag_items()
+    assert td.tree.edges == old_td.tree.edges
+    assert format_td(td) == format_td(old_td)
+    pd = layout_decomposition(g, order)
+    old_pd = rescan_layout_decomposition(g, order)
+    assert pd.bags == old_pd.bags
+    assert format_td(pd) == format_td(old_pd)
+
+
+class TestCertificateBuildersAgainstOracles:
+    def test_every_atlas_graph(self):
+        rng = SplitMix64(41)
+        for h in nx.graph_atlas_g()[1:]:  # the first is the empty graph
+            g = from_networkx(h)
+            assert_builders_match_oracles(g, min_degree_order(g))
+            assert_builders_match_oracles(g, seeded_order(rng, g))
+
+    def test_seeded_certify_family_graphs(self):
+        rng = SplitMix64(43)
+        for _ in range(4):
+            for g in certify_family_graphs(rng):
+                assert_builders_match_oracles(g, min_degree_order(g))
+                assert_builders_match_oracles(g, seeded_order(rng, g))
+
+    def test_sparse_ids(self):
+        g = Graph([3, 7, 20, 21, 40], [(3, 20), (20, 40), (7, 21), (3, 40)])
+        assert_builders_match_oracles(g, [40, 3, 21, 20, 7])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 9))
+def test_certificate_builders_match_oracles(seed, n, p):
+    rng = SplitMix64(seed)
+    g = random_graph(rng, n, p)
+    assert_builders_match_oracles(g, seeded_order(rng, g))

@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from twpw.decomposition import PathDecomposition, TreeDecomposition, validate
 from twpw.errors import CapabilityError, FormatError, ParameterError
+from twpw.exact import elimination_decomposition, layout_decomposition
 from twpw.fileformats import (
     format_gr,
     format_td,
@@ -154,6 +155,26 @@ class TestTdParsing:
         with pytest.raises(FormatError, match="2 bags need 1 tree edges, file has 3"):
             parse_td(text, g)
 
+    @pytest.mark.parametrize("kind", ["tree", "path"])
+    def test_tree_edge_loop_names_the_bag(self, kind):
+        # a loop is a format fault of the line, not a vertex of the graph
+        g = path_graph(3)
+        text = "s td 2 2 3\nb 1 1 2\nb 2 2 3\n2 2\n"
+        with pytest.raises(FormatError, match=r"^tree edge loop at bag 2$"):
+            parse_td(text, g, kind)
+
+    @pytest.mark.parametrize("kind", ["tree", "path"])
+    def test_repeated_tree_edge_named(self, kind):
+        g = path_graph(3)
+        text = "s td 3 2 3\nb 1 1 2\nb 2 2 3\nb 3 3\n1 2\n2 1\n"
+        with pytest.raises(FormatError, match=r"^duplicate tree edge \(2, 1\)$"):
+            parse_td(text, g, kind)
+
+    def test_out_of_range_vertex_named_in_line_order(self):
+        g = path_graph(3)
+        with pytest.raises(FormatError, match=r"out-of-range vertex 7$"):
+            parse_td("s td 1 3 3\nb 1 2 7 0 -4 9\n", g)
+
     def test_file_round_trip(self, tmp_path):
         g, d = spider_tree_decomposition()
         p = tmp_path / "spider.td"
@@ -168,3 +189,35 @@ def test_format_parse_round_trip_random(seed, n):
 
     g = random_graph(SplitMix64(seed), n, 5)
     assert parse_gr(format_gr(g)) == g
+
+
+def tree_parts(d):
+    """Bags in node order and tree edges over node ranks; a path's tree is
+    its bag sequence."""
+    items = d.bag_items()
+    if isinstance(d, PathDecomposition):
+        return [bag for _, bag in items], [(i, i + 1) for i in range(len(items) - 1)]
+    rank = {u: i for i, (u, _) in enumerate(items)}
+    edges = sorted(tuple(sorted((rank[a], rank[b]))) for a, b in d.tree.edges)
+    return [bag for _, bag in items], edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 9))
+def test_td_round_trip_random(seed, n, p):
+    from twpw.harness import SplitMix64, random_graph
+
+    rng = SplitMix64(seed)
+    drawn = random_graph(rng, n, p)
+    # sparse ids, so the file's 1..n numbering differs from the host's ids
+    g = Graph([3 * v + 1 for v in drawn.vertices],
+              [(3 * u + 1, 3 * v + 1) for u, v in drawn.edges])
+    order = g.vertices_sorted()
+    for i in range(n - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        order[i], order[j] = order[j], order[i]
+    for d, kind in ((elimination_decomposition(g, order), "tree"),
+                    (layout_decomposition(g, order), "path")):
+        back = parse_td(format_td(d), g, kind)
+        assert type(back) is type(d)
+        assert tree_parts(back) == tree_parts(d)

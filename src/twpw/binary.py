@@ -1,7 +1,8 @@
-"""Two-graph operations with decomposition combiners.
+"""Two-graph operations.
 
-Operations take the two graphs plus, optionally, one valid decomposition
-per graph (both or neither, same kind); when given, the result carries a
+Each operation builds its result graph once and returns a `Result`.  It
+takes the two graphs plus, optionally, one valid decomposition per graph
+it combines (both or neither, same kind); given them, the result carries a
 combined decomposition with its claimed width bound.  Inputs are relabeled
 to disjoint id ranges: graph 1 to 0..n1-1 and graph 2 to n1..n1+n2-1 in
 sorted-id order, except where an operation documents its own layout.
@@ -9,12 +10,10 @@ sorted-id order, except where an operation documents its own layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .decomposition import PathDecomposition, TreeDecomposition, width
+from .decomposition import PathDecomposition, TreeDecomposition
 from .errors import ParameterError
 from .graphs import Graph
-from .unary import CarriedDecomposition, _bound
+from .results import Result, bound_width, check_host
 
 PRODUCT_KINDS = (
     "cartesian",
@@ -25,15 +24,6 @@ PRODUCT_KINDS = (
     "symmetric-difference",
     "rejection",
 )
-
-
-@dataclass(frozen=True)
-class CombineResult:
-    graph: Graph
-    decomposition: CarriedDecomposition | None
-    id_map: dict[tuple[int, int], int]  # (origin 1|2, old id) -> new id
-    merged_id: int | None = None  # the fused vertex of a 1-sum
-    pair_ids: dict[tuple[int, int], int] | None = None  # products and corona
 
 
 def _rank_maps(g1: Graph, g2: Graph) -> tuple[dict[int, int], dict[int, int]]:
@@ -53,8 +43,8 @@ def _check_pair(d1, d2, g1: Graph, g2: Graph) -> None:
         return
     if type(d1) is not type(d2):
         raise ParameterError("decompositions must be of the same kind")
-    if d1.host != g1 or d2.host != g2:
-        raise ParameterError("decompositions must belong to the given graphs")
+    check_host(g1, d1)
+    check_host(g2, d2)
 
 
 def _mapped_tree(d: TreeDecomposition, vmap, node_offset: int):
@@ -70,30 +60,25 @@ def _mapped_tree(d: TreeDecomposition, vmap, node_offset: int):
 # --- disjoint union and join ---------------------------------------------
 
 
-def disjoint_union(g1: Graph, g2: Graph, d1=None, d2=None) -> CombineResult:
+def disjoint_union(g1: Graph, g2: Graph, d1=None, d2=None) -> Result:
     """Side-by-side copy of both graphs; width is the max of the inputs."""
     _check_pair(d1, d2, g1, g2)
     m1, m2 = _rank_maps(g1, g2)
     graph = Graph(range(g1.n + g2.n), _map_edges(g1, m1) + _map_edges(g2, m2))
-    id_map = {(1, v): m1[v] for v in g1.vertices} | {(2, v): m2[v] for v in g2.vertices}
-    carried = None
-    if d1 is not None:
-        claimed = max(_bound(width(d1)), _bound(width(d2)))
-        if isinstance(d1, TreeDecomposition):
-            _, e1, b1 = _mapped_tree(d1, m1.__getitem__, 0)
-            _, e2, b2 = _mapped_tree(d2, m2.__getitem__, d1.tree.n)
-            tree = Graph(range(d1.tree.n + d2.tree.n), e1 + e2 + [(0, d1.tree.n)])
-            carried = CarriedDecomposition(
-                TreeDecomposition(graph, tree, b1 | b2), claimed
-            )
-        else:
-            bags = [frozenset(m1[x] for x in bag) for bag in d1.bags]
-            bags += [frozenset(m2[x] for x in bag) for bag in d2.bags]
-            carried = CarriedDecomposition(PathDecomposition(graph, bags), claimed)
-    return CombineResult(graph, carried, id_map)
+    if d1 is None:
+        return Result(graph)
+    claimed = max(bound_width(d1), bound_width(d2))
+    if isinstance(d1, TreeDecomposition):
+        _, e1, b1 = _mapped_tree(d1, m1.__getitem__, 0)
+        _, e2, b2 = _mapped_tree(d2, m2.__getitem__, d1.tree.n)
+        tree = Graph(range(d1.tree.n + d2.tree.n), e1 + e2 + [(0, d1.tree.n)])
+        return Result(graph, TreeDecomposition(graph, tree, b1 | b2), claimed)
+    bags = [frozenset(m1[x] for x in bag) for bag in d1.bags]
+    bags += [frozenset(m2[x] for x in bag) for bag in d2.bags]
+    return Result(graph, PathDecomposition(graph, bags), claimed)
 
 
-def join(g1: Graph, g2: Graph, d1=None, d2=None) -> CombineResult:
+def join(g1: Graph, g2: Graph, d1=None, d2=None) -> Result:
     """Disjoint union plus all edges between the sides.
 
     The combiner keeps the decomposition of the side minimizing
@@ -104,30 +89,25 @@ def join(g1: Graph, g2: Graph, d1=None, d2=None) -> CombineResult:
     m1, m2 = _rank_maps(g1, g2)
     cross = [(m1[u], m2[v]) for u in g1.vertices for v in g2.vertices]
     graph = Graph(range(g1.n + g2.n), _map_edges(g1, m1) + _map_edges(g2, m2) + cross)
-    id_map = {(1, v): m1[v] for v in g1.vertices} | {(2, v): m2[v] for v in g2.vertices}
-    carried = None
-    if d1 is not None:
-        cost1 = _bound(width(d1)) + g2.n
-        cost2 = _bound(width(d2)) + g1.n
-        if cost1 <= cost2:
-            base, m_keep, pour = d1, m1, frozenset(m2.values())
-        else:
-            base, m_keep, pour = d2, m2, frozenset(m1.values())
-        carried = CarriedDecomposition(
-            base.rebag(graph, lambda bag: frozenset(m_keep[x] for x in bag) | pour),
-            min(cost1, cost2),
-        )
-    return CombineResult(graph, carried, id_map)
+    if d1 is None:
+        return Result(graph)
+    cost1 = bound_width(d1) + g2.n
+    cost2 = bound_width(d2) + g1.n
+    if cost1 <= cost2:
+        base, m_keep, pour = d1, m1, frozenset(m2.values())
+    else:
+        base, m_keep, pour = d2, m2, frozenset(m1.values())
+    dec = base.rebag(graph, lambda bag: frozenset(m_keep[x] for x in bag) | pour)
+    return Result(graph, dec, min(cost1, cost2))
 
 
-def union_same_vertices(g1: Graph, g2: Graph) -> CombineResult:
-    """Edge union over a shared vertex set.  No combiner exists: thin
-    inputs can union into arbitrarily wide graphs (grids from two sets of
-    paths).  Ids are kept, so id_map records origin 1 only."""
+def union_same_vertices(g1: Graph, g2: Graph) -> Result:
+    """Edge union over a shared vertex set; ids are kept.  No combiner
+    exists: thin inputs can union into arbitrarily wide graphs (grids from
+    two sets of paths)."""
     if g1.vertices != g2.vertices:
         raise ParameterError("edge union needs identical vertex sets")
-    graph = Graph(g1.vertices, list(g1.edges) + list(g2.edges))
-    return CombineResult(graph, None, {(1, v): v for v in g1.vertices})
+    return Result(Graph(g1.vertices, list(g1.edges) + list(g2.edges)))
 
 
 # --- substitution ---------------------------------------------------------
@@ -140,7 +120,7 @@ def substitute(
     d1=None,
     d2=None,
     combiner: str = "replace",
-) -> CombineResult:
+) -> Result:
     """Replace vertex v of g1 by the whole of g2, joining g2 to N(v).
 
     g1 keeps its ids (minus v); g2 moves to max(V1)+1 onward.  Combiner
@@ -160,38 +140,34 @@ def substitute(
     edges += _map_edges(g2, m2)
     edges += [(x, m2[u]) for x in nb for u in g2.vertices]
     graph = Graph((g1.vertices - {v}) | set(m2.values()), edges)
-    id_map = {(1, u): u for u in g1.vertices - {v}}
-    id_map |= {(2, u): m2[u] for u in g2.vertices}
-    carried = None
-    if d1 is not None:
-        if combiner == "replace":
-            carried = _substitute_replace(graph, v, d1, d2, m2)
-        elif combiner == "neighbors":
-            carried = _substitute_neighbors(graph, v, nb, d1, d2, m2)
-        else:
-            raise ParameterError(f"unknown substitution combiner {combiner!r}")
-    return CombineResult(graph, carried, id_map)
+    if d1 is None:
+        return Result(graph)
+    if combiner == "replace":
+        return _substitute_replace(graph, v, d1, d2, m2)
+    if combiner == "neighbors":
+        return _substitute_neighbors(graph, v, nb, d1, d2, m2)
+    raise ParameterError(f"unknown substitution combiner {combiner!r}")
 
 
-def _substitute_replace(graph, v, d1, d2, m2) -> CarriedDecomposition:
+def _substitute_replace(graph, v, d1, d2, m2) -> Result:
     block = frozenset(m2.values())
-    cost1 = _bound(width(d1)) + len(block)
-    cost2 = _bound(width(d2)) + d1.host.n
+    cost1 = bound_width(d1) + len(block)
+    cost2 = bound_width(d2) + d1.host.n
     claimed = min(cost1, cost2) - 1
     if cost1 <= cost2:
         dec = d1.rebag(graph, lambda bag: (bag - {v}) | block if v in bag else bag)
     else:
         rest = frozenset(d1.host.vertices - {v})
         dec = d2.rebag(graph, lambda bag: frozenset(m2[x] for x in bag) | rest)
-    return CarriedDecomposition(dec, claimed)
+    return Result(graph, dec, claimed)
 
 
-def _substitute_neighbors(graph, v, nb, d1, d2, m2) -> CarriedDecomposition:
+def _substitute_neighbors(graph, v, nb, d1, d2, m2) -> Result:
     if not isinstance(d1, TreeDecomposition):
         raise ParameterError("the neighbors combiner works on tree-decompositions")
     if not nb:
         raise ParameterError("the neighbors combiner needs a non-isolated vertex")
-    claimed = max(_bound(width(d1)) - 1, _bound(width(d2))) + len(nb)
+    claimed = max(bound_width(d1) - 1, bound_width(d2)) + len(nb)
     rank1, edges1, bags1 = _mapped_tree(d1, lambda x: x, 0)
     anchor = rank1[min(u for u, bag in d1.bags.items() if v in bag)]
     bags1 = {u: (bag - {v}) | nb if v in bag else bag for u, bag in bags1.items()}
@@ -200,9 +176,7 @@ def _substitute_neighbors(graph, v, nb, d1, d2, m2) -> CarriedDecomposition:
     tree = Graph(
         range(d1.tree.n + d2.tree.n), edges1 + edges2 + [(anchor, d1.tree.n)]
     )
-    return CarriedDecomposition(
-        TreeDecomposition(graph, tree, bags1 | bags2), claimed
-    )
+    return Result(graph, TreeDecomposition(graph, tree, bags1 | bags2), claimed)
 
 
 # --- products -------------------------------------------------------------
@@ -215,7 +189,7 @@ def product_pair_ids(g1: Graph, g2: Graph) -> dict[tuple[int, int], int]:
     return {(u1, u2): i1 * g2.n + i2 for i1, u1 in enumerate(o1) for i2, u2 in enumerate(o2)}
 
 
-def product(kind: str, g1: Graph, g2: Graph, d1=None) -> CombineResult:
+def product(kind: str, g1: Graph, g2: Graph, d1=None) -> Result:
     """The seven products over V1 x V2; pairs are row-major ids.
 
     Only the lexicographic product carries a decomposition (of g1): each
@@ -224,8 +198,7 @@ def product(kind: str, g1: Graph, g2: Graph, d1=None) -> CombineResult:
         raise ParameterError(f"unknown product kind {kind!r}")
     if d1 is not None and kind != "lexicographic":
         raise ParameterError("only the lexicographic product has a combiner")
-    if d1 is not None and d1.host != g1:
-        raise ParameterError("decomposition must belong to the first graph")
+    check_host(g1, d1)
     pair = product_pair_ids(g1, g2)
     pairs = sorted(pair, key=pair.__getitem__)
     edges = []
@@ -250,23 +223,18 @@ def product(kind: str, g1: Graph, g2: Graph, d1=None) -> CombineResult:
             if keep:
                 edges.append((pair[(u1, u2)], pair[(v1, v2)]))
     graph = Graph(range(g1.n * g2.n), edges)
-    carried = None
-    if d1 is not None:
-        blocks = {
-            u1: frozenset(pair[(u1, u2)] for u2 in g2.vertices) for u1 in g1.vertices
-        }
-        claimed = (_bound(width(d1)) + 1) * g2.n - 1
-        carried = CarriedDecomposition(
-            d1.rebag(graph, lambda bag: frozenset().union(*(blocks[x] for x in bag))),
-            claimed,
-        )
-    return CombineResult(graph, carried, {}, pair_ids=pair)
+    if d1 is None:
+        return Result(graph)
+    blocks = {u1: frozenset(pair[(u1, u2)] for u2 in g2.vertices) for u1 in g1.vertices}
+    claimed = (bound_width(d1) + 1) * g2.n - 1
+    dec = d1.rebag(graph, lambda bag: frozenset().union(*(blocks[x] for x in bag)))
+    return Result(graph, dec, claimed)
 
 
 # --- 1-sum and corona -----------------------------------------------------
 
 
-def one_sum(g1: Graph, v: int, g2: Graph, w: int, d1=None, d2=None) -> CombineResult:
+def one_sum(g1: Graph, v: int, g2: Graph, w: int, d1=None, d2=None) -> Result:
     """Disjoint union with v and w fused into the fresh vertex n1+n2.
 
     Tree-decompositions bridge two bags holding the fused vertex (width
@@ -285,39 +253,30 @@ def one_sum(g1: Graph, v: int, g2: Graph, w: int, d1=None, d2=None) -> CombineRe
     edges |= {tuple(sorted((f2(a), f2(b)))) for a, b in g2.edges}
     vertices = {f1(x) for x in g1.vertices} | {f2(x) for x in g2.vertices}
     graph = Graph(vertices, edges)
-    id_map = {(1, x): m1[x] for x in g1.vertices if x != v}
-    id_map |= {(2, x): m2[x] for x in g2.vertices if x != w}
-    carried = None
-    if d1 is not None:
-        w1 = _bound(width(d1))
-        w2 = _bound(width(d2))
-        if isinstance(d1, TreeDecomposition):
-            _, e1, b1 = _mapped_tree(d1, f1, 0)
-            _, e2, b2 = _mapped_tree(d2, f2, d1.tree.n)
-            bags = b1 | b2
-            a1 = min(u for u, bag in b1.items() if z in bag)
-            a2 = min(u for u, bag in b2.items() if z in bag)
-            tree = Graph(range(d1.tree.n + d2.tree.n), e1 + e2 + [(a1, a2)])
-            carried = CarriedDecomposition(
-                TreeDecomposition(graph, tree, bags), max(w1, w2)
-            )
-        else:
-            bags = [frozenset(f1(x) for x in bag) for bag in d1.bags]
-            bags += [frozenset(f2(x) for x in bag) for bag in d2.bags]
-            idxs = [i for i, bag in enumerate(bags) if z in bag]
-            claimed = max(w1, w2)
-            if idxs[-1] - idxs[0] + 1 != len(idxs):
-                for i in range(idxs[0], idxs[-1] + 1):
-                    bags[i] = bags[i] | {z}
-                claimed += 1
-            carried = CarriedDecomposition(PathDecomposition(graph, bags), claimed)
-    return CombineResult(graph, carried, id_map, merged_id=z)
+    if d1 is None:
+        return Result(graph)
+    claimed = max(bound_width(d1), bound_width(d2))
+    if isinstance(d1, TreeDecomposition):
+        _, e1, b1 = _mapped_tree(d1, f1, 0)
+        _, e2, b2 = _mapped_tree(d2, f2, d1.tree.n)
+        a1 = min(u for u, bag in b1.items() if z in bag)
+        a2 = min(u for u, bag in b2.items() if z in bag)
+        tree = Graph(range(d1.tree.n + d2.tree.n), e1 + e2 + [(a1, a2)])
+        return Result(graph, TreeDecomposition(graph, tree, b1 | b2), claimed)
+    bags = [frozenset(f1(x) for x in bag) for bag in d1.bags]
+    bags += [frozenset(f2(x) for x in bag) for bag in d2.bags]
+    idxs = [i for i, bag in enumerate(bags) if z in bag]
+    if idxs[-1] - idxs[0] + 1 != len(idxs):
+        for i in range(idxs[0], idxs[-1] + 1):
+            bags[i] = bags[i] | {z}
+        claimed += 1
+    return Result(graph, PathDecomposition(graph, bags), claimed)
 
 
-def corona(g1: Graph, g2: Graph, d1=None, d2=None) -> CombineResult:
+def corona(g1: Graph, g2: Graph, d1=None, d2=None) -> Result:
     """g1 plus one copy of g2 per vertex of g1, that vertex joined to its
-    copy.  Layout: g1 at 0..n1-1 (sorted order), copy i at n1+i*n2 onward;
-    pair_ids maps (copy index, old g2 id) to the new id."""
+    copy.  Layout: g1 at 0..n1-1 (sorted order), copy i at n1+i*n2 onward,
+    in g2's sorted order."""
     if g1.n == 0:
         raise ParameterError("corona needs a nonempty first graph")
     _check_pair(d1, d2, g1, g2)
@@ -334,42 +293,31 @@ def corona(g1: Graph, g2: Graph, d1=None, d2=None) -> CombineResult:
         edges += [(copy[(i, a)], copy[(i, b)]) for a, b in g2.edges]
         edges += [(i, copy[(i, u)]) for u in o2]
     graph = Graph(range(n1 + n1 * n2), edges)
-    id_map = {(1, x): m1[x] for x in g1.vertices}
-    carried = None
-    if d1 is not None:
-        w1 = _bound(width(d1))
-        w2 = _bound(width(d2))
-        if n2 == 0:
-            carried = CarriedDecomposition(
-                d1.rebag(graph, lambda bag: frozenset(m1[x] for x in bag)), w1
-            )
-        elif isinstance(d1, TreeDecomposition):
-            _, e1, b1 = _mapped_tree(d1, m1.__getitem__, 0)
-            nodes = d1.tree.n + n1 * d2.tree.n
-            edges_t = list(e1)
-            bags = dict(b1)
-            for i in range(n1):
-                offset = d1.tree.n + i * d2.tree.n
-                _, e2, b2 = _mapped_tree(d2, lambda x: copy[(i, x)], offset)
-                edges_t += e2
-                bags |= {u: bag | {i} for u, bag in b2.items()}
-                anchor = min(u for u, bag in b1.items() if i in bag)
-                edges_t.append((anchor, offset))
-            carried = CarriedDecomposition(
-                TreeDecomposition(graph, Graph(range(nodes), edges_t), bags),
-                max(w1, w2) + 1,
-            )
-        else:
-            everyone = frozenset(range(n1))
-            bags = []
-            for i in range(n1):
-                bags += [
-                    frozenset(copy[(i, x)] for x in bag) | everyone for bag in d2.bags
-                ]
-            carried = CarriedDecomposition(
-                PathDecomposition(graph, bags), max(w1, w2) + n1
-            )
-    return CombineResult(graph, carried, id_map, pair_ids=copy)
+    if d1 is None:
+        return Result(graph)
+    w1 = bound_width(d1)
+    w2 = bound_width(d2)
+    if n2 == 0:
+        return Result(graph, d1.rebag(graph, lambda bag: frozenset(m1[x] for x in bag)), w1)
+    if isinstance(d1, TreeDecomposition):
+        _, e1, b1 = _mapped_tree(d1, m1.__getitem__, 0)
+        nodes = d1.tree.n + n1 * d2.tree.n
+        edges_t = list(e1)
+        bags = dict(b1)
+        for i in range(n1):
+            offset = d1.tree.n + i * d2.tree.n
+            _, e2, b2 = _mapped_tree(d2, lambda x: copy[(i, x)], offset)
+            edges_t += e2
+            bags |= {u: bag | {i} for u, bag in b2.items()}
+            anchor = min(u for u, bag in b1.items() if i in bag)
+            edges_t.append((anchor, offset))
+        tree = Graph(range(nodes), edges_t)
+        return Result(graph, TreeDecomposition(graph, tree, bags), max(w1, w2) + 1)
+    everyone = frozenset(range(n1))
+    bags = []
+    for i in range(n1):
+        bags += [frozenset(copy[(i, x)] for x in bag) | everyone for bag in d2.bags]
+    return Result(graph, PathDecomposition(graph, bags), max(w1, w2) + n1)
 
 
 def corona_pw_complete(n: int, m: int) -> int:

@@ -27,7 +27,7 @@ from .fileformats import read_gr, read_td, write_gr, write_td
 from .graphs import Graph, generate, generator_names
 from .harness import SUITES, SweepConfig, render_tap, run_suite
 from .operations import OPCODES
-from .unary import _bound
+from .results import bound_width
 
 
 # --- operation scripts ------------------------------------------------------
@@ -118,14 +118,14 @@ def _certificate_for(g: Graph, kind: str):
 def _apply(state: _PipeState, lineno: int, opcode: str, script_args: tuple,
            g2: Graph | None, kind: str) -> None:
     op = OPCODES[opcode]
-    g, d1, d2 = state.graph, state.carried, None
-    if op.binary:
-        if g2 is None:
-            raise ScriptError(f"line {lineno}: {opcode} needs --graph2")
-        if d1 is not None and op.decs == 2:
-            # the second input arrives without a decomposition; solve for one
-            d2 = _certificate_for(g2, kind)
-    args = _resolve(op, script_args, g, g2, lineno)
+    graphs = (state.graph, g2)[: op.arity]
+    if graphs[-1] is None:
+        raise ScriptError(f"line {lineno}: {opcode} needs --graph2")
+    d1, d2 = state.carried, None
+    if d1 is not None and op.decs == 2:
+        # the second input arrives without a decomposition; solve for one
+        d2 = _certificate_for(g2, kind)
+    args = _resolve(op, script_args, state.graph, g2, lineno)
     if d1 is not None and not op.can_carry(*args):
         # a word argument picks a variant of the operation (a product kind)
         name = " ".join([opcode, *(a for a in args if isinstance(a, str))])
@@ -134,23 +134,18 @@ def _apply(state: _PipeState, lineno: int, opcode: str, script_args: tuple,
             "drop --carry or split the pipeline"
         )
     try:
-        if op.binary:
-            res = op.op(g, g2, d1, d2, *args)
-            graph, carried = res.graph, res.decomposition
-        else:
-            graph = op.op(g, *args)
-            carried = None if d1 is None else op.transform(d1, *args)
+        res = op.op(*graphs, *(d1, d2)[: op.decs], *args)
     except ParameterError as exc:
         raise ScriptError(f"line {lineno}: {exc}") from exc
-    if carried is not None:
-        state.carried = carried.decomposition
-        state.claimed = carried.claimed_bound
-    state.graph = graph
+    if res.decomposition is not None:
+        state.carried = res.decomposition
+        state.claimed = res.claimed_bound
+    state.graph = res.graph
 
 
 def apply_opscript(script: OpScript, g: Graph, g2: Graph | None = None,
                    carry=None, kind: str = "tree") -> _PipeState:
-    state = _PipeState(g, carry, None if carry is None else _bound(width(carry)))
+    state = _PipeState(g, carry, None if carry is None else bound_width(carry))
     for lineno, opcode, args in script.lines:
         _apply(state, lineno, opcode, args, g2, kind)
     return state

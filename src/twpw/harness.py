@@ -101,7 +101,6 @@ class SweepConfig:
     max_n: int = 8
     samples: int = 200
     seed: int = 1
-    ops: tuple[str, ...] | None = None  # None = every table row
 
 
 @dataclass
@@ -222,52 +221,45 @@ def _certificates(g: Graph):
     return (twr.value, twr.certificate), (pwr.value, pwr.certificate)
 
 
-def _unary_sample(op, rng, max_n):
-    g = sample_graph(rng, max_n, op.min_n, op.predicate)
-    solved = _certificates(g)
-    args = op.pick(rng, g)
-    result = op.op(g, *args)
-    cells = [
-        (param, None if op.transform is None else op.transform(d, *args),
-         op.bound(param, k, g, *args))
-        for param, (k, d) in zip(("tw", "pw"), solved)
-    ]
-    return g, result, cells, lambda: [op.label.format(*args)]
+def _sample(op, rng, max_n):
+    """One sample of a row: its first input, the result graph, a (param,
+    carried result or None, bound) cell per parameter and a transcript
+    maker.
 
-
-def _binary_sample(op, rng, max_n):
-    g1 = sample_graph(rng, min(max_n, op.caps[0]), op.min_n, op.predicate)
-    g2 = sample_graph(rng, min(max_n, op.caps[1]))
-    solved = zip(("tw", "pw"), _certificates(g1), _certificates(g2))
-    args = op.pick(rng, g1, g2)
+    The first input has at least min_n vertices and satisfies the
+    predicate; a unary row draws up to max_n vertices, a binary row caps
+    each input at its caps.  The result is built once per parameter that
+    carries a decomposition, or once when none does."""
+    caps = [max_n] if op.arity == 1 else [min(max_n, cap) for cap in op.caps]
+    graphs = [sample_graph(rng, caps[0], op.min_n, op.predicate)]
+    graphs += [sample_graph(rng, cap) for cap in caps[1:]]
+    solved = [_certificates(g) for g in graphs]
+    args = op.pick(rng, *graphs)
     result, cells = None, []
-    for param, (k1, d1), (k2, d2) in solved:
-        bound = op.bound(param, k1, k2, g1, g2, *args)
+    for param, per_input in zip(("tw", "pw"), zip(*solved)):
+        bound = op.bound(param, *(k for k, _ in per_input), *graphs, *args)
         carried = None
-        if bound is not None:
-            res = op.op(g1, g2, d1, d2, *args)
-            result = res.graph if result is None else result
-            carried = res.decomposition
+        if bound is not None and op.can_carry(*args):
+            decs = [d for _, d in per_input][: op.decs]
+            carried = op.op(*graphs, *decs, *args)
+            if result is None:
+                result = carried.graph
         cells.append((param, carried, bound))
-    return g1, result, cells, lambda: [
-        f"{op.label.format(*args)}, second input:\n{format_gr(g2)}"
-    ]
+    if result is None:
+        result = op.op(*graphs, *[None] * op.decs, *args).graph
+    return graphs[0], result, cells, lambda: ["".join(
+        [op.label.format(*args)]
+        + [f", second input:\n{format_gr(h)}" for h in graphs[1:]])]
 
 
-def _run_rows(prefix, rows, sample, cfg, witness_dir) -> list[BoundCheck]:
+def _run_rows(prefix, rows, cfg, witness_dir) -> list[BoundCheck]:
     """Each row draws from SplitMix64(cfg.seed + its index in rows)."""
     _check_cfg(cfg)
-    if cfg.ops is not None:
-        missing = [name for name in cfg.ops if name not in {op.row for op in rows}]
-        if missing:
-            raise ParameterError(f"unknown table rows: {', '.join(missing)}")
     checks: list[BoundCheck] = []
     for index, op in enumerate(rows):
-        if cfg.ops is not None and op.row not in cfg.ops:
-            continue
         rng = SplitMix64(cfg.seed + index)
         for s in range(cfg.samples):
-            g, result, cells, transcript = sample(op, rng, cfg.max_n)
+            g, result, cells, transcript = _sample(op, rng, cfg.max_n)
             exact = dict(zip(("tw", "pw"), _widths(result)))
             for param, carried, bound in cells:
                 # no bound: the sweep claims nothing beyond the exact width
@@ -290,11 +282,11 @@ def _run_rows(prefix, rows, sample, cfg, witness_dir) -> list[BoundCheck]:
 
 
 def run_unary_table(cfg: SweepConfig, witness_dir=None) -> list[BoundCheck]:
-    return _run_rows("unary", UNARY_ROWS, _unary_sample, cfg, witness_dir)
+    return _run_rows("unary", UNARY_ROWS, cfg, witness_dir)
 
 
 def run_binary_table(cfg: SweepConfig, witness_dir=None) -> list[BoundCheck]:
-    return _run_rows("binary", BINARY_ROWS, _binary_sample, cfg, witness_dir)
+    return _run_rows("binary", BINARY_ROWS, cfg, witness_dir)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The operation table: one record per graph operation.
 
 A record says how operation scripts spell the operation, how to run it and
-carry a decomposition through it, how the sweep samples its inputs, and
+carry decompositions through it, how the sweep samples its inputs, and
 which bounds on the tree-width and path-width of the result the sweep
 checks.  The command line and the harness both read this table, so adding
 an operation means adding its implementation to `unary` or `binary` and
@@ -18,6 +18,7 @@ from typing import Callable
 
 from . import binary, minors, unary
 from .graphs import max_degree
+from .results import Result
 
 
 def _always(*args) -> bool:
@@ -36,29 +37,28 @@ class Operation:
     current graph, w a vertex rank in the second graph, d a count, <kind> a
     word and [v...] any number of vertex ranks (passed on as one list).
 
-    A unary `op(g, *args)` returns the result graph and `transform(d,
-    *args)`, when there is one, a `CarriedDecomposition`.  A binary
-    `op(g1, g2, d1, d2, *args)` returns a `CombineResult` that carries a
-    decomposition when d1 is given; `decs` is how many input decompositions
-    it combines (0: none, 1: the first graph's, 2: both) and `carries`
-    whether it can carry for the given arguments.
+    `op(*graphs, *decompositions, *args)` takes the `arity` input graphs,
+    then `decs` input decompositions (0: none, 1: the first graph's, 2: one
+    per graph; all None or all of one kind), then the arguments, and
+    returns a `Result`.  That result carries a decomposition when
+    decompositions are given and `can_carry(*args)` holds; `carries` says
+    whether the operation can carry for the given arguments.
 
     Sweep rows (`row` set) sample the first input with at least `min_n`
     vertices satisfying `predicate`; binary rows sample each input with at
     most `caps` vertices.  `pick(rng, *inputs)` then draws the arguments.
-    `bound(param, k, g, *args)` for unary and `bound(param, k1, k2, g1, g2,
-    *args)` for binary records take the exact widths k of the inputs and
-    return the (upper, lower, relation) bound on the result's width for
-    param "tw" or "pw", or None where the sweep claims nothing.  `label`,
-    formatted with the arguments, names a sample in witness transcripts.
+    `bound(param, *widths, *inputs, *args)` takes the exact widths of the
+    inputs and returns the (upper, lower, relation) bound on the result's
+    width for param "tw" or "pw", or None where the sweep claims nothing.
+    `label`, formatted with the arguments, names a sample in witness
+    transcripts.
     """
 
     opcode: str | None  # None: a sweep row that scripts cannot spell
     args: str
     op: Callable
-    transform: Callable | None = None
-    binary: bool = False
-    decs: int = 2
+    arity: int = 1
+    decs: int = 1
     carries: Callable[..., bool] = _always
     row: str | None = None
     label: str = ""
@@ -69,9 +69,7 @@ class Operation:
     bound: Callable | None = None
 
     def can_carry(self, *args) -> bool:
-        if self.binary:
-            return self.decs > 0 and self.carries(*args)
-        return self.transform is not None
+        return self.decs > 0 and self.carries(*args)
 
 
 # --- argument pickers and sample predicates --------------------------------
@@ -152,126 +150,115 @@ def _line_graph_bound(param, k, g):
 OPERATIONS = (
     # --- unary: vertex and edge surgery
     Operation(
-        "delv", "v", lambda g, v: unary.delete_vertex(g, v).graph,
-        lambda d, v: unary.delete_vertex_decomposition(d, v),
+        "delv", "v", lambda g, d, v: unary.delete_vertex(g, v, d),
         row="delete-vertex", label="delete vertex {0}", pick=_vertex,
         bound=lambda p, k, g, v: _le(k, k - 1)),
     Operation(
-        "addv", "[v...]", lambda g, nbrs: unary.add_vertex(g, nbrs).graph,
-        lambda d, nbrs: unary.add_vertex_decomposition(d, nbrs),
+        "addv", "[v...]", lambda g, d, nbrs: unary.add_vertex(g, nbrs, d=d),
         row="add-vertex", label="add vertex adjacent to {0}", pick=_vertex_subset,
         # a pendant vertex keeps the treewidth at max(k, 1) exactly
         bound=lambda p, k, g, nbrs: (
             _eq(max(k, 1)) if p == "tw" and len(nbrs) == 1 else _le(k + 1, k))),
     Operation(
-        "dele", "u v", lambda g, u, v: unary.delete_edge(g, u, v).graph,
-        lambda d, u, v: unary.delete_edge_decomposition(d, u, v),
+        "dele", "u v", lambda g, d, u, v: unary.delete_edge(g, u, v, d),
         row="delete-edge", label="delete edge {0} {1}", min_n=2,
         predicate=_has_edge, pick=_edge,
         bound=lambda p, k, g, u, v: _le(k, k - 1)),
     Operation(
-        "adde", "u v", lambda g, u, v: unary.add_edge(g, u, v).graph,
-        lambda d, u, v: unary.add_edge_decomposition(d, u, v),
+        "adde", "u v", lambda g, d, u, v: unary.add_edge(g, u, v, d),
         row="add-edge", label="add edge {0} {1}", min_n=2,
         predicate=lambda h: h.m < h.n * (h.n - 1) // 2, pick=_nonedge,
         bound=lambda p, k, g, u, v: _le(k + 1, k)),
     # --- identification, contraction, subdivision
     Operation(
-        "ident", "u v", lambda g, u, v: unary.identify_vertices(g, u, v).graph,
-        lambda d, u, v: unary.identify_vertices_decomposition(d, u, v),
+        "ident", "u v", lambda g, d, u, v: unary.identify_vertices(g, u, v, d),
         row="identify", label="identify {0} {1}", min_n=2, pick=_distinct_pair,
         bound=lambda p, k, g, u, v: _le(k + 1, k - 2)),
     Operation(
-        "contract", "u v", lambda g, u, v: unary.contract_edge(g, u, v).graph,
-        lambda d, u, v: unary.contract_edge_decomposition(d, u, v),
+        "contract", "u v", lambda g, d, u, v: unary.contract_edge(g, u, v, d),
         row="contract", label="contract {0} {1}", min_n=2,
         predicate=_has_edge, pick=_edge,
         bound=lambda p, k, g, u, v: _le(k, k - 1)),
     Operation(
-        "subdiv", "u v", lambda g, u, v: unary.subdivide_edge(g, u, v).graph,
-        lambda d, u, v: unary.subdivide_edge_decomposition(d, u, v),
+        "subdiv", "u v", lambda g, d, u, v: unary.subdivide_edge(g, u, v, d),
         row="subdivide", label="subdivide {0} {1}", min_n=2,
         predicate=_has_edge, pick=_edge,
         bound=lambda p, k, g, u, v: _eq(max(k, 1)) if p == "tw" else _le(k + 1, k)),
     # --- incidence graph, powers, line graph
     Operation(
-        "inci", "", lambda g: unary.incidence_graph(g).graph,
-        lambda d: unary.incidence_graph_decomposition(d),
+        "inci", "", lambda g, d: unary.incidence_graph(g, d),
         row="incidence", label="incidence graph", min_n=2,
         predicate=lambda h: 1 <= h.m and h.n + h.m <= 16,
         bound=lambda p, k, g: _eq(max(k, 1)) if p == "tw" else _le(k + 1, k)),
     Operation(
-        "power", "d", lambda g, d: unary.graph_power(g, d).graph,
-        lambda dec, d: unary.graph_power_decomposition(dec, d),
+        "power", "d", lambda g, d, r: unary.graph_power(g, r, d),
         row="power", label="power {0}", pick=lambda rng, g: (2 + rng.next_below(2),),
-        bound=lambda p, k, g, d: _le(
-            (k + 1) * (1 + unary.power_degree_bound(g, d)) - 1, k)),
+        bound=lambda p, k, g, r: _le(
+            (k + 1) * (1 + unary.power_degree_bound(g, r)) - 1, k)),
     Operation(
-        "linegraph", "", lambda g: unary.line_graph(g).graph,
-        lambda d: unary.line_graph_decomposition(d),
+        "linegraph", "", lambda g, d: unary.line_graph(g, d),
         row="linegraph", label="line graph", min_n=2,
         predicate=lambda h: 1 <= h.m <= 16, bound=_line_graph_bound),
     # --- the complement family: no bound in terms of the input width
-    Operation("complement", "", lambda g: unary.edge_complement(g).graph),
-    Operation("localcomp", "v", lambda g, v: unary.local_complement(g, v).graph),
-    Operation("seidelcomp", "v", lambda g, v: unary.seidel_complement(g, v).graph),
+    Operation("complement", "", lambda g: unary.edge_complement(g), decs=0),
+    Operation("localcomp", "v", lambda g, v: unary.local_complement(g, v), decs=0),
+    Operation("seidelcomp", "v", lambda g, v: unary.seidel_complement(g, v), decs=0),
     Operation(
-        "switch", "v", lambda g, v: unary.seidel_switch(g, v).graph,
-        lambda d, v: unary.seidel_switch_decomposition(d, v),
+        "switch", "v", lambda g, d, v: unary.seidel_switch(g, v, d),
         row="switch", label="switch at {0}", pick=_vertex,
         bound=lambda p, k, g, v: _le(k + 1, k - 1)),
     # --- minors never have larger width
     Operation(
-        None, "", lambda g, steps: minors.apply_minor_script(
-            g, minors.MinorScript(tuple(steps))),
-        row="minor", label="minor script {0!r}", min_n=2, pick=_minor_steps,
+        None, "", lambda g, steps: Result(minors.apply_minor_script(
+            g, minors.MinorScript(tuple(steps)))),
+        decs=0, row="minor", label="minor script {0!r}", min_n=2, pick=_minor_steps,
         bound=lambda p, k, g, steps: _le(k, -1)),
     # --- binary
     Operation(
         "dunion", "", lambda g1, g2, d1, d2: binary.disjoint_union(g1, g2, d1, d2),
-        binary=True, row="disjoint-union", label="disjoint union",
+        arity=2, decs=2, row="disjoint-union", label="disjoint union",
         bound=lambda p, k1, k2, g1, g2: _eq(max(k1, k2))),
     Operation(
         "join", "", lambda g1, g2, d1, d2: binary.join(g1, g2, d1, d2),
-        binary=True, row="join", label="join",
+        arity=2, decs=2, row="join", label="join",
         bound=lambda p, k1, k2, g1, g2: _eq(min(k1 + g2.n, k2 + g1.n))),
     Operation(
-        "union", "", lambda g1, g2, d1, d2: binary.union_same_vertices(g1, g2),
-        binary=True, decs=0),
+        "union", "", lambda g1, g2: binary.union_same_vertices(g1, g2),
+        arity=2, decs=0),
     Operation(
         "subst", "v", lambda g1, g2, d1, d2, v: binary.substitute(g1, v, g2, d1, d2),
-        binary=True, row="substitute", label="substitute at {0}",
+        arity=2, decs=2, row="substitute", label="substitute at {0}",
         pick=_vertex,
         bound=lambda p, k1, k2, g1, g2, v: _le(
             min(k1 + g2.n, k2 + g1.n) - 1, max(k1 - 1, k2))),
     Operation(
         None, "v", lambda g1, g2, d1, d2, v: binary.substitute(
             g1, v, g2, d1, d2, combiner="neighbors"),
-        binary=True, row="substitute-neighbors",
+        arity=2, decs=2, row="substitute-neighbors",
         label="substitute (neighbor route) at {0}", min_n=2,
         predicate=_has_edge, pick=_live_vertex,
         # this combiner has no path-decomposition route
         bound=lambda p, k1, k2, g1, g2, v: _le(
             max(k1 - 1, k2) + g1.degree(v), max(k1 - 1, k2)) if p == "tw" else None),
     Operation(
-        "prod", "<kind>", lambda g1, g2, d1, d2, kind: binary.product(kind, g1, g2, d1),
-        binary=True, decs=1, carries=lambda kind: kind == "lexicographic",
+        "prod", "<kind>", lambda g1, g2, d1, kind: binary.product(kind, g1, g2, d1),
+        arity=2, carries=lambda kind: kind == "lexicographic",
         row="lexicographic", label="lexicographic product", caps=(4, 4),
         pick=lambda rng, g1, g2: ("lexicographic",),
         bound=lambda p, k1, k2, g1, g2, kind: _le((k1 + 1) * g2.n - 1, max(k1, k2))),
     Operation(
         "onesum", "v w", lambda g1, g2, d1, d2, v, w: binary.one_sum(g1, v, g2, w, d1, d2),
-        binary=True, row="one-sum", label="one-sum at {0}/{1}",
+        arity=2, decs=2, row="one-sum", label="one-sum at {0}/{1}",
         pick=lambda rng, g1, g2: _vertex(rng, g1) + _vertex(rng, g2),
         bound=lambda p, k1, k2, g1, g2, v, w: (
             _eq(max(k1, k2)) if p == "tw" else _le(max(k1, k2) + 1, max(k1, k2)))),
     Operation(
         "corona", "", lambda g1, g2, d1, d2: binary.corona(g1, g2, d1, d2),
-        binary=True, row="corona", label="corona", caps=(3, 4),
+        arity=2, decs=2, row="corona", label="corona", caps=(3, 4),
         bound=lambda p, k1, k2, g1, g2: _le(
             max(k1, k2) + (1 if p == "tw" else g1.n), max(k1, k2))),
 )
 
 OPCODES = {op.opcode: op for op in OPERATIONS if op.opcode is not None}
-UNARY_ROWS = tuple(op for op in OPERATIONS if op.row and not op.binary)
-BINARY_ROWS = tuple(op for op in OPERATIONS if op.row and op.binary)
+UNARY_ROWS = tuple(op for op in OPERATIONS if op.row and op.arity == 1)
+BINARY_ROWS = tuple(op for op in OPERATIONS if op.row and op.arity == 2)

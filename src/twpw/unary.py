@@ -1,51 +1,28 @@
-"""Single-graph operations paired with decomposition transformers.
+"""Single-graph operations.
 
-Every operation returns the new graph plus id bookkeeping.  Where a width
-bound is provable, a companion ``*_decomposition`` transformer rewrites a
-valid decomposition of the input into a valid decomposition of the output
-and records the claimed width bound.  Complement-like operations have no
-transformer: no bound in terms of the input width exists.
+Each operation builds its result graph once and returns a `Result`.  Where
+a width bound is provable, the operation also takes an optional
+decomposition `d` of its input; given one, it rewrites it into a
+decomposition of the result and records the claimed width bound.
+Complement-like operations take none: no bound in terms of the input width
+exists.
 
-Transformers assume their input decomposition is valid; outputs are
-correct by construction and cross-checked by the validator in the tests
-and the sweep harness.
+The rewrite assumes its input decomposition is valid; outputs are correct
+by construction and cross-checked by the validator in the tests and the
+sweep harness.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .decomposition import (
     Decomposition,
     PathDecomposition,
     TreeDecomposition,
     trivial_tree_decomposition,
-    width,
 )
 from .errors import ParameterError
 from .graphs import Graph, fresh_id, is_forest, max_degree
-
-
-@dataclass(frozen=True)
-class UnaryResult:
-    graph: Graph
-    vertex_map: dict[int, int]  # old id -> new id for surviving vertices
-    new_ids: frozenset[int]
-
-
-@dataclass(frozen=True)
-class CarriedDecomposition:
-    decomposition: Decomposition
-    claimed_bound: int
-
-
-def _bound(w: int | None) -> int:
-    # widths enter bound arithmetic with the empty decomposition as -1
-    return -1 if w is None else w
-
-
-def _identity(vertices) -> dict[int, int]:
-    return {v: v for v in vertices}
+from .results import Result, bound_width, check_host
 
 
 def _require_vertex(g: Graph, v: int) -> None:
@@ -58,14 +35,27 @@ def _require_edge(g: Graph, u: int, v: int) -> None:
         raise ParameterError(f"edge ({u}, {v}) not in graph")
 
 
+def _carry(g2: Graph, d: Decomposition | None, f, extra: int = 0) -> Result:
+    """g2 with, when d is given, d's bags rewritten by f and the claim
+    width(d) + extra."""
+    if d is None:
+        return Result(g2)
+    return Result(g2, d.rebag(g2, f), bound_width(d) + extra)
+
+
+def _hang_bags(d: TreeDecomposition, g2: Graph, leaves) -> TreeDecomposition:
+    """d over g2 plus one leaf node per (anchor node, bag) of leaves,
+    numbered from the largest node + 1 on."""
+    z = max(d.tree.vertices) + 1
+    bags = dict(d.bags)
+    edges = list(d.tree.edges)
+    for i, (anchor, bag) in enumerate(leaves):
+        bags[z + i] = bag
+        edges.append((anchor, z + i))
+    return TreeDecomposition(g2, Graph(bags.keys(), edges), bags)
+
+
 # --- vertex and edge surgery --------------------------------------------
-
-
-def delete_vertex(g: Graph, v: int) -> UnaryResult:
-    _require_vertex(g, v)
-    keep = g.vertices - {v}
-    edges = [e for e in g.edges if v not in e]
-    return UnaryResult(Graph(keep, edges), _identity(keep), frozenset())
 
 
 def _drop_empty_bags_tree(d: TreeDecomposition) -> TreeDecomposition:
@@ -89,17 +79,22 @@ def _drop_empty_bags_tree(d: TreeDecomposition) -> TreeDecomposition:
     return TreeDecomposition(d.host, tree, bags)
 
 
-def delete_vertex_decomposition(d: Decomposition, v: int) -> CarriedDecomposition:
-    g2 = delete_vertex(d.host, v).graph
-    claimed = _bound(width(d))
+def delete_vertex(g: Graph, v: int, d: Decomposition | None = None) -> Result:
+    check_host(g, d)
+    _require_vertex(g, v)
+    g2 = Graph(g.vertices - {v}, [e for e in g.edges if v not in e])
+    if d is None:
+        return Result(g2)
     stripped = d.rebag(g2, lambda bag: bag - {v})
     if isinstance(stripped, TreeDecomposition):
-        return CarriedDecomposition(_drop_empty_bags_tree(stripped), claimed)
+        return Result(g2, _drop_empty_bags_tree(stripped), bound_width(d))
     kept = [bag for bag in stripped.bags if bag] or [frozenset()]
-    return CarriedDecomposition(PathDecomposition(g2, kept), claimed)
+    return Result(g2, PathDecomposition(g2, kept), bound_width(d))
 
 
-def add_vertex(g: Graph, neighbors, v: int | None = None) -> UnaryResult:
+def add_vertex(g: Graph, neighbors, v: int | None = None,
+               d: Decomposition | None = None) -> Result:
+    check_host(g, d)
     nb = frozenset(int(u) for u in neighbors)
     if not nb <= g.vertices:
         raise ParameterError("neighbors must be existing vertices")
@@ -107,86 +102,49 @@ def add_vertex(g: Graph, neighbors, v: int | None = None) -> UnaryResult:
         v = fresh_id(g)
     elif g.has_vertex(v):
         raise ParameterError(f"vertex {v} already present")
-    graph = Graph(g.vertices | {v}, list(g.edges) + [(v, u) for u in nb])
-    return UnaryResult(graph, _identity(g.vertices), frozenset({v}))
-
-
-def add_vertex_decomposition(d: Decomposition, neighbors, v: int | None = None) -> CarriedDecomposition:
-    res = add_vertex(d.host, neighbors, v)
-    g2 = res.graph
-    (v,) = res.new_ids
-    nb = frozenset(int(u) for u in neighbors)
-    w = width(d)
+    g2 = Graph(g.vertices | {v}, list(g.edges) + [(v, u) for u in nb])
     if isinstance(d, TreeDecomposition) and len(nb) == 1:
         # pendant vertex: one fresh bag keeps the width at max(w, 1)
         (u,) = nb
         anchor = min(node for node, bag in d.bags.items() if u in bag)
-        z = max(d.tree.vertices) + 1
-        tree = Graph(d.tree.vertices | {z}, list(d.tree.edges) + [(anchor, z)])
-        bags = dict(d.bags)
-        bags[z] = frozenset({u, v})
-        return CarriedDecomposition(TreeDecomposition(g2, tree, bags), max(_bound(w), 1))
-    return CarriedDecomposition(d.rebag(g2, lambda bag: bag | {v}), _bound(w) + 1)
+        dec = _hang_bags(d, g2, [(anchor, frozenset({u, v}))])
+        return Result(g2, dec, max(bound_width(d), 1))
+    return _carry(g2, d, lambda bag: bag | {v}, 1)
 
 
-def delete_edge(g: Graph, u: int, v: int) -> UnaryResult:
+def delete_edge(g: Graph, u: int, v: int, d: Decomposition | None = None) -> Result:
+    check_host(g, d)
     _require_edge(g, u, v)
     edges = [e for e in g.edges if e != ((u, v) if u < v else (v, u))]
-    return UnaryResult(Graph(g.vertices, edges), _identity(g.vertices), frozenset())
+    return _carry(Graph(g.vertices, edges), d, lambda bag: bag)
 
 
-def delete_edge_decomposition(d: Decomposition, u: int, v: int) -> CarriedDecomposition:
-    g2 = delete_edge(d.host, u, v).graph
-    return CarriedDecomposition(d.rebag(g2, lambda bag: bag), _bound(width(d)))
-
-
-def add_edge(g: Graph, u: int, v: int) -> UnaryResult:
+def add_edge(g: Graph, u: int, v: int, d: Decomposition | None = None) -> Result:
+    check_host(g, d)
     _require_vertex(g, u)
     _require_vertex(g, v)
     if u == v:
         raise ParameterError("cannot add a loop")
     if g.has_edge(u, v):
         raise ParameterError(f"edge ({u}, {v}) already present")
-    return UnaryResult(
-        Graph(g.vertices, list(g.edges) + [(u, v)]), _identity(g.vertices), frozenset()
-    )
-
-
-def add_edge_decomposition(d: Decomposition, u: int, v: int) -> CarriedDecomposition:
     # the second endpoint is the one added to every bag
-    g2 = add_edge(d.host, u, v).graph
-    return CarriedDecomposition(d.rebag(g2, lambda bag: bag | {v}), _bound(width(d)) + 1)
+    return _carry(Graph(g.vertices, list(g.edges) + [(u, v)]), d,
+                  lambda bag: bag | {v}, 1)
 
 
 # --- identification, contraction, subdivision ---------------------------
 
 
-def _merge(g: Graph, v: int, w: int) -> UnaryResult:
+def _merge(g: Graph, v: int, w: int) -> tuple[Graph, int]:
+    """g with v and w fused into the fresh vertex z; returns (graph, z)."""
     z = fresh_id(g)
-    keep = g.vertices - {v, w}
     edges = set()
     for a, b in g.edges:
         a2 = z if a in (v, w) else a
         b2 = z if b in (v, w) else b
         if a2 != b2:
             edges.add((a2, b2) if a2 < b2 else (b2, a2))
-    vmap = _identity(keep)
-    vmap[v] = z
-    vmap[w] = z
-    return UnaryResult(Graph(keep | {z}, edges), vmap, frozenset({z}))
-
-
-def identify_vertices(g: Graph, v: int, w: int) -> UnaryResult:
-    _require_vertex(g, v)
-    _require_vertex(g, w)
-    if v == w:
-        raise ParameterError("identification needs two distinct vertices")
-    return _merge(g, v, w)
-
-
-def contract_edge(g: Graph, v: int, w: int) -> UnaryResult:
-    _require_edge(g, v, w)
-    return _merge(g, v, w)
+    return Graph((g.vertices - {v, w}) | {z}, edges), z
 
 
 def _rename_pair(bag: frozenset[int], v: int, w: int, z: int) -> frozenset[int]:
@@ -209,41 +167,36 @@ def _steiner_nodes(tree: Graph, marked: set[int]) -> set[int]:
         del adj[leaf]
 
 
-def identify_vertices_decomposition(d: Decomposition, v: int, w: int) -> CarriedDecomposition:
-    res = identify_vertices(d.host, v, w)
-    g2 = res.graph
-    (z,) = res.new_ids
-    claimed = _bound(width(d)) + 1
+def identify_vertices(g: Graph, v: int, w: int, d: Decomposition | None = None) -> Result:
+    check_host(g, d)
+    _require_vertex(g, v)
+    _require_vertex(g, w)
+    if v == w:
+        raise ParameterError("identification needs two distinct vertices")
+    g2, z = _merge(g, v, w)
+    if d is None:
+        return Result(g2)
+    claimed = bound_width(d) + 1
     if isinstance(d, TreeDecomposition):
         bags = {u: _rename_pair(bag, v, w, z) for u, bag in d.bags.items()}
         marked = {u for u, bag in bags.items() if z in bag}
         # re-connect the two former subtrees by threading z along the tree
         for u in _steiner_nodes(d.tree, marked):
             bags[u] = bags[u] | {z}
-        return CarriedDecomposition(TreeDecomposition(g2, d.tree, bags), claimed)
+        return Result(g2, TreeDecomposition(g2, d.tree, bags), claimed)
     bags = [_rename_pair(bag, v, w, z) for bag in d.bags]
     idxs = [i for i, bag in enumerate(bags) if z in bag]
     for i in range(idxs[0], idxs[-1] + 1):
         bags[i] = bags[i] | {z}
-    return CarriedDecomposition(PathDecomposition(g2, bags), claimed)
+    return Result(g2, PathDecomposition(g2, bags), claimed)
 
 
-def contract_edge_decomposition(d: Decomposition, v: int, w: int) -> CarriedDecomposition:
-    res = contract_edge(d.host, v, w)
-    g2 = res.graph
-    (z,) = res.new_ids
-    # some bag held both endpoints, so the renamed occurrences stay connected
-    return CarriedDecomposition(
-        d.rebag(g2, lambda bag: _rename_pair(bag, v, w, z)), _bound(width(d))
-    )
-
-
-def subdivide_edge(g: Graph, v: int, w: int) -> UnaryResult:
+def contract_edge(g: Graph, v: int, w: int, d: Decomposition | None = None) -> Result:
+    check_host(g, d)
     _require_edge(g, v, w)
-    u = fresh_id(g)
-    edges = [e for e in g.edges if e != ((v, w) if v < w else (w, v))]
-    edges += [(v, u), (u, w)]
-    return UnaryResult(Graph(g.vertices | {u}, edges), _identity(g.vertices), frozenset({u}))
+    g2, z = _merge(g, v, w)
+    # some bag held both endpoints, so the renamed occurrences stay connected
+    return _carry(g2, d, lambda bag: _rename_pair(bag, v, w, z))
 
 
 def forest_decomposition(g: Graph) -> TreeDecomposition:
@@ -293,25 +246,26 @@ def forest_decomposition(g: Graph) -> TreeDecomposition:
     return TreeDecomposition(g, Graph(range(counter), tree_edges), bags)
 
 
-def subdivide_edge_decomposition(d: Decomposition, v: int, w: int) -> CarriedDecomposition:
-    res = subdivide_edge(d.host, v, w)
-    g2 = res.graph
-    (u,) = res.new_ids
-    wd = _bound(width(d))
+def subdivide_edge(g: Graph, v: int, w: int, d: Decomposition | None = None) -> Result:
+    check_host(g, d)
+    _require_edge(g, v, w)
+    u = fresh_id(g)
+    edges = [e for e in g.edges if e != ((v, w) if v < w else (w, v))]
+    edges += [(v, u), (u, w)]
+    g2 = Graph(g.vertices | {u}, edges)
+    if d is None:
+        return Result(g2)
+    wd = bound_width(d)
     if isinstance(d, TreeDecomposition):
-        if is_forest(d.host):
-            return CarriedDecomposition(forest_decomposition(g2), 1)
+        if is_forest(g):
+            return Result(g2, forest_decomposition(g2), 1)
         # a cycle forces width >= 2, so a {v, u, w} bag costs nothing
         anchor = min(x for x, bag in d.bags.items() if v in bag and w in bag)
-        z = max(d.tree.vertices) + 1
-        tree = Graph(d.tree.vertices | {z}, list(d.tree.edges) + [(anchor, z)])
-        bags = dict(d.bags)
-        bags[z] = frozenset({v, u, w})
-        return CarriedDecomposition(TreeDecomposition(g2, tree, bags), wd)
+        return Result(g2, _hang_bags(d, g2, [(anchor, frozenset({v, u, w}))]), wd)
     bags = list(d.bags)
     i = min(i for i, bag in enumerate(bags) if v in bag and w in bag)
     bags[i] = bags[i] | {u}
-    return CarriedDecomposition(PathDecomposition(g2, bags), wd + 1)
+    return Result(g2, PathDecomposition(g2, bags), wd + 1)
 
 
 # --- incidence graph -----------------------------------------------------
@@ -323,39 +277,27 @@ def incidence_edge_ids(g: Graph) -> dict[tuple[int, int], int]:
     return {e: base + i for i, e in enumerate(g.edges_sorted())}
 
 
-def incidence_graph(g: Graph) -> UnaryResult:
+def incidence_graph(g: Graph, d: Decomposition | None = None) -> Result:
     """Each edge {v, w} becomes a degree-2 vertex adjacent to v and w."""
+    check_host(g, d)
     ids = incidence_edge_ids(g)
     edges = []
     for (a, b), x in ids.items():
         edges.append((a, x))
         edges.append((x, b))
-    graph = Graph(g.vertices | set(ids.values()), edges)
-    return UnaryResult(graph, _identity(g.vertices), frozenset(ids.values()))
-
-
-def incidence_graph_decomposition(d: Decomposition) -> CarriedDecomposition:
-    g = d.host
-    ids = incidence_edge_ids(g)
-    g2 = incidence_graph(g).graph
-    wd = width(d)
+    g2 = Graph(g.vertices | set(ids.values()), edges)
+    if d is None:
+        return Result(g2)
+    wd = bound_width(d)
     if isinstance(d, TreeDecomposition):
-        claimed = max(_bound(wd), 1)
         if is_forest(g):
-            return CarriedDecomposition(forest_decomposition(g2), claimed)
-        tree_vertices = set(d.tree.vertices)
-        tree_edges = list(d.tree.edges)
-        bags = dict(d.bags)
-        z = max(d.tree.vertices) + 1
-        for (a, b), x in sorted(ids.items()):
-            anchor = min(u for u, bag in d.bags.items() if a in bag and b in bag)
-            tree_vertices.add(z)
-            tree_edges.append((anchor, z))
-            bags[z] = frozenset({a, b, x})
-            z += 1
-        return CarriedDecomposition(
-            TreeDecomposition(g2, Graph(tree_vertices, tree_edges), bags), claimed
-        )
+            return Result(g2, forest_decomposition(g2), max(wd, 1))
+        leaves = [
+            (min(u for u, bag in d.bags.items() if a in bag and b in bag),
+             frozenset({a, b, x}))
+            for (a, b), x in ids.items()
+        ]
+        return Result(g2, _hang_bags(d, g2, leaves), max(wd, 1))
     first_bag = {
         e: min(i for i, bag in enumerate(d.bags) if e[0] in bag and e[1] in bag)
         for e in ids
@@ -363,25 +305,26 @@ def incidence_graph_decomposition(d: Decomposition) -> CarriedDecomposition:
     bags = []
     for i, bag in enumerate(d.bags):
         bags.append(bag)
-        for e, x in sorted(ids.items()):
+        for e, x in ids.items():
             if first_bag[e] == i:
                 bags.append(bag | {x})
-    return CarriedDecomposition(PathDecomposition(g2, bags), _bound(wd) + 1)
+    return Result(g2, PathDecomposition(g2, bags), wd + 1)
 
 
 # --- powers and line graphs ----------------------------------------------
 
 
-def graph_power(g: Graph, d: int) -> UnaryResult:
-    """Connect vertices at distance at most d."""
-    if d < 1:
+def graph_power(g: Graph, r: int, d: Decomposition | None = None) -> Result:
+    """Connect vertices at distance at most r."""
+    check_host(g, d)
+    if r < 1:
         raise ParameterError("power needs d >= 1")
     adj = g.adjacency()
     edges = set()
     for src in g.vertices:
         depth = {src: 0}
         frontier = [src]
-        for _ in range(d):
+        for _ in range(r):
             if not frontier:
                 break
             nxt = []
@@ -394,7 +337,15 @@ def graph_power(g: Graph, d: int) -> UnaryResult:
         for y in depth:
             if y != src:
                 edges.add((src, y) if src < y else (y, src))
-    return UnaryResult(Graph(g.vertices, edges), _identity(g.vertices), frozenset())
+    g2 = Graph(g.vertices, edges)
+    if d is None:
+        return Result(g2)
+    adj2 = g2.adjacency()
+    reach = power_degree_bound(g, r) if g.n else 0
+    claimed = (bound_width(d) + 1) * (1 + reach) - 1
+    # each bag grows by the G^r-neighbors of its members
+    grow = lambda bag: bag.union(*(adj2[v] for v in bag))
+    return Result(g2, d.rebag(g2, grow), claimed)
 
 
 def power_degree_bound(g: Graph, d: int) -> int:
@@ -414,25 +365,14 @@ def power_degree_bound(g: Graph, d: int) -> int:
     return delta * sum((delta - 1) ** i for i in range(steps))
 
 
-def graph_power_decomposition(dec: Decomposition, d: int) -> CarriedDecomposition:
-    g = dec.host
-    g2 = graph_power(g, d).graph
-    adj2 = g2.adjacency()
-    reach = power_degree_bound(g, d) if g.n else 0
-    claimed = (_bound(width(dec)) + 1) * (1 + reach) - 1
-    # each bag grows by the G^d-neighbors of its members
-    grow = lambda bag: bag.union(*(adj2[v] for v in bag))
-    return CarriedDecomposition(dec.rebag(g2, grow), claimed)
-
-
 def line_graph_edge_ids(g: Graph) -> dict[tuple[int, int], int]:
     """Edge of g -> vertex id of the line graph, in sorted edge order."""
     return {e: i for i, e in enumerate(g.edges_sorted())}
 
 
-def line_graph(g: Graph) -> UnaryResult:
+def line_graph(g: Graph, d: Decomposition | None = None) -> Result:
     """Vertices are the edges of g; adjacency is sharing an endpoint."""
-    ids = line_graph_edge_ids(g)
+    check_host(g, d)
     es = g.edges_sorted()
     edges = [
         (i, j)
@@ -440,22 +380,19 @@ def line_graph(g: Graph) -> UnaryResult:
         for j in range(i + 1, len(es))
         if set(es[i]) & set(es[j])
     ]
-    return UnaryResult(Graph(range(len(es)), edges), {}, frozenset(range(len(es))))
-
-
-def line_graph_decomposition(d: Decomposition) -> CarriedDecomposition:
-    g = d.host
+    g2 = Graph(range(len(es)), edges)
+    if d is None:
+        return Result(g2)
     ids = line_graph_edge_ids(g)
-    g2 = line_graph(g).graph
-    claimed = (_bound(width(d)) + 1) * max_degree(g) - 1
+    claimed = (bound_width(d) + 1) * max_degree(g) - 1
     incident = lambda bag: frozenset(x for e, x in ids.items() if e[0] in bag or e[1] in bag)
-    return CarriedDecomposition(d.rebag(g2, incident), claimed)
+    return Result(g2, d.rebag(g2, incident), claimed)
 
 
 # --- complement-like operations ------------------------------------------
 
 
-def edge_complement(g: Graph) -> UnaryResult:
+def edge_complement(g: Graph) -> Result:
     order = g.vertices_sorted()
     edges = [
         (u, v)
@@ -463,64 +400,40 @@ def edge_complement(g: Graph) -> UnaryResult:
         for v in order[i + 1 :]
         if not g.has_edge(u, v)
     ]
-    return UnaryResult(Graph(g.vertices, edges), _identity(g.vertices), frozenset())
+    return Result(Graph(g.vertices, edges))
 
 
-def local_complement(g: Graph, v: int) -> UnaryResult:
+def local_complement(g: Graph, v: int) -> Result:
     """Complement the subgraph induced on the neighborhood of v."""
     _require_vertex(g, v)
     nb = sorted(g.neighbors(v))
-    edges = set(g.edges)
-    for i, a in enumerate(nb):
-        for b in nb[i + 1 :]:
-            e = (a, b)
-            if e in edges:
-                edges.discard(e)
-            else:
-                edges.add(e)
-    return UnaryResult(Graph(g.vertices, edges), _identity(g.vertices), frozenset())
+    pairs = {(a, b) for i, a in enumerate(nb) for b in nb[i + 1 :]}
+    return Result(Graph(g.vertices, g.edges ^ pairs))
 
 
-def seidel_complement(g: Graph, v: int) -> UnaryResult:
+def seidel_complement(g: Graph, v: int) -> Result:
     """Complement the edges between N(v) and V - N(v) - {v}."""
     _require_vertex(g, v)
     nb = g.neighbors(v)
     far = g.vertices - nb - {v}
-    edges = set(g.edges)
-    for a in nb:
-        for b in far:
-            e = (a, b) if a < b else (b, a)
-            if e in edges:
-                edges.discard(e)
-            else:
-                edges.add(e)
-    return UnaryResult(Graph(g.vertices, edges), _identity(g.vertices), frozenset())
+    pairs = {(a, b) if a < b else (b, a) for a in nb for b in far}
+    return Result(Graph(g.vertices, g.edges ^ pairs))
 
 
-def seidel_switch(g: Graph, v: int) -> UnaryResult:
+def seidel_switch(g: Graph, v: int, d: Decomposition | None = None) -> Result:
     """Disconnect v from its neighbors and connect it to the rest."""
-    _require_vertex(g, v)
-    new_nb = g.vertices - g.neighbors(v) - {v}
-    edges = [e for e in g.edges if v not in e] + [(v, u) for u in new_nb]
-    return UnaryResult(Graph(g.vertices, edges), _identity(g.vertices), frozenset())
+    return switch_sequence(g, [v], d)
 
 
-def seidel_switch_decomposition(d: Decomposition, v: int) -> CarriedDecomposition:
-    return switch_sequence_decomposition(d, [v])
-
-
-def switch_sequence(g: Graph, vs) -> UnaryResult:
+def switch_sequence(g: Graph, vs, d: Decomposition | None = None) -> Result:
+    """Seidel switches at vs in turn; every switched vertex joins every bag."""
+    check_host(g, d)
+    vs = list(vs)
     cur = g
     for v in vs:
-        cur = seidel_switch(cur, v).graph
-    return UnaryResult(cur, _identity(g.vertices), frozenset())
-
-
-def switch_sequence_decomposition(d: Decomposition, vs) -> CarriedDecomposition:
-    vs = list(vs)
-    for v in vs:
-        _require_vertex(d.host, v)
-    g2 = switch_sequence(d.host, vs).graph
+        _require_vertex(g, v)
+        new_nb = cur.vertices - cur.neighbors(v) - {v}
+        cur = Graph(cur.vertices, [e for e in cur.edges if v not in e]
+                    + [(v, u) for u in new_nb])
     switched = frozenset(vs)
-    claimed = _bound(width(d)) + len(switched)
-    return CarriedDecomposition(d.rebag(g2, lambda bag: bag | switched), claimed)
+    return _carry(cur, d, lambda bag: bag | switched, len(switched))

@@ -42,20 +42,20 @@ def seeded_pairs(seed, count, max_n, min_n=1):
 class TestDisjointUnion:
     def test_graph_and_id_map(self):
         res = binary.disjoint_union(path_graph(2), path_graph(3))
-        assert res.graph.n == 5 and res.graph.m == 3
-        assert res.id_map[(1, 0)] == 0 and res.id_map[(2, 0)] == 2
-        assert len(set(res.id_map.values())) == len(res.id_map)
+        # graph 1 at 0..n1-1, graph 2 at n1..n1+n2-1, both in sorted order
+        assert res.graph.vertices == frozenset(range(5))
+        assert res.graph.edges_sorted() == [(0, 1), (2, 3), (3, 4)]
 
     def test_width_is_max_of_sides(self):
         for g1, g2 in seeded_pairs(101, 12, 5):
             k1, p1, dt1, dp1 = certs(g1)
             k2, p2, dt2, dp2 = certs(g2)
             res = binary.disjoint_union(g1, g2, dt1, dt2)
-            check_carried(res.graph, res.decomposition)
-            assert res.decomposition.claimed_bound == max(k1, k2)
+            check_carried(res.graph, res)
+            assert res.claimed_bound == max(k1, k2)
             assert exact_treewidth(res.graph).value == max(k1, k2)
             res = binary.disjoint_union(g1, g2, dp1, dp2)
-            check_carried(res.graph, res.decomposition)
+            check_carried(res.graph, res)
             assert exact_pathwidth(res.graph).value == max(p1, p2)
 
 
@@ -75,13 +75,13 @@ class TestJoin:
             k1, p1, dt1, dp1 = certs(g1)
             k2, p2, dt2, dp2 = certs(g2)
             res = binary.join(g1, g2, dt1, dt2)
-            check_carried(res.graph, res.decomposition)
-            assert res.decomposition.claimed_bound == min(k1 + g2.n, k2 + g1.n)
-            assert exact_treewidth(res.graph).value == res.decomposition.claimed_bound
+            check_carried(res.graph, res)
+            assert res.claimed_bound == min(k1 + g2.n, k2 + g1.n)
+            assert exact_treewidth(res.graph).value == res.claimed_bound
             res = binary.join(g1, g2, dp1, dp2)
-            check_carried(res.graph, res.decomposition)
-            assert res.decomposition.claimed_bound == min(p1 + g2.n, p2 + g1.n)
-            assert exact_pathwidth(res.graph).value == res.decomposition.claimed_bound
+            check_carried(res.graph, res)
+            assert res.claimed_bound == min(p1 + g2.n, p2 + g1.n)
+            assert exact_pathwidth(res.graph).value == res.claimed_bound
 
 
 class TestUnionSameVertices:
@@ -108,16 +108,18 @@ class TestSubstitute:
     def test_id_map_covers_both_sides(self):
         g1, g2 = cycle_graph(4), path_graph(2)
         res = binary.substitute(g1, 1, g2)
-        assert set(res.id_map) == {(1, 0), (1, 2), (1, 3), (2, 0), (2, 1)}
-        assert len(set(res.id_map.values())) == len(res.id_map)
+        # g1 keeps its ids but 1; g2 moves to 4, 5, joined to N(1) = {0, 2}
+        assert res.graph.vertices == frozenset({0, 2, 3, 4, 5})
+        assert res.graph.edges_sorted() == [
+            (0, 3), (0, 4), (0, 5), (2, 3), (2, 4), (2, 5), (4, 5)]
 
     def test_neighbors_combiner_can_overshoot(self):
         g1, g2 = path_graph(3), path_graph(2)
         _, _, dt1, _ = certs(g1)
         _, _, dt2, _ = certs(g2)
         res = binary.substitute(g1, 1, g2, dt1, dt2, combiner="neighbors")
-        check_carried(res.graph, res.decomposition)
-        assert res.decomposition.claimed_bound == 3
+        check_carried(res.graph, res)
+        assert res.claimed_bound == 3
         assert exact_treewidth(res.graph).value == 2
 
     def test_replace_combiner_both_kinds(self):
@@ -130,11 +132,11 @@ class TestSubstitute:
             k1, p1, dt1, dp1 = certs(g1)
             k2, p2, dt2, dp2 = certs(g2)
             res = binary.substitute(g1, v, g2, dt1, dt2)
-            check_carried(res.graph, res.decomposition)
-            assert res.decomposition.claimed_bound == min(k1 + g2.n, k2 + g1.n) - 1
+            check_carried(res.graph, res)
+            assert res.claimed_bound == min(k1 + g2.n, k2 + g1.n) - 1
             res = binary.substitute(g1, v, g2, dp1, dp2)
-            check_carried(res.graph, res.decomposition)
-            assert res.decomposition.claimed_bound == min(p1 + g2.n, p2 + g1.n) - 1
+            check_carried(res.graph, res)
+            assert res.claimed_bound == min(p1 + g2.n, p2 + g1.n) - 1
 
     def test_neighbors_combiner_sweep(self):
         for g1, g2 in seeded_pairs(104, 10, 4):
@@ -145,8 +147,8 @@ class TestSubstitute:
             k1, _, dt1, _ = certs(g1)
             k2, _, dt2, _ = certs(g2)
             res = binary.substitute(g1, v, g2, dt1, dt2, combiner="neighbors")
-            check_carried(res.graph, res.decomposition)
-            assert res.decomposition.claimed_bound == max(k1 - 1, k2) + g1.degree(v)
+            check_carried(res.graph, res)
+            assert res.claimed_bound == max(k1 - 1, k2) + g1.degree(v)
 
     def test_preconditions(self):
         with pytest.raises(ParameterError):
@@ -184,18 +186,20 @@ class TestProducts:
     def test_pair_ids_are_row_major(self):
         g1, g2 = path_graph(2), path_graph(3)
         res = binary.product("categorical", g1, g2)
-        assert res.pair_ids == {(i, j): 3 * i + j for i in range(2) for j in range(3)}
+        # the pair (i, j) is vertex 3i + j: (0,0)-(1,1), (0,1)-(1,0),
+        # (0,1)-(1,2) and (0,2)-(1,1)
+        assert res.graph.edges_sorted() == [(0, 4), (1, 3), (1, 5), (2, 4)]
 
     def test_lexicographic_blowup_width(self):
         g = path_graph(3)
         _, _, dt, dp = certs(g)
         res = binary.product("lexicographic", g, complete_graph(2), dt)
-        check_carried(res.graph, res.decomposition)
-        assert res.decomposition.claimed_bound == 3
+        check_carried(res.graph, res)
+        assert res.claimed_bound == 3
         assert exact_treewidth(res.graph).value == 3
         res = binary.product("lexicographic", g, complete_graph(2), dp)
-        check_carried(res.graph, res.decomposition)
-        assert res.decomposition.claimed_bound == 3
+        check_carried(res.graph, res)
+        assert res.claimed_bound == 3
         assert exact_pathwidth(res.graph).value == 3
 
     def test_conormal_is_complement_of_rejection(self):
@@ -240,16 +244,17 @@ class TestOneSum:
     def test_spider_from_leg_and_path(self):
         res = binary.one_sum(path_graph(3), 2, path_graph(5), 2)
         assert is_isomorphic(res.graph, incidence_star_example())
-        assert res.merged_id == 8
         assert res.graph.n == 7
+        # the fused vertex is n1 + n2, with degree deg(v) + deg(w)
+        assert res.graph.degree(8) == 1 + 2
 
     def test_two_triangles_share_a_vertex(self):
         g = complete_graph(3)
         k, p, dt, dp = certs(g)
         res = binary.one_sum(g, 0, g, 0, dt, dt)
         assert res.graph.n == 5 and res.graph.m == 6
-        check_carried(res.graph, res.decomposition)
-        assert res.decomposition.claimed_bound == 2
+        check_carried(res.graph, res)
+        assert res.claimed_bound == 2
         assert exact_treewidth(res.graph).value == 2
 
     def test_treewidth_claim_is_exact(self):
@@ -261,12 +266,12 @@ class TestOneSum:
             k1, p1, dt1, dp1 = certs(g1)
             k2, p2, dt2, dp2 = certs(g2)
             res = binary.one_sum(g1, v, g2, w, dt1, dt2)
-            check_carried(res.graph, res.decomposition)
-            assert res.decomposition.claimed_bound == max(k1, k2)
+            check_carried(res.graph, res)
+            assert res.claimed_bound == max(k1, k2)
             assert exact_treewidth(res.graph).value == max(k1, k2)
             res = binary.one_sum(g1, v, g2, w, dp1, dp2)
-            check_carried(res.graph, res.decomposition)
-            assert res.decomposition.claimed_bound <= max(p1, p2) + 1
+            check_carried(res.graph, res)
+            assert res.claimed_bound <= max(p1, p2) + 1
             assert exact_pathwidth(res.graph).value >= max(p1, p2)
 
     def test_missing_attachment_vertices(self):
@@ -289,9 +294,9 @@ class TestCorona:
 
     def test_pair_ids_layout(self):
         res = binary.corona(path_graph(2), path_graph(2))
-        assert res.pair_ids == {(0, 0): 2, (0, 1): 3, (1, 0): 4, (1, 1): 5}
-        assert res.graph.has_edge(0, 2) and res.graph.has_edge(1, 5)
-        assert not res.graph.has_edge(0, 4)
+        # copy i of g2 sits at n1 + i*n2 onward, joined to vertex i
+        assert res.graph.edges_sorted() == [
+            (0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 3), (4, 5)]
 
     def test_combiner_both_kinds(self):
         for g1, g2 in seeded_pairs(110, 8, 3):
@@ -300,11 +305,11 @@ class TestCorona:
             k1, p1, dt1, dp1 = certs(g1)
             k2, p2, dt2, dp2 = certs(g2)
             res = binary.corona(g1, g2, dt1, dt2)
-            check_carried(res.graph, res.decomposition)
+            check_carried(res.graph, res)
             if g2.n:
-                assert res.decomposition.claimed_bound == max(k1, k2) + 1
+                assert res.claimed_bound == max(k1, k2) + 1
             res = binary.corona(g1, g2, dp1, dp2)
-            check_carried(res.graph, res.decomposition)
+            check_carried(res.graph, res)
 
     def test_empty_attachment_graph(self):
         g1 = cycle_graph(4)
@@ -312,8 +317,8 @@ class TestCorona:
         _, _, et, _ = certs(Graph())
         res = binary.corona(g1, Graph(), dt1, et)
         assert is_isomorphic(res.graph, g1)
-        check_carried(res.graph, res.decomposition)
-        assert res.decomposition.claimed_bound == k1
+        check_carried(res.graph, res)
+        assert res.claimed_bound == k1
 
     def test_needs_nonempty_base(self):
         with pytest.raises(ParameterError):
@@ -347,4 +352,4 @@ def test_combiners_accept_redundant_decompositions():
             binary.one_sum(g1, g1.vertices_sorted()[0], g2, g2.vertices_sorted()[0], dp1, dp2),
             binary.corona(g1, g2, dp1, dp2),
         ):
-            check_carried(res.graph, res.decomposition)
+            check_carried(res.graph, res)

@@ -12,10 +12,12 @@ import pytest
 
 from twpw.binary import PRODUCT_KINDS
 from twpw.cli import main
+from twpw.errors import ParameterError
 from twpw.exact import exact_pathwidth, exact_treewidth
 from twpw.fileformats import format_gr, format_td
 from twpw.graphs import Graph, path_graph
-from twpw.harness import SUITES, SweepConfig, run_suite
+from twpw.harness import SUITES, SplitMix64, SweepConfig, run_suite, sample_graph
+from twpw.operations import OPERATIONS
 
 # recorded with the power degree bound clamped at d = n - 1 for Delta = 2,
 # which sets the claimed bound of unary/power/{tw,pw}/s008 (3 vertices,
@@ -39,6 +41,50 @@ def test_sweep_check_values(tmp_path):
         for c in run_suite(suite, cfg, tmp_path):
             lines.append(repr((c.name, c.lhs, c.rhs, c.relation, c.passed, c.detail)))
     assert _sha("\n".join(lines)) == SWEEP_CHECKS_SHA256
+
+
+# carried decompositions of every record that can carry: four seeded
+# samples per record within its caps, min_n and predicate (products of
+# every kind), with tree and with path certificates; recorded while each
+# unary operation and its decomposition transformer were still two
+# functions
+CARRIED_SHA256 = (
+    "cdaed801e7eeb2ca12f6be18419754812256ff9ff2f241f51fa29cfb5c5b4b57"
+)
+
+
+def _carry_cases(op, rng):
+    caps = [6] if op.arity == 1 else [min(6, cap) for cap in op.caps]
+    graphs = [sample_graph(rng, caps[0], op.min_n, op.predicate)]
+    graphs += [sample_graph(rng, cap) for cap in caps[1:]]
+    if op.opcode == "prod":
+        return graphs, [(kind,) for kind in PRODUCT_KINDS]
+    return graphs, [op.pick(rng, *graphs)]
+
+
+def test_carried_decompositions():
+    digest = hashlib.sha256()
+    for index, op in enumerate(OPERATIONS):
+        if op.decs == 0:
+            continue
+        rng = SplitMix64(index)
+        for _ in range(4):
+            graphs, arg_lists = _carry_cases(op, rng)
+            for solve in (exact_treewidth, exact_pathwidth):
+                certs = [solve(g).certificate for g in graphs][: op.decs]
+                for args in arg_lists:
+                    decs = certs if op.can_carry(*args) else [None] * op.decs
+                    try:
+                        res = op.op(*graphs, *decs, *args)
+                    except ParameterError as exc:
+                        digest.update(repr((index, solve.__name__, args, str(exc))).encode())
+                        continue
+                    dec = res.decomposition
+                    digest.update(repr((
+                        index, solve.__name__, args, format_gr(res.graph),
+                        None if dec is None else format_td(dec), res.claimed_bound,
+                    )).encode())
+    assert digest.hexdigest() == CARRIED_SHA256
 
 
 def test_sweep_tap(tmp_path, capsys):

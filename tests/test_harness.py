@@ -81,11 +81,6 @@ class TestSuites:
         with pytest.raises(ParameterError):
             run_suite("everything", SweepConfig())
 
-    def test_unknown_table_row(self):
-        cfg = SweepConfig(max_n=4, samples=1, ops=("delete-vortex",))
-        with pytest.raises(ParameterError):
-            run_suite("unary", cfg)
-
     def test_max_n_guard(self):
         with pytest.raises(CapabilityError):
             run_suite("relations", SweepConfig(max_n=13, samples=1))
@@ -99,13 +94,6 @@ class TestSuites:
         assert first == second
         assert len(first) == 8 * 10
         assert all(c.passed for c in first)
-
-    def test_unary_rows_selectable(self):
-        cfg = SweepConfig(max_n=5, samples=3, seed=2, ops=("delete-vertex", "contract"))
-        checks = run_suite("unary", cfg)
-        assert all(c.name.split("/")[1] in ("delete-vertex", "contract") for c in checks)
-        assert {c.name.split("/")[2] for c in checks} == {"tw", "pw"}
-        assert all(c.passed for c in checks)
 
     def test_binary_small_sweep_passes(self):
         cfg = SweepConfig(max_n=4, samples=2, seed=3)
@@ -173,9 +161,8 @@ class TestTapAndWitnesses:
         tight = dataclasses.replace(
             op, bound=lambda p, *a: (-2, -2, "<=") if p == "tw" else op.bound(p, *a)
         )
-        sample = harness._binary_sample if op.binary else harness._unary_sample
-        checks = harness._run_rows("t", (tight,), sample,
-                                   SweepConfig(max_n=4, samples=2, seed=5), tmp_path)
+        checks = harness._run_rows("t", (tight,), SweepConfig(max_n=4, samples=2, seed=5),
+                                   tmp_path)
         failed = [c for c in checks if not c.passed]
         assert [c.name for c in failed] == [f"t/{op.row}/tw/s000", f"t/{op.row}/tw/s001"]
         from pathlib import Path

@@ -4,10 +4,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twpw.binary import PRODUCT_KINDS
 from twpw.decomposition import PathDecomposition, TreeDecomposition, validate
 from twpw.errors import ParameterError
 from twpw.exact import exact_pathwidth, exact_treewidth
-from twpw.harness import SplitMix64, sample_graph
+from twpw.graphs import Graph, path_graph
+from twpw.harness import SplitMix64, random_graph, sample_graph
 from twpw.operations import OPERATIONS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -22,22 +24,19 @@ def test_readme_lists_every_opcode_with_its_arguments():
     unary = text.split("Unary: ", 1)[1].split("Binary (need", 1)[0]
     binary = text.split("Binary (need `--graph2`): ", 1)[1].split("Product kinds", 1)[0]
     usage = {
-        kind: [f"{op.opcode} {op.args}".strip() for op in OPERATIONS
-               if op.opcode is not None and op.binary == kind]
-        for kind in (False, True)
+        arity: [f"{op.opcode} {op.args}".strip() for op in OPERATIONS
+               if op.opcode is not None and op.arity == arity]
+        for arity in (1, 2)
     }
-    assert _listed(unary) == usage[False]
-    assert _listed(binary) == usage[True]
+    assert _listed(unary) == usage[1]
+    assert _listed(binary) == usage[2]
 
 
 def test_opcodes_and_rows_are_unique():
     opcodes = [op.opcode for op in OPERATIONS if op.opcode is not None]
-    rows = [(op.binary, op.row) for op in OPERATIONS if op.row is not None]
+    rows = [(op.arity, op.row) for op in OPERATIONS if op.row is not None]
     assert len(opcodes) == len(set(opcodes)) == 21
     assert len(rows) == len(set(rows))
-
-
-SWEPT = [op for op in OPERATIONS if op.row is not None]
 
 
 def _certificate(g, kind):
@@ -45,30 +44,68 @@ def _certificate(g, kind):
     return solve(g).certificate
 
 
-@pytest.mark.parametrize("op", SWEPT, ids=lambda op: op.row)
-@pytest.mark.parametrize("kind", [TreeDecomposition, PathDecomposition],
-                         ids=["tree", "path"])
+def _inputs(op, rng):
+    """Seeded inputs of a record and the argument tuples to run it with:
+    the sweep's draw for sweep rows, every kind for the product, drawn
+    vertices for the rest."""
+    caps = [6] if op.arity == 1 else [min(6, cap) for cap in op.caps]
+    graphs = [sample_graph(rng, caps[0], op.min_n, op.predicate)]
+    if op.opcode == "union":
+        graphs.append(random_graph(rng, graphs[0].n, 5))
+    else:
+        graphs += [sample_graph(rng, cap) for cap in caps[1:]]
+    if op.opcode == "prod":
+        return graphs, [(kind,) for kind in PRODUCT_KINDS]
+    if op.row is not None:
+        return graphs, [op.pick(rng, *graphs)]
+    vs = graphs[0].vertices_sorted()
+    return graphs, [tuple(vs[rng.next_below(len(vs))] for _ in op.args.split())]
+
+
+KINDS = pytest.mark.parametrize("kind", [TreeDecomposition, PathDecomposition],
+                                ids=["tree", "path"])
+
+
+@pytest.mark.parametrize("op", OPERATIONS, ids=lambda op: op.row or op.opcode)
+@KINDS
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_carried_decomposition_keeps_its_kind(op, kind, seed):
-    rng = SplitMix64(seed)
-    if not op.binary:
-        g = sample_graph(rng, 6, op.min_n, op.predicate)
-        args = op.pick(rng, g)
-        if not op.can_carry(*args):
-            return
-        carried = op.transform(_certificate(g, kind), *args).decomposition
-    else:
-        g = sample_graph(rng, min(6, op.caps[0]), op.min_n, op.predicate)
-        g2 = sample_graph(rng, min(6, op.caps[1]))
-        args = op.pick(rng, g, g2)
-        if not op.can_carry(*args):
-            return
-        d1, d2 = _certificate(g, kind), _certificate(g2, kind)
+    """A decomposition comes back, of the kind given, exactly when the
+    record says it can carry one."""
+    graphs, arg_lists = _inputs(op, SplitMix64(seed))
+    certs = [_certificate(g, kind) for g in graphs][: op.decs]
+    for args in arg_lists:
         if op.row == "substitute-neighbors" and kind is PathDecomposition:
             with pytest.raises(ParameterError):
-                op.op(g, g2, d1, d2, *args)
-            return
-        carried = op.op(g, g2, d1, d2, *args).decomposition.decomposition
-    assert type(carried) is kind
-    assert validate(carried.host, carried).valid
+                op.op(*graphs, *certs, *args)
+        elif op.can_carry(*args):
+            res = op.op(*graphs, *certs, *args)
+            assert type(res.decomposition) is kind
+            assert validate(res.graph, res.decomposition).valid
+        else:
+            res = op.op(*graphs, *[None] * op.decs, *args)
+            assert res.decomposition is None and res.claimed_bound is None
+            if op.decs:
+                with pytest.raises(ParameterError):
+                    op.op(*graphs, *certs, *args)
+
+
+HOUSE = Graph(range(5), [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (3, 4)])
+
+
+@pytest.mark.parametrize("op", [op for op in OPERATIONS if op.decs],
+                         ids=lambda op: op.row or op.opcode)
+@KINDS
+def test_carrying_operation_rejects_a_foreign_decomposition(op, kind):
+    graphs = [HOUSE, path_graph(3)][: op.arity]
+    args = op.pick(SplitMix64(0), *graphs)
+    certs = [_certificate(g, kind) for g in graphs][: op.decs]
+    if op.row != "substitute-neighbors" or kind is TreeDecomposition:
+        assert op.op(*graphs, *certs, *args).decomposition is not None
+    for i, g in enumerate(graphs[: op.decs]):
+        # a decomposition of the same vertices with one edge fewer
+        foreign = list(certs)
+        foreign[i] = _certificate(Graph(g.vertices, g.edges_sorted()[1:]), kind)
+        with pytest.raises(ParameterError, match="must belong to the given graphs"):
+            op.op(*graphs, *foreign, *args)

@@ -29,6 +29,7 @@ def certs(g):
 
 
 def check_carried(host, carried, table=None):
+    assert carried.graph == host
     assert is_valid(host, carried.decomposition)
     w = width(carried.decomposition)
     assert (-1 if w is None else w) <= carried.claimed_bound
@@ -40,7 +41,8 @@ class TestVertexSurgery:
     def test_delete_vertex_from_triangle(self):
         res = unary.delete_vertex(complete_graph(3), 2)
         assert res.graph == complete_graph(2)
-        assert res.vertex_map == {0: 0, 1: 1}
+        # survivors keep their ids
+        assert unary.delete_vertex(path_graph(3), 0).graph.edges_sorted() == [(1, 2)]
         assert exact_treewidth(res.graph).value == 1
 
     def test_delete_missing_vertex(self):
@@ -49,7 +51,7 @@ class TestVertexSurgery:
 
     def test_add_vertex_fresh_id(self):
         res = unary.add_vertex(path_graph(3), [0, 2])
-        assert res.new_ids == frozenset({3})
+        assert res.graph.vertices - path_graph(3).vertices == frozenset({3})
         assert res.graph.has_edge(3, 0) and res.graph.has_edge(3, 2)
 
     def test_add_vertex_explicit_id(self):
@@ -71,7 +73,9 @@ class TestVertexSurgery:
     def test_identify_path_ends_makes_triangle(self):
         res = unary.identify_vertices(path_graph(4), 0, 3)
         assert is_isomorphic(res.graph, complete_graph(3))
-        assert res.vertex_map[0] == res.vertex_map[3]
+        # the ends fuse into the fresh vertex 4; 1 and 2 keep their ids
+        assert res.graph.vertices == frozenset({1, 2, 4})
+        assert res.graph.neighbors(4) == frozenset({1, 2})
         assert exact_treewidth(res.graph).value == 2
 
     def test_contract_clique_edge(self):
@@ -125,8 +129,10 @@ class TestDerivedGraphs:
     def test_incidence_new_ids_are_edge_vertices(self):
         g = path_graph(3)
         res = unary.incidence_graph(g)
-        assert len(res.new_ids) == g.m
         assert res.graph.n == g.n + g.m
+        # edge i in sorted order becomes vertex n + i, adjacent to its ends
+        assert res.graph.neighbors(3) == frozenset({0, 1})
+        assert res.graph.neighbors(4) == frozenset({1, 2})
 
     def test_power_of_cycle_completes(self):
         res = unary.graph_power(cycle_graph(5), 2)
@@ -244,7 +250,7 @@ class TestSwitching:
     def test_switch_sequence_claim_counts_distinct_vertices(self):
         g = cycle_graph(5)
         k, _, dt, _ = certs(g)
-        carried = unary.switch_sequence_decomposition(dt, [0, 1, 0])
+        carried = unary.switch_sequence(g, [0, 1, 0], dt)
         host = unary.switch_sequence(g, [0, 1, 0]).graph
         check_carried(host, carried)
         assert carried.claimed_bound == k + 2
@@ -267,75 +273,46 @@ class TestForestDecomposition:
 
 
 def transformer_table(g, ktw, kpw):
-    """Every transformer with parameters, result graph and bound columns."""
+    """Every carrying operation with parameters, as a call on the input
+    decomposition (or None), and its bound columns."""
     rows = []
     for v in g.vertices_sorted():
-        rows.append((
-            unary.delete_vertex(g, v).graph,
-            lambda d, v=v: unary.delete_vertex_decomposition(d, v),
-            ktw, kpw,
-        ))
-        rows.append((
-            unary.seidel_switch(g, v).graph,
-            lambda d, v=v: unary.seidel_switch_decomposition(d, v),
-            ktw + 1, kpw + 1,
-        ))
+        rows.append((lambda d, v=v: unary.delete_vertex(g, v, d), ktw, kpw))
+        rows.append((lambda d, v=v: unary.seidel_switch(g, v, d), ktw + 1, kpw + 1))
     for nbrs in ([], g.vertices_sorted()[:1], g.vertices_sorted()):
         rows.append((
-            unary.add_vertex(g, nbrs).graph,
-            lambda d, nbrs=tuple(nbrs): unary.add_vertex_decomposition(d, nbrs),
+            lambda d, nbrs=tuple(nbrs): unary.add_vertex(g, nbrs, d=d),
             max(ktw, 1) if len(nbrs) == 1 else ktw + 1,
             kpw + 1,
         ))
     for u, v in g.edges_sorted():
+        rows.append((lambda d, u=u, v=v: unary.delete_edge(g, u, v, d), ktw, kpw))
+        rows.append((lambda d, u=u, v=v: unary.contract_edge(g, u, v, d), ktw, kpw))
         rows.append((
-            unary.delete_edge(g, u, v).graph,
-            lambda d, u=u, v=v: unary.delete_edge_decomposition(d, u, v),
-            ktw, kpw,
-        ))
-        rows.append((
-            unary.contract_edge(g, u, v).graph,
-            lambda d, u=u, v=v: unary.contract_edge_decomposition(d, u, v),
-            ktw, kpw,
-        ))
-        rows.append((
-            unary.subdivide_edge(g, u, v).graph,
-            lambda d, u=u, v=v: unary.subdivide_edge_decomposition(d, u, v),
-            max(ktw, 1), kpw + 1,
+            lambda d, u=u, v=v: unary.subdivide_edge(g, u, v, d), max(ktw, 1), kpw + 1,
         ))
     vs = g.vertices_sorted()
     for u, v in zip(vs, vs[1:]):
         rows.append((
-            unary.identify_vertices(g, u, v).graph,
-            lambda d, u=u, v=v: unary.identify_vertices_decomposition(d, u, v),
-            ktw + 1, kpw + 1,
+            lambda d, u=u, v=v: unary.identify_vertices(g, u, v, d), ktw + 1, kpw + 1,
         ))
         if not g.has_edge(u, v):
             rows.append((
-                unary.add_edge(g, u, v).graph,
-                lambda d, u=u, v=v: unary.add_edge_decomposition(d, u, v),
-                ktw + 1, kpw + 1,
+                lambda d, u=u, v=v: unary.add_edge(g, u, v, d), ktw + 1, kpw + 1,
             ))
     if g.n + g.m <= 16:
-        rows.append((
-            unary.incidence_graph(g).graph,
-            unary.incidence_graph_decomposition,
-            max(ktw, 1),
-            kpw + 1,
-        ))
+        rows.append((lambda d: unary.incidence_graph(g, d), max(ktw, 1), kpw + 1))
     if g.m <= 12:
         dmax = max_degree(g)
         rows.append((
-            unary.line_graph(g).graph,
-            unary.line_graph_decomposition,
+            lambda d: unary.line_graph(g, d),
             max((ktw + 1) * dmax - 1, -1),
             max((kpw + 1) * dmax - 1, -1),
         ))
-    for d in (2, 3):
-        pdb = unary.power_degree_bound(g, d)
+    for r in (2, 3):
+        pdb = unary.power_degree_bound(g, r)
         rows.append((
-            unary.graph_power(g, d).graph,
-            lambda dec, d=d: unary.graph_power_decomposition(dec, d),
+            lambda d, r=r: unary.graph_power(g, r, d),
             (ktw + 1) * (1 + pdb) - 1,
             (kpw + 1) * (1 + pdb) - 1,
         ))
@@ -347,9 +324,10 @@ def test_every_transformer_is_sound_on_all_five_vertex_graphs():
         if g.n == 0:
             continue
         ktw, kpw, dt, dp = certs(g)
-        for host, tf, table_tw, table_pw in transformer_table(g, ktw, kpw):
-            check_carried(host, tf(dt), table_tw)
-            check_carried(host, tf(dp), table_pw)
+        for op, table_tw, table_pw in transformer_table(g, ktw, kpw):
+            host = op(None).graph
+            check_carried(host, op(dt), table_tw)
+            check_carried(host, op(dp), table_pw)
 
 
 def test_transformers_on_seeded_graphs_with_redundant_certificates():
@@ -362,6 +340,7 @@ def test_transformers_on_seeded_graphs_with_redundant_certificates():
         dt = trivial_tree_decomposition(g)
         dp = trivial_path_decomposition(g)
         k = g.n - 1
-        for host, tf, table_tw, table_pw in transformer_table(g, k, k):
-            check_carried(host, tf(dt), table_tw)
-            check_carried(host, tf(dp), table_pw)
+        for op, table_tw, table_pw in transformer_table(g, k, k):
+            host = op(None).graph
+            check_carried(host, op(dt), table_tw)
+            check_carried(host, op(dp), table_pw)

@@ -24,9 +24,23 @@ from .graphs import Graph, components_within, is_tree
 Rebag = Callable[[frozenset[int]], Iterable[int]]
 
 
+def _frozen(bag: Iterable[int]) -> frozenset[int]:
+    """bag itself when it is a frozenset, else its members read with int.
+    The certificate builders and parse_td hand over frozensets of ints
+    they have just made, so a copy would be a second pass over every bag."""
+    return bag if type(bag) is frozenset else frozenset(map(int, bag))
+
+
 class TreeDecomposition:
     """A bag per tree node; the tree is a Graph over node ids.  The bags
-    are a read-only mapping, so a validated decomposition stays valid."""
+    are a read-only mapping, so a validated decomposition stays valid.
+
+    A bag given as a frozenset is kept as it is, without a copy and
+    without converting its members; any other iterable becomes
+    ``frozenset(map(int, bag))``.  So a frozenset holding an id that is
+    not an int is kept, and ``validate`` reports that id as a ``bag``
+    violation, as it does for any id outside the host.
+    """
 
     __slots__ = ("host", "tree", "bags")
 
@@ -35,7 +49,7 @@ class TreeDecomposition:
             raise ParameterError("decomposition needs at least one node")
         if not is_tree(tree):
             raise ParameterError("decomposition nodes must form a tree")
-        bagmap = {int(u): frozenset(map(int, bag)) for u, bag in bags.items()}
+        bagmap = {int(u): _frozen(bag) for u, bag in bags.items()}
         if set(bagmap) != set(tree.vertices):
             raise ParameterError("bags must be keyed exactly by the tree nodes")
         self.host = host
@@ -58,12 +72,17 @@ class TreeDecomposition:
 
 
 class PathDecomposition:
-    """A bag sequence; bag i is adjacent to bag i+1."""
+    """A bag sequence; bag i is adjacent to bag i+1.
+
+    Bags are taken as in TreeDecomposition: a frozenset is kept as it is,
+    any other iterable becomes ``frozenset(map(int, bag))``, and a
+    frozenset id that is not an int is a ``bag`` violation for ``validate``.
+    """
 
     __slots__ = ("host", "bags")
 
     def __init__(self, host: Graph, bags: Sequence[Iterable[int]]):
-        seq = tuple(frozenset(map(int, bag)) for bag in bags)
+        seq = tuple(map(_frozen, bags))
         if not seq:
             raise ParameterError("decomposition needs at least one bag")
         self.host = host
@@ -132,7 +151,7 @@ def _check_bags(
     held: dict[int, set[int]] = {v: set() for v in hosted}
     for u, bag in items:
         if not bag <= hosted:
-            out.extend(Violation("bag", (u, v)) for v in sorted(bag - hosted))
+            out.extend(Violation("bag", (u, v)) for v in sorted(bag - hosted, key=_id_order))
             bag = bag & hosted
         for v in bag:
             held[v].add(u)
@@ -145,6 +164,12 @@ def _check_bags(
     out.extend(Violation(f"{tag}-3", (v,)) for v in vertices
                if joined[v] + 1 < len(held[v]))
     return out
+
+
+def _id_order(v: object) -> tuple:
+    """Ints by value, then other ids by repr: a frozenset bag is kept as
+    given, so its foreign ids need not be comparable with each other."""
+    return (0, v) if isinstance(v, int) else (1, repr(v))
 
 
 def validate(g: Graph, d: Decomposition) -> ValidationReport:

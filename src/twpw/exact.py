@@ -73,8 +73,9 @@ def elimination_decomposition(g: Graph, order: list[int]) -> TreeDecomposition:
 
     Each neighbor's row takes the clique in one set union, so the Python
     steps are linear in the total size of the bags; the unions add up to
-    the sum of the squared bag sizes, done in C.  Checking the order costs
-    O(n log n).
+    the sum of the squared bag sizes, done in C.  Each bag is frozen once,
+    and TreeDecomposition keeps it without a copy.  Checking the order
+    costs O(n log n).
     """
     if sorted(order) != g.vertices_sorted():
         raise ParameterError("elimination order must list every vertex once")
@@ -85,7 +86,6 @@ def elimination_decomposition(g: Graph, order: list[int]) -> TreeDecomposition:
     roots = []
     for v in order:
         nb = adj.pop(v)
-        bags[v] = frozenset(nb | {v})
         if nb:
             tree_edges.append((v, min(nb, key=pos.__getitem__)))
         else:
@@ -95,6 +95,8 @@ def elimination_decomposition(g: Graph, order: list[int]) -> TreeDecomposition:
             row |= nb
             row.discard(a)
             row.discard(v)
+        nb.add(v)
+        bags[v] = frozenset(nb)
     tree_edges.extend(zip(roots, roots[1:]))
     return TreeDecomposition(g, Graph(g.vertices, tree_edges), bags)
 
@@ -104,9 +106,10 @@ def layout_decomposition(g: Graph, order: list[int]) -> PathDecomposition:
 
     Bag i holds v_i plus every earlier vertex that still has a neighbor
     outside the first i-1 vertices.  A count of not-yet-placed neighbors
-    per vertex keeps that boundary as the layout goes, so the cost is
-    linear in the size of the graph plus the total size of the bags.
-    Checking the layout costs O(n log n).
+    per vertex keeps that boundary as the layout goes, and each bag is the
+    boundary with v_i frozen once, which PathDecomposition keeps without a
+    copy.  So the cost is linear in the size of the graph plus the total
+    size of the bags.  Checking the layout costs O(n log n).
     """
     if sorted(order) != g.vertices_sorted():
         raise ParameterError("layout must list every vertex once")
@@ -115,13 +118,14 @@ def layout_decomposition(g: Graph, order: list[int]) -> PathDecomposition:
     boundary: set[int] = set()
     bags = []
     for v in order:
-        bags.append(boundary | {v})
+        boundary.add(v)
+        bags.append(frozenset(boundary))
         for u in adj[v]:
             unplaced[u] -= 1
             if not unplaced[u]:
                 boundary.discard(u)
-        if unplaced[v]:
-            boundary.add(v)
+        if not unplaced[v]:
+            boundary.discard(v)
     return PathDecomposition(g, bags)
 
 

@@ -35,23 +35,64 @@ def _content_lines(text: str) -> list[list[str]]:
     return out
 
 
+def _numeral(token: str) -> int:
+    """The value of a numeral: an optional "-" and ASCII digits.
+    ValueError for anything else, such as "+3", "1_0" or "٣", which int()
+    alone would read."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a numeral: {token!r}")
+    return int(token)
+
+
+def _canonical(count: int) -> list[str]:
+    """The numerals "1".."count", the only ones the writers here produce."""
+    return list(map(str, range(1, count + 1)))
+
+
 def parse_gr(text: str) -> Graph:
+    """The graph a .gr text describes; vertex i of the file becomes i - 1.
+
+    Numerals are an optional "-" and ASCII digits.  The edge lines are
+    read in one pass through a dict of the numerals "1".."n" that
+    format_gr writes.  A text that pass cannot read (another numeral such
+    as "03", a bad line, a loop or a repeated edge) is read again by
+    _checked_edges, which raises the first fault in line order.
+    """
     lines = _content_lines(text)
     if not lines or lines[0][:2] != ["p", "tw"] or len(lines[0]) != 4:
         raise FormatError("missing 'p tw <n> <m>' header")
     try:
-        n, m = int(lines[0][2]), int(lines[0][3])
+        n, m = map(_numeral, lines[0][2:])
     except ValueError:
         raise FormatError("non-numeric header fields") from None
     if n < 0 or m < 0:
         raise FormatError("negative counts in header")
     guard_size(n, m)
+    body = lines[1:]
+    vertex = dict(zip(_canonical(n), range(n)))
+    try:
+        # a loop becomes None, a repeated edge shrinks the set
+        edges = {(u, v) if u < v else (v, u) if v < u else None
+                 for u, v in ((vertex[a], vertex[b]) for a, b in body)}
+    except (KeyError, ValueError):
+        edges = None
+    if edges is None or None in edges or len(edges) != len(body):
+        edges = _checked_edges(body, n)
+    if len(edges) != m:
+        raise FormatError(f"header announces {m} edges, file has {len(edges)}")
+    return Graph(range(n), edges)
+
+
+def _checked_edges(body: list[list[str]], n: int) -> set[tuple[int, int]]:
+    """The edges of .gr edge lines, each line checked in turn: its length,
+    its numerals, their range, then loop and repeated edge."""
     edges = set()
-    for tokens in lines[1:]:
+    for tokens in body:
         if len(tokens) != 2:
             raise FormatError(f"bad edge line: {' '.join(tokens)!r}")
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            u, v = map(_numeral, tokens)
         except ValueError:
             raise FormatError(f"non-numeric edge line: {' '.join(tokens)!r}") from None
         if not (1 <= u <= n and 1 <= v <= n):
@@ -62,9 +103,7 @@ def parse_gr(text: str) -> Graph:
         if e in edges:
             raise FormatError(f"duplicate edge ({u}, {v})")
         edges.add(e)
-    if len(edges) != m:
-        raise FormatError(f"header announces {m} edges, file has {len(edges)}")
-    return Graph(range(n), edges)
+    return edges
 
 
 def format_gr(g: Graph) -> str:
@@ -97,9 +136,17 @@ def parse_td(text: str, host: Graph, kind: str = "tree") -> Decomposition:
 
     Bag i of the file becomes tree node i - 1, and vertex i the i-th
     smallest vertex of host.  kind "path" asks for a path-shaped tree and
-    returns its bags in order from the lowest-numbered end.  The text is
-    read in one pass and the tree edges are checked in another, so the
-    cost is linear in the length of the text.
+    returns its bags in order from the lowest-numbered end.  Numerals are
+    an optional "-" and ASCII digits.
+
+    The body is read in one pass: bag ids and tree edge ends go through a
+    dict of the numerals "1".."r", bag members through a dict from "1".."n"
+    to the vertices of host, and each bag is frozen once, which the
+    decomposition keeps without a copy.  A body that pass cannot read
+    (another numeral such as "03", an id or vertex out of range, a bad or
+    repeated line) is read again by _checked_td_body, which raises the
+    first fault in line order.  The tree edges are checked in another
+    pass, so the cost is linear in the length of the text.
     """
     if kind not in ("tree", "path"):
         raise FormatError(f"unknown decomposition kind {kind!r}")
@@ -107,24 +154,63 @@ def parse_td(text: str, host: Graph, kind: str = "tree") -> Decomposition:
     if not lines or lines[0][:2] != ["s", "td"] or len(lines[0]) != 5:
         raise FormatError("missing 's td <bags> <maxbagsize> <n>' header")
     try:
-        r, maxbag, n = (int(t) for t in lines[0][2:])
+        r, maxbag, n = map(_numeral, lines[0][2:])
     except ValueError:
         raise FormatError("non-numeric header fields") from None
     if n != host.n:
         raise FormatError(f"header announces {n} vertices, graph has {host.n}")
     if r < 1:
         raise FormatError("decomposition needs at least one bag")
+    body = lines[1:]
+    vertex = dict(zip(_canonical(n), host.vertices_sorted()))
+    # a well-formed body has r bag lines, so no id beyond the line count
+    node = dict(zip(_canonical(min(r, len(body))), range(1, r + 1)))
+    bags: dict[int, frozenset[int]] = {}
+    tree_edges: list[tuple[int, int]] = []
+    try:
+        for tokens in body:
+            if tokens[0] == "b":
+                bags[node[tokens[1]]] = frozenset(map(vertex.__getitem__, tokens[2:]))
+            else:
+                a, b = tokens
+                tree_edges.append((node[a], node[b]))
+        read = len(bags) + len(tree_edges) == len(body)  # False on a repeated bag id
+    except (IndexError, KeyError, ValueError):
+        read = False
+    if not read:
+        bags, tree_edges = _checked_td_body(body, r, host)
+    if len(bags) != r:
+        raise FormatError(f"header announces {r} bags, file has {len(bags)}")
+    if len(tree_edges) != r - 1:
+        raise FormatError(f"{r} bags need {r - 1} tree edges, file has {len(tree_edges)}")
+    if maxbag != max(map(len, bags.values())):
+        raise FormatError("header max bag size disagrees with the bags")
+    _check_tree_edges(tree_edges)
+    if kind == "tree":
+        tree = Graph(range(r), [(a - 1, b - 1) for a, b in tree_edges])
+        return TreeDecomposition(host, tree, {u - 1: bag for u, bag in bags.items()})
+    return PathDecomposition(host, [bags[u] for u in _path_order(r, tree_edges)])
+
+
+def _checked_td_body(
+    body: list[list[str]], r: int, host: Graph
+) -> tuple[dict[int, frozenset[int]], list[tuple[int, int]]]:
+    """The bags and tree edges of .td body lines, each line checked in
+    turn.  A bag line: its id is present, its numerals, the id's range,
+    a repeated id, then its members' range.  A tree edge line: its length,
+    its numerals, their range."""
+    n = host.n
     # ranked[i] is the vertex numbered i in the file; ranked[0] is never read
     ranked = [-1, *host.vertices_sorted()]
     bags: dict[int, frozenset[int]] = {}
     tree_edges = []
-    for tokens in lines[1:]:
+    for tokens in body:
         if tokens[0] == "b":
             if len(tokens) < 2:
                 raise FormatError("bag line without an id")
             try:
-                ident = int(tokens[1])
-                members = list(map(int, tokens[2:]))
+                ident = _numeral(tokens[1])
+                members = list(map(_numeral, tokens[2:]))
             except ValueError:
                 raise FormatError(f"non-numeric bag line: {' '.join(tokens)!r}") from None
             if not 1 <= ident <= r:
@@ -139,23 +225,13 @@ def parse_td(text: str, host: Graph, kind: str = "tree") -> Decomposition:
             if len(tokens) != 2:
                 raise FormatError(f"bad tree edge line: {' '.join(tokens)!r}")
             try:
-                a, b = int(tokens[0]), int(tokens[1])
+                a, b = map(_numeral, tokens)
             except ValueError:
                 raise FormatError(f"non-numeric tree edge: {' '.join(tokens)!r}") from None
             if not (1 <= a <= r and 1 <= b <= r):
                 raise FormatError(f"tree edge ({a}, {b}) out of range 1..{r}")
             tree_edges.append((a, b))
-    if len(bags) != r:
-        raise FormatError(f"header announces {r} bags, file has {len(bags)}")
-    if len(tree_edges) != r - 1:
-        raise FormatError(f"{r} bags need {r - 1} tree edges, file has {len(tree_edges)}")
-    if maxbag != max(map(len, bags.values())):
-        raise FormatError("header max bag size disagrees with the bags")
-    _check_tree_edges(tree_edges)
-    if kind == "tree":
-        tree = Graph(range(r), [(a - 1, b - 1) for a, b in tree_edges])
-        return TreeDecomposition(host, tree, {u - 1: bag for u, bag in bags.items()})
-    return PathDecomposition(host, [bags[u] for u in _path_order(r, tree_edges)])
+    return bags, tree_edges
 
 
 def _check_tree_edges(tree_edges: list[tuple[int, int]]) -> None:

@@ -21,7 +21,7 @@ from twpw.decomposition import (
     width,
     width_within,
 )
-from twpw.errors import InconsistencyError, ParameterError
+from twpw.errors import InconsistencyError, ParameterError, ToolError
 from twpw.exact import (
     elimination_decomposition,
     exact_pathwidth,
@@ -97,6 +97,43 @@ class TestConstruction:
     def test_at_least_one_bag(self):
         with pytest.raises(ParameterError):
             PathDecomposition(Graph(), [])
+
+    def test_frozenset_bags_are_kept_by_identity(self):
+        g = path_graph(3)
+        a, b = frozenset({0, 1}), frozenset({1, 2})
+        td = TreeDecomposition(g, path_graph(2), {0: a, 1: b})
+        assert td.bags[0] is a and td.bags[1] is b
+        pd = PathDecomposition(g, [a, b])
+        assert pd.bags[0] is a and pd.bags[1] is b
+
+    def test_other_bags_are_read_with_int(self):
+        g = path_graph(3)
+
+        def fresh():
+            return [["0", True], {1, 2.0}, (v for v in ("2", False))]
+
+        want = (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2}))
+        pd = PathDecomposition(g, fresh())
+        td = TreeDecomposition(g, path_graph(3), dict(zip(["0", True, 2], fresh())))
+        for bags in (pd.bags, tuple(td.bags[u] for u in range(3))):
+            assert bags == want
+            assert all(type(bag) is frozenset for bag in bags)
+            assert all(type(v) is int for bag in bags for v in bag)
+
+    @pytest.mark.parametrize("foreign", [frozenset({0, 1, "2"}),
+                                         frozenset({0, 1, 2.5, "x", None})])
+    def test_frozenset_with_foreign_ids_is_a_bag_violation(self, foreign):
+        g = path_graph(3)
+        others = sorted(foreign - g.vertices, key=repr)
+        for d in (TreeDecomposition(g, path_graph(2), {0: foreign, 1: frozenset({1, 2})}),
+                  PathDecomposition(g, [foreign, frozenset({1, 2})])):
+            assert d.bags[0] is foreign
+            report = validate(g, d)
+            assert not report.valid and not is_valid(g, d)
+            assert [v.witness for v in report.violations if v.tag == "bag"] == [
+                (0, v) for v in others]
+            with pytest.raises(ToolError):
+                tree_to_path(g, d if isinstance(d, TreeDecomposition) else path_to_tree(d))
 
     def test_trivial_decompositions(self):
         g = cycle_graph(4)

@@ -1,10 +1,15 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twpw.decomposition import PathDecomposition, TreeDecomposition, validate
-from twpw.errors import CapabilityError, FormatError, ParameterError
+from twpw.errors import CapabilityError, FormatError, ParameterError, ToolError
 from twpw.exact import elimination_decomposition, layout_decomposition
 from twpw.fileformats import (
+    _check_tree_edges,
+    _content_lines,
+    _path_order,
     format_gr,
     format_td,
     parse_gr,
@@ -22,6 +27,7 @@ from twpw.graphs import (
     incidence_star_example,
     path_graph,
 )
+from twpw.harness import SplitMix64, random_graph
 
 
 class TestGrParsing:
@@ -221,3 +227,241 @@ def test_td_round_trip_random(seed, n, p):
         back = parse_td(format_td(d), g, kind)
         assert type(back) is type(d)
         assert tree_parts(back) == tree_parts(d)
+
+
+def python_only_forms(numeral):
+    """Forms int() reads as int(numeral) that are not numerals of the
+    formats (an optional "-" and ASCII digits): a plus sign, an
+    underscore, and Arabic-Indic digits."""
+    return ["+" + numeral, "0_" + numeral,
+            "".join(chr(0x0660 + int(c)) for c in numeral)]
+
+
+GR_TEXT = "p tw 3 2\n1 2\n2 3\n"
+TD_TEXT = "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n"
+
+
+def with_token(text, line, index, token):
+    lines = text.splitlines()
+    tokens = lines[line].split()
+    tokens[index] = token
+    lines[line] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+class TestNumerals:
+    @pytest.mark.parametrize("line, index, message", [
+        (0, 2, "non-numeric header fields"),  # n
+        (0, 3, "non-numeric header fields"),  # m
+        (2, 1, "non-numeric edge line"),  # endpoint
+    ])
+    def test_gr_refuses_python_only_forms(self, line, index, message):
+        assert parse_gr(GR_TEXT) == path_graph(3)
+        numeral = GR_TEXT.splitlines()[line].split()[index]
+        for token in python_only_forms(numeral):
+            assert int(token) == int(numeral)
+            with pytest.raises(FormatError, match=f"^{message}"):
+                parse_gr(with_token(GR_TEXT, line, index, token))
+
+    @pytest.mark.parametrize("line, index, message", [
+        (0, 2, "non-numeric header fields"),  # bags
+        (0, 3, "non-numeric header fields"),  # max bag size
+        (0, 4, "non-numeric header fields"),  # vertices
+        (2, 1, "non-numeric bag line"),  # bag id
+        (2, 3, "non-numeric bag line"),  # bag member
+        (3, 1, "non-numeric tree edge"),  # tree edge end
+    ])
+    @pytest.mark.parametrize("kind", ["tree", "path"])
+    def test_td_refuses_python_only_forms(self, line, index, message, kind):
+        g = path_graph(3)
+        assert validate(g, parse_td(TD_TEXT, g, kind)).valid
+        numeral = TD_TEXT.splitlines()[line].split()[index]
+        for token in python_only_forms(numeral):
+            assert int(token) == int(numeral)
+            with pytest.raises(FormatError, match=f"^{message}"):
+                parse_td(with_token(TD_TEXT, line, index, token), g, kind)
+
+    def test_ten_is_not_one_underscore_zero(self):
+        with pytest.raises(FormatError, match="^non-numeric header fields$"):
+            parse_gr("p tw 1_0 1\n1 1_0\n")
+
+    def test_leading_zeros_and_minus_keep_their_meaning(self):
+        assert parse_gr("p tw 03 -0\n") == Graph(range(3))
+        assert parse_gr("p tw 3 1\n01 003\n") == Graph(range(3), [(0, 2)])
+        with pytest.raises(FormatError, match="^negative counts in header$"):
+            parse_gr("p tw -3 0\n")
+        with pytest.raises(FormatError, match=r"^edge \(-1, 2\) out of range 1..3$"):
+            parse_gr("p tw 3 1\n-1 2\n")
+        g = path_graph(3)
+        with pytest.raises(FormatError, match="^bag 1 holds out-of-range vertex -2$"):
+            parse_td("s td 1 3 3\nb 1 1 -2 3\n", g)
+        with pytest.raises(FormatError, match=r"^bag id 0 out of range 1\.\.1$"):
+            parse_td("s td 1 3 3\nb -0 1 2 3\n", g)
+        with pytest.raises(FormatError, match=r"^tree edge \(1, -2\) out of range 1..2$"):
+            parse_td("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 -2\n", g)
+        d = parse_td("s td 02 2 03\nb 01 1 02\nb 2 002 3\n01 2\n", g, "path")
+        assert d.bags == (frozenset({0, 1}), frozenset({1, 2}))
+
+
+def frozen_parse_td(text, host, kind="tree"):
+    """parse_td as it was before its one-pass reading of canonical numerals,
+    frozen here as the oracle for the current parser."""
+    if kind not in ("tree", "path"):
+        raise FormatError(f"unknown decomposition kind {kind!r}")
+    lines = _content_lines(text)
+    if not lines or lines[0][:2] != ["s", "td"] or len(lines[0]) != 5:
+        raise FormatError("missing 's td <bags> <maxbagsize> <n>' header")
+    try:
+        r, maxbag, n = (int(t) for t in lines[0][2:])
+    except ValueError:
+        raise FormatError("non-numeric header fields") from None
+    if n != host.n:
+        raise FormatError(f"header announces {n} vertices, graph has {host.n}")
+    if r < 1:
+        raise FormatError("decomposition needs at least one bag")
+    ranked = [-1, *host.vertices_sorted()]
+    bags = {}
+    tree_edges = []
+    for tokens in lines[1:]:
+        if tokens[0] == "b":
+            if len(tokens) < 2:
+                raise FormatError("bag line without an id")
+            try:
+                ident = int(tokens[1])
+                members = list(map(int, tokens[2:]))
+            except ValueError:
+                raise FormatError(f"non-numeric bag line: {' '.join(tokens)!r}") from None
+            if not 1 <= ident <= r:
+                raise FormatError(f"bag id {ident} out of range 1..{r}")
+            if ident in bags:
+                raise FormatError(f"duplicate bag id {ident}")
+            if members and (min(members) < 1 or max(members) > n):
+                v = next(v for v in members if not 1 <= v <= n)
+                raise FormatError(f"bag {ident} holds out-of-range vertex {v}")
+            bags[ident] = frozenset(map(ranked.__getitem__, members))
+        else:
+            if len(tokens) != 2:
+                raise FormatError(f"bad tree edge line: {' '.join(tokens)!r}")
+            try:
+                a, b = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise FormatError(f"non-numeric tree edge: {' '.join(tokens)!r}") from None
+            if not (1 <= a <= r and 1 <= b <= r):
+                raise FormatError(f"tree edge ({a}, {b}) out of range 1..{r}")
+            tree_edges.append((a, b))
+    if len(bags) != r:
+        raise FormatError(f"header announces {r} bags, file has {len(bags)}")
+    if len(tree_edges) != r - 1:
+        raise FormatError(f"{r} bags need {r - 1} tree edges, file has {len(tree_edges)}")
+    if maxbag != max(map(len, bags.values())):
+        raise FormatError("header max bag size disagrees with the bags")
+    _check_tree_edges(tree_edges)
+    if kind == "tree":
+        tree = Graph(range(r), [(a - 1, b - 1) for a, b in tree_edges])
+        return TreeDecomposition(host, tree, {u - 1: bag for u, bag in bags.items()})
+    return PathDecomposition(host, [bags[u] for u in _path_order(r, tree_edges)])
+
+
+def python_only(token):
+    """True for a token int() reads that is not a numeral."""
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return re.fullmatch(r"-?[0-9]+", token) is None
+
+
+def parse_outcome(parse, text, host, kind):
+    """(kind of the result, its bags, its tree edges) or the error's (type,
+    message)."""
+    try:
+        d = parse(text, host, kind)
+    except ToolError as exc:
+        return type(exc), str(exc)
+    return type(d), *tree_parts(d)
+
+
+def assert_parses_as_frozen(text, host, kind):
+    got = parse_outcome(parse_td, text, host, kind)
+    want = parse_outcome(frozen_parse_td, text, host, kind)
+    if got != want:
+        # the one change: Python-only forms are refused as non-numeric
+        assert got[0] is FormatError and re.match(r"non-numeric ", got[1]), (text, got, want)
+        assert any(map(python_only, text.split())), (text, got)
+    return got
+
+
+def mutated(rng, text, n):
+    """text with one body line changed: a token replaced by an unusual
+    numeral, a member repeated, a bag emptied, the line repeated or
+    dropped, or a bag id replaced by another line's second token."""
+    lines = text.splitlines()
+    i = 1 + rng.next_below(len(lines) - 1)
+    tokens = lines[i].split()
+    kind = rng.next_below(6)
+    if kind == 0:
+        odd = ["03", "0", str(n + 1), "-2", "-0", "x", "+3", "1_0", "٣", str(len(lines))]
+        tokens[rng.next_below(len(tokens))] = odd[rng.next_below(len(odd))]
+    elif kind == 1 and tokens[0] == "b" and len(tokens) > 2:
+        tokens.append(tokens[2 + rng.next_below(len(tokens) - 2)])
+    elif kind == 2 and tokens[0] == "b":
+        del tokens[2:]
+    elif kind == 3:
+        lines.insert(i, lines[i])
+    elif kind == 4:
+        del lines[i]
+        return "\n".join(lines) + "\n"
+    elif tokens[0] == "b":
+        tokens[1] = lines[1 + rng.next_below(len(lines) - 1)].split()[:2][-1]
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+class TestParseTdAgainstFrozenOracle:
+    def test_seeded_round_trips_and_mutations(self):
+        rng = SplitMix64(53)
+        kinds_seen = set()
+        for _ in range(120):
+            n = 1 + rng.next_below(25)
+            drawn = random_graph(rng, n, 1 + rng.next_below(9))
+            g = Graph([2 * v + 5 for v in drawn.vertices],
+                      [(2 * u + 5, 2 * v + 5) for u, v in drawn.edges])
+            order = g.vertices_sorted()
+            for i in range(n - 1, 0, -1):
+                j = rng.next_below(i + 1)
+                order[i], order[j] = order[j], order[i]
+            for d in (elimination_decomposition(g, order), layout_decomposition(g, order)):
+                text = format_td(d)
+                for kind in ("tree", "path"):
+                    kinds_seen.add(assert_parses_as_frozen(text, g, kind)[0])
+                    for _ in range(3):
+                        bad = mutated(rng, text, n)
+                        kinds_seen.add(assert_parses_as_frozen(bad, g, kind)[0])
+        assert {TreeDecomposition, PathDecomposition, FormatError} <= kinds_seen
+
+    @pytest.mark.parametrize("kind", ["tree", "path"])
+    @pytest.mark.parametrize("text", [
+        "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n",
+        "s td 2 2 3\nb 1 01 2\nb 02 2 003\n1 02\n",
+        "s td 02 2 03\nb 1 1 2\nb 2 2 3\n01 2\n",
+        "s td 2 2 3\nb 1 0 2\nb 2 2 3\n1 2\n",
+        "s td 2 2 3\nb 1 1 2\nb 2 2 4\n1 2\n",
+        "s td 2 2 3\nb 1 1 -2\nb 2 2 3\n1 2\n",
+        "s td 2 2 3\nb 1 1 2 2 1\nb 2 2 3 3\n1 2\n",
+        "s td 3 2 3\nb 1 1 2\nb 2\nb 3 2 3\n1 2\n2 3\n",
+        "s td 2 2 3\nb 1 1 2\nb\nb 2 2 3\n1 2\n",
+        "s td 2 2 3\nb 0 1 2\nb 2 2 3\n1 2\n",
+        "s td 2 2 3\nb 3 1 2\nb 2 2 3\n1 2\n",
+        "s td 2 2 3\nb -1 1 2\nb 2 2 3\n1 2\n",
+        "s td 2 2 3\nb x 1 2\nb 2 2 3\n1 2\n",
+        "s td 2 2 3\nb 1 1 2\nb 1 2 3\n1 2\n",
+        "s td 2 2 3\nb 1 1 2\nb 1 2 4\n1 2\n",
+        "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 3\n",
+        "s td 2 2 3\nb 1 1 2\nb 2 2 3\n0 2\n",
+        "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2 3\n",
+        "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 +2\n",
+        "s td 2 2 3\nb 1 1 2\nb 2 2 1_0\n1 2\n",
+        "s td 9 2 3\nb 1 1 2\nb 7 2 3\n1 7\n",
+    ])
+    def test_hand_written(self, text, kind):
+        assert_parses_as_frozen(text, path_graph(3), kind)

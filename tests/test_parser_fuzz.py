@@ -3,7 +3,10 @@
 Inputs are arbitrary text, or a header and body lines built from each
 format's own vocabulary (header words, opcodes, vertex letters, product
 kinds, small, negative and huge numbers), so that most examples get past
-the header and reach the checks on the body.
+the header and reach the checks on the body.  The .gr and .td body lines
+also hold the numerals 1..n+1 of the graph in use and numerals that are
+not written as "1".."n" ("03", "-0") or are no numerals at all ("1_0",
+"+3"), so that both the one-pass reading and its checked fallback run.
 """
 
 import pytest
@@ -17,6 +20,7 @@ from twpw.operations import OPCODES
 
 SMALL = st.integers(-1, 5).map(str)
 NUMBERS = SMALL | SMALL | st.integers(-10**30, 10**30).map(str)
+ODD_NUMERALS = st.sampled_from(["1_0", "+3", "03", "-0"])
 WORDS = st.one_of(
     st.sampled_from(["p", "tw", "s", "td", "b", "c", "#", "a", "z", "d", "dv", "1.5", "٣"]),
     st.sampled_from(sorted(OPCODES)),
@@ -42,10 +46,24 @@ def document(header, body):
     return st.integers(0, 3).flatmap(lambda pick: built if pick else st.text())
 
 
-PAIRS = st.builds("{} {}".format, SMALL, SMALL)
+def ids(n):
+    """Numerals around 1..n, the ids of a graph or a tree with n nodes."""
+    return SMALL | ODD_NUMERALS | st.integers(1, n + 1).map(str)
+
+
+def pairs(n):
+    return st.builds("{} {}".format, ids(n), ids(n))
+
+
 OPCODE_LINES = lines(lead_and_args(st.sampled_from(sorted(OPCODES)), NUMBERS | WORDS))
-GR_TEXT = document(st.builds("p tw {} {}".format, SMALL, NUMBERS), lines(PAIRS))
 SCRIPT_TEXT = document(OPCODE_LINES, OPCODE_LINES)
+
+
+@st.composite
+def gr_text(draw):
+    n = draw(st.integers(0, 8))
+    header = st.builds("p tw {} {}".format, st.just(str(n)) | SMALL, NUMBERS)
+    return draw(document(header, lines(pairs(n))))
 
 
 @st.composite
@@ -53,8 +71,11 @@ def td_inputs(draw):
     """(text, host), the header's vertex count mostly the host's."""
     host = draw(HOSTS)
     n = draw(st.just(str(host.n)) | NUMBERS)
-    header = st.builds("s td {} {} {}".format, SMALL, SMALL, st.just(n))
-    return draw(document(header, lines(lead_and_args(st.just("b"), SMALL) | PAIRS))), host
+    r = draw(st.integers(1, 4))
+    header = st.builds("s td {} {} {}".format, st.just(str(r)) | SMALL, SMALL, st.just(n))
+    bag_lines = st.builds(lambda ident, members: " ".join(["b", ident, *members]),
+                          ids(r), st.lists(ids(host.n), max_size=5))
+    return draw(document(header, lines(bag_lines | pairs(r)))), host
 
 
 def value_or_tool_error(parse, *args):
@@ -65,7 +86,7 @@ def value_or_tool_error(parse, *args):
 
 
 @settings(max_examples=100, deadline=None)
-@given(GR_TEXT)
+@given(gr_text())
 def test_parse_gr_raises_only_tool_errors(text):
     value_or_tool_error(parse_gr, text)
 

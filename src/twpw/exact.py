@@ -5,26 +5,52 @@ Both solvers end in a subset dynamic program over vertex subsets
 16 vertices, but a solver layer first cuts the graph into the parts the
 kernel has to see:
 
-* Tree-width removes simplicial vertices (a vertex whose neighbors are
-  pairwise adjacent) while any is left; tw(G) = max(deg(v), tw(G - v))
-  for such a v (Bodlaender and Koster, "Safe separators for treewidth",
-  2006).  The kernel then runs on each connected component of what
-  remains, so a tree never reaches it.  The certificate is one
-  elimination order: the simplicial vertices in removal order, then each
-  component's order.
+* Tree-width, in four steps:
+
+  1. Peel: remove simplicial vertices (a vertex whose neighbors are
+     pairwise adjacent) while any is left; tw(G) = max(deg(v), tw(G - v))
+     for such a v (Bodlaender and Koster, "Safe separators for
+     treewidth", 2006).  So a tree never reaches the kernel.
+  2. Split what remains into connected components.
+  3. Bound each component of at least 9 vertices: the min-fill
+     elimination order gives an upper bound hi (Bodlaender and Koster,
+     "Treewidth computations I. Upper bounds", 2010), minor-min-width
+     with the least-c contraction rule a lower bound lo (Gogate and
+     Dechter, UAI 2004).  When lo == hi the component is settled and its
+     order is the min-fill order.  Smaller components skip this step:
+     their kernel table has at most 256 entries and costs no more than
+     the bounds, and their certificates stay the kernel's.
+  4. Run the kernel on every component left.
+
+  The certificate is one elimination order: the simplicial vertices in
+  removal order, then each component's order.
 * Path-width runs the kernel on each connected component with more than
   one vertex and concatenates the layouts.
 
-Every tie goes to the highest vertex index: the highest simplicial vertex
-is removed first, and components are taken by their lowest vertex,
-highest first.  The kernel picks the lowest index for the vertex placed
-*last* and its order is read back in reverse, so this keeps the layer's
-certificates close to the ones the kernel alone returns; a connected
-graph without simplicial vertices gets exactly the kernel's certificate.
+Every tie in the peel and the split goes to the highest vertex index:
+the highest simplicial vertex is removed first, and components are taken
+by their lowest vertex, highest first.  The kernel picks the lowest index
+for the vertex placed *last* and its order is read back in reverse, so
+this keeps the layer's certificates close to the ones the kernel alone
+returns; a connected graph of at most 8 vertices without simplicial
+vertices gets exactly the kernel's certificate.  The bounds take the
+lowest index on ties (see `_min_fill` and `_minor_min_width`).
 
-Certificates are validated before they are returned; a certificate whose
-width disagrees with the computed value is an internal inconsistency,
-never a return value.
+`WidthReport.method` is "bounds" when some component was settled by the
+bounds and none reached the kernel, and "subset-DP" otherwise.  A
+"bounds" report carries `lower_witness`, a minor script that proves the
+lower side: replayed from the graph with `minors.apply_minor_script` it
+leaves a minor of minimum degree equal to the value, and tree-width is
+at least the minimum degree and does not grow under minors.  The script
+deletes every vertex outside the component whose lower bound gives the
+value, then replays that component's contractions; when a peeled
+simplicial vertex gives the value, it deletes every vertex outside that
+vertex's clique instead.
+
+Certificates and lower witnesses are checked before they are returned; a
+certificate whose width disagrees with the computed value, or a witness
+that does not replay to a minor of that minimum degree, is an internal
+inconsistency, never a return value.
 """
 
 from __future__ import annotations
@@ -41,11 +67,14 @@ from .decomposition import (
     validate,
     width,
 )
-from .errors import CapabilityError, InconsistencyError, ParameterError
+from .errors import CapabilityError, InconsistencyError, ParameterError, ToolError
 from .graphs import Graph
+from .minors import MinorScript, apply_minor_script
 
 SOLVER_MAX_VERTICES = 16
+BOUNDS_MIN_VERTICES = 9  # smaller tree-width components go straight to the kernel
 METHOD_SUBSET_DP = "subset-DP"
+METHOD_BOUNDS = "bounds"
 
 
 @dataclass(frozen=True)
@@ -54,6 +83,7 @@ class WidthReport:
     value: int | None
     certificate: Decomposition
     method: str
+    lower_witness: MinorScript | None = None  # set exactly when method is "bounds"
 
 
 def _guard(g: Graph) -> None:
@@ -129,11 +159,26 @@ def layout_decomposition(g: Graph, order: list[int]) -> PathDecomposition:
     return PathDecomposition(g, bags)
 
 
-def _finish(g: Graph, parameter: str, value: int, cert: Decomposition) -> WidthReport:
+def _finish(g: Graph, parameter: str, value: int, cert: Decomposition,
+            lower_witness: MinorScript | None = None) -> WidthReport:
     report = validate(g, cert)
     if not report.valid or width(cert) != value:
         raise InconsistencyError(f"{parameter} certificate does not match value {value}")
-    return WidthReport(parameter, value, cert, METHOD_SUBSET_DP)
+    if lower_witness is None:
+        return WidthReport(parameter, value, cert, METHOD_SUBSET_DP)
+    _check_lower_witness(g, value, lower_witness)
+    return WidthReport(parameter, value, cert, METHOD_BOUNDS, lower_witness)
+
+
+def _check_lower_witness(g: Graph, value: int, script: MinorScript) -> None:
+    """Replay script from g; the minor it leaves must have minimum degree at
+    least value, which proves tw(g) >= value."""
+    try:
+        minor = apply_minor_script(g, script)
+    except ToolError as exc:
+        raise InconsistencyError(f"tw lower witness does not replay: {exc}") from None
+    if not minor.n or min(map(minor.degree, minor.vertices)) < value:
+        raise InconsistencyError(f"tw lower witness does not reach value {value}")
 
 
 # --- solver layer -------------------------------------------------------
@@ -231,16 +276,143 @@ def _by_components(kernel, adj: list[int], alive: int) -> tuple[int, list[int]]:
     return value, order
 
 
+def _min_fill(adj: list[int]) -> tuple[int, list[int]]:
+    """Width and order of the min-fill elimination heuristic on adj.
+
+    Each step eliminates the vertex with the smallest key (fill, degree,
+    index), where fill counts the missing edges among its neighbors, and
+    completes its neighbors into a clique.  The width of the order, the
+    largest degree a vertex has when it is eliminated, bounds the
+    tree-width from above.  (-1, []) for the empty graph.
+    """
+    adj = list(adj)
+    alive = (1 << len(adj)) - 1
+    value, order = -1, []
+    while alive:
+        best = pick = None
+        for v in _members(alive):
+            nb = adj[v]
+            # each missing edge among the neighbors is counted from both ends
+            missing = sum((nb & ~adj[u]).bit_count() - 1 for u in _members(nb))
+            key = (missing, nb.bit_count())
+            if best is None or key < best:
+                best, pick = key, v
+        nb = adj[pick]
+        value = max(value, nb.bit_count())
+        order.append(pick)
+        alive ^= 1 << pick
+        for u in _members(nb):
+            adj[u] = (adj[u] | nb) & ~(1 << u | 1 << pick)
+    return value, order
+
+
+def _minor_min_width(adj: list[int]) -> tuple[int, list[tuple]]:
+    """The minor-min-width lower bound on adj, and the steps that reach it.
+
+    Each step takes the lowest-index vertex v of minimum degree and raises
+    the bound to its degree; then it contracts v into the neighbor with the
+    fewest common neighbors, lowest index on ties, which keeps that
+    neighbor's index (or deletes v when it has no neighbor).  Every graph
+    passed through is a minor of adj, and tree-width is at least the
+    minimum degree and does not grow under minors, so the largest minimum
+    degree seen bounds the tree-width from below.  The steps are minor
+    steps ("c", v, u) and ("dv", v) over adj's indices, up to the first
+    graph whose minimum degree is the bound.  (-1, []) for the empty graph.
+    """
+    adj = list(adj)
+    alive = (1 << len(adj)) - 1
+    value, steps, reached = (0 if adj else -1), [], 0
+    while alive & (alive - 1):
+        v = min(_members(alive), key=lambda w: adj[w].bit_count())
+        nb = adj[v]
+        if nb.bit_count() > value:
+            value, reached = nb.bit_count(), len(steps)
+        alive ^= 1 << v
+        if not nb:
+            steps.append(("dv", v))
+            continue
+        u = min(_members(nb), key=lambda w: (adj[w] & nb).bit_count())
+        steps.append(("c", v, u))
+        for w in _members(nb):
+            adj[w] ^= 1 << v
+        merged = (adj[u] | nb) & ~(1 << u)
+        for w in _members(merged & ~adj[u]):
+            adj[w] |= 1 << u
+        adj[u] = merged
+    return value, steps[:reached]
+
+
+def _settle_component(masks: list[int]) -> tuple[int, list[int], list[tuple] | None]:
+    """Tree-width and an optimal order of a connected graph, and the minor
+    steps of its lower bound when the bounds meet; None for the steps when
+    the kernel decided."""
+    if len(masks) >= BOUNDS_MIN_VERTICES:
+        hi, order = _min_fill(masks)
+        lo, steps = _minor_min_width(masks)
+        if lo == hi:
+            return hi, order, steps
+    value, order = kernels.treewidth_dp(masks)
+    return value, order, None
+
+
+def _peeled_clique(masks: list[int], removed: list[int], degree: int) -> list[int]:
+    """The first peeled vertex with the given degree at its removal, with
+    its neighbors then: a clique of the graph on masks."""
+    gone = 0
+    for v in removed:
+        nb = masks[v] & ~gone
+        if nb.bit_count() == degree:
+            return _members(nb | 1 << v)
+        gone |= 1 << v
+    raise InconsistencyError(f"no peeled vertex had degree {degree}")
+
+
+def _lower_witness(ids: list[int], keep: list[int], steps: list[tuple]) -> MinorScript:
+    """Minor steps over the vertex ids: delete every vertex outside keep,
+    then replay steps, written over the indices of keep.  A contraction's
+    vertex is named as unary.contract_edge names it, one more than the
+    largest id left."""
+    names = {i: ids[v] for i, v in enumerate(keep)}
+    kept = set(names.values())
+    script = [("dv", v) for v in ids if v not in kept]
+    for step in steps:
+        if step[0] == "dv":
+            script.append(("dv", names.pop(step[1])))
+        else:
+            fresh = max(names.values()) + 1
+            script.append(("c", names.pop(step[1]), names[step[2]]))
+            names[step[2]] = fresh
+    return MinorScript(tuple(script))
+
+
 def exact_treewidth(g: Graph) -> WidthReport:
     _guard(g)
     if g.n == 0:
         return WidthReport("tw", None, trivial_tree_decomposition(g), METHOD_SUBSET_DP)
     ids = g.vertices_sorted()
-    adj = g.masks()
+    masks = g.masks()
+    adj = list(masks)
     removed, low, alive = _peel_simplicial(adj)
-    value, order = _by_components(kernels.treewidth_dp, adj, alive)
-    cert = elimination_decomposition(g, [ids[i] for i in removed + order])
-    return _finish(g, "tw", max(low, value), cert)
+    value, order = low, list(removed)
+    settled = kernel_used = False
+    lower = None  # (members, steps) of the settled component that sets value
+    # the peel leaves no isolated vertex, so every component has an edge
+    for comp in _components(adj, alive):
+        members = _members(comp)
+        part, sub, steps = _settle_component(_restrict(adj, members))
+        order.extend(members[i] for i in sub)
+        if steps is None:
+            kernel_used = True
+        else:
+            settled = True
+            if part > value:
+                lower = members, steps
+        value = max(value, part)
+    cert = elimination_decomposition(g, [ids[i] for i in order])
+    if not settled or kernel_used:
+        return _finish(g, "tw", value, cert)
+    keep, steps = lower or (_peeled_clique(masks, removed, low), [])
+    return _finish(g, "tw", value, cert, _lower_witness(ids, keep, steps))
 
 
 def exact_pathwidth(g: Graph) -> WidthReport:

@@ -285,9 +285,12 @@ def format_td(d: Decomposition) -> str:
     numerals = list(map(str, range(max(host.n, len(items)) + 1)))
     maxbag = max(len(bag) for _, bag in items)
     lines = [f"s td {len(items)} {maxbag} {host.n}"]
-    for rank, (_, bag) in enumerate(items, 1):
-        members = map(numerals.__getitem__, sorted(map(index.__getitem__, bag)))
-        lines.append(" ".join(["b", numerals[rank], *members]))
+    try:
+        for rank, (_, bag) in enumerate(items, 1):
+            members = map(numerals.__getitem__, sorted(map(index.__getitem__, bag)))
+            lines.append(" ".join(["b", numerals[rank], *members]))
+    except KeyError as exc:
+        raise ParameterError(f"bag holds vertex {exc.args[0]}, which is not in the graph") from None
     if isinstance(d, TreeDecomposition):
         edges = sorted(
             (min(node_rank[a], node_rank[b]), max(node_rank[a], node_rank[b]))

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapabilityError, FormatError, ParameterError, ScriptError
+from .fileformats import _numeral
 from .graphs import Graph, complete_graph, incidence_star_example
 
 MINOR_MAX_VERTICES = 12
@@ -38,6 +39,8 @@ def format_minor_script(script: MinorScript) -> str:
 
 
 def parse_minor_script(text: str) -> MinorScript:
+    """The steps of a script written by format_minor_script.  Ids are
+    numerals, an optional "-" and ASCII digits, read 1-based."""
     steps = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -46,9 +49,9 @@ def parse_minor_script(text: str) -> MinorScript:
         tokens = line.split()
         try:
             if tokens[0] in ("d", "c") and len(tokens) == 3:
-                steps.append((tokens[0], int(tokens[1]) - 1, int(tokens[2]) - 1))
+                steps.append((tokens[0], _numeral(tokens[1]) - 1, _numeral(tokens[2]) - 1))
             elif tokens[0] == "dv" and len(tokens) == 2:
-                steps.append(("dv", int(tokens[1]) - 1))
+                steps.append(("dv", _numeral(tokens[1]) - 1))
             else:
                 raise FormatError(f"line {lineno}: bad minor step {line!r}")
         except ValueError:

@@ -125,6 +125,15 @@ class TestTdParsing:
         assert back.bags == d.bags
         assert format_td(back) == text
 
+    @pytest.mark.parametrize("kind", ["tree", "path"])
+    def test_writer_names_a_bag_vertex_outside_the_host(self, kind):
+        g = path_graph(2)
+        bag = frozenset({0, 1, 9})
+        d = (PathDecomposition(g, [bag]) if kind == "path"
+             else TreeDecomposition(g, Graph([0]), {0: bag}))
+        with pytest.raises(ParameterError, match="vertex 9"):
+            format_td(d)
+
     def test_path_kind_rejects_branching_tree(self):
         g, d = spider_tree_decomposition()
         with pytest.raises(FormatError):

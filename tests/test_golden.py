@@ -28,6 +28,10 @@ SWEEP_CHECKS_SHA256 = (
 SWEEP_TAP_SHA256 = (
     "3aca313ede8c3923d3a9a024ba064c69e3d34e16eb52ee05607be6452035ee3b"
 )
+# the full sweep, `harness run --suite all --max-n 8 --samples 200 --seed 1`
+FULL_SWEEP_TAP_SHA256 = (
+    "3d2927ee0bc6adb3bf87cb006928caa8587f77143ca1c536ade0bdfe783956b4"
+)
 
 
 def _sha(text: str) -> str:
@@ -87,11 +91,19 @@ def test_carried_decompositions():
     assert digest.hexdigest() == CARRIED_SHA256
 
 
-def test_sweep_tap(tmp_path, capsys):
+def _sweep_tap_sha(tmp_path, capsys, samples):
     code = main(["harness", "run", "--suite", "all", "--max-n", "8",
-                 "--samples", "10", "--seed", "1", "--witness-dir", str(tmp_path)])
+                 "--samples", str(samples), "--seed", "1", "--witness-dir", str(tmp_path)])
     assert code == 0
-    assert _sha(capsys.readouterr().out) == SWEEP_TAP_SHA256
+    return _sha(capsys.readouterr().out)
+
+
+def test_sweep_tap(tmp_path, capsys):
+    assert _sweep_tap_sha(tmp_path, capsys, 10) == SWEEP_TAP_SHA256
+
+
+def test_full_sweep_tap(tmp_path, capsys):
+    assert _sweep_tap_sha(tmp_path, capsys, 200) == FULL_SWEEP_TAP_SHA256
 
 
 # a 4-cycle 0-1-2-3 with a roof vertex 4 over the edge 2-3

@@ -45,6 +45,11 @@ class TestScripts:
         with pytest.raises(FormatError):
             parse_minor_script("c 1\n")
 
+    @pytest.mark.parametrize("text", ["c +3 1_0\n", "dv 1_0\n", "d 1 \u0663\n", "dv 1.0\n"])
+    def test_ids_must_be_numerals(self, text):
+        with pytest.raises(FormatError, match="non-numeric id"):
+            parse_minor_script(text)
+
     def test_apply_names_failing_step(self):
         g = path_graph(3)
         script = MinorScript((("dv", 0), ("c", 0, 1)))

@@ -7,6 +7,8 @@ the header and reach the checks on the body.  The .gr and .td body lines
 also hold the numerals 1..n+1 of the graph in use and numerals that are
 not written as "1".."n" ("03", "-0") or are no numerals at all ("1_0",
 "+3"), so that both the one-pass reading and its checked fallback run.
+Minor scripts, which also carry tree-width lower witnesses, get step
+lines over the same ids.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from twpw.cli import parse_opscript
 from twpw.errors import ToolError
 from twpw.fileformats import parse_gr, parse_td
 from twpw.graphs import Graph, path_graph
+from twpw.minors import MinorScript, parse_minor_script
 from twpw.operations import OPCODES
 
 SMALL = st.integers(-1, 5).map(str)
@@ -57,6 +60,8 @@ def pairs(n):
 
 OPCODE_LINES = lines(lead_and_args(st.sampled_from(sorted(OPCODES)), NUMBERS | WORDS))
 SCRIPT_TEXT = document(OPCODE_LINES, OPCODE_LINES)
+MINOR_LINES = lines(lead_and_args(st.sampled_from(["d", "c", "dv", "#"]), ids(8)))
+MINOR_TEXT = document(MINOR_LINES, MINOR_LINES)
 
 
 @st.composite
@@ -102,3 +107,13 @@ def test_parse_td_raises_only_tool_errors(kind, text_and_host):
 @given(SCRIPT_TEXT)
 def test_parse_opscript_raises_only_tool_errors(text):
     value_or_tool_error(parse_opscript, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(MINOR_TEXT)
+def test_parse_minor_script_raises_only_tool_errors(text):
+    try:
+        script = parse_minor_script(text)
+    except ToolError:
+        return
+    assert isinstance(script, MinorScript)

@@ -3,10 +3,11 @@
 Operation scripts are line-oriented: one opcode plus arguments per line,
 `#` starts a comment.  Vertex arguments are 1-based ranks into the sorted
 vertex ids of the current graph, so scripts survive the renumbering that
-binary operations perform; a single letter is accepted as an alias for its
-alphabet position (a = 1).  Exit codes: 0 ok, 1 validation failure or
-internal inconsistency, 2 usage, parse or script errors, 3 capability
-guard exceeded.
+binary operations perform.  Numbers are numerals as in the file formats,
+an optional "-" and ASCII digits; a single ASCII letter is accepted as an
+alias for its alphabet position (a = 1).  Exit codes: 0 ok, 1 validation
+failure or internal inconsistency, 2 usage, parse or script errors, 3
+capability guard exceeded.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from .decomposition import (
 )
 from .errors import InconsistencyError, ParameterError, ScriptError, ToolError
 from .exact import exact_pathwidth, exact_treewidth
-from .fileformats import read_gr, read_td, write_gr, write_td
+from .fileformats import _numeral, read_gr, read_td, write_gr, write_td
 from .graphs import Graph, generate, generator_names
-from .harness import SUITES, SweepConfig, render_tap, run_suite
+from .harness import SUITES, SweepConfig, check_suites, render_tap, run_suite
 from .operations import OPCODES
 from .results import bound_width
 
@@ -40,13 +41,14 @@ class OpScript:
 
 
 def _parse_token(token: str, lineno: int) -> int:
-    if len(token) == 1 and token.isalpha():
+    """A numeral (an optional "-" and ASCII digits), or one ASCII letter
+    read as its alphabet position."""
+    if len(token) == 1 and token.isascii() and token.isalpha():
         return ord(token.lower()) - ord("a") + 1
     try:
-        value = int(token)
+        return _numeral(token)
     except ValueError:
         raise ScriptError(f"line {lineno}: bad argument {token!r}") from None
-    return value
 
 
 def parse_opscript(text: str, source: str = "<script>") -> OpScript:
@@ -234,6 +236,7 @@ def cmd_validate(args) -> int:
 def cmd_harness(args) -> int:
     cfg = SweepConfig(max_n=args.max_n, samples=args.samples, seed=args.seed)
     suites = SUITES if args.suite == "all" else (args.suite,)
+    check_suites(suites, cfg)
     checks = []
     for name in suites:
         checks.extend(run_suite(name, cfg, args.witness_dir))

@@ -31,6 +31,26 @@ def _frozen(bag: Iterable[int]) -> frozenset[int]:
     return bag if type(bag) is frozenset else frozenset(map(int, bag))
 
 
+def _parents(tree: Graph, root: int) -> dict[int, int]:
+    """The parent of every node but root, in breadth-first order from root.
+
+    One walk both checks that tree is a tree (n - 1 edges and every node
+    reached) and roots it; ParameterError when it is not a tree."""
+    parent = {root: root}
+    if tree.m == tree.n - 1:
+        adj = tree.adjacency()
+        walk = [root]
+        for u in walk:
+            for w in adj[u]:
+                if w not in parent:
+                    parent[w] = u
+                    walk.append(w)
+    if len(parent) != tree.n:
+        raise ParameterError("decomposition nodes must form a tree")
+    del parent[root]
+    return parent
+
+
 class TreeDecomposition:
     """A bag per tree node; the tree is a Graph over node ids.  The bags
     are a read-only mapping, so a validated decomposition stays valid.
@@ -42,19 +62,22 @@ class TreeDecomposition:
     violation, as it does for any id outside the host.
     """
 
-    __slots__ = ("host", "tree", "bags")
+    __slots__ = ("host", "tree", "bags", "_root", "_parent")
 
     def __init__(self, host: Graph, tree: Graph, bags: Mapping[int, Iterable[int]]):
         if tree.n == 0:
             raise ParameterError("decomposition needs at least one node")
-        if not is_tree(tree):
-            raise ParameterError("decomposition nodes must form a tree")
+        root = min(tree.vertices)
+        parent = _parents(tree, root)
         bagmap = {int(u): _frozen(bag) for u, bag in bags.items()}
         if set(bagmap) != set(tree.vertices):
             raise ParameterError("bags must be keyed exactly by the tree nodes")
         self.host = host
         self.tree = tree
         self.bags = MappingProxyType(bagmap)
+        # the tree rooted at its lowest node, for validate
+        self._root = root
+        self._parent = parent
 
     def rebag(self, host: Graph, f: Rebag) -> TreeDecomposition:
         """The same tree and node ids over host, each bag B replaced by f(B)."""
@@ -135,35 +158,69 @@ def _check_bags(
     g: Graph,
     items: list[tuple[int, frozenset[int]]],
     tag: str,
-    tree_edges: Iterable[tuple[int, int]],
+    root: int,
+    kids: Iterable[int],
+    parents: Iterable[int],
 ) -> list[Violation]:
     """The bag, <tag>-1, <tag>-2 and <tag>-3 checks over (node, bag) items
-    whose nodes tree_edges join into a tree.
+    whose tree is rooted at root, kids[i] being a child of parents[i].
 
-    One pass over the bags builds the index vertex -> holding nodes; vertex
-    cover and edge cover are read off it.  The holding nodes of a vertex
-    form a subtree exactly when |nodes| - 1 tree edges join two of them, so
-    contiguity needs one bag intersection per tree edge.  The cost is linear
-    in the size of the bags, the tree and the graph.
+    The entry set of a node is its bag less its parent's bag (the whole
+    bag at the root).  A vertex enters one node per component of the nodes
+    holding it, the component's top node, so one count over the entry sets
+    gives <tag>-1 (no entry) and <tag>-3 (two or more).  Two subtrees meet
+    exactly when the top node of one lies in the other: when a node lies
+    in both, so does the deeper of the two top nodes, which is on that
+    node's path up to the other.  So an edge uv whose ends enter once each
+    is covered exactly when v is in the bag of u's top node or u in the
+    bag of v's.  An edge at a vertex
+    that enters two or more times is covered exactly when that holds for
+    some pair of top nodes; only such edges read the top nodes of those
+    vertices, indexed for them alone.
+
+    Python steps are linear in the number of nodes, vertices and edges;
+    the work per bag member is done by set operations.
     """
     out = []
     hosted = g.vertices
-    held: dict[int, set[int]] = {v: set() for v in hosted}
+    bag_of = dict(items)
     for u, bag in items:
         if not bag <= hosted:
             out.extend(Violation("bag", (u, v)) for v in sorted(bag - hosted, key=_id_order))
-            bag = bag & hosted
-        for v in bag:
-            held[v].add(u)
-    bag_of = dict(items)
-    joined = Counter(chain.from_iterable(bag_of[a] & bag_of[b] for a, b in tree_edges))
-    vertices = g.vertices_sorted()
-    out.extend(Violation(f"{tag}-1", (v,)) for v in vertices if not held[v])
-    out.extend(Violation(f"{tag}-2", (u, v)) for u, v in g.edges_sorted()
-               if held[u].isdisjoint(held[v]))
-    out.extend(Violation(f"{tag}-3", (v,)) for v in vertices
-               if joined[v] + 1 < len(held[v]))
+            bag_of[u] = bag & hosted
+    bags = [bag_of[root], *map(bag_of.__getitem__, kids)]
+    entries = [bags[0], *map(frozenset.__sub__, bags[1:], map(bag_of.__getitem__, parents))]
+    entered = Counter(chain.from_iterable(entries))
+    # the bag of a top node of each vertex, empty for a vertex in no bag
+    top: dict[int, frozenset[int]] = dict.fromkeys(hosted, frozenset())
+    for bag, entry in zip(bags, entries):
+        top.update(dict.fromkeys(entry, bag))
+    split = {v for v, count in entered.items() if count > 1}
+    tops = _top_bags(bags, entries, split) if split else {}
+    uncovered = []
+    for e in g.edges:
+        u, v = e
+        if v in top[u] or u in top[v]:
+            continue
+        if any(v in bag for bag in tops.get(u, ())) or any(u in bag for bag in tops.get(v, ())):
+            continue
+        uncovered.append(e)
+    out.extend(Violation(f"{tag}-1", (v,)) for v in sorted(hosted.difference(entered)))
+    out.extend(Violation(f"{tag}-2", e) for e in sorted(uncovered))
+    if split:
+        out.extend(Violation(f"{tag}-3", (v,)) for v in g.vertices_sorted() if v in split)
     return out
+
+
+def _top_bags(
+    bags: list[frozenset[int]], entries: list[frozenset[int]], vertices: set[int]
+) -> dict[int, list[frozenset[int]]]:
+    """vertex -> the bags of its top nodes, for the given vertices."""
+    tops: dict[int, list[frozenset[int]]] = {v: [] for v in vertices}
+    for bag, entry in zip(bags, entries):
+        for v in entry & vertices:
+            tops[v].append(bag)
+    return tops
 
 
 def _id_order(v: object) -> tuple:
@@ -177,10 +234,11 @@ def validate(g: Graph, d: Decomposition) -> ValidationReport:
     if d.host != g:
         raise ParameterError("decomposition was built for a different graph")
     if isinstance(d, TreeDecomposition):
-        violations = _check_bags(g, d.bag_items(), "tw", d.tree.edges)
+        parent = d._parent
+        violations = _check_bags(g, d.bag_items(), "tw", d._root, parent, parent.values())
     else:
         k = len(d.bags)
-        violations = _check_bags(g, d.bag_items(), "pw", zip(range(k - 1), range(1, k)))
+        violations = _check_bags(g, d.bag_items(), "pw", 0, range(1, k), range(k - 1))
     return ValidationReport(not violations, tuple(violations))
 
 

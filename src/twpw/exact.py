@@ -96,37 +96,41 @@ def _guard(g: Graph) -> None:
 def elimination_decomposition(g: Graph, order: list[int]) -> TreeDecomposition:
     """Tree-decomposition read off an elimination order.
 
-    Eliminating v produces the bag {v} plus v's current neighbors, which
-    are then completed into a clique.  The bag node of v hangs off the bag
-    node of its earliest-eliminated remaining neighbor; vertices eliminated
-    with no remaining neighbor root their components and are chained.
+    Eliminating v produces the bag {v} plus N+(v), v's neighbors in the
+    filled graph when it is eliminated.  The bag node of v hangs off the
+    bag node of the earliest-eliminated vertex of N+(v), its parent in the
+    elimination tree; vertices with an empty N+(v) root their components
+    and are chained.  N+(v) follows from the elimination tree (Liu, "The
+    role of elimination trees in sparse factorization", 1990):
 
-    Each neighbor's row takes the clique in one set union, so the Python
-    steps are linear in the total size of the bags; the unions add up to
-    the sum of the squared bag sizes, done in C.  Each bag is frozen once,
-    and TreeDecomposition keeps it without a copy.  Checking the order
-    costs O(n log n).
+        N+(v) = (N(v) - eliminated) | union over children c of (N+(c) - {v})
+
+    that is, v's neighbors and its children's N+ sets, less every vertex
+    eliminated so far, v included.  Each N+ set is read once, by its
+    parent, so the set operations add up to the size of the graph plus the
+    total size of the bags, and the Python steps are linear in the number
+    of vertices.  Each bag is frozen once, and TreeDecomposition keeps it
+    without a copy.  Checking the order costs O(n log n).
     """
     if sorted(order) != g.vertices_sorted():
         raise ParameterError("elimination order must list every vertex once")
     pos = {v: i for i, v in enumerate(order)}
-    adj = {v: set(nb) for v, nb in g.adjacency().items()}
+    adj = g.adjacency()
+    eliminated: set[int] = set()
+    below: dict[int, list[frozenset[int]]] = {}  # the N+ sets of each vertex's children
     bags = {}
     tree_edges = []
     roots = []
     for v in order:
-        nb = adj.pop(v)
+        eliminated.add(v)
+        nb = adj[v].union(*below.pop(v, ())) - eliminated
         if nb:
-            tree_edges.append((v, min(nb, key=pos.__getitem__)))
+            parent = min(nb, key=pos.__getitem__)
+            tree_edges.append((v, parent))
+            below.setdefault(parent, []).append(nb)
         else:
             roots.append(v)
-        for a in nb:
-            row = adj[a]
-            row |= nb
-            row.discard(a)
-            row.discard(v)
-        nb.add(v)
-        bags[v] = frozenset(nb)
+        bags[v] = nb.union((v,))
     tree_edges.extend(zip(roots, roots[1:]))
     return TreeDecomposition(g, Graph(g.vertices, tree_edges), bags)
 

@@ -250,11 +250,38 @@ def _path_order(r: int, tree_edges: list[tuple[int, int]]) -> list[int]:
     """The nodes 1..r of a path-shaped tree, from its lowest-numbered end.
 
     tree_edges are r - 1 edges without loops or repeats, so they form a
-    tree exactly when they connect the nodes."""
+    tree exactly when they connect the nodes.  When no node has more than
+    two neighbors, one walk from the lowest-numbered node with at most one
+    (r - 1 edges leave one) checks the connection and gives the order.
+    Otherwise the error depends on the connection: ParameterError for
+    nodes that are not connected, else FormatError."""
     adj: list[list[int]] = [[] for _ in range(r + 1)]
     for a, b in tree_edges:
         adj[a].append(b)
         adj[b].append(a)
+    if any(len(nb) > 2 for nb in adj):
+        if not _connected(r, adj):
+            raise ParameterError("decomposition nodes must form a tree")
+        raise FormatError("decomposition tree is not path-shaped")
+    # node 0 is no bag, so it stands for "no previous node"
+    prev, u = 0, next(u for u in range(1, r + 1) if len(adj[u]) <= 1)
+    seq = [u]
+    for _ in range(r - 1):
+        nb = adj[u]
+        if len(nb) == 2:
+            prev, u = u, nb[0] if nb[0] != prev else nb[1]
+        elif nb and nb[0] != prev:  # the start of the walk
+            prev, u = u, nb[0]
+        else:  # the far end of the path holding the start
+            break
+        seq.append(u)
+    if len(seq) != r:
+        raise ParameterError("decomposition nodes must form a tree")
+    return seq
+
+
+def _connected(r: int, adj: list[list[int]]) -> bool:
+    """True when adj, over the nodes 1..r, is connected."""
     reached = {1}
     stack = [1]
     while stack:
@@ -262,35 +289,28 @@ def _path_order(r: int, tree_edges: list[tuple[int, int]]) -> list[int]:
             if w not in reached:
                 reached.add(w)
                 stack.append(w)
-    if len(reached) != r:
-        raise ParameterError("decomposition nodes must form a tree")
-    if any(len(nb) > 2 for nb in adj):
-        raise FormatError("decomposition tree is not path-shaped")
-    # an end of the path, or the only node of a one-bag tree
-    prev, u = 0, next(u for u in range(1, r + 1) if len(adj[u]) <= 1)
-    seq = [u]
-    for _ in range(r - 1):
-        nb = adj[u]
-        prev, u = u, nb[0] if nb[0] != prev else nb[-1]
-        seq.append(u)
-    return seq
+    return len(reached) == r
 
 
 def format_td(d: Decomposition) -> str:
+    """The .td text of d; vertex v of the host is written as its rank in
+    sorted order.  Each bag is sorted by vertex id and mapped through one
+    vertex -> numeral dict, so the work per bag member is done in C.
+    ParameterError names a bag vertex outside the host."""
     host = d.host
-    index = {v: i + 1 for i, v in enumerate(host.vertices_sorted())}
+    numeral = dict(zip(host.vertices_sorted(), _canonical(host.n)))
     items = d.bag_items()
     node_rank = {u: i + 1 for i, (u, _) in enumerate(items)}
-    # numerals[i] is str(i) for every bag and vertex number, made once each
-    numerals = list(map(str, range(max(host.n, len(items)) + 1)))
     maxbag = max(len(bag) for _, bag in items)
     lines = [f"s td {len(items)} {maxbag} {host.n}"]
-    try:
-        for rank, (_, bag) in enumerate(items, 1):
-            members = map(numerals.__getitem__, sorted(map(index.__getitem__, bag)))
-            lines.append(" ".join(["b", numerals[rank], *members]))
-    except KeyError as exc:
-        raise ParameterError(f"bag holds vertex {exc.args[0]}, which is not in the graph") from None
+    for rank, (_, bag) in enumerate(items, 1):
+        try:
+            members = map(numeral.__getitem__, sorted(bag))
+            lines.append(" ".join(["b", str(rank), *members]))
+        except (KeyError, TypeError):
+            # a foreign id: missing from the dict, or not comparable with ints
+            v = next(v for v in bag if v not in numeral)
+            raise ParameterError(f"bag holds vertex {v}, which is not in the graph") from None
     if isinstance(d, TreeDecomposition):
         edges = sorted(
             (min(node_rank[a], node_rank[b]), max(node_rank[a], node_rank[b]))

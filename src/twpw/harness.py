@@ -123,6 +123,14 @@ def _check_cfg(cfg: SweepConfig) -> None:
         )
 
 
+def _check_rows(rows, cfg: SweepConfig) -> None:
+    """ParameterError naming the first row whose first input needs more
+    vertices than cfg.max_n."""
+    for op in rows:
+        if cfg.max_n < op.min_n:
+            raise ParameterError(f"row {op.row} needs max_n >= {op.min_n}, got {cfg.max_n}")
+
+
 def _widths(g: Graph) -> tuple[int, int]:
     tw = exact_treewidth(g).value
     pw = exact_pathwidth(g).value
@@ -255,6 +263,7 @@ def _sample(op, rng, max_n):
 def _run_rows(prefix, rows, cfg, witness_dir) -> list[BoundCheck]:
     """Each row draws from SplitMix64(cfg.seed + its index in rows)."""
     _check_cfg(cfg)
+    _check_rows(rows, cfg)
     checks: list[BoundCheck] = []
     for index, op in enumerate(rows):
         rng = SplitMix64(cfg.seed + index)
@@ -367,6 +376,14 @@ def run_logbound(cfg: SweepConfig, witness_dir=None) -> BoundCheck:
 
 
 SUITES = ("relations", "unary", "binary", "ng", "logbound")
+
+
+def check_suites(names, cfg: SweepConfig) -> None:
+    """The errors run_suite would raise on cfg for any of the named suites,
+    raised before any of them draws."""
+    _check_cfg(cfg)
+    for name in names:
+        _check_rows({"unary": UNARY_ROWS, "binary": BINARY_ROWS}.get(name, ()), cfg)
 
 
 def run_suite(name: str, cfg: SweepConfig, witness_dir=None) -> list[BoundCheck]:

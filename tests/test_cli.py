@@ -1,3 +1,4 @@
+import re
 import resource
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import time
 
 import pytest
 
+from twpw import cli
 from twpw.cli import apply_opscript, main, parse_opscript
 from twpw.errors import ScriptError
 from twpw.fileformats import format_gr, format_td, parse_gr, read_gr, read_td
@@ -56,6 +58,19 @@ class TestParseOpscript:
     def test_bad_token(self):
         with pytest.raises(ScriptError, match="bad argument"):
             parse_opscript("delv x1\n")
+
+    @pytest.mark.parametrize("token", ["1_0", "+3", "\u0663", "1.0", "0x1"])
+    def test_numerals_are_ascii_digits_only(self, token):
+        with pytest.raises(ScriptError, match=re.escape(f"line 2: bad argument {token!r}")):
+            parse_opscript(f"inci\ndelv {token}\n")
+
+    def test_numerals_keep_their_value(self):
+        s = parse_opscript("delv 10\ndelv 007\ndelv -2\ndelv Z\n")
+        assert [args for _, _, args in s.lines] == [(10,), (7,), (-2,), (26,)]
+
+    def test_letter_alias_is_ascii_only(self):
+        with pytest.raises(ScriptError, match="bad argument"):
+            parse_opscript("delv \u00e9\n")
 
 
 class TestApplyOpscript:
@@ -297,6 +312,32 @@ class TestHarnessCommand:
         assert out.startswith("1..30\n")
         assert "\nok relations/" in out
         assert "not ok" not in out
+
+    @pytest.mark.parametrize("suite, row", [
+        ("unary", "delete-edge"), ("binary", "substitute-neighbors"), ("all", "delete-edge"),
+    ])
+    def test_rows_needing_two_vertices_refuse_max_n_1(self, tmp_path, capsys, monkeypatch,
+                                                      suite, row):
+        ran = []
+        monkeypatch.setattr(cli, "run_suite", lambda name, *rest: ran.append(name) or [])
+        code = main([
+            "harness", "run", "--suite", suite, "--max-n", "1", "--samples", "2",
+            "--witness-dir", str(tmp_path / "w"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: row {row} needs max_n >= 2, got 1\n"
+        assert ran == []  # refused before any suite ran
+
+    @pytest.mark.parametrize("suite", ["relations", "ng", "logbound"])
+    def test_suites_without_rows_run_at_max_n_1(self, tmp_path, capsys, suite):
+        code = main([
+            "harness", "run", "--suite", suite, "--max-n", "1", "--samples", "2",
+            "--witness-dir", str(tmp_path / "w"),
+        ])
+        assert code == 0
+        assert "not ok" not in capsys.readouterr().out
 
     def test_capability_guard(self, tmp_path):
         assert main([

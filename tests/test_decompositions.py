@@ -636,3 +636,119 @@ def test_certificate_builders_match_oracles(seed, n, p):
     rng = SplitMix64(seed)
     g = random_graph(rng, n, p)
     assert_builders_match_oracles(g, seeded_order(rng, g))
+
+
+def relabelled_tree(rng, k):
+    """A random_tree on k nodes whose ids are spread over 0..3k-1, so the
+    lowest node need not be 0 and node order differs from id order."""
+    t = random_tree(rng, k)
+    ids = sorted(seeded_order(rng, Graph(range(3 * k)))[:k])
+    shuffled = seeded_order(rng, Graph(ids))
+    return Graph(shuffled, [(shuffled[a], shuffled[b]) for a, b in t.edges])
+
+
+def arbitrary_decomposition(rng):
+    """A host graph and a tree- or path-decomposition whose bags are
+    arbitrary subsets of the host's vertices and up to three foreign ids,
+    so every axiom can fail, alone or together."""
+    g = random_graph(rng, 1 + rng.next_below(7), (2, 5, 8)[rng.next_below(3)])
+    pool = g.vertices_sorted() + [g.n + rng.next_below(4) for _ in range(rng.next_below(4))]
+    k = 1 + rng.next_below(8)
+    odds = 1 + rng.next_below(4)  # a member is kept with probability 1/odds
+    bags = [frozenset(v for v in pool if not rng.next_below(odds)) for _ in range(k)]
+    if rng.next_below(2):
+        return g, PathDecomposition(g, bags)
+    tree = relabelled_tree(rng, k)
+    return g, TreeDecomposition(g, tree, dict(zip(tree.vertices_sorted(), bags)))
+
+
+def top_nodes(d):
+    """vertex -> the nodes holding it whose parent, in the tree rooted at
+    its lowest node (bag i - 1 on a path), does not."""
+    if isinstance(d, PathDecomposition):
+        parent = {i: i - 1 for i in range(1, len(d.bags))}
+    else:
+        adj = d.tree.adjacency()
+        root = min(d.tree.vertices)
+        parent, stack = {root: None}, [root]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in parent:
+                    parent[w] = u
+                    stack.append(w)
+    bags = dict(d.bag_items())
+    tops = {}
+    for u, bag in bags.items():
+        above = bags[parent[u]] if parent.get(u) is not None else frozenset()
+        for v in bag - above:
+            tops.setdefault(v, []).append(u)
+    return tops
+
+
+def covered_away_from_a_top(g, d):
+    """True when some edge uv is inside a bag, v has two or more top
+    nodes, one of them does not hold u, and no top node of u holds v: a
+    check that reads one top node per vertex can miss the cover there."""
+    tops = top_nodes(d)
+    bags = dict(d.bag_items())
+    for a, b in g.edges:
+        for u, v in ((a, b), (b, a)):
+            if (len(tops.get(v, ())) > 1
+                    and any(u in bag and v in bag for bag in bags.values())
+                    and any(u not in bags[x] for x in tops[v])
+                    and not any(v in bags[x] for x in tops.get(u, ()))):
+                return True
+    return False
+
+
+def scan_validate(g, d):
+    oracle = scan_validate_tree if isinstance(d, TreeDecomposition) else scan_validate_path
+    return oracle(g, d)
+
+
+class TestValidatorOnArbitraryBags:
+    def test_every_tag_and_the_fallback_occur(self):
+        rng = SplitMix64(53)
+        tags, fallback = set(), 0
+        for _ in range(400):
+            g, d = arbitrary_decomposition(rng)
+            got = list(validate(g, d).violations)
+            assert got == scan_validate(g, d), (g.edges_sorted(), d.bag_items())
+            tags.update(v.tag for v in got)
+            fallback += covered_away_from_a_top(g, d)
+        assert tags == {"bag", "tw-1", "tw-2", "tw-3", "pw-1", "pw-2", "pw-3"}
+        assert fallback >= 20
+
+    @pytest.mark.parametrize("bags", [
+        [{0}, {0, 1}, {2}, {1}],  # 1 enters at bags 1 and 3, the edge is in bag 1
+        [{1}, {2}, {0}, {0, 1}],  # 1 enters at bags 0 and 3, the edge is in bag 3
+    ])
+    def test_edge_covered_at_one_of_two_top_nodes(self, bags):
+        g = Graph(range(3), [(0, 1)])
+        bags = [frozenset(bag) for bag in bags]
+        for d in (PathDecomposition(g, bags),
+                  TreeDecomposition(g, path_graph(4), dict(enumerate(bags)))):
+            tag = "pw" if isinstance(d, PathDecomposition) else "tw"
+            assert covered_away_from_a_top(g, d)
+            assert list(validate(g, d).violations) == [Violation(f"{tag}-3", (1,))]
+
+    @pytest.mark.parametrize("tree", [
+        Graph(range(3), [(0, 1), (1, 2), (0, 2)]),           # a cycle
+        Graph(range(4), [(0, 1), (1, 2), (0, 2)]),           # n - 1 edges, not connected
+        Graph(range(4), [(1, 2), (2, 3)]),                   # a forest, lowest node isolated
+        Graph([2, 5, 9, 11], [(2, 5), (5, 9), (9, 2)]),     # sparse ids, a triangle and 11 alone
+        Graph(range(5), [(0, 1), (2, 3), (3, 4), (4, 2)]),  # n - 1 edges, cycle elsewhere
+    ])
+    def test_non_trees_are_refused(self, tree):
+        g = path_graph(2)
+        bags = {u: frozenset({0, 1}) for u in tree.vertices}
+        with pytest.raises(ParameterError, match="^decomposition nodes must form a tree$"):
+            TreeDecomposition(g, tree, bags)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_validator_matches_scan_oracle_on_arbitrary_bags(seed):
+    g, d = arbitrary_decomposition(SplitMix64(seed))
+    assert list(validate(g, d).violations) == scan_validate(g, d)

@@ -126,12 +126,13 @@ class TestTdParsing:
         assert format_td(back) == text
 
     @pytest.mark.parametrize("kind", ["tree", "path"])
-    def test_writer_names_a_bag_vertex_outside_the_host(self, kind):
+    @pytest.mark.parametrize("foreign", [9, "x"])  # "x" does not even sort with ints
+    def test_writer_names_a_bag_vertex_outside_the_host(self, kind, foreign):
         g = path_graph(2)
-        bag = frozenset({0, 1, 9})
+        bag = frozenset({0, 1, foreign})
         d = (PathDecomposition(g, [bag]) if kind == "path"
              else TreeDecomposition(g, Graph([0]), {0: bag}))
-        with pytest.raises(ParameterError, match="vertex 9"):
+        with pytest.raises(ParameterError, match=f"vertex {foreign},"):
             format_td(d)
 
     def test_path_kind_rejects_branching_tree(self):
@@ -474,3 +475,57 @@ class TestParseTdAgainstFrozenOracle:
     ])
     def test_hand_written(self, text, kind):
         assert_parses_as_frozen(text, path_graph(3), kind)
+
+
+def reachability_path_order(r, tree_edges):
+    """_path_order as it was before the single walk: a reachability pass
+    over every node, the degree check, then the walk.  Frozen here as the
+    oracle for the current order and for which error comes first."""
+    adj = [[] for _ in range(r + 1)]
+    for a, b in tree_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    reached = {1}
+    stack = [1]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    if len(reached) != r:
+        raise ParameterError("decomposition nodes must form a tree")
+    if any(len(nb) > 2 for nb in adj):
+        raise FormatError("decomposition tree is not path-shaped")
+    prev, u = 0, next(u for u in range(1, r + 1) if len(adj[u]) <= 1)
+    seq = [u]
+    for _ in range(r - 1):
+        nb = adj[u]
+        prev, u = u, nb[0] if nb[0] != prev else nb[-1]
+        seq.append(u)
+    return seq
+
+
+class TestPathOrderAgainstReachabilityOracle:
+    def test_every_edge_list_up_to_six_nodes(self):
+        """Every set of r - 1 distinct loop-free edges over 1..r, listed
+        forwards and backwards, each edge either way round up to r = 5."""
+        from itertools import combinations
+
+        kinds = set()
+        for r in range(1, 7):
+            pairs = list(combinations(range(1, r + 1), 2))
+            for edges in combinations(pairs, r - 1):
+                for flip in range(1 << len(edges) if r <= 5 else 1):
+                    lines = [(b, a) if flip >> i & 1 else (a, b) for i, (a, b) in enumerate(edges)]
+                    for order in (lines, lines[::-1]):
+                        got = parse_outcome_of(_path_order, r, order)
+                        assert got == parse_outcome_of(reachability_path_order, r, order)
+                        kinds.add(got[0])
+        assert kinds == {list, ParameterError, FormatError}
+
+
+def parse_outcome_of(f, *args):
+    try:
+        return list, f(*args)
+    except ToolError as exc:
+        return type(exc), str(exc)

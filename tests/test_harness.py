@@ -87,6 +87,15 @@ class TestSuites:
         with pytest.raises(ParameterError):
             run_suite("relations", SweepConfig(max_n=0, samples=1))
 
+    @pytest.mark.parametrize("suite, row", [("unary", "delete-edge"),
+                                            ("binary", "substitute-neighbors")])
+    def test_rows_refuse_max_n_below_their_min_n(self, suite, row):
+        cfg = SweepConfig(max_n=1, samples=1)
+        for check in (lambda: run_suite(suite, cfg), lambda: harness.check_suites([suite], cfg)):
+            with pytest.raises(ParameterError, match=f"^row {row} needs max_n >= 2, got 1$"):
+                check()
+        harness.check_suites(["relations", "ng", "logbound"], cfg)
+
     def test_relations_pass_and_are_deterministic(self):
         cfg = SweepConfig(max_n=5, samples=8, seed=4)
         first = run_suite("relations", cfg)

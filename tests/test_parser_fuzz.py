@@ -8,7 +8,9 @@ also hold the numerals 1..n+1 of the graph in use and numerals that are
 not written as "1".."n" ("03", "-0") or are no numerals at all ("1_0",
 "+3"), so that both the one-pass reading and its checked fallback run.
 Minor scripts, which also carry tree-width lower witnesses, get step
-lines over the same ids.
+lines over the same ids, and operation scripts the same unusual numerals.
+Every parser refuses a number that is not an optional "-" and ASCII
+digits, even where int() would read it.
 """
 
 import pytest
@@ -58,7 +60,8 @@ def pairs(n):
     return st.builds("{} {}".format, ids(n), ids(n))
 
 
-OPCODE_LINES = lines(lead_and_args(st.sampled_from(sorted(OPCODES)), NUMBERS | WORDS))
+OPCODE_LINES = lines(lead_and_args(st.sampled_from(sorted(OPCODES)),
+                                   NUMBERS | WORDS | ODD_NUMERALS))
 SCRIPT_TEXT = document(OPCODE_LINES, OPCODE_LINES)
 MINOR_LINES = lines(lead_and_args(st.sampled_from(["d", "c", "dv", "#"]), ids(8)))
 MINOR_TEXT = document(MINOR_LINES, MINOR_LINES)
@@ -117,3 +120,18 @@ def test_parse_minor_script_raises_only_tool_errors(text):
     except ToolError:
         return
     assert isinstance(script, MinorScript)
+
+
+@pytest.mark.parametrize("token", ["1_0", "+3", "\u0663"])
+@pytest.mark.parametrize("parse, text", [
+    (parse_gr, "p tw 10 1\n1 {}\n"),
+    (lambda text: parse_td(text, path_graph(3)), "s td 1 3 3\nb 1 1 2 {}\n"),
+    (lambda text: parse_td(text, path_graph(3), "path"), "s td 1 3 3\nb 1 1 2 {}\n"),
+    (parse_minor_script, "dv {}\n"),
+    (parse_opscript, "delv {}\n"),
+], ids=["gr", "td-tree", "td-path", "minor", "opscript"])
+def test_unusual_numerals_are_refused(parse, text, token):
+    """Each text is valid with the token written as a plain numeral."""
+    parse(text.format("3"))
+    with pytest.raises(ToolError):
+        parse(text.format(token))

@@ -3,9 +3,10 @@
 Operation scripts are line-oriented: one opcode plus arguments per line,
 `#` starts a comment.  Vertex arguments are 1-based ranks into the sorted
 vertex ids of the current graph, so scripts survive the renumbering that
-binary operations perform.  Numbers are numerals as in the file formats,
-an optional "-" and ASCII digits; a single ASCII letter is accepted as an
-alias for its alphabet position (a = 1).  Exit codes: 0 ok, 1 validation
+binary operations perform.  Numbers, in scripts as in generator
+parameters and integer options, are numerals as in the file formats, an
+optional "-" and ASCII digits; in scripts a single ASCII letter is
+accepted as an alias for its alphabet position (a = 1).  Exit codes: 0 ok, 1 validation
 failure or internal inconsistency, 2 usage, parse or script errors, 3
 capability guard exceeded.
 """
@@ -158,7 +159,7 @@ def apply_opscript(script: OpScript, g: Graph, g2: Graph | None = None,
 
 def cmd_gen(args) -> int:
     try:
-        params = [int(p) for p in args.params[:-1]]
+        params = [_numeral(p) for p in args.params[:-1]]
     except ValueError:
         raise ParameterError(
             "generator parameters must be integers, followed by the output path"
@@ -244,6 +245,14 @@ def cmd_harness(args) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
+def _integer(token: str) -> int:
+    """An integer option's value: a numeral as in the file formats."""
+    try:
+        return _numeral(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twpw",
@@ -282,9 +291,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("harness", help="run the bound-checking sweeps")
     p.add_argument("action", choices=("run",))
     p.add_argument("--suite", choices=("all",) + SUITES, default="all")
-    p.add_argument("--max-n", type=int, default=8)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--max-n", type=_integer, default=8)
+    p.add_argument("--samples", type=_integer, default=200)
+    p.add_argument("--seed", type=_integer, default=1)
     p.add_argument("--witness-dir", default="witnesses")
     p.set_defaults(fn=cmd_harness)
 

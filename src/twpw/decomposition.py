@@ -31,24 +31,41 @@ def _frozen(bag: Iterable[int]) -> frozenset[int]:
     return bag if type(bag) is frozenset else frozenset(map(int, bag))
 
 
+def _breadth_first(adj, root: int) -> dict[int, int]:
+    """Each node reached from root -> its parent, in breadth-first order
+    from root, which is its own parent.  adj[u] holds the neighbors of u."""
+    parent = {root: root}
+    walk = [root]
+    for u in walk:
+        for w in adj[u]:
+            if w not in parent:
+                parent[w] = u
+                walk.append(w)
+    return parent
+
+
 def _parents(tree: Graph, root: int) -> dict[int, int]:
     """The parent of every node but root, in breadth-first order from root.
 
     One walk both checks that tree is a tree (n - 1 edges and every node
     reached) and roots it; ParameterError when it is not a tree."""
-    parent = {root: root}
-    if tree.m == tree.n - 1:
-        adj = tree.adjacency()
-        walk = [root]
-        for u in walk:
-            for w in adj[u]:
-                if w not in parent:
-                    parent[w] = u
-                    walk.append(w)
+    parent = _breadth_first(tree.adjacency(), root) if tree.m == tree.n - 1 else {}
     if len(parent) != tree.n:
         raise ParameterError("decomposition nodes must form a tree")
     del parent[root]
     return parent
+
+
+def _contract(adj: dict[int, set[int]], bags: dict[int, frozenset[int]],
+              drop: int, keep: int) -> None:
+    """Contract the tree edge drop-keep into keep, in place: drop's other
+    neighbors become keep's, and drop's node and bag are deleted."""
+    for w in adj[drop]:
+        adj[w].discard(drop)
+        if w != keep:
+            adj[w].add(keep)
+            adj[keep].add(w)
+    del adj[drop], bags[drop]
 
 
 class TreeDecomposition:
@@ -300,12 +317,7 @@ def remove_redundant_bags(td: TreeDecomposition) -> TreeDecomposition:
                 drop, keep = v, u
             if drop is None:
                 continue
-            for w in adj[drop]:
-                adj[w].discard(drop)
-                if w != keep:
-                    adj[w].add(keep)
-                    adj[keep].add(w)
-            del adj[drop], bags[drop]
+            _contract(adj, bags, drop, keep)
             merged = True
             break
         if not merged:

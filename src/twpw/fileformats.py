@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from typing import Union
 
-from .decomposition import Decomposition, PathDecomposition, TreeDecomposition
+from .decomposition import Decomposition, PathDecomposition, TreeDecomposition, _breadth_first
 from .errors import FormatError, ParameterError
 from .graphs import Graph, guard_size
 
@@ -54,10 +54,11 @@ def parse_gr(text: str) -> Graph:
     """The graph a .gr text describes; vertex i of the file becomes i - 1.
 
     Numerals are an optional "-" and ASCII digits.  The edge lines are
-    read in one pass through a dict of the numerals "1".."n" that
-    format_gr writes.  A text that pass cannot read (another numeral such
-    as "03", a bad line, a loop or a repeated edge) is read again by
-    _checked_edges, which raises the first fault in line order.
+    read in one pass, each through a dict of the numerals "1".."n" that
+    format_gr writes.  A line the dict cannot read (another numeral such
+    as "03", or a bad line) is checked on its own: its length, its
+    numerals, their range.  Then every line is checked for a loop and a
+    repeated edge, so the first fault is raised in line order.
     """
     lines = _content_lines(text)
     if not lines or lines[0][:2] != ["p", "tw"] or len(lines[0]) != 4:
@@ -69,41 +70,38 @@ def parse_gr(text: str) -> Graph:
     if n < 0 or m < 0:
         raise FormatError("negative counts in header")
     guard_size(n, m)
-    body = lines[1:]
     vertex = dict(zip(_canonical(n), range(n)))
-    try:
-        # a loop becomes None, a repeated edge shrinks the set
-        edges = {(u, v) if u < v else (v, u) if v < u else None
-                 for u, v in ((vertex[a], vertex[b]) for a, b in body)}
-    except (KeyError, ValueError):
-        edges = None
-    if edges is None or None in edges or len(edges) != len(body):
-        edges = _checked_edges(body, n)
+    edges: set[tuple[int, int]] = set()
+    for tokens in lines[1:]:
+        try:
+            a, b = tokens
+            u, v = vertex[a], vertex[b]
+        except (KeyError, ValueError):
+            a, b = _checked_pair(tokens, n, "edge", "non-numeric edge line")
+            u, v = a - 1, b - 1
+        if u == v:
+            raise FormatError(f"loop at vertex {u + 1}")
+        e = (u, v) if u < v else (v, u)
+        if e in edges:
+            raise FormatError(f"duplicate edge ({u + 1}, {v + 1})")
+        edges.add(e)
     if len(edges) != m:
         raise FormatError(f"header announces {m} edges, file has {len(edges)}")
     return Graph(range(n), edges)
 
 
-def _checked_edges(body: list[list[str]], n: int) -> set[tuple[int, int]]:
-    """The edges of .gr edge lines, each line checked in turn: its length,
-    its numerals, their range, then loop and repeated edge."""
-    edges = set()
-    for tokens in body:
-        if len(tokens) != 2:
-            raise FormatError(f"bad edge line: {' '.join(tokens)!r}")
-        try:
-            u, v = map(_numeral, tokens)
-        except ValueError:
-            raise FormatError(f"non-numeric edge line: {' '.join(tokens)!r}") from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise FormatError(f"edge ({u}, {v}) out of range 1..{n}")
-        if u == v:
-            raise FormatError(f"loop at vertex {u}")
-        e = (u - 1, v - 1) if u < v else (v - 1, u - 1)
-        if e in edges:
-            raise FormatError(f"duplicate edge ({u}, {v})")
-        edges.add(e)
-    return edges
+def _checked_pair(tokens: list[str], top: int, name: str, unread: str) -> tuple[int, int]:
+    """The two ends of an edge line the numeral dict could not read, checked
+    in turn: the line's length, its numerals, their range 1..top."""
+    if len(tokens) != 2:
+        raise FormatError(f"bad {name} line: {' '.join(tokens)!r}")
+    try:
+        a, b = map(_numeral, tokens)
+    except ValueError:
+        raise FormatError(f"{unread}: {' '.join(tokens)!r}") from None
+    if not (1 <= a <= top and 1 <= b <= top):
+        raise FormatError(f"{name} ({a}, {b}) out of range 1..{top}")
+    return a, b
 
 
 def format_gr(g: Graph) -> str:
@@ -142,11 +140,10 @@ def parse_td(text: str, host: Graph, kind: str = "tree") -> Decomposition:
     The body is read in one pass: bag ids and tree edge ends go through a
     dict of the numerals "1".."r", bag members through a dict from "1".."n"
     to the vertices of host, and each bag is frozen once, which the
-    decomposition keeps without a copy.  A body that pass cannot read
-    (another numeral such as "03", an id or vertex out of range, a bad or
-    repeated line) is read again by _checked_td_body, which raises the
-    first fault in line order.  The tree edges are checked in another
-    pass, so the cost is linear in the length of the text.
+    decomposition keeps without a copy.  A line those dicts cannot read
+    (another numeral such as "03", an id or vertex out of range, a bad
+    line) is checked on its own, so the first fault is raised in line
+    order.  The counts and the tree edges are checked after the body.
     """
     if kind not in ("tree", "path"):
         raise FormatError(f"unknown decomposition kind {kind!r}")
@@ -167,18 +164,23 @@ def parse_td(text: str, host: Graph, kind: str = "tree") -> Decomposition:
     node = dict(zip(_canonical(min(r, len(body))), range(1, r + 1)))
     bags: dict[int, frozenset[int]] = {}
     tree_edges: list[tuple[int, int]] = []
-    try:
-        for tokens in body:
-            if tokens[0] == "b":
-                bags[node[tokens[1]]] = frozenset(map(vertex.__getitem__, tokens[2:]))
+    for tokens in body:
+        if tokens[0] == "b":
+            try:
+                ident = node[tokens[1]]
+                bag = frozenset(map(vertex.__getitem__, tokens[2:]))
+            except (IndexError, KeyError):
+                ident, bag = _checked_bag(tokens, r, vertex, bags)
             else:
+                if ident in bags:
+                    raise FormatError(f"duplicate bag id {ident}")
+            bags[ident] = bag
+        else:
+            try:
                 a, b = tokens
                 tree_edges.append((node[a], node[b]))
-        read = len(bags) + len(tree_edges) == len(body)  # False on a repeated bag id
-    except (IndexError, KeyError, ValueError):
-        read = False
-    if not read:
-        bags, tree_edges = _checked_td_body(body, r, host)
+            except (KeyError, ValueError):
+                tree_edges.append(_checked_pair(tokens, r, "tree edge", "non-numeric tree edge"))
     if len(bags) != r:
         raise FormatError(f"header announces {r} bags, file has {len(bags)}")
     if len(tree_edges) != r - 1:
@@ -192,46 +194,29 @@ def parse_td(text: str, host: Graph, kind: str = "tree") -> Decomposition:
     return PathDecomposition(host, [bags[u] for u in _path_order(r, tree_edges)])
 
 
-def _checked_td_body(
-    body: list[list[str]], r: int, host: Graph
-) -> tuple[dict[int, frozenset[int]], list[tuple[int, int]]]:
-    """The bags and tree edges of .td body lines, each line checked in
-    turn.  A bag line: its id is present, its numerals, the id's range,
-    a repeated id, then its members' range.  A tree edge line: its length,
-    its numerals, their range."""
-    n = host.n
-    # ranked[i] is the vertex numbered i in the file; ranked[0] is never read
-    ranked = [-1, *host.vertices_sorted()]
-    bags: dict[int, frozenset[int]] = {}
-    tree_edges = []
-    for tokens in body:
-        if tokens[0] == "b":
-            if len(tokens) < 2:
-                raise FormatError("bag line without an id")
-            try:
-                ident = _numeral(tokens[1])
-                members = list(map(_numeral, tokens[2:]))
-            except ValueError:
-                raise FormatError(f"non-numeric bag line: {' '.join(tokens)!r}") from None
-            if not 1 <= ident <= r:
-                raise FormatError(f"bag id {ident} out of range 1..{r}")
-            if ident in bags:
-                raise FormatError(f"duplicate bag id {ident}")
-            if members and (min(members) < 1 or max(members) > n):
-                v = next(v for v in members if not 1 <= v <= n)
-                raise FormatError(f"bag {ident} holds out-of-range vertex {v}")
-            bags[ident] = frozenset(map(ranked.__getitem__, members))
-        else:
-            if len(tokens) != 2:
-                raise FormatError(f"bad tree edge line: {' '.join(tokens)!r}")
-            try:
-                a, b = map(_numeral, tokens)
-            except ValueError:
-                raise FormatError(f"non-numeric tree edge: {' '.join(tokens)!r}") from None
-            if not (1 <= a <= r and 1 <= b <= r):
-                raise FormatError(f"tree edge ({a}, {b}) out of range 1..{r}")
-            tree_edges.append((a, b))
-    return bags, tree_edges
+def _checked_bag(
+    tokens: list[str], r: int, vertex: dict[str, int], bags: dict[int, frozenset[int]]
+) -> tuple[int, frozenset[int]]:
+    """The id and bag of a bag line the numeral dicts could not read,
+    checked in turn: its id is present, its numerals, the id's range, a
+    repeated id, then its members' range 1..n, n being the size of vertex."""
+    if len(tokens) < 2:
+        raise FormatError("bag line without an id")
+    try:
+        ident = _numeral(tokens[1])
+        members = list(map(_numeral, tokens[2:]))
+    except ValueError:
+        raise FormatError(f"non-numeric bag line: {' '.join(tokens)!r}") from None
+    if not 1 <= ident <= r:
+        raise FormatError(f"bag id {ident} out of range 1..{r}")
+    if ident in bags:
+        raise FormatError(f"duplicate bag id {ident}")
+    try:
+        # str() of a member in 1..n is its canonical numeral
+        return ident, frozenset(vertex[str(v)] for v in members)
+    except KeyError:
+        v = next(v for v in members if not 1 <= v <= len(vertex))
+        raise FormatError(f"bag {ident} holds out-of-range vertex {v}") from None
 
 
 def _check_tree_edges(tree_edges: list[tuple[int, int]]) -> None:
@@ -250,46 +235,21 @@ def _path_order(r: int, tree_edges: list[tuple[int, int]]) -> list[int]:
     """The nodes 1..r of a path-shaped tree, from its lowest-numbered end.
 
     tree_edges are r - 1 edges without loops or repeats, so they form a
-    tree exactly when they connect the nodes.  When no node has more than
-    two neighbors, one walk from the lowest-numbered node with at most one
-    (r - 1 edges leave one) checks the connection and gives the order.
-    Otherwise the error depends on the connection: ParameterError for
-    nodes that are not connected, else FormatError."""
+    tree exactly when they connect the nodes, and some node has at most
+    one neighbor.  One breadth-first walk from the lowest-numbered such
+    node checks the connection (ParameterError) and, when no node has
+    more than two neighbors (else FormatError), is the order."""
     adj: list[list[int]] = [[] for _ in range(r + 1)]
     for a, b in tree_edges:
         adj[a].append(b)
         adj[b].append(a)
-    if any(len(nb) > 2 for nb in adj):
-        if not _connected(r, adj):
-            raise ParameterError("decomposition nodes must form a tree")
-        raise FormatError("decomposition tree is not path-shaped")
-    # node 0 is no bag, so it stands for "no previous node"
-    prev, u = 0, next(u for u in range(1, r + 1) if len(adj[u]) <= 1)
-    seq = [u]
-    for _ in range(r - 1):
-        nb = adj[u]
-        if len(nb) == 2:
-            prev, u = u, nb[0] if nb[0] != prev else nb[1]
-        elif nb and nb[0] != prev:  # the start of the walk
-            prev, u = u, nb[0]
-        else:  # the far end of the path holding the start
-            break
-        seq.append(u)
-    if len(seq) != r:
+    start = next(u for u in range(1, r + 1) if len(adj[u]) <= 1)
+    order = list(_breadth_first(adj, start))
+    if len(order) != r:
         raise ParameterError("decomposition nodes must form a tree")
-    return seq
-
-
-def _connected(r: int, adj: list[list[int]]) -> bool:
-    """True when adj, over the nodes 1..r, is connected."""
-    reached = {1}
-    stack = [1]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    return len(reached) == r
+    if any(len(nb) > 2 for nb in adj):
+        raise FormatError("decomposition tree is not path-shaped")
+    return order
 
 
 def format_td(d: Decomposition) -> str:

@@ -18,6 +18,7 @@ from .decomposition import (
     Decomposition,
     PathDecomposition,
     TreeDecomposition,
+    _contract,
     trivial_tree_decomposition,
 )
 from .errors import ParameterError
@@ -63,18 +64,11 @@ def _drop_empty_bags_tree(d: TreeDecomposition) -> TreeDecomposition:
     bags = dict(d.bags)
     # an empty bag crosses no vertex subtree, so its neighbors re-link freely
     while len(bags) > 1:
-        empties = sorted(u for u, bag in bags.items() if not bag)
+        empties = [u for u, bag in bags.items() if not bag]
         if not empties:
             break
-        u = empties[0]
-        nbrs = sorted(adj[u])
-        hub = nbrs[0]
-        for x in nbrs:
-            adj[x].discard(u)
-        for x in nbrs[1:]:
-            adj[x].add(hub)
-            adj[hub].add(x)
-        del adj[u], bags[u]
+        u = min(empties)
+        _contract(adj, bags, u, min(adj[u]))
     tree = Graph(adj, [(a, b) for a in adj for b in adj[a] if a < b])
     return TreeDecomposition(d.host, tree, bags)
 

@@ -110,6 +110,26 @@ class TestGenAndWidth:
     def test_gen_rejects_bad_params(self, tmp_path):
         assert main(["gen", "cycle", "three", str(tmp_path / "x.gr")]) == 2
 
+    @pytest.mark.parametrize("token", ["1_0", "+3", "\u0663"])
+    def test_gen_params_are_numerals(self, tmp_path, capsys, token):
+        out = tmp_path / "x.gr"
+        assert main(["gen", "path", token, str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: generator parameters must be integers, followed by the output path\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("token, code, first_line", [
+        ("3", 0, "p tw 3 2"), ("03", 0, "p tw 3 2"), ("-1", 2, None), ("-0", 2, None),
+    ])
+    def test_gen_plain_and_negative_numerals(self, tmp_path, capsys, token, code, first_line):
+        out = tmp_path / "x.gr"
+        assert main(["gen", "path", token, str(out)]) == code
+        if first_line is None:
+            assert capsys.readouterr().err == "error: path needs n >= 1\n"
+            assert not out.exists()
+        else:
+            assert out.read_text().splitlines()[0] == first_line
+
     def test_width_guard_is_capability_exit(self, tmp_path):
         g_path = gr(tmp_path, complete_graph(17))
         assert main(["width", g_path, "--param", "tw"]) == 3
@@ -338,6 +358,28 @@ class TestHarnessCommand:
         ])
         assert code == 0
         assert "not ok" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("option", ["--max-n", "--samples", "--seed"])
+    @pytest.mark.parametrize("token", ["1_0", "+3", "\u0663"])
+    def test_integer_options_are_numerals(self, tmp_path, capsys, option, token):
+        with pytest.raises(SystemExit) as exc:
+            main(["harness", "run", "--suite", "ng", option, token,
+                  "--witness-dir", str(tmp_path / "w")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {option}: invalid int value: {token!r}\n")
+
+    def test_integer_options_keep_plain_and_negative_numerals(self, tmp_path, capsys):
+        argv = ["harness", "run", "--suite", "ng", "--samples", "2",
+                "--witness-dir", str(tmp_path / "w")]
+        assert main([*argv, "--max-n", "4", "--seed", "-1"]) == 0
+        plain = capsys.readouterr().out
+        assert plain.startswith("1..")
+        assert main([*argv, "--max-n", "04", "--seed", "-01"]) == 0
+        assert capsys.readouterr().out == plain
+        assert main([*argv, "--max-n", "-1"]) == 2
+        assert capsys.readouterr().err == "error: sweep needs max_n >= 1 and samples >= 0\n"
 
     def test_capability_guard(self, tmp_path):
         assert main([

@@ -7,8 +7,6 @@ from twpw.decomposition import PathDecomposition, TreeDecomposition, validate
 from twpw.errors import CapabilityError, FormatError, ParameterError, ToolError
 from twpw.exact import elimination_decomposition, layout_decomposition
 from twpw.fileformats import (
-    _check_tree_edges,
-    _content_lines,
     _path_order,
     format_gr,
     format_td,
@@ -28,6 +26,14 @@ from twpw.graphs import (
     path_graph,
 )
 from twpw.harness import SplitMix64, random_graph
+
+from frozen_readers import (
+    content_lines,
+    frozen_check_tree_edges,
+    frozen_parse_gr,
+    frozen_two_pass_parse_td,
+    reachability_path_order,
+)
 
 
 class TestGrParsing:
@@ -315,10 +321,12 @@ class TestNumerals:
 
 def frozen_parse_td(text, host, kind="tree"):
     """parse_td as it was before its one-pass reading of canonical numerals,
-    frozen here as the oracle for the current parser."""
+    frozen here as the oracle for the current parser.  Its helpers are the
+    frozen copies in frozen_readers, so a rewrite of the parser's own helpers
+    cannot change both sides."""
     if kind not in ("tree", "path"):
         raise FormatError(f"unknown decomposition kind {kind!r}")
-    lines = _content_lines(text)
+    lines = content_lines(text)
     if not lines or lines[0][:2] != ["s", "td"] or len(lines[0]) != 5:
         raise FormatError("missing 's td <bags> <maxbagsize> <n>' header")
     try:
@@ -365,11 +373,11 @@ def frozen_parse_td(text, host, kind="tree"):
         raise FormatError(f"{r} bags need {r - 1} tree edges, file has {len(tree_edges)}")
     if maxbag != max(map(len, bags.values())):
         raise FormatError("header max bag size disagrees with the bags")
-    _check_tree_edges(tree_edges)
+    frozen_check_tree_edges(tree_edges)
     if kind == "tree":
         tree = Graph(range(r), [(a - 1, b - 1) for a, b in tree_edges])
         return TreeDecomposition(host, tree, {u - 1: bag for u, bag in bags.items()})
-    return PathDecomposition(host, [bags[u] for u in _path_order(r, tree_edges)])
+    return PathDecomposition(host, [bags[u] for u in reachability_path_order(r, tree_edges)])
 
 
 def python_only(token):
@@ -477,32 +485,40 @@ class TestParseTdAgainstFrozenOracle:
         assert_parses_as_frozen(text, path_graph(3), kind)
 
 
-def reachability_path_order(r, tree_edges):
-    """_path_order as it was before the single walk: a reachability pass
-    over every node, the degree check, then the walk.  Frozen here as the
-    oracle for the current order and for which error comes first."""
-    adj = [[] for _ in range(r + 1)]
-    for a, b in tree_edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    reached = {1}
-    stack = [1]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    if len(reached) != r:
-        raise ParameterError("decomposition nodes must form a tree")
-    if any(len(nb) > 2 for nb in adj):
-        raise FormatError("decomposition tree is not path-shaped")
-    prev, u = 0, next(u for u in range(1, r + 1) if len(adj[u]) <= 1)
-    seq = [u]
-    for _ in range(r - 1):
-        nb = adj[u]
-        prev, u = u, nb[0] if nb[0] != prev else nb[-1]
-        seq.append(u)
-    return seq
+class TestReadersAgainstTwoPassOracles:
+    """Written files with up to two lines mutated, read by the current
+    readers and by the two-pass readers they replaced: the same value or
+    the same error, Python-only forms included."""
+
+    @staticmethod
+    def mutations(rng, text, n):
+        yield text
+        for _ in range(4):
+            bad = text
+            for _ in range(1 + rng.next_below(2)):
+                if bad.count("\n") > 1:
+                    bad = mutated(rng, bad, n)
+            yield bad
+
+    def test_seeded_round_trips_and_mutations(self):
+        rng = SplitMix64(61)
+        seen = set()
+        for _ in range(150):
+            n = 1 + rng.next_below(14)
+            g = random_graph(rng, n, 1 + rng.next_below(9))
+            order = g.vertices_sorted()
+            for text in self.mutations(rng, format_gr(g), n):
+                got = parse_outcome_of(parse_gr, text)
+                assert got == parse_outcome_of(frozen_parse_gr, text), text
+                seen.add(("gr", Graph if got[0] is list else got[0]))
+            for d in (elimination_decomposition(g, order), layout_decomposition(g, order)):
+                for text in self.mutations(rng, format_td(d), n):
+                    for kind in ("tree", "path"):
+                        got = parse_outcome(parse_td, text, g, kind)
+                        assert got == parse_outcome(frozen_two_pass_parse_td, text, g, kind), text
+                        seen.add(("td", got[0]))
+        assert seen >= {("gr", Graph), ("gr", FormatError), ("td", TreeDecomposition),
+                        ("td", PathDecomposition), ("td", FormatError), ("td", ParameterError)}
 
 
 class TestPathOrderAgainstReachabilityOracle:

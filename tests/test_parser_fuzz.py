@@ -6,7 +6,9 @@ kinds, small, negative and huge numbers), so that most examples get past
 the header and reach the checks on the body.  The .gr and .td body lines
 also hold the numerals 1..n+1 of the graph in use and numerals that are
 not written as "1".."n" ("03", "-0") or are no numerals at all ("1_0",
-"+3"), so that both the one-pass reading and its checked fallback run.
+"+3"), so that the numeral dicts miss on some lines and each such line
+is checked on its own.  The .gr and .td readers are also run against their
+two-pass forms frozen in frozen_readers, which must agree on every input.
 Minor scripts, which also carry tree-width lower witnesses, get step
 lines over the same ids, and operation scripts the same unusual numerals.
 Every parser refuses a number that is not an optional "-" and ASCII
@@ -17,11 +19,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twpw.cli import parse_opscript
+from twpw.decomposition import TreeDecomposition
 from twpw.errors import ToolError
 from twpw.fileformats import parse_gr, parse_td
 from twpw.graphs import Graph, path_graph
 from twpw.minors import MinorScript, parse_minor_script
 from twpw.operations import OPCODES
+
+from frozen_readers import frozen_parse_gr, frozen_two_pass_parse_td
 
 SMALL = st.integers(-1, 5).map(str)
 NUMBERS = SMALL | SMALL | st.integers(-10**30, 10**30).map(str)
@@ -104,6 +109,33 @@ def test_parse_gr_raises_only_tool_errors(text):
 @given(td_inputs())
 def test_parse_td_raises_only_tool_errors(kind, text_and_host):
     value_or_tool_error(parse_td, *text_and_host, kind)
+
+
+def outcome(parse, *args):
+    """The value read, as comparable parts, or the error's (type, message)."""
+    try:
+        value = parse(*args)
+    except ToolError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, TreeDecomposition):
+        return type(value), dict(value.bags), frozenset(value.tree.edges)
+    if isinstance(value, Graph):
+        return type(value), value
+    return type(value), value.bags
+
+
+@settings(max_examples=300, deadline=None)
+@given(gr_text())
+def test_parse_gr_agrees_with_two_pass_reader(text):
+    assert outcome(parse_gr, text) == outcome(frozen_parse_gr, text)
+
+
+@pytest.mark.parametrize("kind", ["tree", "path"])
+@settings(max_examples=300, deadline=None)
+@given(td_inputs())
+def test_parse_td_agrees_with_two_pass_reader(kind, text_and_host):
+    text, host = text_and_host
+    assert outcome(parse_td, text, host, kind) == outcome(frozen_two_pass_parse_td, text, host, kind)
 
 
 @settings(max_examples=100, deadline=None)

@@ -21,7 +21,6 @@ from .decomposition import (
     trivial_tree_decomposition,
     validate,
     width,
-    width_within,
 )
 from .errors import (
     CapabilityError,
@@ -111,7 +110,6 @@ __all__ = [
     "trivial_tree_decomposition",
     "validate",
     "width",
-    "width_within",
     "write_gr",
     "write_td",
 ]

@@ -10,10 +10,10 @@ sorted-id order, except where an operation documents its own layout.
 
 from __future__ import annotations
 
-from .decomposition import PathDecomposition, TreeDecomposition
+from .decomposition import PathDecomposition, TreeDecomposition, width
 from .errors import ParameterError
 from .graphs import Graph
-from .results import Result, bound_width, check_host
+from .results import Result, check_host
 
 PRODUCT_KINDS = (
     "cartesian",
@@ -67,7 +67,7 @@ def disjoint_union(g1: Graph, g2: Graph, d1=None, d2=None) -> Result:
     graph = Graph(range(g1.n + g2.n), _map_edges(g1, m1) + _map_edges(g2, m2))
     if d1 is None:
         return Result(graph)
-    claimed = max(bound_width(d1), bound_width(d2))
+    claimed = max(width(d1), width(d2))
     if isinstance(d1, TreeDecomposition):
         _, e1, b1 = _mapped_tree(d1, m1.__getitem__, 0)
         _, e2, b2 = _mapped_tree(d2, m2.__getitem__, d1.tree.n)
@@ -91,8 +91,8 @@ def join(g1: Graph, g2: Graph, d1=None, d2=None) -> Result:
     graph = Graph(range(g1.n + g2.n), _map_edges(g1, m1) + _map_edges(g2, m2) + cross)
     if d1 is None:
         return Result(graph)
-    cost1 = bound_width(d1) + g2.n
-    cost2 = bound_width(d2) + g1.n
+    cost1 = width(d1) + g2.n
+    cost2 = width(d2) + g1.n
     if cost1 <= cost2:
         base, m_keep, pour = d1, m1, frozenset(m2.values())
     else:
@@ -151,8 +151,8 @@ def substitute(
 
 def _substitute_replace(graph, v, d1, d2, m2) -> Result:
     block = frozenset(m2.values())
-    cost1 = bound_width(d1) + len(block)
-    cost2 = bound_width(d2) + d1.host.n
+    cost1 = width(d1) + len(block)
+    cost2 = width(d2) + d1.host.n
     claimed = min(cost1, cost2) - 1
     if cost1 <= cost2:
         dec = d1.rebag(graph, lambda bag: (bag - {v}) | block if v in bag else bag)
@@ -167,7 +167,7 @@ def _substitute_neighbors(graph, v, nb, d1, d2, m2) -> Result:
         raise ParameterError("the neighbors combiner works on tree-decompositions")
     if not nb:
         raise ParameterError("the neighbors combiner needs a non-isolated vertex")
-    claimed = max(bound_width(d1) - 1, bound_width(d2)) + len(nb)
+    claimed = max(width(d1) - 1, width(d2)) + len(nb)
     rank1, edges1, bags1 = _mapped_tree(d1, lambda x: x, 0)
     anchor = rank1[min(u for u, bag in d1.bags.items() if v in bag)]
     bags1 = {u: (bag - {v}) | nb if v in bag else bag for u, bag in bags1.items()}
@@ -226,7 +226,7 @@ def product(kind: str, g1: Graph, g2: Graph, d1=None) -> Result:
     if d1 is None:
         return Result(graph)
     blocks = {u1: frozenset(pair[(u1, u2)] for u2 in g2.vertices) for u1 in g1.vertices}
-    claimed = (bound_width(d1) + 1) * g2.n - 1
+    claimed = (width(d1) + 1) * g2.n - 1
     dec = d1.rebag(graph, lambda bag: frozenset().union(*(blocks[x] for x in bag)))
     return Result(graph, dec, claimed)
 
@@ -255,7 +255,7 @@ def one_sum(g1: Graph, v: int, g2: Graph, w: int, d1=None, d2=None) -> Result:
     graph = Graph(vertices, edges)
     if d1 is None:
         return Result(graph)
-    claimed = max(bound_width(d1), bound_width(d2))
+    claimed = max(width(d1), width(d2))
     if isinstance(d1, TreeDecomposition):
         _, e1, b1 = _mapped_tree(d1, f1, 0)
         _, e2, b2 = _mapped_tree(d2, f2, d1.tree.n)
@@ -295,8 +295,8 @@ def corona(g1: Graph, g2: Graph, d1=None, d2=None) -> Result:
     graph = Graph(range(n1 + n1 * n2), edges)
     if d1 is None:
         return Result(graph)
-    w1 = bound_width(d1)
-    w2 = bound_width(d2)
+    w1 = width(d1)
+    w2 = width(d2)
     if n2 == 0:
         return Result(graph, d1.rebag(graph, lambda bag: frozenset(m1[x] for x in bag)), w1)
     if isinstance(d1, TreeDecomposition):

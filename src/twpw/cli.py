@@ -17,19 +17,14 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from .decomposition import (
-    PathDecomposition,
-    TreeDecomposition,
-    validate,
-    width,
-)
+from .decomposition import validate, width
 from .errors import InconsistencyError, ParameterError, ScriptError, ToolError
 from .exact import exact_pathwidth, exact_treewidth
 from .fileformats import _numeral, read_gr, read_td, write_gr, write_td
 from .graphs import Graph, generate, generator_names
 from .harness import SUITES, SweepConfig, check_suites, render_tap, run_suite
 from .operations import OPCODES
-from .results import bound_width
+from .results import Result
 
 
 # --- operation scripts ------------------------------------------------------
@@ -38,7 +33,6 @@ from .results import bound_width
 @dataclass(frozen=True)
 class OpScript:
     lines: tuple[tuple[int, str, tuple], ...]  # (line number, opcode, args)
-    source: str
 
 
 def _parse_token(token: str, lineno: int) -> int:
@@ -52,7 +46,7 @@ def _parse_token(token: str, lineno: int) -> int:
         raise ScriptError(f"line {lineno}: bad argument {token!r}") from None
 
 
-def parse_opscript(text: str, source: str = "<script>") -> OpScript:
+def parse_opscript(text: str) -> OpScript:
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -73,7 +67,7 @@ def parse_opscript(text: str, source: str = "<script>") -> OpScript:
                 )
             parsed = tuple(_parse_token(t, lineno) for t in args)
         lines.append((lineno, opcode, parsed))
-    return OpScript(tuple(lines), source)
+    return OpScript(tuple(lines))
 
 
 def read_opscript(path) -> OpScript:
@@ -82,7 +76,7 @@ def read_opscript(path) -> OpScript:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ScriptError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    return parse_opscript(text, source=str(path))
+    return parse_opscript(text)
 
 
 def _rank_to_vertex(g: Graph, rank: int, lineno: int) -> int:
@@ -106,25 +100,20 @@ def _resolve(op, args: tuple, g: Graph, g2: Graph | None, lineno: int) -> tuple:
     )
 
 
-@dataclass
-class _PipeState:
-    graph: Graph
-    carried: TreeDecomposition | PathDecomposition | None
-    claimed: int | None
-
-
 def _certificate_for(g: Graph, kind: str):
     report = exact_treewidth(g) if kind == "tree" else exact_pathwidth(g)
     return report.certificate
 
 
-def _apply(state: _PipeState, lineno: int, opcode: str, script_args: tuple,
-           g2: Graph | None, kind: str) -> None:
+def _apply(state: Result, lineno: int, opcode: str, script_args: tuple,
+           g2: Graph | None, kind: str) -> Result:
+    """The result of one script line on state; with a carried decomposition,
+    an operation that cannot carry it is refused."""
     op = OPCODES[opcode]
     graphs = (state.graph, g2)[: op.arity]
     if graphs[-1] is None:
         raise ScriptError(f"line {lineno}: {opcode} needs --graph2")
-    d1, d2 = state.carried, None
+    d1, d2 = state.decomposition, None
     if d1 is not None and op.decs == 2:
         # the second input arrives without a decomposition; solve for one
         d2 = _certificate_for(g2, kind)
@@ -137,20 +126,18 @@ def _apply(state: _PipeState, lineno: int, opcode: str, script_args: tuple,
             "drop --carry or split the pipeline"
         )
     try:
-        res = op.op(*graphs, *(d1, d2)[: op.decs], *args)
+        return op.op(*graphs, *(d1, d2)[: op.decs], *args)
     except ParameterError as exc:
         raise ScriptError(f"line {lineno}: {exc}") from exc
-    if res.decomposition is not None:
-        state.carried = res.decomposition
-        state.claimed = res.claimed_bound
-    state.graph = res.graph
 
 
 def apply_opscript(script: OpScript, g: Graph, g2: Graph | None = None,
-                   carry=None, kind: str = "tree") -> _PipeState:
-    state = _PipeState(g, carry, None if carry is None else bound_width(carry))
+                   carry=None, kind: str = "tree") -> Result:
+    """The script run over g, carrying carry when it is given: the last
+    line's result, or g with carry claimed at its own width."""
+    state = Result(g, carry, None if carry is None else width(carry))
     for lineno, opcode, args in script.lines:
-        _apply(state, lineno, opcode, args, g2, kind)
+        state = _apply(state, lineno, opcode, args, g2, kind)
     return state
 
 
@@ -173,7 +160,7 @@ def cmd_gen(args) -> int:
 def cmd_width(args) -> int:
     g = read_gr(args.graph)
     report = exact_treewidth(g) if args.param == "tw" else exact_pathwidth(g)
-    print("undefined" if report.value is None else report.value)
+    print("undefined" if report.value < 0 else report.value)
     if args.cert:
         write_td(report.certificate, args.cert)
     return 0
@@ -194,7 +181,7 @@ def cmd_apply(args) -> int:
             return 1
     state = apply_opscript(script, g, g2, carry, args.kind)
     if carry is not None:
-        report = validate(state.graph, state.carried)
+        report = validate(state.graph, state.decomposition)
         if not report.valid:
             raise InconsistencyError(
                 "pipeline produced an invalid decomposition; refusing to write"
@@ -202,8 +189,8 @@ def cmd_apply(args) -> int:
     write_gr(state.graph, args.out)
     if carry is not None:
         if args.carry_out:
-            write_td(state.carried, args.carry_out)
-        print(f"claimed {state.claimed}")
+            write_td(state.decomposition, args.carry_out)
+        print(f"claimed {state.claimed_bound}")
     return 0
 
 
@@ -228,7 +215,7 @@ def cmd_validate(args) -> int:
     report = validate(g, d)
     if report.valid:
         w = width(d)
-        print("valid" if w is None else f"valid width {w}")
+        print("valid" if w < 0 else f"valid width {w}")
         return 0
     print(_render_violations(report), end="")
     return 1

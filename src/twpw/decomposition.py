@@ -5,8 +5,9 @@ vertices such that every vertex appears in a bag, every edge is inside some
 bag, and the nodes holding any fixed vertex form a subtree.  A
 path-decomposition is the same with the tree replaced by a bag sequence;
 the subtree condition becomes contiguity of each vertex's occurrences.
-Width is the largest bag size minus one, or None when all bags are empty
-(only possible for decompositions of the empty graph).
+Width is the largest bag size minus one, so -1 when all bags are empty
+(only possible for decompositions of the empty graph): tw and pw of the
+empty graph are -1, and the bound arithmetic reads that value as it is.
 """
 
 from __future__ import annotations
@@ -145,16 +146,9 @@ class PathDecomposition:
 Decomposition = Union[TreeDecomposition, PathDecomposition]
 
 
-def width(d: Decomposition) -> int | None:
-    """Largest bag size minus one; None when every bag is empty."""
-    largest = max(len(bag) for bag in d.all_bags())
-    return None if largest == 0 else largest - 1
-
-
-def width_within(d: Decomposition, bound: int) -> bool:
-    """True when width(d) <= bound, treating undefined width as within."""
-    w = width(d)
-    return w is None or w <= bound
+def width(d: Decomposition) -> int:
+    """Largest bag size minus one; -1 when every bag is empty."""
+    return max(map(len, d.all_bags())) - 1
 
 
 @dataclass(frozen=True)

@@ -36,16 +36,19 @@ returns; a connected graph of at most 8 vertices without simplicial
 vertices gets exactly the kernel's certificate.  The bounds take the
 lowest index on ties (see `_min_fill` and `_minor_min_width`).
 
+The empty graph has tree-width and path-width -1, certified by one empty
+bag.
+
 `WidthReport.method` is "bounds" when some component was settled by the
-bounds and none reached the kernel, and "subset-DP" otherwise.  A
-"bounds" report carries `lower_witness`, a minor script that proves the
-lower side: replayed from the graph with `minors.apply_minor_script` it
-leaves a minor of minimum degree equal to the value, and tree-width is
-at least the minimum degree and does not grow under minors.  The script
-deletes every vertex outside the component whose lower bound gives the
-value, then replays that component's contractions; when a peeled
-simplicial vertex gives the value, it deletes every vertex outside that
-vertex's clique instead.
+bounds and none reached the kernel, and "subset-DP" otherwise; it is read
+off `lower_witness`, which exactly the "bounds" reports carry.  The
+witness is a minor script that proves the lower side: replayed from the
+graph with `minors.apply_minor_script` it leaves a minor of minimum
+degree equal to the value, and tree-width is at least the minimum
+degree and does not grow under minors.  The script deletes every vertex
+outside the component whose lower bound gives the value, then replays
+that component's contractions; when a peeled simplicial vertex gives the
+value, it deletes every vertex outside that vertex's clique instead.
 
 Certificates and lower witnesses are checked before they are returned; a
 certificate whose width disagrees with the computed value, or a witness
@@ -80,10 +83,13 @@ METHOD_BOUNDS = "bounds"
 @dataclass(frozen=True)
 class WidthReport:
     parameter: str  # "tw" or "pw"
-    value: int | None
+    value: int  # -1 for the empty graph
     certificate: Decomposition
-    method: str
-    lower_witness: MinorScript | None = None  # set exactly when method is "bounds"
+    lower_witness: MinorScript | None = None  # set when the bounds decided
+
+    @property
+    def method(self) -> str:
+        return METHOD_SUBSET_DP if self.lower_witness is None else METHOD_BOUNDS
 
 
 def _guard(g: Graph) -> None:
@@ -168,10 +174,9 @@ def _finish(g: Graph, parameter: str, value: int, cert: Decomposition,
     report = validate(g, cert)
     if not report.valid or width(cert) != value:
         raise InconsistencyError(f"{parameter} certificate does not match value {value}")
-    if lower_witness is None:
-        return WidthReport(parameter, value, cert, METHOD_SUBSET_DP)
-    _check_lower_witness(g, value, lower_witness)
-    return WidthReport(parameter, value, cert, METHOD_BOUNDS, lower_witness)
+    if lower_witness is not None:
+        _check_lower_witness(g, value, lower_witness)
+    return WidthReport(parameter, value, cert, lower_witness)
 
 
 def _check_lower_witness(g: Graph, value: int, script: MinorScript) -> None:
@@ -392,7 +397,7 @@ def _lower_witness(ids: list[int], keep: list[int], steps: list[tuple]) -> Minor
 def exact_treewidth(g: Graph) -> WidthReport:
     _guard(g)
     if g.n == 0:
-        return WidthReport("tw", None, trivial_tree_decomposition(g), METHOD_SUBSET_DP)
+        return WidthReport("tw", -1, trivial_tree_decomposition(g))
     ids = g.vertices_sorted()
     masks = g.masks()
     adj = list(masks)
@@ -422,7 +427,7 @@ def exact_treewidth(g: Graph) -> WidthReport:
 def exact_pathwidth(g: Graph) -> WidthReport:
     _guard(g)
     if g.n == 0:
-        return WidthReport("pw", None, trivial_path_decomposition(g), METHOD_SUBSET_DP)
+        return WidthReport("pw", -1, trivial_path_decomposition(g))
     ids = g.vertices_sorted()
     value, layout = _by_components(kernels.pathwidth_dp, g.masks(), (1 << g.n) - 1)
     cert = layout_decomposition(g, [ids[i] for i in layout])

@@ -7,7 +7,7 @@ be represented.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Iterator, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .errors import CapabilityError, ParameterError
 

@@ -131,10 +131,11 @@ def _check_rows(rows, cfg: SweepConfig) -> None:
             raise ParameterError(f"row {op.row} needs max_n >= {op.min_n}, got {cfg.max_n}")
 
 
-def _widths(g: Graph) -> tuple[int, int]:
-    tw = exact_treewidth(g).value
-    pw = exact_pathwidth(g).value
-    return (-1 if tw is None else tw), (-1 if pw is None else pw)
+def _solve(g: Graph):
+    """((tw, tree certificate), (pw, path certificate)) of g."""
+    twr = exact_treewidth(g)
+    pwr = exact_pathwidth(g)
+    return (twr.value, twr.certificate), (pwr.value, pwr.certificate)
 
 
 def _write_witness(witness_dir, name, graphs, decs, transcript) -> tuple[str, ...]:
@@ -160,37 +161,38 @@ def run_relation_suite(cfg: SweepConfig, witness_dir=None) -> list[BoundCheck]:
     checks: list[BoundCheck] = []
     for s in range(cfg.samples):
         g = sample_graph(rng, cfg.max_n)
-        tw, pw = _widths(g)
+        (tw, _), (pw, _) = _solve(g)
         inv = graph_invariants(g)
         n, m = g.n, g.m
+        # every relation reads lhs <= rhs
         rows = [
-            ("tw-le-pw", tw, pw, "<="),
-            ("clique-tw", inv.clique_number - 1, tw, "<="),
-            ("chrom-tw", inv.chromatic_number, tw + 1, "<="),
-            ("chrom-pw", inv.chromatic_number, pw + 1, "<="),
-            ("indep-tw", inv.independence_number + tw, n, "<="),
-            ("indep-pw", inv.independence_number + pw, n, "<="),
-            ("conn-tw", inv.vertex_connectivity, tw, "<="),
-            ("conn-pw", inv.vertex_connectivity, pw, "<="),
-            ("edges-tw", m, tw * n - tw * (tw + 1) // 2, "<="),
-            ("edges-pw", m, pw * n - pw * (pw + 1) // 2, "<="),
+            ("tw-le-pw", tw, pw),
+            ("clique-tw", inv.clique_number - 1, tw),
+            ("chrom-tw", inv.chromatic_number, tw + 1),
+            ("chrom-pw", inv.chromatic_number, pw + 1),
+            ("indep-tw", inv.independence_number + tw, n),
+            ("indep-pw", inv.independence_number + pw, n),
+            ("conn-tw", inv.vertex_connectivity, tw),
+            ("conn-pw", inv.vertex_connectivity, pw),
+            ("edges-tw", m, tw * n - tw * (tw + 1) // 2),
+            ("edges-pw", m, pw * n - pw * (pw + 1) // 2),
         ]
         # edge-density width bound m/5.769 + O(log n): the additive term is
         # unspecified, so report it in the detail and never assert it
         advisory = f"advisory width <= m/5.769 = {m / 5.769:.2f} + O(log n)"
-        for rule, lhs, rhs, rel in rows:
-            passed = lhs <= rhs if rel == "<=" else lhs == rhs
+        for rule, lhs, rhs in rows:
+            passed = lhs <= rhs
             name = f"relations/{rule}/s{s:03d}"
             detail = advisory if rule.startswith("edges-") else ""
             witness = ()
             if not passed:
                 witness = _write_witness(
                     witness_dir, name, {"input": g}, {},
-                    [f"{rule}: {lhs} {rel} {rhs} failed",
+                    [f"{rule}: {lhs} <= {rhs} failed",
                      f"tw={tw} pw={pw} {inv}", advisory],
                 )
             checks.append(
-                BoundCheck(name, lhs, rhs, rel, passed, detail=detail, witness=witness)
+                BoundCheck(name, lhs, rhs, "<=", passed, detail=detail, witness=witness)
             )
     checks.sort(key=lambda c: c.name)
     return checks
@@ -206,8 +208,7 @@ def _eval_param(res, carried, table, lower, exactw, relation, kind):
         report = validate(res, carried.decomposition)
         if not report.valid:
             return False, f"{kind} carried decomposition invalid: {report.violations[:3]}"
-        w = width(carried.decomposition)
-        got = -1 if w is None else w
+        got = width(carried.decomposition)
         if got > carried.claimed_bound:
             return False, f"{kind} carried width {got} exceeds claim {carried.claimed_bound}"
         if carried.claimed_bound > table:
@@ -222,13 +223,6 @@ def _eval_param(res, carried, table, lower, exactw, relation, kind):
     return True, ""
 
 
-def _certificates(g: Graph):
-    """((tw, tree certificate), (pw, path certificate)) of g."""
-    twr = exact_treewidth(g)
-    pwr = exact_pathwidth(g)
-    return (twr.value, twr.certificate), (pwr.value, pwr.certificate)
-
-
 def _sample(op, rng, max_n):
     """One sample of a row: its first input, the result graph, a (param,
     carried result or None, bound) cell per parameter and a transcript
@@ -241,7 +235,7 @@ def _sample(op, rng, max_n):
     caps = [max_n] if op.arity == 1 else [min(max_n, cap) for cap in op.caps]
     graphs = [sample_graph(rng, caps[0], op.min_n, op.predicate)]
     graphs += [sample_graph(rng, cap) for cap in caps[1:]]
-    solved = [_certificates(g) for g in graphs]
+    solved = [_solve(g) for g in graphs]
     args = op.pick(rng, *graphs)
     result, cells = None, []
     for param, per_input in zip(("tw", "pw"), zip(*solved)):
@@ -269,7 +263,7 @@ def _run_rows(prefix, rows, cfg, witness_dir) -> list[BoundCheck]:
         rng = SplitMix64(cfg.seed + index)
         for s in range(cfg.samples):
             g, result, cells, transcript = _sample(op, rng, cfg.max_n)
-            exact = dict(zip(("tw", "pw"), _widths(result)))
+            exact = {param: w for param, (w, _) in zip(("tw", "pw"), _solve(result))}
             for param, carried, bound in cells:
                 # no bound: the sweep claims nothing beyond the exact width
                 table, lower, rel = bound or (exact[param], -1, "<=")
@@ -310,8 +304,8 @@ def run_nordhaus_gaddum(cfg: SweepConfig, witness_dir=None) -> BoundCheck:
     for s in range(cfg.samples):
         g = sample_graph(rng, cfg.max_n)
         co = unary.edge_complement(g).graph
-        for kind, solve in (("tw", exact_treewidth), ("pw", exact_pathwidth)):
-            total = solve(g).value + solve(co).value
+        for kind, (w, _), (wco, _) in zip(("tw", "pw"), _solve(g), _solve(co)):
+            total = w + wco
             margin = total - (g.n - 2)
             if worst is None or margin < worst[0]:
                 worst = (margin, total, g.n - 2, kind, g, s)
@@ -347,12 +341,9 @@ def run_logbound(cfg: SweepConfig, witness_dir=None) -> BoundCheck:
     failures = []
     for s in range(cfg.samples):
         g = sample_graph(rng, cfg.max_n)
-        twr = exact_treewidth(g)
-        pw = exact_pathwidth(g).value
-        bound = log_path_bound(twr.value, g.n)
-        rewritten = tree_to_path(g, twr.certificate)
-        rw = width(rewritten)
-        rw = -1 if rw is None else rw
+        (tw, tree), (pw, _) = _solve(g)
+        bound = log_path_bound(tw, g.n)
+        rw = width(tree_to_path(g, tree))
         for kind, got in (("exact", pw), ("rewritten", rw)):
             margin = bound - got
             if worst is None or margin < worst[0]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import CapabilityError, FormatError, ParameterError, ScriptError
 from .fileformats import _numeral
-from .graphs import Graph, complete_graph, incidence_star_example
+from .graphs import Graph, complete_graph, fresh_id, incidence_star_example
 
 MINOR_MAX_VERTICES = 12
 
@@ -167,7 +167,7 @@ def _script_from_branch_sets(
         alive = set(branch)
         while len(alive) > 1:
             u, v = min((u, v) for u in alive for v in alive if u < v and cur.has_edge(u, v))
-            z = max(cur.vertices) + 1
+            z = fresh_id(cur)  # the vertex contract_edge fuses u and v into
             steps.append(("c", u, v))
             cur = unary.contract_edge(cur, u, v).graph
             alive -= {u, v}

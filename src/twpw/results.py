@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import Decomposition, width
+from .decomposition import Decomposition
 from .errors import ParameterError
 from .graphs import Graph
 
@@ -19,13 +19,6 @@ class Result:
     graph: Graph
     decomposition: Decomposition | None = None  # None: nothing was carried
     claimed_bound: int | None = None
-
-
-def bound_width(d: Decomposition) -> int:
-    """The width of d as bound arithmetic reads it: the empty decomposition
-    counts as -1."""
-    w = width(d)
-    return -1 if w is None else w
 
 
 def check_host(g: Graph, d: Decomposition | None) -> None:

@@ -20,10 +20,11 @@ from .decomposition import (
     TreeDecomposition,
     _contract,
     trivial_tree_decomposition,
+    width,
 )
 from .errors import ParameterError
 from .graphs import Graph, fresh_id, is_forest, max_degree
-from .results import Result, bound_width, check_host
+from .results import Result, check_host
 
 
 def _require_vertex(g: Graph, v: int) -> None:
@@ -41,7 +42,7 @@ def _carry(g2: Graph, d: Decomposition | None, f, extra: int = 0) -> Result:
     width(d) + extra."""
     if d is None:
         return Result(g2)
-    return Result(g2, d.rebag(g2, f), bound_width(d) + extra)
+    return Result(g2, d.rebag(g2, f), width(d) + extra)
 
 
 def _hang_bags(d: TreeDecomposition, g2: Graph, leaves) -> TreeDecomposition:
@@ -81,9 +82,9 @@ def delete_vertex(g: Graph, v: int, d: Decomposition | None = None) -> Result:
         return Result(g2)
     stripped = d.rebag(g2, lambda bag: bag - {v})
     if isinstance(stripped, TreeDecomposition):
-        return Result(g2, _drop_empty_bags_tree(stripped), bound_width(d))
+        return Result(g2, _drop_empty_bags_tree(stripped), width(d))
     kept = [bag for bag in stripped.bags if bag] or [frozenset()]
-    return Result(g2, PathDecomposition(g2, kept), bound_width(d))
+    return Result(g2, PathDecomposition(g2, kept), width(d))
 
 
 def add_vertex(g: Graph, neighbors, v: int | None = None,
@@ -102,7 +103,7 @@ def add_vertex(g: Graph, neighbors, v: int | None = None,
         (u,) = nb
         anchor = min(node for node, bag in d.bags.items() if u in bag)
         dec = _hang_bags(d, g2, [(anchor, frozenset({u, v}))])
-        return Result(g2, dec, max(bound_width(d), 1))
+        return Result(g2, dec, max(width(d), 1))
     return _carry(g2, d, lambda bag: bag | {v}, 1)
 
 
@@ -170,7 +171,7 @@ def identify_vertices(g: Graph, v: int, w: int, d: Decomposition | None = None) 
     g2, z = _merge(g, v, w)
     if d is None:
         return Result(g2)
-    claimed = bound_width(d) + 1
+    claimed = width(d) + 1
     if isinstance(d, TreeDecomposition):
         bags = {u: _rename_pair(bag, v, w, z) for u, bag in d.bags.items()}
         marked = {u for u, bag in bags.items() if z in bag}
@@ -249,7 +250,7 @@ def subdivide_edge(g: Graph, v: int, w: int, d: Decomposition | None = None) -> 
     g2 = Graph(g.vertices | {u}, edges)
     if d is None:
         return Result(g2)
-    wd = bound_width(d)
+    wd = width(d)
     if isinstance(d, TreeDecomposition):
         if is_forest(g):
             return Result(g2, forest_decomposition(g2), 1)
@@ -282,7 +283,7 @@ def incidence_graph(g: Graph, d: Decomposition | None = None) -> Result:
     g2 = Graph(g.vertices | set(ids.values()), edges)
     if d is None:
         return Result(g2)
-    wd = bound_width(d)
+    wd = width(d)
     if isinstance(d, TreeDecomposition):
         if is_forest(g):
             return Result(g2, forest_decomposition(g2), max(wd, 1))
@@ -336,7 +337,7 @@ def graph_power(g: Graph, r: int, d: Decomposition | None = None) -> Result:
         return Result(g2)
     adj2 = g2.adjacency()
     reach = power_degree_bound(g, r) if g.n else 0
-    claimed = (bound_width(d) + 1) * (1 + reach) - 1
+    claimed = (width(d) + 1) * (1 + reach) - 1
     # each bag grows by the G^r-neighbors of its members
     grow = lambda bag: bag.union(*(adj2[v] for v in bag))
     return Result(g2, d.rebag(g2, grow), claimed)
@@ -378,7 +379,7 @@ def line_graph(g: Graph, d: Decomposition | None = None) -> Result:
     if d is None:
         return Result(g2)
     ids = line_graph_edge_ids(g)
-    claimed = (bound_width(d) + 1) * max_degree(g) - 1
+    claimed = (width(d) + 1) * max_degree(g) - 1
     incident = lambda bag: frozenset(x for e, x in ids.items() if e[0] in bag or e[1] in bag)
     return Result(g2, d.rebag(g2, incident), claimed)
 

@@ -184,8 +184,6 @@ def test_criterion_5_obstruction_classifiers():
     for g in all_graphs_up_to(6):
         tw = exact_treewidth(g).value
         pw = exact_pathwidth(g).value
-        tw = -1 if tw is None else tw
-        pw = -1 if pw is None else pw
         for k in (1, 2):
             answer, script = classify_treewidth_le(g, k)
             if answer != (tw <= k):
@@ -291,7 +289,6 @@ def test_criterion_8_path_decompositions_within_log_bound():
             failures.append(f"tree_to_path invalid on sample {s}")
             continue
         w = width(pd)
-        w = -1 if w is None else w
         if w > log_path_bound(report.value, g.n) + _SLACK:
             failures.append(
                 f"sample {s}: width {w} above bound "

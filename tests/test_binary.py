@@ -25,8 +25,7 @@ def certs(g):
 
 def check_carried(host, carried):
     assert is_valid(host, carried.decomposition)
-    w = width(carried.decomposition)
-    assert (-1 if w is None else w) <= carried.claimed_bound
+    assert width(carried.decomposition) <= carried.claimed_bound
 
 
 def seeded_pairs(seed, count, max_n, min_n=1):

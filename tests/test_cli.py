@@ -320,6 +320,47 @@ class TestApply:
         assert main(["apply", g_path, s_path, str(tmp_path / "o.gr")]) == 2
 
 
+EMPTY_TD = "s td 1 0 0\nb 1\n"
+
+
+class TestEmptyGraph:
+    """The width of the empty graph is -1; the commands print it as words
+    where they print a width, and as -1 where they print a claim."""
+
+    @pytest.fixture
+    def empty(self, tmp_path):
+        path = tmp_path / "e.gr"
+        assert main(["gen", "empty", str(path)]) == 0
+        assert path.read_text() == "p tw 0 0\n"
+        return str(path)
+
+    @pytest.mark.parametrize("param", ["tw", "pw"])
+    def test_width_is_undefined_with_one_empty_bag(self, tmp_path, capsys, empty, param):
+        cert = tmp_path / "e.td"
+        assert main(["width", empty, "--param", param, "--cert", str(cert)]) == 0
+        assert capsys.readouterr().out == "undefined\n"
+        assert cert.read_text() == EMPTY_TD
+
+    @pytest.mark.parametrize("kind", ["tree", "path"])
+    def test_validate_prints_valid(self, tmp_path, capsys, empty, kind):
+        td_path = write(tmp_path / "e.td", EMPTY_TD)
+        flags = [] if kind == "tree" else ["--kind", kind]
+        assert main(["validate", empty, td_path, *flags]) == 0
+        assert capsys.readouterr().out == "valid\n"
+
+    @pytest.mark.parametrize("kind", ["tree", "path"])
+    @pytest.mark.parametrize("script, claimed", [("addv\n", 0), ("# nothing\n", -1)])
+    def test_apply_carry_claims(self, tmp_path, capsys, empty, kind, script, claimed):
+        td_path = write(tmp_path / "e.td", EMPTY_TD)
+        s_path = write(tmp_path / "s.ops", script)
+        out = str(tmp_path / "o.gr")
+        cout = str(tmp_path / "o.td")
+        assert main(["apply", empty, s_path, out, "--carry", td_path,
+                     "--carry-out", cout, "--kind", kind]) == 0
+        assert capsys.readouterr().out == f"claimed {claimed}\n"
+        assert main(["validate", out, cout, "--kind", kind]) == 0
+
+
 class TestHarnessCommand:
     def test_tap_output_and_exit(self, tmp_path, capsys):
         code = main([

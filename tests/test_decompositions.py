@@ -19,7 +19,6 @@ from twpw.decomposition import (
     Violation,
     validate,
     width,
-    width_within,
 )
 from twpw.errors import InconsistencyError, ParameterError, ToolError
 from twpw.exact import (
@@ -72,13 +71,13 @@ class TestWidth:
 
     def test_width_of_all_empty_bags_is_undefined(self):
         d = PathDecomposition(Graph(), [frozenset()])
-        assert width(d) is None
-        assert width_within(d, -1)
+        assert width(d) == -1
+        assert width(d) <= -1
 
     def test_width_within(self):
         g, d = spider_path_fixture()
-        assert width_within(d, 2)
-        assert not width_within(d, 1)
+        assert width(d) <= 2
+        assert not width(d) <= 1
 
 
 class TestConstruction:

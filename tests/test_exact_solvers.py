@@ -156,10 +156,10 @@ class TestCertificates:
 
     def test_empty_graph(self):
         rep = exact_treewidth(Graph())
-        assert rep.value is None
+        assert rep.value == -1
         assert is_valid(Graph(), rep.certificate)
         rep = exact_pathwidth(Graph())
-        assert rep.value is None
+        assert rep.value == -1
 
 
 class TestGuards:

@@ -10,7 +10,7 @@ from twpw.errors import ParameterError
 from twpw.exact import exact_pathwidth, exact_treewidth
 from twpw.graphs import Graph, path_graph
 from twpw.harness import SplitMix64, random_graph, sample_graph
-from twpw.operations import OPERATIONS
+from twpw.operations import OPCODES, OPERATIONS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -89,6 +89,41 @@ def test_carried_decomposition_keeps_its_kind(op, kind, seed):
             if op.decs:
                 with pytest.raises(ParameterError):
                     op.op(*graphs, *certs, *args)
+
+
+EMPTY = Graph()
+P3 = path_graph(3)
+
+
+PAIRS = {"empty-empty": [EMPTY, EMPTY], "empty-P3": [EMPTY, P3], "P3-empty": [P3, EMPTY]}
+
+
+@pytest.mark.parametrize("opcode, graphs, args", [
+    pytest.param("addv", [EMPTY], ([],), id="addv"),
+    pytest.param("inci", [EMPTY], (), id="inci"),
+    pytest.param("power", [EMPTY], (2,), id="power"),
+    pytest.param("linegraph", [EMPTY], (), id="linegraph"),
+    *(pytest.param(opcode, pair, args, id=f"{opcode}-{name}")
+      for opcode, args in (("dunion", ()), ("join", ()), ("prod", ("lexicographic",)))
+      for name, pair in PAIRS.items()),
+    pytest.param("corona", PAIRS["P3-empty"], (), id="corona-P3-empty"),
+])
+@KINDS
+def test_empty_graph_carries_within_its_claim(opcode, graphs, args, kind):
+    """The empty graph's certificate, width -1, goes through every carrying
+    record that accepts it into a valid decomposition within the claim."""
+    op = OPCODES[opcode]
+    certs = [_certificate(g, kind) for g in graphs][: op.decs]
+    res = op.op(*graphs, *certs, *args)
+    assert validate(res.graph, res.decomposition).valid
+    assert max(map(len, res.decomposition.all_bags())) - 1 <= res.claimed_bound
+
+
+@KINDS
+def test_corona_refuses_an_empty_first_graph(kind):
+    certs = [_certificate(g, kind) for g in (EMPTY, P3)]
+    with pytest.raises(ParameterError, match="nonempty first graph"):
+        OPCODES["corona"].op(EMPTY, P3, *certs)
 
 
 HOUSE = Graph(range(5), [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (3, 4)])

@@ -2,13 +2,20 @@
 
 Inputs are arbitrary text, or a header and body lines built from each
 format's own vocabulary (header words, opcodes, vertex letters, product
-kinds, small, negative and huge numbers), so that most examples get past
-the header and reach the checks on the body.  The .gr and .td body lines
-also hold the numerals 1..n+1 of the graph in use and numerals that are
-not written as "1".."n" ("03", "-0") or are no numerals at all ("1_0",
-"+3"), so that the numeral dicts miss on some lines and each such line
-is checked on its own.  The .gr and .td readers are also run against their
-two-pass forms frozen in frozen_readers, which must agree on every input.
+kinds, small, negative and huge numbers).  The .gr and .td texts are
+mostly well formed: the edge lines of a drawn graph, or the bag lines and
+tree edges of a drawn tree over the host, in a drawn order, under a
+header that holds their counts.  Some of their lines are replaced or
+joined by odd ones, some headers have one count changed and some texts
+are arbitrary, so that most examples get past the header, reach the
+checks on the body and meet them in any order, and some get through them.
+The odd .gr and .td body lines also hold the numerals 1..n+1 of the graph
+in use and numerals that are not written as "1".."n" ("03", "-0") or are
+no numerals at all ("1_0", "+3"), and a well-formed line is now and then
+written with "03" for "3", so that the numeral dicts miss on some lines
+and each such line is checked on its own.  The .gr and .td readers are
+also run against their two-pass forms frozen in frozen_readers, which
+must agree on every input.
 Minor scripts, which also carry tree-width lower witnesses, get step
 lines over the same ids, and operation scripts the same unusual numerals.
 Every parser refuses a number that is not an optional "-" and ASCII
@@ -72,23 +79,73 @@ MINOR_LINES = lines(lead_and_args(st.sampled_from(["d", "c", "dv", "#"]), ids(8)
 MINOR_TEXT = document(MINOR_LINES, MINOR_LINES)
 
 
+def numeral(v):
+    """v as a numeral the readers' dicts hold, or now and then as one they
+    miss ("03") and check on its own."""
+    return st.sampled_from([str(v), str(v), str(v), f"0{v}"])
+
+
+def header_of(draw, lead, counts):
+    """The header "lead counts..."; when a draw from 0..4 gives 4, one
+    count is changed to a drawn token."""
+    tokens = [*lead, *map(str, counts)]
+    if draw(st.integers(0, 4)) == 4:
+        tokens[len(lead) + draw(st.integers(0, len(counts) - 1))] = draw(NUMBERS | WORDS)
+    return " ".join(tokens)
+
+
+def body_of(draw, good, odd):
+    """The lines of good in a drawn order, with up to two of them replaced
+    by, and up to two more inserted from, the drawn odd lines."""
+    body = list(draw(st.permutations(good)))
+    for _ in range(draw(st.integers(0, 2)) if body else 0):
+        body[draw(st.integers(0, len(body) - 1))] = draw(odd)
+    for _ in range(draw(st.integers(0, 2))):
+        body.insert(draw(st.integers(0, len(body))), draw(odd))
+    return body
+
+
+def text_or_any(draw, header, body):
+    """The header and body lines, or arbitrary text when a draw from 0..7
+    gives 7."""
+    if draw(st.integers(0, 7)) == 7:
+        return draw(st.text())
+    return "\n".join([header, *body])
+
+
 @st.composite
 def gr_text(draw):
+    """A .gr text whose header counts are mostly those of its edge lines."""
     n = draw(st.integers(0, 8))
-    header = st.builds("p tw {} {}".format, st.just(str(n)) | SMALL, NUMBERS)
-    return draw(document(header, lines(pairs(n))))
+    every = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(every), unique=True, max_size=10)) if every else []
+    good = [" ".join(draw(numeral(x)) for x in draw(st.permutations(e))) for e in edges]
+    header = header_of(draw, ["p", "tw"], [n, len(good)])
+    return text_or_any(draw, header, body_of(draw, good, lines(pairs(n))))
 
 
 @st.composite
 def td_inputs(draw):
-    """(text, host), the header's vertex count mostly the host's."""
+    """(text, host): a .td text whose header counts are mostly those of
+    host and of its bag lines, which with its tree edges mostly describe
+    a tree (a path when r <= 3) on the bags 1..r."""
     host = draw(HOSTS)
-    n = draw(st.just(str(host.n)) | NUMBERS)
     r = draw(st.integers(1, 4))
-    header = st.builds("s td {} {} {}".format, st.just(str(r)) | SMALL, SMALL, st.just(n))
+    members = st.lists(st.integers(1, host.n), unique=True, max_size=3) if host.n else st.just([])
+    bags = [draw(members) for _ in range(r)]
+    good = [" ".join(["b", draw(numeral(i)), *(draw(numeral(v)) for v in bag)])
+            for i, bag in enumerate(bags, 1)]
+    good += [f"{draw(numeral(draw(st.integers(1, i - 1))))} {draw(numeral(i))}"
+             for i in range(2, r + 1)]
+    header = header_of(draw, ["s", "td"], [r, max(map(len, bags)), host.n])
     bag_lines = st.builds(lambda ident, members: " ".join(["b", ident, *members]),
                           ids(r), st.lists(ids(host.n), max_size=5))
-    return draw(document(header, lines(bag_lines | pairs(r)))), host
+    # a second line for a bag, with more members: a repeated id and,
+    # often, a member out of range on one line
+    repeats = st.builds(lambda line, more: " ".join([line, *more]),
+                        st.sampled_from(good[:r]), st.lists(ids(host.n), max_size=2))
+    odd = lines(bag_lines | repeats | pairs(r))
+    return text_or_any(draw, header, body_of(draw, good, odd)), host
 
 
 def value_or_tool_error(parse, *args):

@@ -31,8 +31,7 @@ def certs(g):
 def check_carried(host, carried, table=None):
     assert carried.graph == host
     assert is_valid(host, carried.decomposition)
-    w = width(carried.decomposition)
-    assert (-1 if w is None else w) <= carried.claimed_bound
+    assert width(carried.decomposition) <= carried.claimed_bound
     if table is not None:
         assert carried.claimed_bound <= table
 

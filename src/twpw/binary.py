@@ -15,16 +15,6 @@ from .errors import ParameterError
 from .graphs import Graph
 from .results import Result, check_host
 
-PRODUCT_KINDS = (
-    "cartesian",
-    "categorical",
-    "conormal",
-    "lexicographic",
-    "normal",
-    "symmetric-difference",
-    "rejection",
-)
-
 
 def _rank_maps(g1: Graph, g2: Graph) -> tuple[dict[int, int], dict[int, int]]:
     m1 = {v: i for i, v in enumerate(g1.vertices_sorted())}
@@ -182,15 +172,23 @@ def _substitute_neighbors(graph, v, nb, d1, d2, m2) -> Result:
 # --- products -------------------------------------------------------------
 
 
-def product_pair_ids(g1: Graph, g2: Graph) -> dict[tuple[int, int], int]:
-    """(u1, u2) -> row-major index over sorted vertex orders."""
-    o1 = g1.vertices_sorted()
-    o2 = g2.vertices_sorted()
-    return {(u1, u2): i1 * g2.n + i2 for i1, u1 in enumerate(o1) for i2, u2 in enumerate(o2)}
+# whether (u1, u2) and (v1, v2) are adjacent, from four facts: u1 == v1,
+# u1v1 an edge of the first factor, u2 == v2, u2v2 an edge of the second
+_PRODUCT_RULES = {
+    "cartesian": lambda s1, e1, s2, e2: (s1 and e2) or (s2 and e1),
+    "categorical": lambda s1, e1, s2, e2: e1 and e2,
+    "conormal": lambda s1, e1, s2, e2: e1 or e2,
+    "lexicographic": lambda s1, e1, s2, e2: e1 or (s1 and e2),
+    "normal": lambda s1, e1, s2, e2: (s1 and e2) or (e1 and s2) or (e1 and e2),
+    "symmetric-difference": lambda s1, e1, s2, e2: e1 != e2,
+    "rejection": lambda s1, e1, s2, e2: not e1 and not e2,
+}
+PRODUCT_KINDS = tuple(_PRODUCT_RULES)
 
 
 def product(kind: str, g1: Graph, g2: Graph, d1=None) -> Result:
-    """The seven products over V1 x V2; pairs are row-major ids.
+    """The seven products over V1 x V2; (u1, u2) gets the row-major id
+    i1 * n2 + i2 of its ranks in the sorted vertex orders.
 
     Only the lexicographic product carries a decomposition (of g1): each
     vertex blows up into its {v} x V2 block, claimed (w1+1)|V2|-1."""
@@ -199,34 +197,20 @@ def product(kind: str, g1: Graph, g2: Graph, d1=None) -> Result:
     if d1 is not None and kind != "lexicographic":
         raise ParameterError("only the lexicographic product has a combiner")
     check_host(g1, d1)
-    pair = product_pair_ids(g1, g2)
-    pairs = sorted(pair, key=pair.__getitem__)
+    rule = _PRODUCT_RULES[kind]
+    o1, o2 = g1.vertices_sorted(), g2.vertices_sorted()
+    pairs = [(u1, u2) for u1 in o1 for u2 in o2]
     edges = []
     for i, (u1, u2) in enumerate(pairs):
-        for v1, v2 in pairs[i + 1 :]:
-            e1 = g1.has_edge(u1, v1)
-            e2 = g2.has_edge(u2, v2)
-            if kind == "cartesian":
-                keep = (u1 == v1 and e2) or (u2 == v2 and e1)
-            elif kind == "categorical":
-                keep = e1 and e2
-            elif kind == "conormal":
-                keep = e1 or e2
-            elif kind == "lexicographic":
-                keep = e1 or (u1 == v1 and e2)
-            elif kind == "normal":
-                keep = (u1 == v1 and e2) or (e1 and u2 == v2) or (e1 and e2)
-            elif kind == "symmetric-difference":
-                keep = e1 != e2
-            else:  # rejection
-                keep = not e1 and not e2
-            if keep:
-                edges.append((pair[(u1, u2)], pair[(v1, v2)]))
-    graph = Graph(range(g1.n * g2.n), edges)
+        for j, (v1, v2) in enumerate(pairs[i + 1 :], i + 1):
+            if rule(u1 == v1, g1.has_edge(u1, v1), u2 == v2, g2.has_edge(u2, v2)):
+                edges.append((i, j))
+    graph = Graph(range(len(pairs)), edges)
     if d1 is None:
         return Result(graph)
-    blocks = {u1: frozenset(pair[(u1, u2)] for u2 in g2.vertices) for u1 in g1.vertices}
-    claimed = (width(d1) + 1) * g2.n - 1
+    n2 = g2.n
+    blocks = {u1: frozenset(range(i1 * n2, (i1 + 1) * n2)) for i1, u1 in enumerate(o1)}
+    claimed = (width(d1) + 1) * n2 - 1
     dec = d1.rebag(graph, lambda bag: frozenset().union(*(blocks[x] for x in bag)))
     return Result(graph, dec, claimed)
 
@@ -282,16 +266,12 @@ def corona(g1: Graph, g2: Graph, d1=None, d2=None) -> Result:
     _check_pair(d1, d2, g1, g2)
     n1, n2 = g1.n, g2.n
     m1 = {x: i for i, x in enumerate(g1.vertices_sorted())}
-    o2 = g2.vertices_sorted()
-    copy = {
-        (i, u): n1 + i * n2 + j
-        for i in range(n1)
-        for j, u in enumerate(o2)
-    }
+    m2 = {u: j for j, u in enumerate(g2.vertices_sorted())}
+    e2 = _map_edges(g2, m2)  # copy i is g2 so relabeled, shifted by n1 + i * n2
     edges = _map_edges(g1, m1)
     for i in range(n1):
-        edges += [(copy[(i, a)], copy[(i, b)]) for a, b in g2.edges]
-        edges += [(i, copy[(i, u)]) for u in o2]
+        base = n1 + i * n2
+        edges += [(base + a, base + b) for a, b in e2] + [(i, base + j) for j in range(n2)]
     graph = Graph(range(n1 + n1 * n2), edges)
     if d1 is None:
         return Result(graph)
@@ -300,23 +280,20 @@ def corona(g1: Graph, g2: Graph, d1=None, d2=None) -> Result:
     if n2 == 0:
         return Result(graph, d1.rebag(graph, lambda bag: frozenset(m1[x] for x in bag)), w1)
     if isinstance(d1, TreeDecomposition):
-        _, e1, b1 = _mapped_tree(d1, m1.__getitem__, 0)
-        nodes = d1.tree.n + n1 * d2.tree.n
-        edges_t = list(e1)
-        bags = dict(b1)
+        r1, r2 = d1.tree.n, d2.tree.n
+        _, edges_t, bags = _mapped_tree(d1, m1.__getitem__, 0)
+        _, t2, b2 = _mapped_tree(d2, m2.__getitem__, 0)
+        # vertex of g1 -> the lowest node holding it: walked backwards, it comes last
+        anchor = {x: u for u, bag in reversed(bags.items()) for x in bag}
         for i in range(n1):
-            offset = d1.tree.n + i * d2.tree.n
-            _, e2, b2 = _mapped_tree(d2, lambda x: copy[(i, x)], offset)
-            edges_t += e2
-            bags |= {u: bag | {i} for u, bag in b2.items()}
-            anchor = min(u for u, bag in b1.items() if i in bag)
-            edges_t.append((anchor, offset))
-        tree = Graph(range(nodes), edges_t)
+            base, offset = n1 + i * n2, r1 + i * r2
+            edges_t += [(a + offset, b + offset) for a, b in t2] + [(anchor[i], offset)]
+            bags |= {u + offset: frozenset(base + x for x in bag) | {i} for u, bag in b2.items()}
+        tree = Graph(range(r1 + n1 * r2), edges_t)
         return Result(graph, TreeDecomposition(graph, tree, bags), max(w1, w2) + 1)
     everyone = frozenset(range(n1))
-    bags = []
-    for i in range(n1):
-        bags += [frozenset(copy[(i, x)] for x in bag) | everyone for bag in d2.bags]
+    b2 = [frozenset(m2[x] for x in bag) for bag in d2.bags]
+    bags = [frozenset(n1 + i * n2 + x for x in bag) | everyone for i in range(n1) for bag in b2]
     return Result(graph, PathDecomposition(graph, bags), max(w1, w2) + n1)
 
 

@@ -21,7 +21,7 @@ from .decomposition import validate, width
 from .errors import InconsistencyError, ParameterError, ScriptError, ToolError
 from .exact import exact_pathwidth, exact_treewidth
 from .fileformats import _numeral, read_gr, read_td, write_gr, write_td
-from .graphs import Graph, generate, generator_names
+from .graphs import Graph, generate, generator_names, guard_size
 from .harness import SUITES, SweepConfig, check_suites, render_tap, run_suite
 from .operations import OPCODES
 from .results import Result
@@ -134,10 +134,12 @@ def _apply(state: Result, lineno: int, opcode: str, script_args: tuple,
 def apply_opscript(script: OpScript, g: Graph, g2: Graph | None = None,
                    carry=None, kind: str = "tree") -> Result:
     """The script run over g, carrying carry when it is given: the last
-    line's result, or g with carry claimed at its own width."""
+    line's result, or g with carry claimed at its own width.  A result
+    larger than the .gr reader accepts ends the run (CapabilityError)."""
     state = Result(g, carry, None if carry is None else width(carry))
     for lineno, opcode, args in script.lines:
         state = _apply(state, lineno, opcode, args, g2, kind)
+        guard_size(state.graph.n, state.graph.m)
     return state
 
 
@@ -201,9 +203,6 @@ def _render_violations(report) -> str:
         shown = " ".join(str(x + 1) for x in witness)
         if tag in ("tw-2", "pw-2"):
             out.append(f"({tag}) edge {shown}")
-        elif tag == "bag":
-            node, vertex = witness
-            out.append(f"({tag}) node {node + 1} vertex {vertex + 1}")
         else:
             out.append(f"({tag}) vertex {shown}")
     return "".join(line + "\n" for line in out)

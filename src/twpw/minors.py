@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import unary
 from .errors import CapabilityError, FormatError, ParameterError, ScriptError
 from .fileformats import _numeral
 from .graphs import Graph, complete_graph, fresh_id, incidence_star_example
@@ -61,8 +62,6 @@ def parse_minor_script(text: str) -> MinorScript:
 
 def apply_minor_script(g: Graph, script: MinorScript) -> Graph:
     """Replay a script; failures name the 1-based step index."""
-    from . import unary
-
     cur = g
     for i, step in enumerate(script.steps, start=1):
         try:
@@ -154,8 +153,6 @@ def is_minor(h: Graph, g: Graph) -> tuple[bool, MinorScript | None]:
 def _script_from_branch_sets(
     g: Graph, h: Graph, horder: list[int], sets: list[frozenset[int]]
 ) -> MinorScript:
-    from . import unary
-
     steps: list[tuple] = []
     cur = g
     used = frozenset().union(*sets)

@@ -63,12 +63,12 @@ def _hang_bags(d: TreeDecomposition, g2: Graph, leaves) -> TreeDecomposition:
 def _drop_empty_bags_tree(d: TreeDecomposition) -> TreeDecomposition:
     adj = {u: set(nb) for u, nb in d.tree.adjacency().items()}
     bags = dict(d.bags)
-    # an empty bag crosses no vertex subtree, so its neighbors re-link freely
-    while len(bags) > 1:
-        empties = [u for u, bag in bags.items() if not bag]
-        if not empties:
+    # an empty bag crosses no vertex subtree, so its neighbors re-link
+    # freely; a contraction empties no bag, so the empty nodes are met in
+    # ascending order, each contracted into its lowest neighbor
+    for u in sorted(u for u, bag in bags.items() if not bag):
+        if len(bags) == 1:
             break
-        u = min(empties)
         _contract(adj, bags, u, min(adj[u]))
     tree = Graph(adj, [(a, b) for a in adj for b in adj[a] if a < b])
     return TreeDecomposition(d.host, tree, bags)
@@ -148,18 +148,20 @@ def _rename_pair(bag: frozenset[int], v: int, w: int, z: int) -> frozenset[int]:
     return bag
 
 
-def _steiner_nodes(tree: Graph, marked: set[int]) -> set[int]:
-    """Nodes of the minimal subtree of ``tree`` spanning ``marked``."""
-    adj = {u: set(nb) for u, nb in tree.adjacency().items()}
-    while True:
-        leaf = next(
-            (u for u in sorted(adj) if u not in marked and len(adj[u]) <= 1), None
-        )
-        if leaf is None:
-            return set(adj)
-        for x in adj[leaf]:
-            adj[x].discard(leaf)
-        del adj[leaf]
+def _steiner_nodes(d: TreeDecomposition, marked: set[int]) -> set[int]:
+    """Nodes of the minimal subtree of d's tree spanning ``marked``: the
+    marked nodes and both ends of every tree edge with marked nodes on
+    both sides.  The marked nodes below each node are counted children
+    first, along the rooting the decomposition keeps."""
+    parent = d._parent  # breadth-first from the root, which it omits
+    below = {u: int(u in marked) for u in d.tree.vertices}
+    for u in reversed(parent):
+        below[parent[u]] += below[u]
+    keep = set(marked)
+    for u, p in parent.items():
+        if 0 < below[u] < len(marked):
+            keep.update((u, p))
+    return keep
 
 
 def identify_vertices(g: Graph, v: int, w: int, d: Decomposition | None = None) -> Result:
@@ -176,7 +178,7 @@ def identify_vertices(g: Graph, v: int, w: int, d: Decomposition | None = None) 
         bags = {u: _rename_pair(bag, v, w, z) for u, bag in d.bags.items()}
         marked = {u for u, bag in bags.items() if z in bag}
         # re-connect the two former subtrees by threading z along the tree
-        for u in _steiner_nodes(d.tree, marked):
+        for u in _steiner_nodes(d, marked):
             bags[u] = bags[u] | {z}
         return Result(g2, TreeDecomposition(g2, d.tree, bags), claimed)
     bags = [_rename_pair(bag, v, w, z) for bag in d.bags]
@@ -266,43 +268,35 @@ def subdivide_edge(g: Graph, v: int, w: int, d: Decomposition | None = None) -> 
 # --- incidence graph -----------------------------------------------------
 
 
-def incidence_edge_ids(g: Graph) -> dict[tuple[int, int], int]:
-    """Fresh vertex id for each edge, assigned in sorted edge order."""
-    base = fresh_id(g)
-    return {e: base + i for i, e in enumerate(g.edges_sorted())}
-
-
 def incidence_graph(g: Graph, d: Decomposition | None = None) -> Result:
-    """Each edge {v, w} becomes a degree-2 vertex adjacent to v and w."""
+    """Each edge {v, w} becomes a degree-2 vertex adjacent to v and w; the
+    new vertices are numbered from fresh_id(g) on in sorted edge order."""
     check_host(g, d)
-    ids = incidence_edge_ids(g)
+    es = g.edges_sorted()
+    base = fresh_id(g)
     edges = []
-    for (a, b), x in ids.items():
-        edges.append((a, x))
-        edges.append((x, b))
-    g2 = Graph(g.vertices | set(ids.values()), edges)
+    for x, (a, b) in enumerate(es, base):
+        edges += [(a, x), (x, b)]
+    g2 = Graph(g.vertices | set(range(base, base + len(es))), edges)
     if d is None:
         return Result(g2)
     wd = width(d)
+    if isinstance(d, TreeDecomposition) and is_forest(g):
+        return Result(g2, forest_decomposition(g2), max(wd, 1))
+    # each edge -> the first node holding both its ends (the lowest node id
+    # of a tree, the first bag of a path): walked backwards, it comes last
+    adj = g.adjacency()
+    home = {(a, b): u for u, bag in reversed(d.bag_items())
+            for a in bag & g.vertices for b in adj[a] & bag if a < b}
     if isinstance(d, TreeDecomposition):
-        if is_forest(g):
-            return Result(g2, forest_decomposition(g2), max(wd, 1))
-        leaves = [
-            (min(u for u, bag in d.bags.items() if a in bag and b in bag),
-             frozenset({a, b, x}))
-            for (a, b), x in ids.items()
-        ]
+        leaves = [(home[e], frozenset({*e, x})) for x, e in enumerate(es, base)]
         return Result(g2, _hang_bags(d, g2, leaves), max(wd, 1))
-    first_bag = {
-        e: min(i for i, bag in enumerate(d.bags) if e[0] in bag and e[1] in bag)
-        for e in ids
-    }
+    copies = [[] for _ in d.bags]
+    for x, e in enumerate(es, base):
+        copies[home[e]].append(x)
     bags = []
-    for i, bag in enumerate(d.bags):
-        bags.append(bag)
-        for e, x in ids.items():
-            if first_bag[e] == i:
-                bags.append(bag | {x})
+    for bag, xs in zip(d.bags, copies):
+        bags += [bag] + [bag | {x} for x in xs]
     return Result(g2, PathDecomposition(g2, bags), wd + 1)
 
 
@@ -360,27 +354,22 @@ def power_degree_bound(g: Graph, d: int) -> int:
     return delta * sum((delta - 1) ** i for i in range(steps))
 
 
-def line_graph_edge_ids(g: Graph) -> dict[tuple[int, int], int]:
-    """Edge of g -> vertex id of the line graph, in sorted edge order."""
-    return {e: i for i, e in enumerate(g.edges_sorted())}
-
-
 def line_graph(g: Graph, d: Decomposition | None = None) -> Result:
-    """Vertices are the edges of g; adjacency is sharing an endpoint."""
+    """Vertices are the edges of g, numbered in sorted order; adjacency is
+    sharing an endpoint."""
     check_host(g, d)
     es = g.edges_sorted()
-    edges = [
-        (i, j)
-        for i in range(len(es))
-        for j in range(i + 1, len(es))
-        if set(es[i]) & set(es[j])
-    ]
+    at = {v: [] for v in g.vertices}  # vertex -> the ids of its edges
+    for i, (a, b) in enumerate(es):
+        at[a].append(i)
+        at[b].append(i)
+    # two edges of a simple graph share at most one end, so each pair once
+    edges = [(i, j) for ids in at.values() for k, i in enumerate(ids) for j in ids[k + 1 :]]
     g2 = Graph(range(len(es)), edges)
     if d is None:
         return Result(g2)
-    ids = line_graph_edge_ids(g)
     claimed = (width(d) + 1) * max_degree(g) - 1
-    incident = lambda bag: frozenset(x for e, x in ids.items() if e[0] in bag or e[1] in bag)
+    incident = lambda bag: frozenset().union(*(at.get(v, ()) for v in bag))
     return Result(g2, d.rebag(g2, incident), claimed)
 
 

@@ -314,6 +314,22 @@ class TestApply:
         # Delta = 2: the degree bound 2 * min(d, n - 1) = 6 gives (2 + 1) * 7 - 1
         assert capsys.readouterr().out == "claimed 20\n"
 
+    def test_result_too_large_to_read_back_exits_3(self, tmp_path, capsys, monkeypatch):
+        # K10 has 45 edges; the line after complement must not run
+        monkeypatch.setattr("twpw.graphs.GRAPH_MAX_EDGES", 44)
+        ran = []
+        monkeypatch.setattr("twpw.unary.delete_vertex", lambda *a: ran.append(a))
+        g_path = write(tmp_path / "g.gr", "p tw 10 0\n")
+        s_path = write(tmp_path / "s.ops", "complement\ndelv 1\n")
+        out = tmp_path / "out.gr"
+        assert main(["apply", g_path, s_path, str(out)]) == 3
+        assert capsys.readouterr().err == "error: graphs support at most 44 edges, got 45\n"
+        assert ran == [] and not out.exists()
+        monkeypatch.setattr("twpw.graphs.GRAPH_MAX_EDGES", 45)
+        s_path = write(tmp_path / "s.ops", "complement\n")
+        assert main(["apply", g_path, s_path, str(out)]) == 0
+        assert read_gr(str(out)) == complete_graph(10)
+
     def test_script_errors_exit_2(self, tmp_path):
         g_path = gr(tmp_path, path_graph(3))
         s_path = write(tmp_path / "s.ops", "adde 1 2\n")

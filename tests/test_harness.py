@@ -1,13 +1,16 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
-from twpw import harness
+from twpw import harness, unary
 from twpw.decomposition import is_valid
 from twpw.errors import CapabilityError, ParameterError
 from twpw.fileformats import parse_gr, parse_td
 from twpw.graphs import Graph, is_connected
 from twpw.operations import OPCODES
+from twpw.results import Result
 from twpw.harness import (
     BoundCheck,
     SplitMix64,
@@ -187,3 +190,95 @@ class TestTapAndWitnesses:
 
     def test_no_witness_dir_means_no_paths(self):
         assert harness._write_witness(None, "x", {}, {}, []) == ()
+
+
+# one record per way a table cell can fail, each a replacement of the
+# delete-edge record: (fields to replace, whether the cell carries, reason)
+_DELE = OPCODES["dele"]
+_BROKEN_CARRIERS = {
+    "invalid": (
+        {"op": lambda g, d, u, v: (lambda res: dataclasses.replace(
+            res, decomposition=res.decomposition.rebag(res.graph, lambda bag: ())))(
+            unary.delete_edge(g, u, v, d))},
+        True, r"(tw|pw) carried decomposition invalid: \(Violation\(tag='\1-1'.*"),
+    "under-claimed": (
+        {"op": lambda g, d, u, v: (lambda res: dataclasses.replace(
+            res, claimed_bound=res.claimed_bound - 1))(unary.delete_edge(g, u, v, d))},
+        True, r"(tw|pw) carried width \d+ exceeds claim \d+"),
+    "not-equal": (
+        {"bound": lambda p, k, *rest: (k + 1, -1, "==")},
+        True, r"(tw|pw) exact -?\d+ != -?\d+"),
+    "above-table": (
+        {"carries": lambda *args: False, "bound": lambda p, *rest: (-2, -2, "<=")},
+        False, r"(tw|pw) exact -?\d+ exceeds table bound -2"),
+    "below-lower": (
+        {"bound": lambda p, *rest: (100, 100, "<=")},
+        True, r"(tw|pw) exact -?\d+ below lower bound 100"),
+}
+
+
+class TestEveryFailureWritesItsWitness:
+    @pytest.mark.parametrize("case", _BROKEN_CARRIERS)
+    def test_table_cell(self, tmp_path, case):
+        fields, carried, reason = _BROKEN_CARRIERS[case]
+        broken = dataclasses.replace(_DELE, **fields)
+        checks = harness._run_rows("t", (broken,), SweepConfig(max_n=4, samples=2, seed=5),
+                                   tmp_path)
+        assert [c.name for c in checks if not c.passed] == [
+            f"t/{_DELE.row}/{p}/s00{s}" for p in ("pw", "tw") for s in (0, 1)]
+        tap = render_tap(checks)
+        for c in checks:
+            assert re.fullmatch(reason, c.detail)
+            assert f"not ok {c.name} witness={c.witness[0]}\n" in tap
+            root = Path(c.witness[0])
+            files = ["input.gr", "result.gr", "transcript.txt"]
+            assert sorted(p.name for p in root.iterdir()) == sorted(
+                files + ["carried.td"] * carried)
+            transcript = (root / "transcript.txt").read_text()
+            assert transcript.startswith("delete edge ")
+            assert transcript.endswith(f"\n{c.detail}\n")
+
+    def test_relation(self, tmp_path, monkeypatch):
+        real = harness.graph_invariants
+        monkeypatch.setattr(harness, "graph_invariants", lambda g: dataclasses.replace(
+            real(g), clique_number=g.n + 2))
+        checks = run_suite("relations", SweepConfig(max_n=4, samples=2, seed=5), tmp_path)
+        failed = [c for c in checks if not c.passed]
+        assert [c.name for c in failed] == ["relations/clique-tw/s000",
+                                            "relations/clique-tw/s001"]
+        tap = render_tap(checks)
+        for c in failed:
+            assert f"not ok {c.name} witness={c.witness[0]}\n" in tap
+            root = Path(c.witness[0])
+            assert sorted(p.name for p in root.iterdir()) == ["input.gr", "transcript.txt"]
+            first, _, last = (root / "transcript.txt").read_text().splitlines()
+            assert first == f"clique-tw: {c.lhs} <= {c.rhs} failed"
+            assert last.startswith("advisory width <= m/5.769")
+
+    def test_nordhaus_gaddum(self, tmp_path, monkeypatch):
+        # an empty complement has width -1, so only a clique keeps n - 2
+        monkeypatch.setattr(unary, "edge_complement", lambda g: Result(Graph()))
+        (check,) = run_suite("ng", SweepConfig(max_n=6, samples=4, seed=2), tmp_path)
+        assert not check.passed and check.lhs < check.rhs
+        assert render_tap([check]) == f"1..1\nnot ok nordhaus-gaddum witness={check.witness[0]}\n"
+        root = Path(check.witness[0])
+        assert sorted(p.name for p in root.iterdir()) == ["input.gr", "transcript.txt"]
+        assert re.fullmatch(
+            rf"sample \d+: (tw|pw) sum {check.lhs} below n-2 = {check.rhs}\n",
+            (root / "transcript.txt").read_text())
+
+    def test_logbound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "log_path_bound", lambda tw, n: -1.0)
+        (check,) = run_suite("logbound", SweepConfig(max_n=5, samples=3, seed=2), tmp_path)
+        assert not check.passed
+        assert render_tap([check]) == f"1..1\nnot ok logbound witness={check.witness[0]}\n"
+        root = Path(check.witness[0])
+        assert sorted(p.name for p in root.iterdir()) == ["input.gr", "transcript.txt"]
+        assert re.fullmatch(r"sample 0: exact pathwidth -?\d+ above bound -1\.0\n",
+                            (root / "transcript.txt").read_text())
+
+    @pytest.mark.parametrize("suite, name, relation", [
+        ("ng", "nordhaus-gaddum", ">="), ("logbound", "logbound", "<=")])
+    def test_no_samples(self, suite, name, relation):
+        assert run_suite(suite, SweepConfig(samples=0)) == [
+            BoundCheck(name, 0, 0, relation, True, detail="no samples")]

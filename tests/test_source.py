@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -28,3 +29,25 @@ def unused_imports(source: str) -> list[str]:
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
+
+ROOT = SRC.parent.parent
+OPERATION_MODULES = ("unary.py", "binary.py")
+
+
+def public_functions(source: str) -> list[str]:
+    """The module's top-level functions whose names do not start with _."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+@pytest.mark.parametrize("name", OPERATION_MODULES)
+def test_operation_modules_keep_no_public_helper(name):
+    # every public function of these modules is timed as an operation, so
+    # one that nothing outside its module names is a helper counted as one
+    elsewhere = [p for p in MODULES if p.name != name]
+    elsewhere += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    elsewhere.append(ROOT / "README.md")
+    text = "\n".join(p.read_text(encoding="utf-8") for p in elsewhere)
+    unnamed = [f for f in public_functions((SRC / name).read_text(encoding="utf-8"))
+               if not re.search(rf"\b{f}\b", text)]
+    assert unnamed == []

@@ -58,6 +58,7 @@ from .minors import (
     format_minor_script,
     is_minor,
     parse_minor_script,
+    replay_lower_witness,
 )
 
 __version__ = "0.1.0"
@@ -102,6 +103,7 @@ __all__ = [
     "read_gr",
     "read_td",
     "remove_redundant_bags",
+    "replay_lower_witness",
     "render_tap",
     "run_suite",
     "tree_path_decomposition",

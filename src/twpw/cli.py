@@ -23,6 +23,7 @@ from .exact import exact_pathwidth, exact_treewidth
 from .fileformats import _numeral, read_gr, read_td, write_gr, write_td
 from .graphs import Graph, generate, generator_names, guard_size
 from .harness import SUITES, SweepConfig, check_suites, render_tap, run_suite
+from .minors import format_minor_script
 from .operations import OPCODES
 from .results import Result
 
@@ -165,6 +166,9 @@ def cmd_width(args) -> int:
     print("undefined" if report.value < 0 else report.value)
     if args.cert:
         write_td(report.certificate, args.cert)
+        if report.lower_witness is not None:
+            with open(f"{args.cert}.witness", "w", encoding="ascii") as fh:
+                fh.write(format_minor_script(report.lower_witness))
     return 0
 
 
@@ -255,7 +259,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("width", help="exact width of a graph")
     p.add_argument("graph")
     p.add_argument("--param", choices=("tw", "pw"), required=True)
-    p.add_argument("--cert", help="write an optimal decomposition here")
+    p.add_argument("--cert", help="write an optimal decomposition here; when the "
+                   "tree-width bounds decided, the lower witness goes to CERT.witness")
     p.set_defaults(fn=cmd_width)
 
     p = sub.add_parser("apply", help="run an operation script over a graph")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -294,6 +295,15 @@ def find_clique_bag(d: Decomposition, clique: Iterable[int]) -> int:
 def remove_redundant_bags(td: TreeDecomposition) -> TreeDecomposition:
     """Merge tree-adjacent bags where one contains the other.
 
+    The tree edges u-v, u < v, whose bags are nested are merged lowest
+    (u, v) first, into the node with the larger bag; equal bags keep v.  A
+    merge changes no bag, so it changes no edge's nestedness: the nested
+    edges after it are those before it, less the ones at the dropped node,
+    plus the ones it moves to the kept node.  So one heap of nested edges,
+    given the moved ones after each merge and skipping those whose node is
+    gone, merges in the order that rescanning the sorted edges after each
+    merge gives, in one pass.
+
     The result has no tree edge whose endpoint bags are nested, so a valid
     input over a nonempty graph shrinks to at most |V| nodes.
     """
@@ -301,21 +311,22 @@ def remove_redundant_bags(td: TreeDecomposition) -> TreeDecomposition:
         raise ParameterError("decomposition invalid")
     adj = {u: set(nb) for u, nb in td.tree.adjacency().items()}
     bags = dict(td.bags)
-    while True:
-        merged = False
-        for u, v in sorted((min(u, v), max(u, v)) for u in adj for v in adj[u]):
-            drop, keep = None, None
-            if bags[u] <= bags[v]:
-                drop, keep = u, v
-            elif bags[v] <= bags[u]:
-                drop, keep = v, u
-            if drop is None:
-                continue
-            _contract(adj, bags, drop, keep)
-            merged = True
-            break
-        if not merged:
-            break
+
+    def nested(u: int, v: int) -> bool:
+        return bags[u] <= bags[v] or bags[v] <= bags[u]
+
+    heap = [e for e in td.tree.edges if nested(*e)]
+    heapify(heap)
+    while heap:
+        u, v = heappop(heap)
+        if v not in adj.get(u, ()):
+            continue
+        drop, keep = (u, v) if bags[u] <= bags[v] else (v, u)
+        moved = adj[drop] - {keep}
+        _contract(adj, bags, drop, keep)
+        for w in moved:
+            if nested(keep, w):
+                heappush(heap, (keep, w) if keep < w else (w, keep))
     tree = Graph(adj, [(u, v) for u in adj for v in adj[u] if u < v])
     return TreeDecomposition(td.host, tree, bags)
 

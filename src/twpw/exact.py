@@ -16,7 +16,12 @@ kernel has to see:
      elimination order gives an upper bound hi (Bodlaender and Koster,
      "Treewidth computations I. Upper bounds", 2010), minor-min-width
      with the least-c contraction rule a lower bound lo (Gogate and
-     Dechter, UAI 2004).  When lo == hi the component is settled and its
+     Dechter, UAI 2004).  While lo < hi, lo + 1 is tried on the
+     (lo + 1)-improved graph, which joins every non-adjacent pair with at
+     least lo + 1 common neighbors until none is left (Clautiaux, Carlier,
+     Moukrim and Negre, WEA 2003; LBN+ in Bodlaender, Koster and Wolle,
+     JGAA 2006): when minor-min-width reaches lo + 1 there, that is the
+     new lo.  When lo == hi the component is settled and its
      order is the min-fill order.  Smaller components skip this step:
      their kernel table has at most 256 entries and costs no more than
      the bounds, and their certificates stay the kernel's.
@@ -42,12 +47,15 @@ bag.
 `WidthReport.method` is "bounds" when some component was settled by the
 bounds and none reached the kernel, and "subset-DP" otherwise; it is read
 off `lower_witness`, which exactly the "bounds" reports carry.  The
-witness is a minor script that proves the lower side: replayed from the
-graph with `minors.apply_minor_script` it leaves a minor of minimum
-degree equal to the value, and tree-width is at least the minimum
-degree and does not grow under minors.  The script deletes every vertex
+witness is a script that proves the lower side: replayed from the graph
+with `minors.replay_lower_witness` it leaves a graph of minimum degree at
+least the value.  Tree-width is at least the minimum degree.  Were it
+below the value, it would stay below under every minor step and under
+every edge addition whose ends share at least value common neighbors,
+which replay checks for each addition.  The script deletes every vertex
 outside the component whose lower bound gives the value, then replays
-that component's contractions; when a peeled simplicial vertex gives the
+that component's edge additions, if its bound came from an improved
+graph, and its contractions; when a peeled simplicial vertex gives the
 value, it deletes every vertex outside that vertex's clique instead.
 
 Certificates and lower witnesses are checked before they are returned; a
@@ -72,7 +80,7 @@ from .decomposition import (
 )
 from .errors import CapabilityError, InconsistencyError, ParameterError, ToolError
 from .graphs import Graph
-from .minors import MinorScript, apply_minor_script
+from .minors import MinorScript, replay_lower_witness
 
 SOLVER_MAX_VERTICES = 16
 BOUNDS_MIN_VERTICES = 9  # smaller tree-width components go straight to the kernel
@@ -180,10 +188,10 @@ def _finish(g: Graph, parameter: str, value: int, cert: Decomposition,
 
 
 def _check_lower_witness(g: Graph, value: int, script: MinorScript) -> None:
-    """Replay script from g; the minor it leaves must have minimum degree at
-    least value, which proves tw(g) >= value."""
+    """Replay script from g as a lower witness for value; the graph it leaves
+    must have minimum degree at least value, which proves tw(g) >= value."""
     try:
-        minor = apply_minor_script(g, script)
+        minor = replay_lower_witness(g, script, value)
     except ToolError as exc:
         raise InconsistencyError(f"tw lower witness does not replay: {exc}") from None
     if not minor.n or min(map(minor.degree, minor.vertices)) < value:
@@ -351,13 +359,59 @@ def _minor_min_width(adj: list[int]) -> tuple[int, list[tuple]]:
     return value, steps[:reached]
 
 
+def _improved(adj: list[int], k: int) -> tuple[list[int], list[tuple]]:
+    """The k-improved graph of adj, and the steps ("a", u, v) that build it.
+
+    Each pass joins, lowest pair first, every non-adjacent pair u < v with
+    at least k common neighbors at that point; passes repeat until one
+    joins nothing.  A join only adds common neighbors, so the graph left
+    is the same whatever the order.  If tw(adj) <= k - 1, every join keeps
+    that bound (see `minors.replay_lower_witness`), so a lower bound of k
+    on the improved graph proves tw(adj) >= k.
+    """
+    adj = list(adj)
+    full = (1 << len(adj)) - 1
+    steps: list[tuple] = []
+    joined = True
+    while joined:
+        joined = False
+        for u in range(len(adj)):
+            for v in _members(full & ~adj[u] & ~((2 << u) - 1)):
+                if (adj[u] & adj[v]).bit_count() >= k:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+                    steps.append(("a", u, v))
+                    joined = True
+    return adj, steps
+
+
+def _lower_bound(adj: list[int], hi: int) -> tuple[int, list[tuple]]:
+    """A lower bound on the tree-width of adj, at most hi, and the steps of
+    its witness: LBN+ over minor-min-width (Bodlaender, Koster and Wolle,
+    "Contraction and treewidth lower bounds", JGAA 2006).
+
+    From the minor-min-width bound lo, each k = lo + 1, ..., hi in turn is
+    tried on the k-improved graph: when minor-min-width reaches k there, lo
+    becomes k, and its steps are the improvement's edge additions followed
+    by the contractions.  The first k that fails ends the search.
+    """
+    lo, steps = _minor_min_width(adj)
+    while lo < hi:
+        improved, added = _improved(adj, lo + 1)
+        reached, contracted = _minor_min_width(improved)
+        if reached <= lo:
+            break
+        lo, steps = lo + 1, added + contracted
+    return lo, steps
+
+
 def _settle_component(masks: list[int]) -> tuple[int, list[int], list[tuple] | None]:
-    """Tree-width and an optimal order of a connected graph, and the minor
-    steps of its lower bound when the bounds meet; None for the steps when
-    the kernel decided."""
+    """Tree-width and an optimal order of a connected graph, and the steps
+    of its lower witness when the bounds meet; None for the steps when the
+    kernel decided."""
     if len(masks) >= BOUNDS_MIN_VERTICES:
         hi, order = _min_fill(masks)
-        lo, steps = _minor_min_width(masks)
+        lo, steps = _lower_bound(masks, hi)
         if lo == hi:
             return hi, order, steps
     value, order = kernels.treewidth_dp(masks)
@@ -377,7 +431,7 @@ def _peeled_clique(masks: list[int], removed: list[int], degree: int) -> list[in
 
 
 def _lower_witness(ids: list[int], keep: list[int], steps: list[tuple]) -> MinorScript:
-    """Minor steps over the vertex ids: delete every vertex outside keep,
+    """Witness steps over the vertex ids: delete every vertex outside keep,
     then replay steps, written over the indices of keep.  A contraction's
     vertex is named as unary.contract_edge names it, one more than the
     largest id left."""
@@ -387,6 +441,8 @@ def _lower_witness(ids: list[int], keep: list[int], steps: list[tuple]) -> Minor
     for step in steps:
         if step[0] == "dv":
             script.append(("dv", names.pop(step[1])))
+        elif step[0] == "a":
+            script.append(("a", names[step[1]], names[step[2]]))
         else:
             fresh = max(names.values()) + 1
             script.append(("c", names.pop(step[1]), names[step[2]]))

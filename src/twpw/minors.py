@@ -21,7 +21,17 @@ MINOR_MAX_VERTICES = 12
 
 @dataclass(frozen=True)
 class MinorScript:
-    """Steps: ("d", u, v) edge deletion, ("c", u, v) contraction, ("dv", v)."""
+    """Steps: ("d", u, v) edge deletion, ("c", u, v) contraction, ("dv", v)
+    vertex deletion, and ("a", u, v) edge addition.
+
+    The first three take a graph to a minor of it, and `apply_minor_script`
+    replays them.  An edge addition is no minor step: it appears only in a
+    tree-width lower witness, where it joins two non-adjacent vertices with
+    at least as many common neighbors as the witnessed value (the "improved
+    graph" of Clautiaux, Carlier, Moukrim and Negre, WEA 2003).  Such a
+    script is replayed only by `replay_lower_witness`, which checks every
+    addition against that value; `apply_minor_script` refuses it.
+    """
 
     steps: tuple[tuple, ...]
 
@@ -30,7 +40,7 @@ def format_minor_script(script: MinorScript) -> str:
     """One step per line; vertex ids written 1-based to match .gr files."""
     lines = []
     for step in script.steps:
-        if step[0] in ("d", "c"):
+        if step[0] in ("d", "c", "a"):
             lines.append(f"{step[0]} {step[1] + 1} {step[2] + 1}")
         elif step[0] == "dv":
             lines.append(f"dv {step[1] + 1}")
@@ -49,7 +59,7 @@ def parse_minor_script(text: str) -> MinorScript:
             continue
         tokens = line.split()
         try:
-            if tokens[0] in ("d", "c") and len(tokens) == 3:
+            if tokens[0] in ("d", "c", "a") and len(tokens) == 3:
                 steps.append((tokens[0], _numeral(tokens[1]) - 1, _numeral(tokens[2]) - 1))
             elif tokens[0] == "dv" and len(tokens) == 2:
                 steps.append(("dv", _numeral(tokens[1]) - 1))
@@ -61,11 +71,50 @@ def parse_minor_script(text: str) -> MinorScript:
 
 
 def apply_minor_script(g: Graph, script: MinorScript) -> Graph:
-    """Replay a script; failures name the 1-based step index."""
+    """Replay a script of minor steps; failures name the 1-based step
+    index.  An edge addition is refused: the result would not be a minor."""
+    return _replay(g, script, None)
+
+
+def replay_lower_witness(g: Graph, script: MinorScript, value: int) -> Graph:
+    """Replay a tree-width lower witness for value from g and return the
+    graph it leaves; failures name the 1-based step index.
+
+    Each edge addition must join two present, non-adjacent vertices with
+    at least value common neighbors at that point.  Suppose tw(g) <= value
+    - 1.  Every decomposition of that width has a bag holding both ends of
+    such an addition: otherwise the node of u's subtree nearest v's holds
+    u and, on the way to v, every common neighbor, value + 1 vertices.  So
+    each addition keeps the bound, each minor step keeps it too, and the
+    final graph has tree-width below value.  A final graph of minimum
+    degree at least value, whose tree-width is at least its minimum degree,
+    therefore proves tw(g) >= value.
+    """
+    return _replay(g, script, value)
+
+
+def _improve(g: Graph, u: int, v: int, value: int) -> Graph:
+    """g plus the edge uv, which must have at least value common neighbors."""
+    improved = unary.add_edge(g, u, v).graph  # u and v present, not adjacent
+    common = len(g.neighbors(u) & g.neighbors(v))
+    if common < value:
+        raise ParameterError(
+            f"vertices {u} and {v} have {common} common neighbors, fewer than {value}"
+        )
+    return improved
+
+
+def _replay(g: Graph, script: MinorScript, value: int | None) -> Graph:
+    """Replay script from g; edge additions are checked against value, and
+    refused when value is None."""
     cur = g
     for i, step in enumerate(script.steps, start=1):
         try:
-            if step[0] == "d":
+            if step[0] == "a":
+                if value is None:
+                    raise ParameterError("an edge addition is not a minor step")
+                cur = _improve(cur, step[1], step[2], value)
+            elif step[0] == "d":
                 cur = unary.delete_edge(cur, step[1], step[2]).graph
             elif step[0] == "c":
                 cur = unary.contract_edge(cur, step[1], step[2]).graph

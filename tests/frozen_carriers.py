@@ -1,11 +1,12 @@
-"""Six carrying operations as they were before each became one pass,
-frozen as oracles.
+"""Six carrying operations and the redundant-bag removal as they were
+before each became one pass, frozen as oracles.
 
 These rescan a whole structure per element: the line graph tests every
 pair of edges, the incidence graph and the corona scan every bag once per
 edge or per vertex, identification prunes one leaf of the tree at a time,
 vertex deletion looks for the lowest empty bag again after every
-contraction, and the product decides each pair through a chain of tests
+contraction, the redundant-bag removal sorts every tree edge again after
+every merge, and the product decides each pair through a chain of tests
 on its kind.  The current operations must give the same graph, the same
 decomposition and the same claim on every input they accept; the copies
 here leave out the argument checks.  The private helpers they used are
@@ -13,7 +14,8 @@ copied too, so a rewrite of those cannot change both sides of a
 differential test.
 """
 
-from twpw.decomposition import PathDecomposition, TreeDecomposition, width
+from twpw.decomposition import PathDecomposition, TreeDecomposition, validate, width
+from twpw.errors import ParameterError
 from twpw.graphs import Graph, fresh_id, is_forest, max_degree
 from twpw.results import Result
 from twpw.unary import forest_decomposition
@@ -244,3 +246,27 @@ def corona(g1, g2, d1=None, d2=None):
     for i in range(n1):
         bags += [frozenset(copy[(i, x)] for x in bag) | everyone for bag in d2.bags]
     return Result(graph, PathDecomposition(graph, bags), max(w1, w2) + n1)
+
+
+def remove_redundant_bags(td):
+    if not validate(td.host, td).valid:
+        raise ParameterError("decomposition invalid")
+    adj = {u: set(nb) for u, nb in td.tree.adjacency().items()}
+    bags = dict(td.bags)
+    while True:
+        merged = False
+        for u, v in sorted((min(u, v), max(u, v)) for u in adj for v in adj[u]):
+            drop, keep = None, None
+            if bags[u] <= bags[v]:
+                drop, keep = u, v
+            elif bags[v] <= bags[u]:
+                drop, keep = v, u
+            if drop is None:
+                continue
+            _contract(adj, bags, drop, keep)
+            merged = True
+            break
+        if not merged:
+            break
+    tree = Graph(adj, [(u, v) for u in adj for v in adj[u] if u < v])
+    return TreeDecomposition(td.host, tree, bags)

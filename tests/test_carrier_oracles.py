@@ -14,11 +14,16 @@ import pytest
 import frozen_carriers as frozen
 from smallgraphs import all_graphs_up_to
 from twpw import binary, unary
-from twpw.decomposition import PathDecomposition, TreeDecomposition
+from twpw.decomposition import (
+    PathDecomposition,
+    TreeDecomposition,
+    path_to_tree,
+    remove_redundant_bags,
+)
 from twpw.exact import exact_pathwidth, exact_treewidth
 from twpw.fileformats import format_td
 from twpw.graphs import Graph, complete_graph, cycle_graph, path_graph
-from twpw.harness import SplitMix64, random_tree
+from twpw.harness import SplitMix64, random_graph, random_tree
 
 KINDS = ("tree", "path")
 
@@ -179,3 +184,78 @@ def test_deleting_the_only_vertex_leaves_one_node():
     res = unary.delete_vertex(g, 0, d)
     assert res.decomposition.tree.n == 1
     same(unary.delete_vertex, frozen.delete_vertex, g, 0, d)
+
+
+# --- redundant bags ----------------------------------------------------------
+
+
+def slimmed(remove, d):
+    """What remove gives on d: its tree edges and bags (or the exception
+    it raises)."""
+    try:
+        slim = remove(d)
+    except Exception as exc:  # the oracle's exception is part of its outcome
+        return type(exc).__name__, str(exc)
+    return sorted(slim.tree.edges), slim.bag_items()
+
+
+def same_slim(d):
+    new = slimmed(remove_redundant_bags, d)
+    assert new == slimmed(frozen.remove_redundant_bags, d), (d.bag_items(), sorted(d.tree.edges))
+
+
+def _padded(rng, d):
+    """d's tree with a node on every edge holding the two bags' common part
+    or a copy of one of them, a leaf holding part of the bag under about
+    half of the nodes, and every node renamed at random: many nested and
+    equal bags, met in an order unrelated to the tree's."""
+    nodes = d.tree.vertices_sorted()
+    ids = list(range(3 * len(nodes)))
+    for i in range(len(ids) - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        ids[i], ids[j] = ids[j], ids[i]
+    fresh = iter(ids)
+    name = {u: next(fresh) for u in nodes}
+    bags = {name[u]: d.bags[u] for u in nodes}
+    edges = []
+    for a, b in sorted(d.tree.edges):
+        mid = next(fresh)
+        bags[mid] = (d.bags[a] & d.bags[b], d.bags[a], d.bags[b])[rng.next_below(3)]
+        edges += [(name[a], mid), (mid, name[b])]
+    for u in nodes:
+        if rng.next_below(2):
+            leaf = next(fresh)
+            bags[leaf] = frozenset(v for v in d.bags[u] if rng.next_below(2))
+            edges.append((name[u], leaf))
+    return TreeDecomposition(d.host, Graph(bags, edges), bags)
+
+
+def test_remove_redundant_bags_of_every_certificate():
+    for g, tree, path in certified_atlas():
+        same_slim(tree)
+        same_slim(path_to_tree(path))
+
+
+def test_remove_redundant_bags_of_padded_trees():
+    rng = SplitMix64(16)
+    graphs = [g for g, _, _ in certified_atlas()[::7]]
+    graphs += [random_graph(rng, n, p) for n in range(8, 13) for p in (2, 5, 8)]
+    for g in graphs:
+        for d in (exact_treewidth(g).certificate, path_to_tree(exact_pathwidth(g).certificate)):
+            for _ in range(3):
+                same_slim(_padded(rng, d))
+
+
+def test_remove_redundant_bags_of_a_long_path():
+    # every other bag of P200's path decomposition is nested in both neighbours
+    g = path_graph(200)
+    bags = [frozenset({i // 2}) if i % 2 == 0 else frozenset({i // 2, i // 2 + 1})
+            for i in range(2 * g.n - 1)]
+    d = path_to_tree(PathDecomposition(g, bags))
+    same_slim(d)
+    assert remove_redundant_bags(d).tree.n == g.n - 1
+
+
+def test_remove_redundant_bags_refuses_an_invalid_tree():
+    g = complete_graph(3)
+    same_slim(TreeDecomposition(g, Graph([0, 1], [(0, 1)]), {0: {0, 1}, 1: {2}}))

@@ -20,6 +20,8 @@ from twpw.graphs import (
     is_isomorphic,
     path_graph,
 )
+from twpw.harness import SplitMix64, random_graph
+from twpw.minors import parse_minor_script, replay_lower_witness
 
 
 def write(path, text):
@@ -100,6 +102,31 @@ class TestGenAndWidth:
         assert capsys.readouterr().out == "2\n"
         assert main(["validate", g_path, td_path]) == 0
         assert capsys.readouterr().out == "valid width 2\n"
+
+    def test_width_cert_writes_the_lower_witness_of_the_bounds(self, tmp_path, capsys):
+        # C9 is settled by the plain bounds; the 9-vertex graph of seed 75
+        # needs the 5-improved graph, so its witness adds edges
+        improvable = random_graph(SplitMix64(75), 9, 5)
+        for g, value in ((cycle_graph(9), 2), (improvable, 5)):
+            g_path = gr(tmp_path, g)
+            td_path = tmp_path / "g.td"
+            assert main(["width", g_path, "--param", "tw", "--cert", str(td_path)]) == 0
+            assert capsys.readouterr().out == f"{value}\n"
+            text = (tmp_path / "g.td.witness").read_text()
+            script = parse_minor_script(text)
+            assert exact_treewidth(g).lower_witness == script
+            minor = replay_lower_witness(read_gr(g_path), script, value)
+            assert min(map(minor.degree, minor.vertices)) >= value
+        assert "\na " in "\n" + text
+
+    @pytest.mark.parametrize("g, param", [(cycle_graph(9), "pw"), (cycle_graph(8), "tw")],
+                             ids=["path-width", "subset-DP"])
+    def test_width_cert_writes_no_witness_without_the_bounds(self, tmp_path, capsys, g, param):
+        td_path = tmp_path / "g.td"
+        assert main(["width", gr(tmp_path, g), "--param", param, "--cert", str(td_path)]) == 0
+        assert capsys.readouterr().out == "2\n"
+        assert td_path.exists()
+        assert not (tmp_path / "g.td.witness").exists()
 
     def test_width_of_edgeless_graph(self, tmp_path, capsys):
         g_path = str(tmp_path / "i.gr")

@@ -22,6 +22,7 @@ from twpw.minors import (
     format_minor_script,
     is_minor,
     parse_minor_script,
+    replay_lower_witness,
 )
 
 from smallgraphs import all_graphs_up_to
@@ -33,6 +34,23 @@ class TestScripts:
         text = format_minor_script(script)
         assert text == "dv 1\nc 2 3\nd 4 5\n"
         assert parse_minor_script(text) == script
+
+    def test_edge_addition_round_trips(self):
+        script = MinorScript((("dv", 0), ("a", 3, 4), ("c", 1, 2)))
+        text = format_minor_script(script)
+        assert text == "dv 1\na 4 5\nc 2 3\n"
+        assert parse_minor_script(text) == script
+
+    def test_edge_addition_is_refused_as_a_minor_step(self):
+        with pytest.raises(ScriptError, match="step 1: an edge addition is not a minor step"):
+            apply_minor_script(cycle_graph(4), MinorScript((("a", 0, 2),)))
+
+    def test_edge_addition_replays_in_a_lower_witness(self):
+        # 0 and 2 share 1 and 3 in the 4-cycle: enough for 2, not for 3
+        script = MinorScript((("a", 0, 2), ("a", 1, 3)))
+        assert replay_lower_witness(cycle_graph(4), script, 2) == complete_graph(4)
+        with pytest.raises(ScriptError, match="step 1: .* fewer than 3"):
+            replay_lower_witness(cycle_graph(4), script, 3)
 
     def test_comments_skipped(self):
         assert parse_minor_script("# nothing\n\ndv 3\n") == MinorScript((("dv", 2),))

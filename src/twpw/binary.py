@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .decomposition import PathDecomposition, TreeDecomposition, width
 from .errors import ParameterError
-from .graphs import Graph
+from .graphs import Graph, guard_size
 from .results import Result, check_host
 
 
@@ -73,9 +73,11 @@ def join(g1: Graph, g2: Graph, d1=None, d2=None) -> Result:
 
     The combiner keeps the decomposition of the side minimizing
     width + |other side| and pours the other side into every bag; the
-    claimed bound min(w1+n2, w2+n1) is exact.
+    claimed bound min(w1+n2, w2+n1) is exact.  A result too large for a
+    graph is refused (graphs.guard_size) before any edge is built.
     """
     _check_pair(d1, d2, g1, g2)
+    guard_size(g1.n + g2.n, g1.m + g2.m + g1.n * g2.n)
     m1, m2 = _rank_maps(g1, g2)
     cross = [(m1[u], m2[v]) for u in g1.vertices for v in g2.vertices]
     graph = Graph(range(g1.n + g2.n), _map_edges(g1, m1) + _map_edges(g2, m2) + cross)
@@ -260,11 +262,13 @@ def one_sum(g1: Graph, v: int, g2: Graph, w: int, d1=None, d2=None) -> Result:
 def corona(g1: Graph, g2: Graph, d1=None, d2=None) -> Result:
     """g1 plus one copy of g2 per vertex of g1, that vertex joined to its
     copy.  Layout: g1 at 0..n1-1 (sorted order), copy i at n1+i*n2 onward,
-    in g2's sorted order."""
+    in g2's sorted order.  A result too large for a graph is refused
+    (graphs.guard_size) before any edge is built."""
     if g1.n == 0:
         raise ParameterError("corona needs a nonempty first graph")
     _check_pair(d1, d2, g1, g2)
     n1, n2 = g1.n, g2.n
+    guard_size(n1 + n1 * n2, g1.m + n1 * (g2.m + n2))
     m1 = {x: i for i, x in enumerate(g1.vertices_sorted())}
     m2 = {u: j for j, u in enumerate(g2.vertices_sorted())}
     e2 = _map_edges(g2, m2)  # copy i is g2 so relabeled, shifted by n1 + i * n2

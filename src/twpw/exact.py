@@ -194,7 +194,7 @@ def _check_lower_witness(g: Graph, value: int, script: MinorScript) -> None:
         minor = replay_lower_witness(g, script, value)
     except ToolError as exc:
         raise InconsistencyError(f"tw lower witness does not replay: {exc}") from None
-    if not minor.n or min(map(minor.degree, minor.vertices)) < value:
+    if not minor.n or min(map(len, minor.adjacency().values())) < value:
         raise InconsistencyError(f"tw lower witness does not reach value {value}")
 
 
@@ -246,12 +246,15 @@ def _peel_simplicial(adj: list[int]) -> tuple[list[int], int, int]:
         simplicial ^= 1 << v
         alive ^= 1 << v
         removed.append(v)
-        nb = adj[v]
+        nb = rest = adj[v]
         low = max(low, nb.bit_count())
-        for u in _members(nb):
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            u = b.bit_length() - 1
             adj[u] ^= 1 << v
             if _is_simplicial(adj, u):
-                simplicial |= 1 << u
+                simplicial |= b
     return removed, low, alive
 
 
@@ -264,8 +267,10 @@ def _components(adj: list[int], alive: int) -> list[int]:
         comp = frontier = alive & -alive
         while frontier:
             grown = 0
-            for u in _members(frontier):
-                grown |= adj[u]
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                grown |= adj[b.bit_length() - 1]
             frontier = grown & ~comp
             comp |= frontier
         comps.append(comp)
@@ -274,9 +279,26 @@ def _components(adj: list[int], alive: int) -> list[int]:
 
 
 def _restrict(adj: list[int], members: list[int]) -> list[int]:
-    """Kernel masks of the subgraph on members, re-indexed in list order."""
-    index = {v: 1 << i for i, v in enumerate(members)}
-    return [sum(index[u] for u in _members(adj[v])) for v in members]
+    """Kernel masks of the subgraph on members, re-indexed in list order.
+
+    members must be ascending, and each member's neighbors members too, as
+    in a component.  Each run of consecutive members then keeps its order
+    and moves down as one block: the run starting at list index i moves by
+    members[i] - i, and its bits land on indices i to the run's end.
+    """
+    runs = []  # (how far the run moves down, its bits once moved)
+    start = 0
+    for i, v in enumerate(members):
+        if i + 1 == len(members) or members[i + 1] != v + 1:
+            runs.append((members[start] - start, ((2 << i) - 1) ^ ((1 << start) - 1)))
+            start = i + 1
+    out = []
+    for v in members:
+        nb, mask = adj[v], 0
+        for shift, bits in runs:
+            mask |= nb >> shift & bits
+        out.append(mask)
+    return out
 
 
 def _by_components(kernel, adj: list[int], alive: int) -> tuple[int, list[int]]:
@@ -301,25 +323,55 @@ def _min_fill(adj: list[int]) -> tuple[int, list[int]]:
     completes its neighbors into a clique.  The width of the order, the
     largest degree a vertex has when it is eliminated, bounds the
     tree-width from above.  (-1, []) for the empty graph.
+
+    Keys are kept between steps: an elimination changes the fill only of
+    the eliminated vertex's neighbors and of their neighbors, so only
+    theirs are counted again.  Once the vertices left form a clique they
+    all tie, and the rest of the order is ascending.
     """
+    n = len(adj)
     adj = list(adj)
-    alive = (1 << len(adj)) - 1
+    # key[v] packs (fill, degree, v) into one int, so min(key) picks;
+    # an eliminated vertex's key is above every other
+    bits = n.bit_length()
+    index = (1 << bits) - 1
+    key = [0] * n
+    gone = n * n << 2 * bits
     value, order = -1, []
-    while alive:
-        best = pick = None
-        for v in _members(alive):
-            nb = adj[v]
+    alive = stale = (1 << n) - 1  # stale: the vertices whose key is out of date
+    for left in range(n, 0, -1):
+        while stale:
+            b = stale & -stale
+            stale ^= b
+            v = b.bit_length() - 1
+            nb = rest = adj[v]
             # each missing edge among the neighbors is counted from both ends
-            missing = sum((nb & ~adj[u]).bit_count() - 1 for u in _members(nb))
-            key = (missing, nb.bit_count())
-            if best is None or key < best:
-                best, pick = key, v
-        nb = adj[pick]
+            missing = -nb.bit_count()
+            while rest:
+                u = rest & -rest
+                rest ^= u
+                missing += (nb & ~adj[u.bit_length() - 1]).bit_count()
+            key[v] = (missing << bits | nb.bit_count()) << bits | v
+        best = min(key)
+        if best >> bits == left - 1:
+            # no fill and every other vertex a neighbor: what is left is a
+            # clique, whose vertices all tie and go lowest index first
+            order.extend(_members(alive))
+            return max(value, left - 1), order
+        pick = best & index
+        key[pick] = gone
+        alive ^= 1 << pick
+        nb = rest = adj[pick]
         value = max(value, nb.bit_count())
         order.append(pick)
-        alive ^= 1 << pick
-        for u in _members(nb):
-            adj[u] = (adj[u] | nb) & ~(1 << u | 1 << pick)
+        # completing nb changes the fill of its members and their neighbors
+        stale = nb
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            u = b.bit_length() - 1
+            adj[u] = (adj[u] | nb) & ~(b | 1 << pick)
+            stale |= adj[u]
     return value, order
 
 
@@ -335,27 +387,51 @@ def _minor_min_width(adj: list[int]) -> tuple[int, list[tuple]]:
     degree seen bounds the tree-width from below.  The steps are minor
     steps ("c", v, u) and ("dv", v) over adj's indices, up to the first
     graph whose minimum degree is the bound.  (-1, []) for the empty graph.
+    Degrees are kept as the graph shrinks, and the steps stop once no graph
+    left could raise the bound.
     """
+    n = len(adj)
     adj = list(adj)
-    alive = (1 << len(adj)) - 1
+    # key[v] packs (degree, v) into one int, so min(key) picks; a removed
+    # vertex's key is above every other
+    bits = n.bit_length()
+    one = 1 << bits
+    key = [nb.bit_count() << bits | v for v, nb in enumerate(adj)]
     value, steps, reached = (0 if adj else -1), [], 0
-    while alive & (alive - 1):
-        v = min(_members(alive), key=lambda w: adj[w].bit_count())
+    # a graph on `left` vertices has minimum degree at most left - 1, so
+    # the bound stops rising once that is at most value
+    for left in range(n, 1, -1):
+        if left - 1 <= value:
+            break
+        v = min(key) & (one - 1)
+        key[v] = n * one
         nb = adj[v]
         if nb.bit_count() > value:
             value, reached = nb.bit_count(), len(steps)
-        alive ^= 1 << v
         if not nb:
             steps.append(("dv", v))
             continue
-        u = min(_members(nb), key=lambda w: (adj[w] & nb).bit_count())
-        steps.append(("c", v, u))
-        for w in _members(nb):
+        u, fewest, rest = -1, n, nb
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            w = b.bit_length() - 1
             adj[w] ^= 1 << v
-        merged = (adj[u] | nb) & ~(1 << u)
-        for w in _members(merged & ~adj[u]):
+            key[w] -= one
+            common = (adj[w] & nb).bit_count()
+            if common < fewest:
+                u, fewest = w, common
+        steps.append(("c", v, u))
+        merged = adj[u] | nb & ~(1 << u)
+        rest = merged & ~adj[u]
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            w = b.bit_length() - 1
             adj[w] |= 1 << u
+            key[w] += one
         adj[u] = merged
+        key[u] = merged.bit_count() << bits | u
     return value, steps[:reached]
 
 
@@ -376,9 +452,13 @@ def _improved(adj: list[int], k: int) -> tuple[list[int], list[tuple]]:
     while joined:
         joined = False
         for u in range(len(adj)):
-            for v in _members(full & ~adj[u] & ~((2 << u) - 1)):
+            rest = full & ~adj[u] & ~((2 << u) - 1)
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                v = b.bit_length() - 1
                 if (adj[u] & adj[v]).bit_count() >= k:
-                    adj[u] |= 1 << v
+                    adj[u] |= b
                     adj[v] |= 1 << u
                     steps.append(("a", u, v))
                     joined = True

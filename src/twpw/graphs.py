@@ -40,6 +40,16 @@ class Graph:
         self._edges = frozenset(es)
         self._adj: dict[int, frozenset[int]] | None = None
 
+    @classmethod
+    def _trusted(cls, vertices: frozenset[int], edges: frozenset[tuple[int, int]],
+                 adj: dict[int, frozenset[int]]) -> Graph:
+        """The graph with these parts, built from a valid graph's parts:
+        ids, sorted pairs over them and the matching adjacency.  Nothing is
+        checked, so no pass over the edges is made."""
+        g = cls.__new__(cls)
+        g._vertices, g._edges, g._adj = vertices, edges, adj
+        return g
+
     @property
     def vertices(self) -> frozenset[int]:
         return self._vertices

@@ -144,11 +144,21 @@ def pathwidth_dp(masks: list[int]) -> tuple[int, list[int]]:
     is in F_k.  So F_k is the closure of F_{k-1} (of {empty set} for k = 0)
     under
 
-        F |= ((F & ~has[v]) << 2^v) & LE_k    for v = 0 .. n-1,
+        F |= ((F & lacks[v]) << 2^v) & LE_k    for v = 0, 1, ..., n-1, 0, 1, ...
 
-    repeated until a pass adds nothing, and the first k whose family holds
-    V is the path-width.  The layout is read back from the stored families:
-    from V, repeatedly remove the lowest-index v minimising value[S - v].
+    where lacks[v] is the family of subsets without v.  The vertices are
+    cycled through until every one of them has been applied to the current
+    family without adding to it; the vertex that last added to it needs no
+    second look, since every subset it added holds it.  The first k whose
+    family holds V is the path-width.
+
+    The layout is read back from the stored families: from V, repeatedly
+    remove the lowest-index v minimising value[S - v].  That minimum never
+    rises along the way: the next set S - v has value[S - v] equal to it,
+    and value[S - v] is at least the next minimum by the recurrence.  So its
+    level k is found by walking down from the last one: k drops while some
+    S - v lies in F_{k-1}, and the removed v is the lowest one with S - v
+    in F_k.
     Returns (path-width, placement order), (-1, []) for the empty graph.
     """
     n = _check_masks(masks)
@@ -156,17 +166,18 @@ def pathwidth_dp(masks: list[int]) -> tuple[int, list[int]]:
         return -1, []
     full = (1 << n) - 1
     everything = (1 << (full + 1)) - 1
-    has = [_containing(v, n) for v in range(n)]
-    lacks = [everything ^ h for h in has]
+    lacks = _lacking(n)
     # bit-sliced boundary counts: bit S of counter[i] is bit i of boundary(S)
     counter = [0] * n.bit_length()
     for v in range(n):
         # v counts in S when some neighbor is outside S
         outside = 0
-        for u in range(n):
-            if masks[v] >> u & 1:
-                outside |= lacks[u]
-        carry = has[v] & outside
+        rest = masks[v]
+        while rest:
+            low = rest & -rest
+            outside |= lacks[low.bit_length() - 1]
+            rest ^= low
+        carry = outside & ~lacks[v]
         for i, c in enumerate(counter):
             counter[i], carry = c ^ carry, c & carry
     at_most_k = 0
@@ -177,50 +188,57 @@ def pathwidth_dp(masks: list[int]) -> tuple[int, list[int]]:
         for i, c in enumerate(counter):
             exactly_k &= c if k >> i & 1 else everything ^ c
         at_most_k |= exactly_k
-        grown = 0
-        while grown != family:
-            grown = family
-            for v in range(n):
-                family |= ((family & lacks[v]) << (1 << v)) & at_most_k
+        stable = v = 0  # vertices applied in a row without adding a subset
+        while stable < n:
+            grown = family | ((family & lacks[v]) << (1 << v)) & at_most_k
+            if grown != family:
+                family = grown
+                stable = 1
+            else:
+                stable += 1
+            v = v + 1 if v + 1 < n else 0
         families.append(family.to_bytes((full >> 3) + 1, "little"))
         if family >> full:
             break
     order = []
     s = full
+    k = len(families) - 1
     while s:
-        low = _best_removal(s, families)
+        while k and _first_removal(s, families[k - 1]):
+            k -= 1
+        low = _first_removal(s, families[k])
+        if not low:
+            raise AssertionError("a subset in F_k has no predecessor in it")
         order.append(low.bit_length() - 1)
         s ^= low
     order.reverse()
     return len(families) - 1, order
 
 
-def _containing(v: int, n: int) -> int:
-    """has[v]: the family of subsets of n vertices that contain v.
+def _lacking(n: int) -> list[int]:
+    """lacks[v] for v < n: the family of subsets of n vertices without v.
 
-    Its bit pattern is a repunit times a block: 2^v clear bits, then 2^v
-    set ones, repeated; the repeats are made by doubling.
+    Its bit pattern is 2^v set bits, then 2^v clear ones, repeated.  XOR
+    with itself shifted left by 2^(v-1) splits each run of set bits into
+    two runs of 2^(v-1), 2^(v-1) apart: the pattern for v - 1.  No run
+    moves out of its period, so no bit spills past bit 2^n.
     """
-    family = ((1 << (1 << v)) - 1) << (1 << v)
-    span = 2 << v
-    while span < 1 << n:
-        family |= family << span
-        span <<= 1
-    return family
+    lacks = [0] * n
+    family = (1 << (1 << n >> 1)) - 1  # the lower half: subsets without n - 1
+    for v in range(n - 1, -1, -1):
+        lacks[v] = family
+        family ^= family << (1 << v >> 1)
+    return lacks
 
 
-def _best_removal(s: int, families: list[bytes]) -> int:
-    """The bit of the lowest-index v in s minimising value[s - v].
-
-    families[k] is F_k as little-endian bytes; s lies in the last family,
-    so some s - v does too.
-    """
-    for table in families:
-        t = s
-        while t:
-            low = t & -t
-            rest = s ^ low
-            if table[rest >> 3] >> (rest & 7) & 1:
-                return low
-            t ^= low
-    raise AssertionError("a subset in the last family has no predecessor in it")
+def _first_removal(s: int, table: bytes) -> int:
+    """The bit of the lowest-index v in s with s - v in the family table
+    (little-endian bytes), or 0 when there is none."""
+    t = s
+    while t:
+        low = t & -t
+        rest = s ^ low
+        if table[rest >> 3] >> (rest & 7) & 1:
+            return low
+        t ^= low
+    return 0

@@ -23,7 +23,7 @@ from .decomposition import (
     width,
 )
 from .errors import ParameterError
-from .graphs import Graph, fresh_id, is_forest, max_degree
+from .graphs import Graph, fresh_id, guard_size, is_forest, max_degree
 from .results import Result, check_host
 
 
@@ -77,7 +77,13 @@ def _drop_empty_bags_tree(d: TreeDecomposition) -> TreeDecomposition:
 def delete_vertex(g: Graph, v: int, d: Decomposition | None = None) -> Result:
     check_host(g, d)
     _require_vertex(g, v)
-    g2 = Graph(g.vertices - {v}, [e for e in g.edges if v not in e])
+    adj = g.adjacency()
+    adj2 = dict(adj)
+    del adj2[v]
+    for x in adj[v]:
+        adj2[x] = adj[x] - {v}
+    edges = g.edges - {(v, x) if v < x else (x, v) for x in adj[v]}
+    g2 = Graph._trusted(g.vertices - {v}, edges, adj2)
     if d is None:
         return Result(g2)
     stripped = d.rebag(g2, lambda bag: bag - {v})
@@ -122,24 +128,36 @@ def add_edge(g: Graph, u: int, v: int, d: Decomposition | None = None) -> Result
         raise ParameterError("cannot add a loop")
     if g.has_edge(u, v):
         raise ParameterError(f"edge ({u}, {v}) already present")
+    u, v = int(u), int(v)
+    adj = dict(g.adjacency())
+    adj[u], adj[v] = adj[u] | {v}, adj[v] | {u}
+    g2 = Graph._trusted(g.vertices, g.edges | {(u, v) if u < v else (v, u)}, adj)
     # the second endpoint is the one added to every bag
-    return _carry(Graph(g.vertices, list(g.edges) + [(u, v)]), d,
-                  lambda bag: bag | {v}, 1)
+    return _carry(g2, d, lambda bag: bag | {v}, 1)
 
 
 # --- identification, contraction, subdivision ---------------------------
 
 
 def _merge(g: Graph, v: int, w: int) -> tuple[Graph, int]:
-    """g with v and w fused into the fresh vertex z; returns (graph, z)."""
+    """g with v and w fused into the fresh vertex z; returns (graph, z).
+
+    Only the edges at v and w change, so the result is g's edges and
+    adjacency with those replaced; z is above every id, so each new edge
+    is (x, z)."""
     z = fresh_id(g)
-    edges = set()
-    for a, b in g.edges:
-        a2 = z if a in (v, w) else a
-        b2 = z if b in (v, w) else b
-        if a2 != b2:
-            edges.add((a2, b2) if a2 < b2 else (b2, a2))
-    return Graph((g.vertices - {v, w}) | {z}, edges), z
+    adj = g.adjacency()
+    pair = {v, w}
+    around = (adj[v] | adj[w]) - pair
+    gone = {(v, x) if v < x else (x, v) for x in adj[v]}
+    gone.update((w, x) if w < x else (x, w) for x in adj[w])
+    edges = (g.edges - gone) | {(x, z) for x in around}
+    adj2 = dict(adj)
+    del adj2[v], adj2[w]
+    for x in around:
+        adj2[x] = (adj[x] - pair) | {z}
+    adj2[z] = around
+    return Graph._trusted((g.vertices - pair) | {z}, edges, adj2), z
 
 
 def _rename_pair(bag: frozenset[int], v: int, w: int, z: int) -> frozenset[int]:
@@ -377,6 +395,9 @@ def line_graph(g: Graph, d: Decomposition | None = None) -> Result:
 
 
 def edge_complement(g: Graph) -> Result:
+    """Every pair g lacks; a result too large for a graph is refused
+    (graphs.guard_size) before any edge is built."""
+    guard_size(g.n, g.n * (g.n - 1) // 2 - g.m)
     order = g.vertices_sorted()
     edges = [
         (u, v)

@@ -1,0 +1,145 @@
+"""The tree-width solver layer's bounds and mask helpers as they were
+before their per-vertex loops were made incremental, frozen as oracles.
+
+These build a list of set bits for every loop and pick minima through
+``min(key=...)``: min-fill recounts the fill of every vertex after each
+elimination, and the others walk ``_members`` lists.  The current helpers
+in ``twpw.exact`` must return exactly what these return, orders, steps
+and tie-breaks included, since certificates and lower witnesses are built
+from them.  ``_members`` and ``_is_simplicial`` are copied too, so a
+rewrite of either cannot change both sides of a differential test.
+"""
+
+
+def _members(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _is_simplicial(adj, v):
+    nb = adj[v]
+    rest = nb
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        if nb & ~adj[b.bit_length() - 1] != b:
+            return False
+    return True
+
+
+def peel_simplicial(adj):
+    alive = (1 << len(adj)) - 1
+    simplicial = 0
+    for v in range(len(adj)):
+        if _is_simplicial(adj, v):
+            simplicial |= 1 << v
+    removed, low = [], -1
+    while simplicial:
+        v = simplicial.bit_length() - 1
+        simplicial ^= 1 << v
+        alive ^= 1 << v
+        removed.append(v)
+        nb = adj[v]
+        low = max(low, nb.bit_count())
+        for u in _members(nb):
+            adj[u] ^= 1 << v
+            if _is_simplicial(adj, u):
+                simplicial |= 1 << u
+    return removed, low, alive
+
+
+def components(adj, alive):
+    comps = []
+    while alive:
+        comp = frontier = alive & -alive
+        while frontier:
+            grown = 0
+            for u in _members(frontier):
+                grown |= adj[u]
+            frontier = grown & ~comp
+            comp |= frontier
+        comps.append(comp)
+        alive ^= comp
+    return comps[::-1]
+
+
+def restrict(adj, members):
+    index = {v: 1 << i for i, v in enumerate(members)}
+    return [sum(index[u] for u in _members(adj[v])) for v in members]
+
+
+def min_fill(adj):
+    adj = list(adj)
+    alive = (1 << len(adj)) - 1
+    value, order = -1, []
+    while alive:
+        best = pick = None
+        for v in _members(alive):
+            nb = adj[v]
+            missing = sum((nb & ~adj[u]).bit_count() - 1 for u in _members(nb))
+            key = (missing, nb.bit_count())
+            if best is None or key < best:
+                best, pick = key, v
+        nb = adj[pick]
+        value = max(value, nb.bit_count())
+        order.append(pick)
+        alive ^= 1 << pick
+        for u in _members(nb):
+            adj[u] = (adj[u] | nb) & ~(1 << u | 1 << pick)
+    return value, order
+
+
+def minor_min_width(adj):
+    adj = list(adj)
+    alive = (1 << len(adj)) - 1
+    value, steps, reached = (0 if adj else -1), [], 0
+    while alive & (alive - 1):
+        v = min(_members(alive), key=lambda w: adj[w].bit_count())
+        nb = adj[v]
+        if nb.bit_count() > value:
+            value, reached = nb.bit_count(), len(steps)
+        alive ^= 1 << v
+        if not nb:
+            steps.append(("dv", v))
+            continue
+        u = min(_members(nb), key=lambda w: (adj[w] & nb).bit_count())
+        steps.append(("c", v, u))
+        for w in _members(nb):
+            adj[w] ^= 1 << v
+        merged = (adj[u] | nb) & ~(1 << u)
+        for w in _members(merged & ~adj[u]):
+            adj[w] |= 1 << u
+        adj[u] = merged
+    return value, steps[:reached]
+
+
+def improved(adj, k):
+    adj = list(adj)
+    full = (1 << len(adj)) - 1
+    steps = []
+    joined = True
+    while joined:
+        joined = False
+        for u in range(len(adj)):
+            for v in _members(full & ~adj[u] & ~((2 << u) - 1)):
+                if (adj[u] & adj[v]).bit_count() >= k:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+                    steps.append(("a", u, v))
+                    joined = True
+    return adj, steps
+
+
+def lower_bound(adj, hi):
+    lo, steps = minor_min_width(adj)
+    while lo < hi:
+        better, added = improved(adj, lo + 1)
+        reached, contracted = minor_min_width(better)
+        if reached <= lo:
+            break
+        lo, steps = lo + 1, added + contracted
+    return lo, steps

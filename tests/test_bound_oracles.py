@@ -1,0 +1,85 @@
+"""The solver layer's bounds and mask helpers against their frozen copies.
+
+Every atlas graph up to seven vertices and seeded G(n, p) graphs of 9 to
+16 vertices are run through both sides, as are the k-improved graphs of
+each for every k up to min-fill's bound, so the improved graphs' denser
+ties are covered too.  Orders, steps and masks must match exactly.
+"""
+
+import pytest
+
+import frozen_bounds as frozen
+from smallgraphs import all_graphs_up_to
+from twpw import exact
+from twpw.harness import SplitMix64, random_graph
+
+SEEDED = [random_graph(SplitMix64(seed), n, p)
+          for seed in (1, 2, 3) for n in range(9, 17) for p in (2, 4, 5, 6, 8)]
+
+
+def inputs(graphs):
+    """The masks of each graph and of its k-improved graphs, k = 1 up to
+    its min-fill bound."""
+    for g in graphs:
+        masks = g.masks()
+        yield masks
+        hi, _ = frozen.min_fill(masks)
+        for k in range(1, hi + 1):
+            yield frozen.improved(masks, k)[0]
+
+
+CASES = {"atlas": list(inputs(all_graphs_up_to(7))), "seeded": list(inputs(SEEDED))}
+
+
+@pytest.fixture(params=sorted(CASES))
+def cases(request):
+    return CASES[request.param]
+
+
+def test_min_fill(cases):
+    for masks in cases:
+        assert exact._min_fill(masks) == frozen.min_fill(masks), masks
+
+
+def test_minor_min_width(cases):
+    for masks in cases:
+        assert exact._minor_min_width(masks) == frozen.minor_min_width(masks), masks
+
+
+def test_improved(cases):
+    for masks in cases:
+        hi, _ = frozen.min_fill(masks)
+        for k in range(hi + 2):
+            assert exact._improved(masks, k) == frozen.improved(masks, k), (masks, k)
+
+
+def test_lower_bound(cases):
+    for masks in cases:
+        hi, _ = frozen.min_fill(masks)
+        for cap in {hi, hi + 1, max(hi - 1, 0)}:
+            assert exact._lower_bound(masks, cap) == frozen.lower_bound(masks, cap), masks
+
+
+def test_peel_split_and_restrict(cases):
+    for masks in cases:
+        full = (1 << len(masks)) - 1
+        assert exact._components(masks, full) == frozen.components(masks, full), masks
+        ours, theirs = list(masks), list(masks)
+        peeled = exact._peel_simplicial(ours)
+        assert peeled == frozen.peel_simplicial(theirs), masks
+        assert ours == theirs, masks
+        comps = exact._components(ours, peeled[2])
+        assert comps == frozen.components(theirs, peeled[2]), masks
+        for comp in comps:
+            members = frozen._members(comp)
+            assert exact._restrict(ours, members) == frozen.restrict(theirs, members)
+
+
+def test_inputs_are_not_changed():
+    for masks in CASES["seeded"][:40]:
+        kept = list(masks)
+        exact._min_fill(masks)
+        exact._minor_min_width(masks)
+        exact._improved(masks, 3)
+        exact._lower_bound(masks, len(masks))
+        assert masks == kept

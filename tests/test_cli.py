@@ -12,6 +12,7 @@ from twpw.errors import ScriptError
 from twpw.fileformats import format_gr, format_td, parse_gr, read_gr, read_td
 from twpw.exact import exact_pathwidth, exact_treewidth
 from twpw.graphs import (
+    Graph,
     caterpillar_example,
     complete_graph,
     cycle_graph,
@@ -356,6 +357,31 @@ class TestApply:
         s_path = write(tmp_path / "s.ops", "complement\n")
         assert main(["apply", g_path, s_path, str(out)]) == 0
         assert read_gr(str(out)) == complete_graph(10)
+
+    @pytest.mark.parametrize("module, script, n1, n2, err", [
+        ("unary", "complement", 1500, None, "at most 1000000 edges, got 1124250"),
+        ("binary", "join", 1001, 1000, "at most 1000000 edges, got 1001000"),
+        ("binary", "corona", 1000, 100, "at most 100000 vertices, got 101000"),
+    ])
+    def test_oversized_result_refused_before_it_is_built(
+            self, tmp_path, capsys, monkeypatch, module, script, n1, n2, err):
+        built = []
+
+        class Spy(Graph):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(len(args))
+                super().__init__(*args)
+
+        monkeypatch.setattr(f"twpw.{module}.Graph", Spy)
+        argv = ["apply", write(tmp_path / "g.gr", f"p tw {n1} 0\n"),
+                write(tmp_path / "s.ops", script + "\n"), str(tmp_path / "out.gr")]
+        if n2 is not None:
+            argv += ["--graph2", write(tmp_path / "h.gr", f"p tw {n2} 0\n")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: graphs support {err}\n"
+        assert built == [] and not (tmp_path / "out.gr").exists()
 
     def test_script_errors_exit_2(self, tmp_path):
         g_path = gr(tmp_path, path_graph(3))

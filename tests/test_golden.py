@@ -16,7 +16,10 @@ from twpw.errors import ParameterError
 from twpw.exact import exact_pathwidth, exact_treewidth
 from twpw.fileformats import format_gr, format_td
 from twpw.graphs import Graph, path_graph
-from twpw.harness import SUITES, SplitMix64, SweepConfig, run_suite, sample_graph
+from twpw.harness import (
+    SUITES, SplitMix64, SweepConfig, random_graph, run_suite, sample_graph,
+)
+from twpw.minors import format_minor_script
 from twpw.operations import OPERATIONS
 
 # recorded with the power degree bound clamped at d = n - 1 for Delta = 2,
@@ -89,6 +92,36 @@ def test_carried_decompositions():
                         None if dec is None else format_td(dec), res.claimed_bound,
                     )).encode())
     assert digest.hexdigest() == CARRIED_SHA256
+
+
+# both solvers at the sizes the solver layer bounds: per graph the tw value,
+# its certificate, its lower witness (or "-"), the pw value and its
+# certificate, over G(n, p) draws for n = 9..14, p = 0.2, 0.5, 0.8 and
+# seeds 1..4; recorded before the bounds and the path-width kernel were
+# rewritten for speed
+SOLVER_OUTPUTS_SHA256 = (
+    "921590b3244483d8c451e6a7f600db24650d6dfcddbe4c4ffb7ac4316383124f"
+)
+
+
+def test_solver_outputs_at_solve_sizes():
+    digest = hashlib.sha256()
+    witnesses = 0
+    for seed in range(1, 5):
+        for n in range(9, 15):
+            for p in (2, 5, 8):
+                g = random_graph(SplitMix64(seed), n, p)
+                tw, pw = exact_treewidth(g), exact_pathwidth(g)
+                witness = "-"
+                if tw.lower_witness is not None:
+                    witness = format_minor_script(tw.lower_witness)
+                    witnesses += 1
+                digest.update(repr((
+                    seed, n, p, tw.value, format_td(tw.certificate), witness,
+                    pw.value, format_td(pw.certificate),
+                )).encode())
+    assert witnesses
+    assert digest.hexdigest() == SOLVER_OUTPUTS_SHA256
 
 
 def _sweep_tap_sha(tmp_path, capsys, samples):

@@ -51,3 +51,39 @@ def test_operation_modules_keep_no_public_helper(name):
     unnamed = [f for f in public_functions((SRC / name).read_text(encoding="utf-8"))
                if not re.search(rf"\b{f}\b", text)]
     assert unnamed == []
+
+
+def private_functions(tree: ast.Module) -> list[ast.FunctionDef]:
+    """The module's top-level functions whose names start with one _."""
+    return [node for node in tree.body if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def referenced_names(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
+    """Names the module reads, attributes it looks up and names it
+    imports, outside the node skip."""
+    inside = set(map(id, ast.walk(skip))) if skip is not None else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_every_private_function_is_used():
+    # a helper that nothing in the package names is dead code, such as one
+    # a rewrite left behind
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    dead = []
+    for name, tree in trees.items():
+        elsewhere = set().union(*(referenced_names(t) for n, t in trees.items() if n != name))
+        for fn in private_functions(tree):
+            if fn.name not in elsewhere | referenced_names(tree, skip=fn):
+                dead.append(f"{name}::{fn.name}")
+    assert dead == []

@@ -186,11 +186,55 @@ _PRODUCT_RULES = {
     "rejection": lambda s1, e1, s2, e2: not e1 and not e2,
 }
 PRODUCT_KINDS = tuple(_PRODUCT_RULES)
+# the kinds whose edges follow from the factors' edges, so they are listed
+# from them instead of deciding every pair of vertices
+_SPARSE_KINDS = ("cartesian", "categorical", "lexicographic", "normal")
+
+_SAME, _EDGE, _APART = (True, False), (False, True), (False, False)
+
+
+def _product_size(rule, g1: Graph, g2: Graph) -> int:
+    """The number of edges of the product by rule.  An ordered pair of
+    distinct product vertices is same, edge or apart (distinct and not
+    adjacent) in each coordinate; each pattern but same-same counts the
+    product of its coordinates' ordered-pair counts, and each edge is two
+    ordered pairs."""
+    def counts(g):
+        return {_SAME: g.n, _EDGE: 2 * g.m, _APART: g.n * (g.n - 1) - 2 * g.m}
+    c1, c2 = counts(g1), counts(g2)
+    return sum(c1[a] * c2[b] for a in c1 for b in c2
+               if (a, b) != (_SAME, _SAME) and rule(*a, *b)) // 2
+
+
+def _sparse_product_edges(kind: str, g1: Graph, g2: Graph) -> list[tuple[int, int]]:
+    """The edges of a sparse product as row-major id pairs, read off the
+    factors' edges.  Each factor edge (a, b) has a < b, so every pair is
+    ordered; the list is sorted, the order in which the pairwise scan finds
+    the edges, so the result graph holds its edges in the same order."""
+    n2 = g2.n
+    r1 = {u: i * n2 for i, u in enumerate(g1.vertices_sorted())}  # id of (u, 0th)
+    r2 = {u: j for j, u in enumerate(g2.vertices_sorted())}
+    e1 = [(r1[a], r1[b]) for a, b in g1.edges]
+    e2 = [(r2[a], r2[b]) for a, b in g2.edges]
+    edges = []
+    if kind != "categorical":  # equal first coordinates, adjacent second ones
+        edges += [(x + a, x + b) for x in r1.values() for a, b in e2]
+    if kind in ("cartesian", "normal"):  # adjacent first, equal second
+        edges += [(a + j, b + j) for a, b in e1 for j in range(n2)]
+    if kind in ("categorical", "normal"):  # adjacent in both
+        edges += [(a + c, b + d) for a, b in e1 for c, d in e2]
+        edges += [(a + d, b + c) for a, b in e1 for c, d in e2]
+    if kind == "lexicographic":  # adjacent first, any second
+        edges += [(a + x, b + y) for a, b in e1 for x in range(n2) for y in range(n2)]
+    edges.sort()
+    return edges
 
 
 def product(kind: str, g1: Graph, g2: Graph, d1=None) -> Result:
     """The seven products over V1 x V2; (u1, u2) gets the row-major id
-    i1 * n2 + i2 of its ranks in the sorted vertex orders.
+    i1 * n2 + i2 of its ranks in the sorted vertex orders.  A result too
+    large for a graph is refused (graphs.guard_size) before any edge is
+    built.
 
     Only the lexicographic product carries a decomposition (of g1): each
     vertex blows up into its {v} x V2 block, claimed (w1+1)|V2|-1."""
@@ -200,14 +244,18 @@ def product(kind: str, g1: Graph, g2: Graph, d1=None) -> Result:
         raise ParameterError("only the lexicographic product has a combiner")
     check_host(g1, d1)
     rule = _PRODUCT_RULES[kind]
+    guard_size(g1.n * g2.n, _product_size(rule, g1, g2))
     o1, o2 = g1.vertices_sorted(), g2.vertices_sorted()
-    pairs = [(u1, u2) for u1 in o1 for u2 in o2]
-    edges = []
-    for i, (u1, u2) in enumerate(pairs):
-        for j, (v1, v2) in enumerate(pairs[i + 1 :], i + 1):
-            if rule(u1 == v1, g1.has_edge(u1, v1), u2 == v2, g2.has_edge(u2, v2)):
-                edges.append((i, j))
-    graph = Graph(range(len(pairs)), edges)
+    if kind in _SPARSE_KINDS:
+        edges = _sparse_product_edges(kind, g1, g2)
+    else:
+        pairs = [(u1, u2) for u1 in o1 for u2 in o2]
+        edges = []
+        for i, (u1, u2) in enumerate(pairs):
+            for j, (v1, v2) in enumerate(pairs[i + 1 :], i + 1):
+                if rule(u1 == v1, g1.has_edge(u1, v1), u2 == v2, g2.has_edge(u2, v2)):
+                    edges.append((i, j))
+    graph = Graph(range(g1.n * g2.n), edges)
     if d1 is None:
         return Result(graph)
     n2 = g2.n

@@ -14,6 +14,7 @@ capability guard exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -243,7 +244,11 @@ def _integer(token: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and then reused:
+    parsing leaves it unchanged, and each subcommand's function looks up
+    what it calls when it runs."""
     parser = argparse.ArgumentParser(
         prog="twpw",
         description="graph width toolkit: exact solvers, rewrites, sweeps",

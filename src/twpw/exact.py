@@ -124,7 +124,10 @@ def elimination_decomposition(g: Graph, order: list[int]) -> TreeDecomposition:
     parent, so the set operations add up to the size of the graph plus the
     total size of the bags, and the Python steps are linear in the number
     of vertices.  Each bag is frozen once, and TreeDecomposition keeps it
-    without a copy.  Checking the order costs O(n log n).
+    without a copy.  The tree's edges join vertices of g, so it is built
+    without Graph's checks, from a set filled and frozen as Graph does,
+    which keeps the order its edges are listed in.  Checking the order
+    costs O(n log n).
     """
     if sorted(order) != g.vertices_sorted():
         raise ParameterError("elimination order must list every vertex once")
@@ -133,20 +136,20 @@ def elimination_decomposition(g: Graph, order: list[int]) -> TreeDecomposition:
     eliminated: set[int] = set()
     below: dict[int, list[frozenset[int]]] = {}  # the N+ sets of each vertex's children
     bags = {}
-    tree_edges = []
+    tree_edges: set[tuple[int, int]] = set()
     roots = []
     for v in order:
         eliminated.add(v)
         nb = adj[v].union(*below.pop(v, ())) - eliminated
         if nb:
             parent = min(nb, key=pos.__getitem__)
-            tree_edges.append((v, parent))
+            tree_edges.add((v, parent) if v < parent else (parent, v))
             below.setdefault(parent, []).append(nb)
         else:
             roots.append(v)
         bags[v] = nb.union((v,))
-    tree_edges.extend(zip(roots, roots[1:]))
-    return TreeDecomposition(g, Graph(g.vertices, tree_edges), bags)
+    tree_edges.update((u, v) if u < v else (v, u) for u, v in zip(roots, roots[1:]))
+    return TreeDecomposition(g, Graph._trusted(g.vertices, frozenset(tree_edges)), bags)
 
 
 def layout_decomposition(g: Graph, order: list[int]) -> PathDecomposition:
@@ -535,8 +538,7 @@ def exact_treewidth(g: Graph) -> WidthReport:
     if g.n == 0:
         return WidthReport("tw", -1, trivial_tree_decomposition(g))
     ids = g.vertices_sorted()
-    masks = g.masks()
-    adj = list(masks)
+    adj = g.masks()
     removed, low, alive = _peel_simplicial(adj)
     value, order = low, list(removed)
     settled = kernel_used = False
@@ -556,7 +558,7 @@ def exact_treewidth(g: Graph) -> WidthReport:
     cert = elimination_decomposition(g, [ids[i] for i in order])
     if not settled or kernel_used:
         return _finish(g, "tw", value, cert)
-    keep, steps = lower or (_peeled_clique(masks, removed, low), [])
+    keep, steps = lower or (_peeled_clique(g.masks(), removed, low), [])
     return _finish(g, "tw", value, cert, _lower_witness(ids, keep, steps))
 
 

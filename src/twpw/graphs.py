@@ -21,7 +21,7 @@ GRAPH_MAX_EDGES = 1_000_000
 class Graph:
     """A finite simple undirected graph."""
 
-    __slots__ = ("_vertices", "_edges", "_adj")
+    __slots__ = ("_vertices", "_edges", "_adj", "_masks")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
         vs = frozenset(map(int, vertices))
@@ -39,15 +39,17 @@ class Graph:
         self._vertices = vs
         self._edges = frozenset(es)
         self._adj: dict[int, frozenset[int]] | None = None
+        self._masks: tuple[int, ...] | None = None
 
     @classmethod
     def _trusted(cls, vertices: frozenset[int], edges: frozenset[tuple[int, int]],
-                 adj: dict[int, frozenset[int]]) -> Graph:
+                 adj: dict[int, frozenset[int]] | None = None) -> Graph:
         """The graph with these parts, built from a valid graph's parts:
-        ids, sorted pairs over them and the matching adjacency.  Nothing is
-        checked, so no pass over the edges is made."""
+        ids, sorted pairs over them and, when given, the matching adjacency
+        (else it is built on first use).  Nothing is checked, so no pass
+        over the edges is made."""
         g = cls.__new__(cls)
-        g._vertices, g._edges, g._adj = vertices, edges, adj
+        g._vertices, g._edges, g._adj, g._masks = vertices, edges, adj, None
         return g
 
     @property
@@ -97,15 +99,22 @@ class Graph:
 
     def masks(self) -> list[int]:
         """Adjacency bitmasks over the sorted vertex order: bit j of entry i
-        is set when the i-th and j-th smallest vertices are adjacent."""
-        pos = {v: i for i, v in enumerate(self.vertices_sorted())}
-        masks = [0] * self.n
-        for u, v in self._edges:
-            masks[pos[u]] |= 1 << pos[v]
-            masks[pos[v]] |= 1 << pos[u]
-        return masks
+        is set when the i-th and j-th smallest vertices are adjacent.
+
+        They are computed once per graph; each call returns a fresh list,
+        which the caller may change in place."""
+        if self._masks is None:
+            pos = {v: i for i, v in enumerate(self.vertices_sorted())}
+            masks = [0] * self.n
+            for u, v in self._edges:
+                masks[pos[u]] |= 1 << pos[v]
+                masks[pos[v]] |= 1 << pos[u]
+            self._masks = tuple(masks)
+        return list(self._masks)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Graph):
             return NotImplemented
         return self._vertices == other._vertices and self._edges == other._edges

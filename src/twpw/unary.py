@@ -374,14 +374,16 @@ def power_degree_bound(g: Graph, d: int) -> int:
 
 def line_graph(g: Graph, d: Decomposition | None = None) -> Result:
     """Vertices are the edges of g, numbered in sorted order; adjacency is
-    sharing an endpoint."""
+    sharing an endpoint.  A result too large for a graph is refused
+    (graphs.guard_size) before any edge is built."""
     check_host(g, d)
+    # two edges of a simple graph share at most one end, so each pair once
+    guard_size(g.m, sum(len(nb) * (len(nb) - 1) // 2 for nb in g.adjacency().values()))
     es = g.edges_sorted()
     at = {v: [] for v in g.vertices}  # vertex -> the ids of its edges
     for i, (a, b) in enumerate(es):
         at[a].append(i)
         at[b].append(i)
-    # two edges of a simple graph share at most one end, so each pair once
     edges = [(i, j) for ids in at.values() for k, i in enumerate(ids) for j in ids[k + 1 :]]
     g2 = Graph(range(len(es)), edges)
     if d is None:

@@ -2,7 +2,7 @@ import pytest
 
 from twpw import binary, unary
 from twpw.decomposition import is_valid, trivial_path_decomposition, width
-from twpw.errors import ParameterError
+from twpw.errors import CapabilityError, ParameterError
 from twpw.exact import exact_pathwidth, exact_treewidth
 from twpw.graphs import (
     Graph,
@@ -228,6 +228,25 @@ class TestProducts:
             acc = binary.union_same_vertices(acc, binary.product("categorical", g1, c2).graph).graph
             acc = binary.union_same_vertices(acc, binary.product("categorical", c1, g2).graph).graph
             assert binary.product("symmetric-difference", g1, g2).graph == acc
+
+    @pytest.mark.parametrize("kind", binary.PRODUCT_KINDS)
+    def test_size_guard_counts_every_edge_exactly(self, monkeypatch, kind):
+        # the guard is decided from n1 * n2 and the edge count before any
+        # edge is built: the result is accepted at a limit of exactly its
+        # size and refused, naming that size, one below
+        cases = [(g1, g2, binary.product(kind, g1, g2).graph)
+                 for g1, g2 in seeded_pairs(109, 12, 6, min_n=0)]
+        for g1, g2, g in cases:
+            monkeypatch.setattr("twpw.graphs.GRAPH_MAX_EDGES", g.m)
+            monkeypatch.setattr("twpw.graphs.GRAPH_MAX_VERTICES", g.n)
+            assert binary.product(kind, g1, g2).graph == g
+            monkeypatch.setattr("twpw.graphs.GRAPH_MAX_EDGES", g.m - 1)
+            with pytest.raises(CapabilityError, match=f"edges, got {g.m}$"):
+                binary.product(kind, g1, g2)
+            monkeypatch.setattr("twpw.graphs.GRAPH_MAX_EDGES", g.m)
+            monkeypatch.setattr("twpw.graphs.GRAPH_MAX_VERTICES", g.n - 1)
+            with pytest.raises(CapabilityError, match=f"vertices, got {g.n}$"):
+                binary.product(kind, g1, g2)
 
     def test_preconditions(self):
         with pytest.raises(ParameterError):

@@ -106,9 +106,25 @@ def test_lexicographic_product_carries(kind):
 @pytest.mark.parametrize("product_kind", binary.PRODUCT_KINDS)
 def test_every_product_kind(product_kind):
     atlas = all_graphs_up_to(4)
-    for i, g1 in enumerate(atlas):
-        g2 = atlas[(7 * i) % len(atlas)]
-        same(binary.product, frozen.product, product_kind, g1, g2)
+    for g1 in atlas:
+        for g2 in atlas:
+            same(binary.product, frozen.product, product_kind, g1, g2)
+
+
+@pytest.mark.parametrize("product_kind", ["cartesian", "categorical", "lexicographic", "normal"])
+def test_sparse_products_on_seeded_pairs(product_kind):
+    # these kinds are listed from the factors' edges; the result must be the
+    # pairwise scan's graph, holding its edges in the same order
+    rng = SplitMix64(29)
+    sizes = [(40, 40), (1, 40), (40, 1)]
+    sizes += [(1 + rng.next_below(40), 1 + rng.next_below(40)) for _ in range(3)]
+    for n1, n2 in sizes:
+        g1 = random_graph(rng, n1, 1 + rng.next_below(3))
+        g2 = random_graph(rng, n2, 1 + rng.next_below(3))
+        ours = binary.product(product_kind, g1, g2).graph
+        theirs = frozen.product(product_kind, g1, g2).graph
+        assert ours == theirs
+        assert list(ours.edges) == list(theirs.edges)
 
 
 def test_product_kinds_keep_their_order():

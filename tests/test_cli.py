@@ -20,6 +20,7 @@ from twpw.graphs import (
     incidence_star_example,
     is_isomorphic,
     path_graph,
+    star_graph,
 )
 from twpw.harness import SplitMix64, random_graph
 from twpw.minors import parse_minor_script, replay_lower_witness
@@ -358,13 +359,9 @@ class TestApply:
         assert main(["apply", g_path, s_path, str(out)]) == 0
         assert read_gr(str(out)) == complete_graph(10)
 
-    @pytest.mark.parametrize("module, script, n1, n2, err", [
-        ("unary", "complement", 1500, None, "at most 1000000 edges, got 1124250"),
-        ("binary", "join", 1001, 1000, "at most 1000000 edges, got 1001000"),
-        ("binary", "corona", 1000, 100, "at most 100000 vertices, got 101000"),
-    ])
-    def test_oversized_result_refused_before_it_is_built(
-            self, tmp_path, capsys, monkeypatch, module, script, n1, n2, err):
+    @staticmethod
+    def spy_on_graph(monkeypatch, module):
+        """The list of every Graph that module builds from now on."""
         built = []
 
         class Spy(Graph):
@@ -375,6 +372,19 @@ class TestApply:
                 super().__init__(*args)
 
         monkeypatch.setattr(f"twpw.{module}.Graph", Spy)
+        return built
+
+    @pytest.mark.parametrize("module, script, n1, n2, err", [
+        ("unary", "complement", 1500, None, "at most 1000000 edges, got 1124250"),
+        ("binary", "join", 1001, 1000, "at most 1000000 edges, got 1001000"),
+        ("binary", "corona", 1000, 100, "at most 100000 vertices, got 101000"),
+        # C(1500, 2) pairs of the edgeless factors' vertices, each an edge
+        ("binary", "prod rejection", 1500, 1, "at most 1000000 edges, got 1124250"),
+        ("binary", "prod cartesian", 400, 300, "at most 100000 vertices, got 120000"),
+    ])
+    def test_oversized_result_refused_before_it_is_built(
+            self, tmp_path, capsys, monkeypatch, module, script, n1, n2, err):
+        built = self.spy_on_graph(monkeypatch, module)
         argv = ["apply", write(tmp_path / "g.gr", f"p tw {n1} 0\n"),
                 write(tmp_path / "s.ops", script + "\n"), str(tmp_path / "out.gr")]
         if n2 is not None:
@@ -382,6 +392,18 @@ class TestApply:
         assert main(argv) == 3
         assert capsys.readouterr().err == f"error: graphs support {err}\n"
         assert built == [] and not (tmp_path / "out.gr").exists()
+
+    def test_oversized_line_graph_refused_before_it_is_built(
+            self, tmp_path, capsys, monkeypatch):
+        # the centre's 1415 edges pairwise share it: C(1415, 2) = 1000405
+        g_path = gr(tmp_path, star_graph(1415))
+        built = self.spy_on_graph(monkeypatch, "unary")
+        out = tmp_path / "out.gr"
+        argv = ["apply", g_path, write(tmp_path / "s.ops", "linegraph\n"), str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: graphs support at most 1000000 edges, got 1000405\n")
+        assert built == [] and not out.exists()
 
     def test_script_errors_exit_2(self, tmp_path):
         g_path = gr(tmp_path, path_graph(3))
@@ -497,6 +519,67 @@ class TestHarnessCommand:
             "--max-n", "13", "--samples", "1",
             "--witness-dir", str(tmp_path / "w"),
         ]) == 3
+
+
+class TestRepeatedCalls:
+    """main builds its parser once per process, and calls in one process
+    print and return what the same calls in fresh processes do."""
+
+    @staticmethod
+    def in_process(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse ends a usage error this way
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def fresh(argv):
+        out = subprocess.run([sys.executable, "-m", "twpw.cli", *argv],
+                             capture_output=True, text=True, timeout=120)
+        return out.returncode, out.stdout, out.stderr
+
+    def test_interleaved_calls_match_fresh_runs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width
+        g_path = gr(tmp_path, cycle_graph(7))
+        harness = ["harness", "run", "--suite", "relations", "--max-n", "4",
+                   "--samples", "3", "--seed", "2", "--witness-dir", str(tmp_path / "w")]
+        grid = tmp_path / "grid.gr"
+        calls = [
+            harness,
+            ["width", g_path, "--param", "pw"],
+            ["gen", "grid", "2", "3", str(grid)],
+            ["width", g_path],  # no --param: usage error
+            harness,
+        ]
+
+        def outcomes(run):
+            """Each call's exit code, stdout and stderr; gen's also its file."""
+            results = []
+            for argv in calls:
+                results.append(run(argv))
+                if argv[0] == "gen":
+                    results[-1] += (grid.read_text(),)
+                    grid.unlink()
+            return results
+
+        cli._build_parser.cache_clear()
+        got = outcomes(lambda argv: self.in_process(argv, capsys))
+        assert cli._build_parser.cache_info().misses == 1
+        assert got == outcomes(self.fresh)
+        codes = [result[0] for result in got]
+        assert codes == [0, 0, 0, 2, 0]
+        assert got[3][2].endswith("error: the following arguments are required: --param\n")
+        assert got[0] == got[4]
+
+        ran = []
+        run_suite = cli.run_suite
+        monkeypatch.setattr(cli, "run_suite", lambda name, *rest: ran.append(name)
+                            or run_suite(name, *rest))
+        assert self.in_process(harness, capsys) == got[0]
+        assert ran == ["relations"]
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestSizeGuards:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from twpw import unary
 from twpw.errors import CapabilityError, ParameterError
 from twpw.graphs import (
     GRAPH_MAX_EDGES,
@@ -75,6 +76,52 @@ class TestGraphBasics:
         g = path_graph(3)
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert not g.has_edge(0, 2)
+
+
+class TestMasksAndEquality:
+    """Masks are computed once per graph and handed out as fresh lists;
+    equality short-cuts only on the very same object."""
+
+    def test_masks_are_fresh_lists_of_one_computation(self):
+        g = Graph([2, 5, 9], [(2, 9), (5, 9)])
+        first = g.masks()
+        assert first == [0b100, 0b100, 0b011]
+        first[2] = 0  # callers may change the list in place
+        again = g.masks()
+        assert again == [0b100, 0b100, 0b011] and again is not first
+
+    def test_trusted_graphs_have_the_masks_of_the_checked_build(self):
+        rng = SplitMix64(17)
+        for n in range(1, 13):
+            g = random_graph(rng, n, 4)
+            checked = Graph(g.vertices, g.edges)
+            for adj in (None, g.adjacency()):
+                trusted = Graph._trusted(g.vertices, g.edges, adj)
+                assert trusted.masks() == checked.masks()
+                assert trusted.adjacency() == checked.adjacency()
+                assert trusted == checked
+
+    def test_rewritten_graphs_have_the_masks_of_the_checked_build(self):
+        # delete_vertex, add_edge and the merge of contract_edge and
+        # identify_vertices build their graphs with Graph._trusted
+        g = Graph([0, 3, 4, 8], [(0, 3), (3, 4), (4, 8)])
+        results = [unary.delete_vertex(g, 3), unary.add_edge(g, 0, 8),
+                   unary.contract_edge(g, 3, 4), unary.identify_vertices(g, 0, 8)]
+        for r in results:
+            checked = Graph(r.graph.vertices, r.graph.edges)
+            assert r.graph.masks() == checked.masks()
+            assert r.graph == checked
+
+    def test_equality_is_reflexive_and_separates_one_edge_or_vertex(self):
+        g = grid_graph(3, 3)
+        assert g == g and not g != g
+        assert g == Graph(g.vertices, g.edges)
+        one_edge_less = Graph(g.vertices, g.edges_sorted()[1:])
+        one_vertex_more = Graph(g.vertices | {99}, g.edges)
+        for other in (one_edge_less, one_vertex_more):
+            assert g != other and other != g
+            assert not g == other
+        assert g != "not a graph"
 
 
 class TestTraversal:

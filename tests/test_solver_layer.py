@@ -114,6 +114,21 @@ def test_hypothesis_seeds_match_kernel(seed, n, p):
     assert_matches_kernel(random_graph(SplitMix64(seed), n, p))
 
 
+def test_peeling_the_masks_leaves_the_graph_alone():
+    # _peel_simplicial removes vertices from its list in place; the graph
+    # hands out a fresh list of its cached masks each time
+    g = HOUSE
+    expected = exact_treewidth(Graph(g.vertices, g.edges))
+    before = g.masks()
+    peeled = g.masks()
+    exact._peel_simplicial(peeled)
+    assert peeled != before
+    assert g.masks() == before
+    report = exact_treewidth(g)
+    assert report.value == expected.value == 2
+    assert report.certificate.bag_items() == expected.certificate.bag_items()
+
+
 def test_simplicial_vertices():
     masks = HOUSE.masks()
     assert [v for v in range(5) if exact._is_simplicial(masks, v)] == [4]

@@ -23,7 +23,7 @@ from .errors import InconsistencyError, ParameterError, ScriptError, ToolError
 from .exact import exact_pathwidth, exact_treewidth
 from .fileformats import _numeral, read_gr, read_td, write_gr, write_td
 from .graphs import Graph, generate, generator_names, guard_size
-from .harness import SUITES, SweepConfig, check_suites, render_tap, run_suite
+from .harness import SUITES, SolveTable, SweepConfig, check_suites, render_tap, run_suite
 from .minors import format_minor_script
 from .operations import OPCODES
 from .results import Result
@@ -229,9 +229,11 @@ def cmd_harness(args) -> int:
     cfg = SweepConfig(max_n=args.max_n, samples=args.samples, seed=args.seed)
     suites = SUITES if args.suite == "all" else (args.suite,)
     check_suites(suites, cfg)
+    # one table for the run's suites, dropped when the run returns
+    solved = SolveTable()
     checks = []
     for name in suites:
-        checks.extend(run_suite(name, cfg, args.witness_dir))
+        checks.extend(run_suite(name, cfg, args.witness_dir, solved))
     sys.stdout.write(render_tap(checks))
     return 0 if all(c.passed for c in checks) else 1
 

@@ -94,14 +94,29 @@ class TreeDecomposition:
         self.host = host
         self.tree = tree
         self.bags = MappingProxyType(bagmap)
-        # the tree rooted at its lowest node, for validate
+        # the tree rooted at one of its nodes, for validate and for walks
+        # that need each node after its parent
         self._root = root
         self._parent = parent
 
+    @classmethod
+    def _rooted(cls, host: Graph, tree: Graph, bags: dict[int, frozenset[int]],
+                root: int, parent: dict[int, int]) -> TreeDecomposition:
+        """The decomposition with these parts, from a builder that made them
+        fit: bags frozen and keyed exactly by the nodes of the tree, and
+        parent mapping every node but root to its parent in the tree rooted
+        at root, each node after its parent.  Nothing is checked, so the
+        tree is neither walked nor given an adjacency."""
+        d = cls.__new__(cls)
+        d.host, d.tree, d.bags = host, tree, MappingProxyType(bags)
+        d._root, d._parent = root, parent
+        return d
+
     def rebag(self, host: Graph, f: Rebag) -> TreeDecomposition:
-        """The same tree and node ids over host, each bag B replaced by f(B)."""
-        bags = {u: f(bag) for u, bag in self.bags.items()}
-        return TreeDecomposition(host, self.tree, bags)
+        """The same tree and node ids over host, each bag B replaced by f(B);
+        the tree keeps its rooting."""
+        bags = {u: _frozen(f(bag)) for u, bag in self.bags.items()}
+        return TreeDecomposition._rooted(host, self.tree, bags, self._root, self._parent)
 
     def bag_items(self) -> list[tuple[int, frozenset[int]]]:
         return [(u, self.bags[u]) for u in self.tree.vertices_sorted()]
@@ -149,7 +164,8 @@ Decomposition = Union[TreeDecomposition, PathDecomposition]
 
 def width(d: Decomposition) -> int:
     """Largest bag size minus one; -1 when every bag is empty."""
-    return max(map(len, d.all_bags())) - 1
+    bags = d.bags.values() if isinstance(d, TreeDecomposition) else d.bags
+    return max(map(len, bags)) - 1
 
 
 @dataclass(frozen=True)
@@ -168,19 +184,22 @@ class ValidationReport:
 
 def _check_bags(
     g: Graph,
-    items: list[tuple[int, frozenset[int]]],
+    bag_of: Mapping[int, frozenset[int]] | Sequence[frozenset[int]],
     tag: str,
     root: int,
     kids: Iterable[int],
     parents: Iterable[int],
 ) -> list[Violation]:
-    """The bag, <tag>-1, <tag>-2 and <tag>-3 checks over (node, bag) items
-    whose tree is rooted at root, kids[i] being a child of parents[i].
+    """The bag, <tag>-1, <tag>-2 and <tag>-3 checks over the bags bag_of[u]
+    of a tree rooted at root, kids[i] being a child of parents[i].
 
     The entry set of a node is its bag less its parent's bag (the whole
     bag at the root).  A vertex enters one node per component of the nodes
-    holding it, the component's top node, so one count over the entry sets
-    gives <tag>-1 (no entry) and <tag>-3 (two or more).  Two subtrees meet
+    holding it, the component's top node, so the vertices in no entry set
+    are the <tag>-1 ones (in no bag), and those in two or more the <tag>-3
+    ones.  The entry sets are disjoint exactly when their sizes add up to
+    the size of their union, the vertices in some bag; only otherwise are
+    the entries counted.  Two subtrees meet
     exactly when the top node of one lies in the other: when a node lies
     in both, so does the deeper of the two top nodes, which is on that
     node's path up to the other.  So an edge uv whose ends enter once each
@@ -195,19 +214,28 @@ def _check_bags(
     """
     out = []
     hosted = g.vertices
-    bag_of = dict(items)
-    for u, bag in items:
-        if not bag <= hosted:
-            out.extend(Violation("bag", (u, v)) for v in sorted(bag - hosted, key=_id_order))
-            bag_of[u] = bag & hosted
-    bags = [bag_of[root], *map(bag_of.__getitem__, kids)]
+    nodes = [root, *kids]
+    bags = list(map(bag_of.__getitem__, nodes))
+    held = frozenset().union(*bags)  # the vertices in some bag
+    if not held <= hosted:
+        bag_of = dict(zip(nodes, bags))
+        for u in sorted(nodes):
+            stray = bag_of[u] - hosted
+            if stray:
+                out.extend(Violation("bag", (u, v)) for v in sorted(stray, key=_id_order))
+                bag_of[u] &= hosted
+        bags = list(map(bag_of.__getitem__, nodes))
+        held &= hosted
     entries = [bags[0], *map(frozenset.__sub__, bags[1:], map(bag_of.__getitem__, parents))]
-    entered = Counter(chain.from_iterable(entries))
+    split = set()
+    if sum(map(len, entries)) > len(held):
+        entered = Counter(chain.from_iterable(entries))
+        split = {v for v, count in entered.items() if count > 1}
     # the bag of a top node of each vertex, empty for a vertex in no bag
-    top: dict[int, frozenset[int]] = dict.fromkeys(hosted, frozenset())
-    for bag, entry in zip(bags, entries):
-        top.update(dict.fromkeys(entry, bag))
-    split = {v for v, count in entered.items() if count > 1}
+    top = {v: bag for bag, entry in zip(bags, entries) for v in entry}
+    missing = len(held) < len(hosted)
+    if missing:
+        top = dict.fromkeys(hosted, frozenset()) | top
     tops = _top_bags(bags, entries, split) if split else {}
     uncovered = []
     for e in g.edges:
@@ -217,8 +245,10 @@ def _check_bags(
         if any(v in bag for bag in tops.get(u, ())) or any(u in bag for bag in tops.get(v, ())):
             continue
         uncovered.append(e)
-    out.extend(Violation(f"{tag}-1", (v,)) for v in sorted(hosted.difference(entered)))
-    out.extend(Violation(f"{tag}-2", e) for e in sorted(uncovered))
+    if missing:
+        out.extend(Violation(f"{tag}-1", (v,)) for v in sorted(hosted - held))
+    if uncovered:
+        out.extend(Violation(f"{tag}-2", e) for e in sorted(uncovered))
     if split:
         out.extend(Violation(f"{tag}-3", (v,)) for v in g.vertices_sorted() if v in split)
     return out
@@ -241,17 +271,20 @@ def _id_order(v: object) -> tuple:
     return (0, v) if isinstance(v, int) else (1, repr(v))
 
 
+_VALID = ValidationReport(True, ())
+
+
 def validate(g: Graph, d: Decomposition) -> ValidationReport:
     """Check every axiom and report all violations with witnesses."""
     if d.host != g:
         raise ParameterError("decomposition was built for a different graph")
     if isinstance(d, TreeDecomposition):
         parent = d._parent
-        violations = _check_bags(g, d.bag_items(), "tw", d._root, parent, parent.values())
+        violations = _check_bags(g, d.bags, "tw", d._root, parent, parent.values())
     else:
         k = len(d.bags)
-        violations = _check_bags(g, d.bag_items(), "pw", 0, range(1, k), range(k - 1))
-    return ValidationReport(not violations, tuple(violations))
+        violations = _check_bags(g, d.bags, "pw", 0, range(1, k), range(k - 1))
+    return ValidationReport(False, tuple(violations)) if violations else _VALID
 
 
 def is_valid(g: Graph, d: Decomposition) -> bool:

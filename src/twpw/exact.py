@@ -128,28 +128,36 @@ def elimination_decomposition(g: Graph, order: list[int]) -> TreeDecomposition:
     without Graph's checks, from a set filled and frozen as Graph does,
     which keeps the order its edges are listed in.  Checking the order
     costs O(n log n).
+
+    Every tree edge joins a node to one eliminated later, so the tree is
+    rooted at the last vertex of the order with each node's parent known
+    as it is made, and the decomposition is built from these parts
+    without walking the tree again.
     """
     if sorted(order) != g.vertices_sorted():
         raise ParameterError("elimination order must list every vertex once")
-    pos = {v: i for i, v in enumerate(order)}
+    rank = {v: i for i, v in enumerate(order)}.__getitem__
     adj = g.adjacency()
     eliminated: set[int] = set()
     below: dict[int, list[frozenset[int]]] = {}  # the N+ sets of each vertex's children
     bags = {}
+    up: dict[int, int] = {}  # each node's parent, children first
     tree_edges: set[tuple[int, int]] = set()
     roots = []
     for v in order:
         eliminated.add(v)
         nb = adj[v].union(*below.pop(v, ())) - eliminated
         if nb:
-            parent = min(nb, key=pos.__getitem__)
+            up[v] = parent = min(nb, key=rank)
             tree_edges.add((v, parent) if v < parent else (parent, v))
             below.setdefault(parent, []).append(nb)
         else:
             roots.append(v)
         bags[v] = nb.union((v,))
+    up.update(zip(roots, roots[1:]))
     tree_edges.update((u, v) if u < v else (v, u) for u, v in zip(roots, roots[1:]))
-    return TreeDecomposition(g, Graph._trusted(g.vertices, frozenset(tree_edges)), bags)
+    tree = Graph._trusted(g.vertices, frozenset(tree_edges))
+    return TreeDecomposition._rooted(g, tree, bags, roots[-1], dict(reversed(up.items())))
 
 
 def layout_decomposition(g: Graph, order: list[int]) -> PathDecomposition:
@@ -288,7 +296,10 @@ def _restrict(adj: list[int], members: list[int]) -> list[int]:
     in a component.  Each run of consecutive members then keeps its order
     and moves down as one block: the run starting at list index i moves by
     members[i] - i, and its bits land on indices i to the run's end.
+    When members name every vertex, the masks are adj itself.
     """
+    if len(members) == len(adj):
+        return adj
     runs = []  # (how far the run moves down, its bits once moved)
     start = 0
     for i, v in enumerate(members):

@@ -10,6 +10,22 @@ re-run independently of one another.
 
 A failing check serializes its inputs and an operation transcript under the
 witness directory; the TAP line points at the bundle.
+
+Every graph a sweep checks is solved for both widths and both certificates
+(`_solve`).  The suites of one run share a `SolveTable` of those results,
+which `cli.cmd_harness` makes per `harness run` and drops when the run
+returns; `run_suite` called without one makes its own.  Samples repeat:
+the relations, ng and logbound suites draw the same stream, unary and
+binary row 0 start from the same seed, and small graphs recur within a
+row.  In the 200-sample run 55% of the solver calls repeat a graph already
+solved, and 82% of the time those repeats take is on graphs of at most 5
+vertices.  So the table keeps only graphs of at most TABLE_MAX_VERTICES
+vertices, and at most TABLE_MAX_ENTRIES of them, the first ones met: its
+size does not grow with the sample count.  A table of every graph raised
+the 200-sample run's peak RSS from 25.5 to 77.8 MB and saved no wall
+time.  An entry's certificates passed `validate` when they were first
+built, and the solvers are functions of the graph, so every width,
+certificate and TAP line is the one a fresh solve gives.
 """
 
 from __future__ import annotations
@@ -138,6 +154,33 @@ def _solve(g: Graph):
     return (twr.value, twr.certificate), (pwr.value, pwr.certificate)
 
 
+# the graphs a SolveTable keeps: at most this many vertices, and at most
+# this many graphs, the first ones met; an entry takes about 6 KB
+TABLE_MAX_VERTICES = 5
+TABLE_MAX_ENTRIES = 512
+
+
+class SolveTable:
+    """`_solve` results of the small graphs one run has solved, so each is
+    solved once.  A graph above TABLE_MAX_VERTICES, or one met once the
+    table holds TABLE_MAX_ENTRIES graphs, is solved every time."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self):
+        self.entries: dict[Graph, tuple] = {}
+
+    def solve(self, g: Graph):
+        if g.n > TABLE_MAX_VERTICES:
+            return _solve(g)
+        solved = self.entries.get(g)
+        if solved is None:
+            solved = _solve(g)
+            if len(self.entries) < TABLE_MAX_ENTRIES:
+                self.entries[g] = solved
+        return solved
+
+
 def _write_witness(witness_dir, name, graphs, decs, transcript) -> tuple[str, ...]:
     if witness_dir is None:
         return ()
@@ -151,17 +194,24 @@ def _write_witness(witness_dir, name, graphs, decs, transcript) -> tuple[str, ..
     return (str(bundle),)
 
 
+def _solver(solved: SolveTable | None):
+    """solved's solve, or a fresh table's when none is given."""
+    return (SolveTable() if solved is None else solved).solve
+
+
 # ---------------------------------------------------------------------------
 # relations between width and the classical invariants
 
 
-def run_relation_suite(cfg: SweepConfig, witness_dir=None) -> list[BoundCheck]:
+def run_relation_suite(cfg: SweepConfig, witness_dir=None,
+                       solved: SolveTable | None = None) -> list[BoundCheck]:
     _check_cfg(cfg)
+    solve = _solver(solved)
     rng = SplitMix64(cfg.seed)
     checks: list[BoundCheck] = []
     for s in range(cfg.samples):
         g = sample_graph(rng, cfg.max_n)
-        (tw, _), (pw, _) = _solve(g)
+        (tw, _), (pw, _) = solve(g)
         inv = graph_invariants(g)
         n, m = g.n, g.m
         # every relation reads lhs <= rhs
@@ -223,7 +273,7 @@ def _eval_param(res, carried, table, lower, exactw, relation, kind):
     return True, ""
 
 
-def _sample(op, rng, max_n):
+def _sample(op, rng, max_n, solve):
     """One sample of a row: its first input, the result graph, a (param,
     carried result or None, bound) cell per parameter and a transcript
     maker.
@@ -235,7 +285,7 @@ def _sample(op, rng, max_n):
     caps = [max_n] if op.arity == 1 else [min(max_n, cap) for cap in op.caps]
     graphs = [sample_graph(rng, caps[0], op.min_n, op.predicate)]
     graphs += [sample_graph(rng, cap) for cap in caps[1:]]
-    solved = [_solve(g) for g in graphs]
+    solved = [solve(g) for g in graphs]
     args = op.pick(rng, *graphs)
     result, cells = None, []
     for param, per_input in zip(("tw", "pw"), zip(*solved)):
@@ -254,16 +304,17 @@ def _sample(op, rng, max_n):
         + [f", second input:\n{format_gr(h)}" for h in graphs[1:]])]
 
 
-def _run_rows(prefix, rows, cfg, witness_dir) -> list[BoundCheck]:
+def _run_rows(prefix, rows, cfg, witness_dir, solved=None) -> list[BoundCheck]:
     """Each row draws from SplitMix64(cfg.seed + its index in rows)."""
     _check_cfg(cfg)
     _check_rows(rows, cfg)
+    solve = _solver(solved)
     checks: list[BoundCheck] = []
     for index, op in enumerate(rows):
         rng = SplitMix64(cfg.seed + index)
         for s in range(cfg.samples):
-            g, result, cells, transcript = _sample(op, rng, cfg.max_n)
-            exact = {param: w for param, (w, _) in zip(("tw", "pw"), _solve(result))}
+            g, result, cells, transcript = _sample(op, rng, cfg.max_n, solve)
+            exact = {param: w for param, (w, _) in zip(("tw", "pw"), solve(result))}
             for param, carried, bound in cells:
                 # no bound: the sweep claims nothing beyond the exact width
                 table, lower, rel = bound or (exact[param], -1, "<=")
@@ -284,27 +335,31 @@ def _run_rows(prefix, rows, cfg, witness_dir) -> list[BoundCheck]:
     return checks
 
 
-def run_unary_table(cfg: SweepConfig, witness_dir=None) -> list[BoundCheck]:
-    return _run_rows("unary", UNARY_ROWS, cfg, witness_dir)
+def run_unary_table(cfg: SweepConfig, witness_dir=None,
+                    solved: SolveTable | None = None) -> list[BoundCheck]:
+    return _run_rows("unary", UNARY_ROWS, cfg, witness_dir, solved)
 
 
-def run_binary_table(cfg: SweepConfig, witness_dir=None) -> list[BoundCheck]:
-    return _run_rows("binary", BINARY_ROWS, cfg, witness_dir)
+def run_binary_table(cfg: SweepConfig, witness_dir=None,
+                     solved: SolveTable | None = None) -> list[BoundCheck]:
+    return _run_rows("binary", BINARY_ROWS, cfg, witness_dir, solved)
 
 
 # ---------------------------------------------------------------------------
 # aggregated suites
 
 
-def run_nordhaus_gaddum(cfg: SweepConfig, witness_dir=None) -> BoundCheck:
+def run_nordhaus_gaddum(cfg: SweepConfig, witness_dir=None,
+                        solved: SolveTable | None = None) -> BoundCheck:
     """Width of a graph plus width of its complement is at least n - 2."""
     _check_cfg(cfg)
+    solve = _solver(solved)
     rng = SplitMix64(cfg.seed)
     worst = None
     for s in range(cfg.samples):
         g = sample_graph(rng, cfg.max_n)
         co = unary.edge_complement(g).graph
-        for kind, (w, _), (wco, _) in zip(("tw", "pw"), _solve(g), _solve(co)):
+        for kind, (w, _), (wco, _) in zip(("tw", "pw"), solve(g), solve(co)):
             total = w + wco
             margin = total - (g.n - 2)
             if worst is None or margin < worst[0]:
@@ -332,16 +387,18 @@ def log_path_bound(tw: int, n: int) -> float:
     return (tw + 1) * (math.log(2 * n + 1, 3) + 1) - 1
 
 
-def run_logbound(cfg: SweepConfig, witness_dir=None) -> BoundCheck:
+def run_logbound(cfg: SweepConfig, witness_dir=None,
+                 solved: SolveTable | None = None) -> BoundCheck:
     """Pathwidth stays within the logarithmic factor of treewidth, and the
     tree-to-path rewrite of an optimal certificate stays within it too."""
     _check_cfg(cfg)
+    solve = _solver(solved)
     rng = SplitMix64(cfg.seed)
     worst = None
     failures = []
     for s in range(cfg.samples):
         g = sample_graph(rng, cfg.max_n)
-        (tw, tree), (pw, _) = _solve(g)
+        (tw, tree), (pw, _) = solve(g)
         bound = log_path_bound(tw, g.n)
         rw = width(tree_to_path(g, tree))
         for kind, got in (("exact", pw), ("rewritten", rw)):
@@ -377,17 +434,20 @@ def check_suites(names, cfg: SweepConfig) -> None:
         _check_rows({"unary": UNARY_ROWS, "binary": BINARY_ROWS}.get(name, ()), cfg)
 
 
-def run_suite(name: str, cfg: SweepConfig, witness_dir=None) -> list[BoundCheck]:
+def run_suite(name: str, cfg: SweepConfig, witness_dir=None,
+              solved: SolveTable | None = None) -> list[BoundCheck]:
+    """The named suite's checks; suites given the same SolveTable solve
+    each small graph once between them."""
     if name == "relations":
-        return run_relation_suite(cfg, witness_dir)
+        return run_relation_suite(cfg, witness_dir, solved)
     if name == "unary":
-        return run_unary_table(cfg, witness_dir)
+        return run_unary_table(cfg, witness_dir, solved)
     if name == "binary":
-        return run_binary_table(cfg, witness_dir)
+        return run_binary_table(cfg, witness_dir, solved)
     if name == "ng":
-        return [run_nordhaus_gaddum(cfg, witness_dir)]
+        return [run_nordhaus_gaddum(cfg, witness_dir, solved)]
     if name == "logbound":
-        return [run_logbound(cfg, witness_dir)]
+        return [run_logbound(cfg, witness_dir, solved)]
     raise ParameterError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
 
 

@@ -159,12 +159,19 @@ def pathwidth_dp(masks: list[int]) -> tuple[int, list[int]]:
     level k is found by walking down from the last one: k drops while some
     S - v lies in F_{k-1}, and the removed v is the lowest one with S - v
     in F_k.
+
+    A clique, a single edge included, is answered without the families:
+    there boundary(S) = |S| for every S but V, so value[S] = |S| and
+    value[V] = n - 1, every S - v ties, and the read-back removes 0, 1,
+    ..., n - 1 in turn, so the layout places n - 1 first and 0 last.
     Returns (path-width, placement order), (-1, []) for the empty graph.
     """
     n = _check_masks(masks)
     if n == 0:
         return -1, []
     full = (1 << n) - 1
+    if all(mask | 1 << v == full for v, mask in enumerate(masks)):
+        return n - 1, list(range(n - 1, -1, -1))
     everything = (1 << (full + 1)) - 1
     lacks = _lacking(n)
     # bit-sliced boundary counts: bit S of counter[i] is bit i of boundary(S)

@@ -23,7 +23,7 @@ from .decomposition import (
     width,
 )
 from .errors import ParameterError
-from .graphs import Graph, fresh_id, guard_size, is_forest, max_degree
+from .graphs import GRAPH_MAX_EDGES, Graph, fresh_id, guard_size, is_forest, max_degree
 from .results import Result, check_host
 
 
@@ -321,34 +321,43 @@ def incidence_graph(g: Graph, d: Decomposition | None = None) -> Result:
 # --- powers and line graphs ----------------------------------------------
 
 
+def _ball(adj, src: int, r: int) -> list[int]:
+    """The vertices at distance at most r from src, src first."""
+    seen = {src}
+    ball, frontier = [src], [src]
+    for _ in range(r):
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        if not nxt:
+            break
+        ball += nxt
+        frontier = nxt
+    return ball
+
+
 def graph_power(g: Graph, r: int, d: Decomposition | None = None) -> Result:
-    """Connect vertices at distance at most r."""
+    """Connect vertices at distance at most r.  When the degree bound
+    allows a result too large for a graph, its edges are counted first and
+    the result is refused (graphs.guard_size) before any edge is stored."""
     check_host(g, d)
     if r < 1:
         raise ParameterError("power needs d >= 1")
     adj = g.adjacency()
+    reach = power_degree_bound(g, r) if g.n else 0
+    if g.n * reach > 2 * GRAPH_MAX_EDGES:
+        guard_size(g.n, sum(len(_ball(adj, src, r)) - 1 for src in g.vertices) // 2)
     edges = set()
     for src in g.vertices:
-        depth = {src: 0}
-        frontier = [src]
-        for _ in range(r):
-            if not frontier:
-                break
-            nxt = []
-            for x in frontier:
-                for y in adj[x]:
-                    if y not in depth:
-                        depth[y] = depth[x] + 1
-                        nxt.append(y)
-            frontier = nxt
-        for y in depth:
-            if y != src:
-                edges.add((src, y) if src < y else (y, src))
+        for y in _ball(adj, src, r)[1:]:
+            edges.add((src, y) if src < y else (y, src))
     g2 = Graph(g.vertices, edges)
     if d is None:
         return Result(g2)
     adj2 = g2.adjacency()
-    reach = power_degree_bound(g, r) if g.n else 0
     claimed = (width(d) + 1) * (1 + reach) - 1
     # each bag grows by the G^r-neighbors of its members
     grow = lambda bag: bag.union(*(adj2[v] for v in bag))

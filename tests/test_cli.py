@@ -405,6 +405,18 @@ class TestApply:
             "error: graphs support at most 1000000 edges, got 1000405\n")
         assert built == [] and not out.exists()
 
+    def test_oversized_power_refused_before_it_is_built(
+            self, tmp_path, capsys, monkeypatch):
+        # every pair of P1500's vertices is within distance 1499: C(1500, 2)
+        g_path = gr(tmp_path, path_graph(1500))
+        built = self.spy_on_graph(monkeypatch, "unary")
+        out = tmp_path / "out.gr"
+        argv = ["apply", g_path, write(tmp_path / "s.ops", "power 1499\n"), str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: graphs support at most 1000000 edges, got 1124250\n")
+        assert built == [] and not out.exists()
+
     def test_script_errors_exit_2(self, tmp_path):
         g_path = gr(tmp_path, path_graph(3))
         s_path = write(tmp_path / "s.ops", "adde 1 2\n")

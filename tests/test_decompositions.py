@@ -41,6 +41,9 @@ from twpw.graphs import (
 )
 from twpw.harness import SplitMix64, random_graph, random_tree
 
+from frozen_validate import frozen_validate
+from smallgraphs import all_graphs_up_to
+
 
 def spider_fixture():
     g = incidence_star_example()
@@ -597,10 +600,23 @@ def certify_family_graphs(rng):
     yield caterpillar(rng, 20 + rng.next_below(41))
 
 
+def assert_rooting(td):
+    """The rooting td keeps is one of its tree: every node but the root has
+    a parent across a tree edge, listed after the parent's own entry."""
+    parent, root = td._parent, td._root
+    assert set(parent) == td.tree.vertices - {root}
+    assert {(u, p) if u < p else (p, u) for u, p in parent.items()} == td.tree.edges
+    placed = {root}
+    for u, p in parent.items():
+        assert p in placed
+        placed.add(u)
+
+
 def assert_builders_match_oracles(g, order):
     td = elimination_decomposition(g, order)
     old_td = pairwise_elimination_decomposition(g, order)
     assert td.bag_items() == old_td.bag_items()
+    assert_rooting(td)
     # the tree, built without Graph's checks, against Graph's checked build
     assert td.tree == old_td.tree
     assert list(td.tree.edges) == list(old_td.tree.edges)
@@ -755,3 +771,71 @@ class TestValidatorOnArbitraryBags:
 def test_validator_matches_scan_oracle_on_arbitrary_bags(seed):
     g, d = arbitrary_decomposition(SplitMix64(seed))
     assert list(validate(g, d).violations) == scan_validate(g, d)
+
+
+class TestValidatorAgainstFrozenCheck:
+    """validate against the form that counted every entry set, frozen in
+    frozen_validate, which roots each tree at its lowest node itself."""
+
+    def test_solver_certificates_of_every_atlas_graph(self):
+        for g in all_graphs_up_to(6):
+            for report in (exact_treewidth(g), exact_pathwidth(g)):
+                d = report.certificate
+                assert validate(g, d) == frozen_validate(g, d) == decomposition._VALID
+
+    @pytest.mark.parametrize("bags, tags", [
+        ([{0, 1}, {2, 3}, {1, 2}, {1}], ["3"]),   # 1 enters twice
+        ([{0, 1}, {1, 2}, {2}, {2}], ["1", "2"]),  # 3 is in no bag, so 2-3 is bare
+        ([{0, 1}, {2, 3}, {3}, {3}], ["2"]),      # the edge 1-2 is in no bag
+        # 9 and 7 are foreign, 1-2 and 2-3 bare and 0 enters twice
+        ([{0, 1, 9}, {2}, {0}, {3, 7}], ["bag", "bag", "2", "2", "3"]),
+    ])
+    def test_crafted_faults(self, bags, tags):
+        g = path_graph(4)
+        bags = [frozenset(bag) for bag in bags]
+        for d in (PathDecomposition(g, bags),
+                  TreeDecomposition(g, path_graph(4), dict(enumerate(bags)))):
+            report = validate(g, d)
+            assert report == frozen_validate(g, d)
+            assert [v.tag.rpartition("-")[2] for v in report.violations] == tags
+        star = Graph(range(4), [(0, 1), (0, 2), (0, 3)])
+        d = TreeDecomposition(g, star, dict(enumerate(bags)))
+        assert validate(g, d) == frozen_validate(g, d)
+
+    def test_faults_under_a_kept_rooting(self):
+        # solver certificates keep the rooting they were built with, at the
+        # last vertex eliminated, which need not be the lowest node
+        rng = SplitMix64(59)
+        tags, elsewhere = set(), 0
+        for _ in range(200):
+            g = random_graph(rng, 2 + rng.next_below(8), (2, 5, 8)[rng.next_below(3)])
+            td = exact_treewidth(g).certificate
+            bad = map(frozenset, corrupt(rng, g, list(td.bags.values())))
+            bad_td = TreeDecomposition._rooted(g, td.tree, dict(zip(td.bags, bad)),
+                                               td._root, td._parent)
+            elsewhere += td._root != min(td.tree.vertices)
+            report = validate(g, bad_td)
+            assert report == frozen_validate(g, bad_td)
+            tags.update(v.tag for v in report.violations)
+        assert tags == {"bag", "tw-1", "tw-2", "tw-3"}
+        assert elsewhere >= 10
+
+    def test_arbitrary_bags_under_every_rooting(self):
+        rng = SplitMix64(67)
+        for _ in range(300):
+            g, d = arbitrary_decomposition(rng)
+            expected = frozen_validate(g, d)
+            if isinstance(d, PathDecomposition):
+                assert validate(g, d) == expected
+                continue
+            adj = d.tree.adjacency()
+            for root in d.tree.vertices:
+                parent, walk = {root: root}, [root]
+                for u in walk:
+                    for w in sorted(adj[u]):
+                        if w not in parent:
+                            parent[w] = u
+                            walk.append(w)
+                del parent[root]
+                rerooted = TreeDecomposition._rooted(g, d.tree, dict(d.bags), root, parent)
+                assert validate(g, rerooted) == expected

@@ -1,14 +1,18 @@
+import contextlib
 import dataclasses
+import gc
+import io
 import re
+import weakref
 from pathlib import Path
 
 import pytest
 
-from twpw import harness, unary
+from twpw import cli, harness, unary
 from twpw.decomposition import is_valid
 from twpw.errors import CapabilityError, ParameterError
-from twpw.fileformats import parse_gr, parse_td
-from twpw.graphs import Graph, is_connected
+from twpw.fileformats import format_td, parse_gr, parse_td
+from twpw.graphs import Graph, complete_graph, is_connected, path_graph
 from twpw.operations import OPCODES
 from twpw.results import Result
 from twpw.harness import (
@@ -124,6 +128,76 @@ class TestSuites:
         for suite in harness.SUITES:
             names = [c.name for c in run_suite(suite, cfg)]
             assert len(names) == len(set(names))
+
+
+def all_checks(cfg, table=None):
+    """Every suite's checks on cfg, the suites sharing table when given and
+    each making its own otherwise."""
+    return [c for suite in harness.SUITES for c in run_suite(suite, cfg, None, table)]
+
+
+class TestSolveTable:
+    def test_small_graphs_are_solved_once(self, monkeypatch):
+        calls = []
+        solve = harness._solve
+        monkeypatch.setattr(harness, "_solve", lambda g: calls.append(g) or solve(g))
+        table = harness.SolveTable()
+        small, large = path_graph(harness.TABLE_MAX_VERTICES), complete_graph(6)
+        first = table.solve(small)
+        assert table.solve(Graph(small.vertices, small.edges)) is first
+        table.solve(large)
+        table.solve(large)
+        assert calls == [small, large, large]
+        assert list(table.entries) == [small]
+
+    def test_table_stops_at_its_entry_limit(self, monkeypatch):
+        monkeypatch.setattr(harness, "TABLE_MAX_ENTRIES", 20)
+        cfg = SweepConfig(max_n=8, samples=12, seed=3)
+        table = harness.SolveTable()
+        assert all_checks(cfg, table) == all_checks(cfg)
+        assert len(table.entries) == 20
+
+    def test_entries_are_small_bounded_and_match_fresh_solves(self):
+        table = harness.SolveTable()
+        all_checks(SweepConfig(max_n=8, samples=20, seed=2), table)
+        assert 0 < len(table.entries) <= harness.TABLE_MAX_ENTRIES
+        for g, solved in table.entries.items():
+            assert g.n <= harness.TABLE_MAX_VERTICES
+            for (w, d), (w2, d2) in zip(solved, harness._solve(g)):
+                assert (w, format_td(d)) == (w2, format_td(d2))
+
+    def test_run_shares_one_table_and_drops_it(self, tmp_path, monkeypatch):
+        # the samples are drawn as a Graph subclass that takes weak
+        # references, and so is the run's table
+        graphs, tables, hits = [], [], []
+
+        class Tracked(Graph):
+            __slots__ = ("__weakref__",)
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                graphs.append(weakref.ref(self))
+
+        class Counted(harness.SolveTable):
+            __slots__ = ("__weakref__",)
+
+            def __init__(self):
+                super().__init__()
+                tables.append(weakref.ref(self))
+
+            def solve(self, g):
+                hits.append(g in self.entries)
+                return super().solve(g)
+
+        monkeypatch.setattr(harness, "Graph", Tracked)
+        monkeypatch.setattr(cli, "SolveTable", Counted)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["harness", "run", "--max-n", "6", "--samples", "5",
+                             "--witness-dir", str(tmp_path)]) == 0
+        gc.collect()
+        assert len(tables) == 1 and tables[0]() is None
+        assert graphs and all(ref() is None for ref in graphs)
+        assert any(hits)
 
 
 class TestLogBound:

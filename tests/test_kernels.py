@@ -191,6 +191,18 @@ class TestPathwidthAgainstLoopOracle:
         assert kernels.pathwidth_dp(masks) == loop_pathwidth_dp(masks)
 
 
+    def test_cliques_answered_without_families(self):
+        for n in range(1, 13):
+            masks = complete_graph(n).masks()
+            assert kernels.pathwidth_dp(masks) == loop_pathwidth_dp(masks) \
+                == (n - 1, list(range(n - 1, -1, -1)))
+        # one edge short of a clique goes through the families
+        masks = complete_graph(5).masks()
+        masks[0] ^= 0b10
+        masks[1] ^= 0b01
+        assert kernels.pathwidth_dp(masks) == loop_pathwidth_dp(masks) == (3, [4, 3, 2, 1, 0])
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from((2, 5, 8)))
 def test_pathwidth_matches_loop_oracle(seed, n, p):

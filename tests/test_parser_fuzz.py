@@ -15,7 +15,8 @@ no numerals at all ("1_0", "+3"), and a well-formed line is now and then
 written with "03" for "3", so that the numeral dicts miss on some lines
 and each such line is checked on its own.  The .gr and .td readers are
 also run against their two-pass forms frozen in frozen_readers, which
-must agree on every input.
+must agree on every input, and every decomposition read is validated
+against the validator frozen in frozen_validate.
 Minor scripts, which also carry tree-width lower witnesses, get step
 lines over the same ids, and operation scripts the same unusual numerals.
 Every parser refuses a number that is not an optional "-" and ASCII
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twpw.cli import parse_opscript
-from twpw.decomposition import TreeDecomposition
+from twpw.decomposition import TreeDecomposition, validate
 from twpw.errors import ToolError
 from twpw.fileformats import parse_gr, parse_td
 from twpw.graphs import Graph, path_graph
@@ -34,6 +35,7 @@ from twpw.minors import MinorScript, parse_minor_script
 from twpw.operations import OPCODES
 
 from frozen_readers import frozen_parse_gr, frozen_two_pass_parse_td
+from frozen_validate import frozen_validate
 
 SMALL = st.integers(-1, 5).map(str)
 NUMBERS = SMALL | SMALL | st.integers(-10**30, 10**30).map(str)
@@ -193,6 +195,18 @@ def test_parse_gr_agrees_with_two_pass_reader(text):
 def test_parse_td_agrees_with_two_pass_reader(kind, text_and_host):
     text, host = text_and_host
     assert outcome(parse_td, text, host, kind) == outcome(frozen_two_pass_parse_td, text, host, kind)
+
+
+@pytest.mark.parametrize("kind", ["tree", "path"])
+@settings(max_examples=300, deadline=None)
+@given(td_inputs())
+def test_validate_agrees_with_frozen_check_on_parsed_decompositions(kind, text_and_host):
+    text, host = text_and_host
+    try:
+        d = parse_td(text, host, kind)
+    except ToolError:
+        return
+    assert validate(host, d) == frozen_validate(host, d)
 
 
 @settings(max_examples=100, deadline=None)

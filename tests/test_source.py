@@ -87,3 +87,54 @@ def test_every_private_function_is_used():
             if fn.name not in elsewhere | referenced_names(tree, skip=fn):
                 dead.append(f"{name}::{fn.name}")
     assert dead == []
+
+
+# a width table kept at module level, or in a cached function, would
+# outlive the harness run that filled it; the one cache allowed holds the
+# command line parser
+CACHES = ("cache", "lru_cache")
+ALLOWED_CACHE = ("cli.py", "_build_parser")
+
+
+def lasting_state(name: str, source: str) -> list[str]:
+    """Each global statement and each use of functools.cache or lru_cache
+    in the module, as "line: what", except the cache on ALLOWED_CACHE."""
+    tree = ast.parse(source)
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and (name, node.name) == ALLOWED_CACHE:
+            allowed.update(id(sub) for dec in node.decorator_list for sub in ast.walk(dec))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            found.append((node.lineno, f"global {', '.join(node.names)}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, f"import {a.name}") for a in node.names if a.name in CACHES]
+        elif (isinstance(node, ast.Attribute) and node.attr in CACHES
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"
+              and id(node) not in allowed):
+            found.append((node.lineno, f"functools.{node.attr}"))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_state_outlives_a_call(path):
+    assert lasting_state(path.name, path.read_text(encoding="utf-8")) == []
+
+
+def test_lasting_state_is_found():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "TABLE = {}\n"
+        "def fill():\n"
+        "    global TABLE\n"
+        "@functools.cache\n"
+        "def _build_parser(): pass\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def solve(g): pass\n"
+    )
+    assert lasting_state("cli.py", source) == [
+        "2: import lru_cache", "5: global TABLE", "8: functools.lru_cache"]
+    assert lasting_state("exact.py", source)[-2:] == [
+        "6: functools.cache", "8: functools.lru_cache"]

@@ -8,7 +8,9 @@ are comments.  Writers normalize vertex ids to 1..n in sorted
 order, so files written here parse back to graphs with ids 0..n-1.  A .gr
 header announcing more than ``GRAPH_MAX_VERTICES`` vertices or
 ``GRAPH_MAX_EDGES`` edges (see graphs.py) raises CapabilityError before
-anything is built.
+anything is built.  The readers check every line themselves, so they build
+the graph and the rooted decomposition tree from what they checked, without
+a second pass over the edges.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ def parse_gr(text: str) -> Graph:
     format_gr writes.  A line the dict cannot read (another numeral such
     as "03", or a bad line) is checked on its own: its length, its
     numerals, their range.  Then every line is checked for a loop and a
-    repeated edge, so the first fault is raised in line order.
+    repeated edge, so the first fault is raised in line order.  The
+    checked edges are the graph's, so it is built without another pass.
     """
     lines = _content_lines(text)
     if not lines or lines[0][:2] != ["p", "tw"] or len(lines[0]) != 4:
@@ -87,7 +90,7 @@ def parse_gr(text: str) -> Graph:
         edges.add(e)
     if len(edges) != m:
         raise FormatError(f"header announces {m} edges, file has {len(edges)}")
-    return Graph(range(n), edges)
+    return Graph._trusted(frozenset(range(n)), frozenset(edges))
 
 
 def _checked_pair(tokens: list[str], top: int, name: str, unread: str) -> tuple[int, int]:
@@ -138,12 +141,15 @@ def parse_td(text: str, host: Graph, kind: str = "tree") -> Decomposition:
     an optional "-" and ASCII digits.
 
     The body is read in one pass: bag ids and tree edge ends go through a
-    dict of the numerals "1".."r", bag members through a dict from "1".."n"
-    to the vertices of host, and each bag is frozen once, which the
-    decomposition keeps without a copy.  A line those dicts cannot read
-    (another numeral such as "03", an id or vertex out of range, a bad
-    line) is checked on its own, so the first fault is raised in line
-    order.  The counts and the tree edges are checked after the body.
+    dict of the numerals "1".."r" to the nodes 0..r-1, bag members through
+    a dict from "1".."n" to the vertices of host, and each bag is frozen
+    once, which the decomposition keeps without a copy.  A line those
+    dicts cannot read (another numeral such as "03", an id or vertex out
+    of range, a bad line) is checked on its own, so the first fault is
+    raised in line order.  The counts and the tree edges are checked after
+    the body, and one breadth-first walk checks that the nodes form a tree.
+    A tree is built from the checked edges and rooted by that walk from
+    node 0, so neither the tree nor its rooting is checked again.
     """
     if kind not in ("tree", "path"):
         raise FormatError(f"unknown decomposition kind {kind!r}")
@@ -161,7 +167,7 @@ def parse_td(text: str, host: Graph, kind: str = "tree") -> Decomposition:
     body = lines[1:]
     vertex = dict(zip(_canonical(n), host.vertices_sorted()))
     # a well-formed body has r bag lines, so no id beyond the line count
-    node = dict(zip(_canonical(min(r, len(body))), range(1, r + 1)))
+    node = dict(zip(_canonical(min(r, len(body))), range(r)))
     bags: dict[int, frozenset[int]] = {}
     tree_edges: list[tuple[int, int]] = []
     for tokens in body:
@@ -173,33 +179,37 @@ def parse_td(text: str, host: Graph, kind: str = "tree") -> Decomposition:
                 ident, bag = _checked_bag(tokens, r, vertex, bags)
             else:
                 if ident in bags:
-                    raise FormatError(f"duplicate bag id {ident}")
+                    raise FormatError(f"duplicate bag id {ident + 1}")
             bags[ident] = bag
         else:
             try:
                 a, b = tokens
                 tree_edges.append((node[a], node[b]))
             except (KeyError, ValueError):
-                tree_edges.append(_checked_pair(tokens, r, "tree edge", "non-numeric tree edge"))
+                a, b = _checked_pair(tokens, r, "tree edge", "non-numeric tree edge")
+                tree_edges.append((a - 1, b - 1))
     if len(bags) != r:
         raise FormatError(f"header announces {r} bags, file has {len(bags)}")
     if len(tree_edges) != r - 1:
         raise FormatError(f"{r} bags need {r - 1} tree edges, file has {len(tree_edges)}")
     if maxbag != max(map(len, bags.values())):
         raise FormatError("header max bag size disagrees with the bags")
-    _check_tree_edges(tree_edges)
+    edges, adj = _tree_shape(r, tree_edges)
     if kind == "tree":
-        tree = Graph(range(r), [(a - 1, b - 1) for a, b in tree_edges])
-        return TreeDecomposition(host, tree, {u - 1: bag for u, bag in bags.items()})
-    return PathDecomposition(host, [bags[u] for u in _path_order(r, tree_edges)])
+        parent = _spanning_walk(adj, 0)
+        del parent[0]
+        tree = Graph._trusted(frozenset(range(r)), frozenset(edges))
+        return TreeDecomposition._rooted(host, tree, bags, 0, parent)
+    return PathDecomposition(host, [bags[u] for u in _path_order(adj)])
 
 
 def _checked_bag(
     tokens: list[str], r: int, vertex: dict[str, int], bags: dict[int, frozenset[int]]
 ) -> tuple[int, frozenset[int]]:
-    """The id and bag of a bag line the numeral dicts could not read,
-    checked in turn: its id is present, its numerals, the id's range, a
-    repeated id, then its members' range 1..n, n being the size of vertex."""
+    """The node and bag of a bag line the numeral dicts could not read,
+    checked in turn: its id is present, its numerals, the id's range 1..r,
+    a repeated id, then its members' range 1..n, n being the size of
+    vertex.  Bag id i is node i - 1, the key bags holds it under."""
     if len(tokens) < 2:
         raise FormatError("bag line without an id")
     try:
@@ -209,44 +219,56 @@ def _checked_bag(
         raise FormatError(f"non-numeric bag line: {' '.join(tokens)!r}") from None
     if not 1 <= ident <= r:
         raise FormatError(f"bag id {ident} out of range 1..{r}")
-    if ident in bags:
+    if ident - 1 in bags:
         raise FormatError(f"duplicate bag id {ident}")
     try:
         # str() of a member in 1..n is its canonical numeral
-        return ident, frozenset(vertex[str(v)] for v in members)
+        return ident - 1, frozenset(vertex[str(v)] for v in members)
     except KeyError:
         v = next(v for v in members if not 1 <= v <= len(vertex))
         raise FormatError(f"bag {ident} holds out-of-range vertex {v}") from None
 
 
-def _check_tree_edges(tree_edges: list[tuple[int, int]]) -> None:
-    """FormatError for the first loop or repeated edge, in line order."""
+def _tree_shape(
+    r: int, tree_edges: list[tuple[int, int]]
+) -> tuple[set[tuple[int, int]], list[list[int]]]:
+    """The tree edges over the nodes 0..r-1 as sorted pairs, and each
+    node's neighbors.  FormatError for the first loop or repeated edge in
+    line order, naming the bags 1-based."""
+    adj: list[list[int]] = [[] for _ in range(r)]
     seen = set()
     for a, b in tree_edges:
         if a == b:
-            raise FormatError(f"tree edge loop at bag {a}")
+            raise FormatError(f"tree edge loop at bag {a + 1}")
         e = (a, b) if a < b else (b, a)
         if e in seen:
-            raise FormatError(f"duplicate tree edge ({a}, {b})")
+            raise FormatError(f"duplicate tree edge ({a + 1}, {b + 1})")
         seen.add(e)
-
-
-def _path_order(r: int, tree_edges: list[tuple[int, int]]) -> list[int]:
-    """The nodes 1..r of a path-shaped tree, from its lowest-numbered end.
-
-    tree_edges are r - 1 edges without loops or repeats, so they form a
-    tree exactly when they connect the nodes, and some node has at most
-    one neighbor.  One breadth-first walk from the lowest-numbered such
-    node checks the connection (ParameterError) and, when no node has
-    more than two neighbors (else FormatError), is the order."""
-    adj: list[list[int]] = [[] for _ in range(r + 1)]
-    for a, b in tree_edges:
         adj[a].append(b)
         adj[b].append(a)
-    start = next(u for u in range(1, r + 1) if len(adj[u]) <= 1)
-    order = list(_breadth_first(adj, start))
-    if len(order) != r:
+    return seen, adj
+
+
+def _spanning_walk(adj: list[list[int]], root: int) -> dict[int, int]:
+    """Each node -> its parent, in breadth-first order from root, which is
+    its own parent.  The edges of adj have no loop or repeat, and there is
+    one fewer than there are nodes, so they form a tree exactly when the
+    walk reaches every node; ParameterError when it does not."""
+    parent = _breadth_first(adj, root)
+    if len(parent) != len(adj):
         raise ParameterError("decomposition nodes must form a tree")
+    return parent
+
+
+def _path_order(adj: list[list[int]]) -> list[int]:
+    """The nodes of a path-shaped tree, from its lowest-numbered end.
+
+    Some node of a tree has at most one neighbor.  The walk from the
+    lowest-numbered such node checks that the nodes form a tree
+    (ParameterError) and, when no node has more than two neighbors (else
+    FormatError), is the order."""
+    start = next(u for u, nb in enumerate(adj) if len(nb) <= 1)
+    order = list(_spanning_walk(adj, start))
     if any(len(nb) > 2 for nb in adj):
         raise FormatError("decomposition tree is not path-shaped")
     return order
@@ -254,32 +276,30 @@ def _path_order(r: int, tree_edges: list[tuple[int, int]]) -> list[int]:
 
 def format_td(d: Decomposition) -> str:
     """The .td text of d; vertex v of the host is written as its rank in
-    sorted order.  Each bag is sorted by vertex id and mapped through one
-    vertex -> numeral dict, so the work per bag member is done in C.
-    ParameterError names a bag vertex outside the host."""
+    sorted order, and node u as its rank among the nodes.  Each bag is
+    sorted by vertex id and mapped through one vertex -> numeral dict, so
+    the work per bag member is done in C.  A tree's edges are read from
+    its rooting, one per node but the root.  ParameterError names a bag
+    vertex outside the host."""
     host = d.host
     numeral = dict(zip(host.vertices_sorted(), _canonical(host.n)))
     items = d.bag_items()
-    node_rank = {u: i + 1 for i, (u, _) in enumerate(items)}
     maxbag = max(len(bag) for _, bag in items)
     lines = [f"s td {len(items)} {maxbag} {host.n}"]
-    for rank, (_, bag) in enumerate(items, 1):
-        try:
-            members = map(numeral.__getitem__, sorted(bag))
-            lines.append(" ".join(["b", str(rank), *members]))
-        except (KeyError, TypeError):
-            # a foreign id: missing from the dict, or not comparable with ints
-            v = next(v for v in bag if v not in numeral)
-            raise ParameterError(f"bag holds vertex {v}, which is not in the graph") from None
+    try:
+        lines += [" ".join(["b", str(rank), *map(numeral.__getitem__, sorted(bag))])
+                  for rank, (_, bag) in enumerate(items, 1)]
+    except (KeyError, TypeError):
+        # a foreign id: missing from the dict, or not comparable with ints
+        v = next(v for _, bag in items for v in bag if v not in numeral)
+        raise ParameterError(f"bag holds vertex {v}, which is not in the graph") from None
     if isinstance(d, TreeDecomposition):
-        edges = sorted(
-            (min(node_rank[a], node_rank[b]), max(node_rank[a], node_rank[b]))
-            for a, b in d.tree.edges
-        )
+        node_rank = {u: i for i, (u, _) in enumerate(items, 1)}
+        ends = ((node_rank[u], node_rank[p]) for u, p in d._parent.items())
+        edges = sorted((a, b) if a < b else (b, a) for a, b in ends)
     else:
         edges = [(i, i + 1) for i in range(1, len(items))]
-    for a, b in edges:
-        lines.append(f"{a} {b}")
+    lines += [f"{a} {b}" for a, b in edges]
     return "\n".join(lines) + "\n"
 
 

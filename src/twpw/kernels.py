@@ -22,6 +22,7 @@ readable oracles both values and orders are checked against.
 
 from __future__ import annotations
 
+import struct
 import sys
 
 MAX_VERTICES = 16
@@ -45,12 +46,55 @@ def load_backend(name: str):
     raise ValueError(f"unknown kernel backend {name!r}")
 
 
+def _transposes() -> tuple[tuple[int, int], ...]:
+    """The delta swaps that transpose a 16 x 16 bit matrix packed into one
+    int, entry (i, j) at bit 16 i + j: step k exchanges bit k of the row
+    with bit k of the column, so it moves each entry whose bit k of j is
+    set and bit k of i clear up by 15 * 2^k, to where the other entry of
+    the pair moves down from."""
+    swaps = []
+    for k in range(4):
+        low = sum(1 << p for p in range(256) if p >> k & 1 and not p >> (4 + k) & 1)
+        swaps.append((15 << k, low))
+    return tuple(swaps)
+
+
+_TRANSPOSES = _transposes()
+_DIAGONAL = sum(1 << 17 * i for i in range(MAX_VERTICES))
+
+
 def _check_masks(masks: list[int]) -> int:
     """len(masks), once the masks are known to describe a simple graph on
-    at most MAX_VERTICES vertices; checked before any table is sized."""
+    at most MAX_VERTICES vertices; checked before any table is sized.
+
+    The masks are packed into one 16 x 16 bit matrix, row i holding
+    masks[i], and checked whole: no bit on the diagonal, and equal to its
+    own transpose.  The rows from n on are empty, so a bit in a column
+    from n on is caught by the transpose.  Only when that fails (or a
+    mask does not fit a row) are the masks scanned one by one, for the
+    first fault and its message."""
     n = len(masks)
     if n > MAX_VERTICES:
         raise ValueError(f"kernel supports at most {MAX_VERTICES} vertices")
+    try:
+        matrix = int.from_bytes(struct.pack(f"<{n}H", *masks), "little")
+    except struct.error:
+        matrix = None
+    if matrix is not None and not matrix & _DIAGONAL:
+        transposed = matrix
+        for shift, low in _TRANSPOSES:
+            t = (transposed ^ transposed >> shift) & low
+            transposed ^= t ^ t << shift
+        if transposed == matrix:
+            return n
+    _first_fault(masks)
+    return n
+
+
+def _first_fault(masks: list[int]) -> None:
+    """ValueError naming the first fault of the masks in vertex order: a
+    neighbor outside the len(masks) vertices, a loop, an asymmetric pair."""
+    n = len(masks)
     for v, mask in enumerate(masks):
         if mask >> n:
             raise ValueError(f"vertex {v} has a neighbor outside the {n} vertices")
@@ -62,7 +106,6 @@ def _check_masks(masks: list[int]) -> int:
             rest &= rest - 1
             if not masks[u] >> v & 1:
                 raise ValueError(f"asymmetric pair ({v}, {u})")
-    return n
 
 
 def treewidth_dp(masks: list[int]) -> tuple[int, list[int]]:

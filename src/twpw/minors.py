@@ -93,38 +93,72 @@ def replay_lower_witness(g: Graph, script: MinorScript, value: int) -> Graph:
     return _replay(g, script, value)
 
 
-def _improve(g: Graph, u: int, v: int, value: int) -> Graph:
-    """g plus the edge uv, which must have at least value common neighbors."""
-    improved = unary.add_edge(g, u, v).graph  # u and v present, not adjacent
-    common = len(g.neighbors(u) & g.neighbors(v))
-    if common < value:
-        raise ParameterError(
-            f"vertices {u} and {v} have {common} common neighbors, fewer than {value}"
-        )
-    return improved
-
-
 def _replay(g: Graph, script: MinorScript, value: int | None) -> Graph:
     """Replay script from g; edge additions are checked against value, and
-    refused when value is None."""
-    cur = g
+    refused when value is None.
+
+    The steps change one map of neighbor sets in place, with the checks
+    and messages of the unary operations they stand for, and the graph
+    is built once at the end.  A contraction fuses its ends into a new
+    vertex, the largest id plus one, as unary.contract_edge names it."""
+    adj = {v: set(nb) for v, nb in g.adjacency().items()}
     for i, step in enumerate(script.steps, start=1):
         try:
             if step[0] == "a":
                 if value is None:
                     raise ParameterError("an edge addition is not a minor step")
-                cur = _improve(cur, step[1], step[2], value)
+                u, v = step[1], step[2]
+                _require_vertex(adj, u)
+                _require_vertex(adj, v)
+                if u == v:
+                    raise ParameterError("cannot add a loop")
+                if v in adj[u]:
+                    raise ParameterError(f"edge ({u}, {v}) already present")
+                common = len(adj[u] & adj[v])
+                if common < value:
+                    raise ParameterError(
+                        f"vertices {u} and {v} have {common} common neighbors, fewer than {value}"
+                    )
+                adj[u].add(v)
+                adj[v].add(u)
             elif step[0] == "d":
-                cur = unary.delete_edge(cur, step[1], step[2]).graph
+                u, v = step[1], step[2]
+                _require_edge(adj, u, v)
+                adj[u].remove(v)
+                adj[v].remove(u)
             elif step[0] == "c":
-                cur = unary.contract_edge(cur, step[1], step[2]).graph
+                u, v = step[1], step[2]
+                _require_edge(adj, u, v)
+                z = max(adj) + 1
+                around = adj.pop(u) | adj.pop(v)
+                around -= {u, v}
+                for x in around:
+                    nb = adj[x]
+                    nb.discard(u)
+                    nb.discard(v)
+                    nb.add(z)
+                adj[z] = around
             elif step[0] == "dv":
-                cur = unary.delete_vertex(cur, step[1]).graph
+                v = step[1]
+                _require_vertex(adj, v)
+                for x in adj.pop(v):
+                    adj[x].remove(v)
             else:
                 raise ParameterError(f"unknown minor step {step!r}")
         except ParameterError as exc:
             raise ScriptError(str(exc), step=i) from exc
-    return cur
+    edges = frozenset({(u, v) for u, nb in adj.items() for v in nb if u < v})
+    return Graph._trusted(frozenset(adj), edges, {v: frozenset(nb) for v, nb in adj.items()})
+
+
+def _require_vertex(adj: dict[int, set[int]], v: int) -> None:
+    if v not in adj:
+        raise ParameterError(f"vertex {v} not in graph")
+
+
+def _require_edge(adj: dict[int, set[int]], u: int, v: int) -> None:
+    if u not in adj or v not in adj[u]:
+        raise ParameterError(f"edge ({u}, {v}) not in graph")
 
 
 def _connected_subsets(root_bit: int, allowed: int, adj: list[int], max_size: int):

@@ -5,9 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from twpw.decomposition import PathDecomposition, TreeDecomposition, validate
 from twpw.errors import CapabilityError, FormatError, ParameterError, ToolError
-from twpw.exact import elimination_decomposition, layout_decomposition
+from twpw.exact import (
+    elimination_decomposition,
+    exact_pathwidth,
+    exact_treewidth,
+    layout_decomposition,
+)
 from twpw.fileformats import (
     _path_order,
+    _tree_shape,
     format_gr,
     format_td,
     parse_gr,
@@ -34,6 +40,8 @@ from frozen_readers import (
     frozen_two_pass_parse_td,
     reachability_path_order,
 )
+from frozen_validate import frozen_validate
+from test_parser_fuzz import td_inputs
 
 
 class TestGrParsing:
@@ -521,6 +529,13 @@ class TestReadersAgainstTwoPassOracles:
                         ("td", PathDecomposition), ("td", FormatError), ("td", ParameterError)}
 
 
+def path_order(r, tree_edges):
+    """_path_order of the tree edges over the nodes 1..r, read as
+    1-based nodes, as the reachability oracle reads and returns them."""
+    _, adj = _tree_shape(r, [(a - 1, b - 1) for a, b in tree_edges])
+    return [u + 1 for u in _path_order(adj)]
+
+
 class TestPathOrderAgainstReachabilityOracle:
     def test_every_edge_list_up_to_six_nodes(self):
         """Every set of r - 1 distinct loop-free edges over 1..r, listed
@@ -534,7 +549,7 @@ class TestPathOrderAgainstReachabilityOracle:
                 for flip in range(1 << len(edges) if r <= 5 else 1):
                     lines = [(b, a) if flip >> i & 1 else (a, b) for i, (a, b) in enumerate(edges)]
                     for order in (lines, lines[::-1]):
-                        got = parse_outcome_of(_path_order, r, order)
+                        got = parse_outcome_of(path_order, r, order)
                         assert got == parse_outcome_of(reachability_path_order, r, order)
                         kinds.add(got[0])
         assert kinds == {list, ParameterError, FormatError}
@@ -545,3 +560,96 @@ def parse_outcome_of(f, *args):
         return list, f(*args)
     except ToolError as exc:
         return type(exc), str(exc)
+
+
+def rooted_outcome(parse, text, host):
+    try:
+        return parse(text, host, "tree")
+    except ToolError as exc:
+        return type(exc), str(exc)
+
+
+def assert_rooted_as_frozen(text, host):
+    """parse_td against the two-pass reader, on a tree: the same error, or
+    the same tree and bags, rooted at node 0 with each node after its
+    parent and one tree edge per parent pair, and the same validate
+    report."""
+    got = rooted_outcome(parse_td, text, host)
+    want = rooted_outcome(frozen_two_pass_parse_td, text, host)
+    if not isinstance(want, TreeDecomposition):
+        assert got == want, text
+        return got[0]
+    assert got.tree == want.tree and dict(got.bags) == dict(want.bags), text
+    assert got._root == 0
+    seen = {0}
+    for u, p in got._parent.items():
+        assert p in seen and u not in seen, text
+        seen.add(u)
+    assert seen == got.tree.vertices
+    assert {(u, p) if u < p else (p, u) for u, p in got._parent.items()} == got.tree.edges
+    assert validate(host, got) == validate(host, want) == frozen_validate(host, want)
+    return TreeDecomposition
+
+
+class TestRootedTreesAgainstFrozenReaders:
+    """parse_td builds the tree from the edges it checked and roots it with
+    its own walk; the frozen readers build it through TreeDecomposition."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(td_inputs())
+    def test_fuzz_corpus(self, text_and_host):
+        assert_rooted_as_frozen(*text_and_host)
+
+    def test_solver_certificates_and_their_mutations(self):
+        rng = SplitMix64(71)
+        kinds = set()
+        for _ in range(60):
+            n = 1 + rng.next_below(14)
+            g = random_graph(rng, n, 1 + rng.next_below(9))
+            order = g.vertices_sorted()
+            for i in range(n - 1, 0, -1):
+                j = rng.next_below(i + 1)
+                order[i], order[j] = order[j], order[i]
+            for d in (exact_treewidth(g).certificate, elimination_decomposition(g, order),
+                      layout_decomposition(g, order)):
+                text = format_td(d)
+                kinds.add(assert_rooted_as_frozen(text, g))
+                for _ in range(3):
+                    if text.count("\n") > 1:
+                        kinds.add(assert_rooted_as_frozen(mutated(rng, text, n), g))
+        assert kinds == {TreeDecomposition, FormatError}
+
+    def test_every_tree_on_up_to_six_nodes(self):
+        """Every set of r - 1 distinct loop-free tree edges over 1..r, so
+        every tree and every disconnected edge list, under one bag per node."""
+        from itertools import combinations
+
+        g = path_graph(2)
+        kinds = set()
+        for r in range(1, 7):
+            bags = [f"b {i} {1 + i % 2}" for i in range(1, r + 1)]
+            for edges in combinations(combinations(range(1, r + 1), 2), r - 1):
+                lines = [f"s td {r} 1 2", *bags, *(f"{b} {a}" for a, b in edges)]
+                kinds.add(assert_rooted_as_frozen("\n".join(lines) + "\n", g))
+        assert kinds == {TreeDecomposition, ParameterError}
+
+
+def test_readers_build_no_graph_through_its_checks(monkeypatch):
+    """A successful read builds the graph and the tree from what the reader
+    checked, so Graph.__init__ never runs."""
+    g = random_graph(SplitMix64(5), 12, 4)
+    d = exact_treewidth(g).certificate
+    texts = format_gr(g), format_td(d), format_td(exact_pathwidth(g).certificate)
+    calls = []
+    init = Graph.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", spy)
+    assert parse_gr(texts[0]) == g
+    assert tree_parts(parse_td(texts[1], g)) == tree_parts(d)
+    assert parse_td(texts[2], g, "path").bags == exact_pathwidth(g).certificate.bags
+    assert parse_td("s td 1 0 12\nb 1\n", g).tree.n == 1
+    assert calls == []

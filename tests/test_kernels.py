@@ -243,6 +243,73 @@ class TestInputCheck:
             getattr(kernels, name)(masks)
 
 
+def scan_check_masks(masks):
+    """kernels._check_masks as it was before the packed check: every mask
+    scanned in vertex order, the first fault named.  Frozen here as the
+    oracle for which masks are refused and with which message."""
+    n = len(masks)
+    if n > kernels.MAX_VERTICES:
+        raise ValueError(f"kernel supports at most {kernels.MAX_VERTICES} vertices")
+    for v, mask in enumerate(masks):
+        if mask >> n:
+            raise ValueError(f"vertex {v} has a neighbor outside the {n} vertices")
+        if mask >> v & 1:
+            raise ValueError(f"loop at vertex {v}")
+        rest = mask
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if not masks[u] >> v & 1:
+                raise ValueError(f"asymmetric pair ({v}, {u})")
+    return n
+
+
+def check_outcome(check, masks):
+    try:
+        return check(masks)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def mask_cases(masks):
+    """masks, then every single-bit flip in the 16 bits of each row and
+    beyond them, each row made negative, and a 17th row."""
+    n = len(masks)
+    yield masks
+    for v in range(n):
+        for bit in (*range(17), 40):
+            flipped = list(masks)
+            flipped[v] ^= 1 << bit
+            yield flipped
+        for negative in (-1, ~masks[v], -masks[v] or -2, -(1 << 16)):
+            changed = list(masks)
+            changed[v] = negative
+            yield changed
+    yield masks + [0]
+    yield masks + [1 << n]
+
+
+class TestMaskCheckAgainstScan:
+    """The packed bit-matrix check against the scan it replaced: the same
+    masks accepted, and the same first fault named for the rest."""
+
+    def test_seeded_graphs_up_to_16_vertices(self):
+        rng = SplitMix64(97)
+        refused = set()
+        for n in range(17):
+            for p in (2, 5, 8):
+                for masks in mask_cases(random_graph(rng, n, p).masks()):
+                    want = check_outcome(scan_check_masks, masks)
+                    assert check_outcome(kernels._check_masks, masks) == want, masks
+                    if isinstance(want, tuple):
+                        refused.add(want[1].split(" ")[0])
+        assert refused == {"vertex", "loop", "asymmetric", "kernel"}
+
+    @pytest.mark.parametrize("masks", [[], [0], [0.5], [2, 1.0], [2, "1"], [True, 0], [False]])
+    def test_masks_that_are_no_ints(self, masks):
+        assert check_outcome(kernels._check_masks, masks) == check_outcome(scan_check_masks, masks)
+
+
 class TestSelection:
     def test_module_binds_some_backend(self):
         assert kernels.backend() == "python"

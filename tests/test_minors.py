@@ -25,6 +25,7 @@ from twpw.minors import (
     replay_lower_witness,
 )
 
+from frozen_minors import frozen_replay
 from smallgraphs import all_graphs_up_to
 
 
@@ -195,3 +196,113 @@ class TestClassifiers:
     def test_unsupported_width_rejected(self):
         with pytest.raises(ParameterError):
             classify_treewidth_le(path_graph(3), 3)
+
+
+def replay_outcome(replay, g, script, value):
+    """The graph left, with its adjacency, or the ScriptError's message and
+    step."""
+    try:
+        h = replay(g, script, value)
+    except ScriptError as exc:
+        return ScriptError, str(exc), exc.step
+    return h, h.adjacency()
+
+
+def assert_replays_as_frozen(g, script, value):
+    """replay_lower_witness (or apply_minor_script when value is None) and
+    the frozen replay give the same outcome, which is returned."""
+    def current(g, script, value):
+        if value is None:
+            return apply_minor_script(g, script)
+        return replay_lower_witness(g, script, value)
+
+    got = replay_outcome(current, g, script, value)
+    assert got == replay_outcome(frozen_replay, g, script, value), (g.edges_sorted(), script)
+    return got
+
+
+def broken(rng, g, script):
+    """script with one step changed: an absent vertex or a non-edge in its
+    place, an addition repeated, or a step of unknown kind."""
+    steps = list(script.steps)
+    i = rng.next_below(len(steps))
+    step = steps[i]
+    kind = rng.next_below(4)
+    absent = max(g.vertices) + 50
+    if kind == 0:
+        steps[i] = (step[0], absent, *step[2:])
+    elif kind == 1 and len(step) == 3:
+        steps[i] = (step[0], step[1], absent)
+    elif kind == 2:
+        steps.insert(i, step)
+    else:
+        steps[i] = ("x", *step[1:])
+    return MinorScript(tuple(steps))
+
+
+class TestReplayAgainstFrozen:
+    """The replay over one map of neighbor sets against the replay through
+    whole graphs it replaced: the same graph, or the same message at the
+    same step."""
+
+    def test_every_witness_at_solve_sizes(self):
+        rng = SplitMix64(83)
+        witnesses = errors = 0
+        for seed in range(1, 5):
+            for n in range(9, 15):
+                for p in (2, 5, 8):
+                    g = random_graph(SplitMix64(seed), n, p)
+                    tw = exact_treewidth(g)
+                    if tw.lower_witness is None:
+                        continue
+                    witnesses += 1
+                    script = tw.lower_witness
+                    got = assert_replays_as_frozen(g, script, tw.value)
+                    assert got[0] is not ScriptError
+                    assert_replays_as_frozen(g, script, tw.value + 1)
+                    assert_replays_as_frozen(g, script, None)
+                    for _ in range(3 if script.steps else 0):
+                        bad = broken(rng, g, script)
+                        errors += assert_replays_as_frozen(g, bad, tw.value)[0] is ScriptError
+        assert witnesses and errors
+
+    def test_is_minor_scripts(self):
+        rng = SplitMix64(89)
+        patterns = [complete_graph(3), complete_graph(4), cycle_graph(4), path_graph(3),
+                    star_graph(3), incidence_star_example()]
+        found = 0
+        for _ in range(40):
+            g = random_graph(rng, 3 + rng.next_below(6), 1 + rng.next_below(8))
+            for h in patterns:
+                ok, script = is_minor(h, g)
+                if not ok:
+                    continue
+                found += 1
+                assert_replays_as_frozen(g, script, None)
+                if script.steps:
+                    assert_replays_as_frozen(g, broken(rng, g, script), None)
+        assert found
+
+    @pytest.mark.parametrize("steps, value", [
+        ((("dv", 9),), None),  # missing vertex
+        ((("dv", 1), ("d", 0, 1)), None),
+        ((("c", 0, 9),), None),
+        ((("d", 0, 2),), None),  # non-edge
+        ((("c", 0, 2),), None),
+        ((("d", 1, 1),), None),
+        ((("c", 0, 1), ("c", 2, 3), ("d", 4, 5)), None),  # contractions name ids 4 and 5
+        ((("dv", 3), ("c", 0, 1), ("dv", 3)), None),  # a deleted top id is reused
+        ((("dv", 3), ("c", 0, 1), ("d", 2, 3)), None),
+        ((("a", 0, 2),), None),  # an addition is no minor step
+        ((("a", 0, 2), ("a", 0, 2)), 2),  # repeated addition
+        ((("a", 0, 2), ("a", 2, 0)), 2),
+        ((("a", 0, 2),), 3),  # too few common neighbors
+        ((("a", 0, 9),), 2),
+        ((("a", 9, 0),), 2),
+        ((("a", 1, 1),), 2),
+        ((("a", 0, 1),), 2),
+        ((("a", 0, 2), ("a", 1, 3), ("c", 0, 1)), 2),
+        ((("e", 0, 1),), None),  # unknown step
+    ])
+    def test_broken_scripts(self, steps, value):
+        assert_replays_as_frozen(cycle_graph(4), MinorScript(steps), value)

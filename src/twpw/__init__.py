@@ -47,7 +47,7 @@ from .fileformats import (
     write_gr,
     write_td,
 )
-from .graphs import Graph, generate, generator_names, is_isomorphic
+from .graphs import Graph, generate, generator_names
 from .harness import BoundCheck, SweepConfig, render_tap, run_suite
 from .invariants import GraphInvariants, graph_invariants
 from .minors import (
@@ -93,7 +93,6 @@ __all__ = [
     "generate",
     "generator_names",
     "graph_invariants",
-    "is_isomorphic",
     "is_minor",
     "is_valid",
     "parse_gr",

@@ -347,12 +347,3 @@ def corona(g1: Graph, g2: Graph, d1=None, d2=None) -> Result:
     b2 = [frozenset(m2[x] for x in bag) for bag in d2.bags]
     bags = [frozenset(n1 + i * n2 + x for x in bag) | everyone for i in range(n1) for bag in b2]
     return Result(graph, PathDecomposition(graph, bags), max(w1, w2) + n1)
-
-
-def corona_pw_complete(n: int, m: int) -> int:
-    """Closed-form path-width of the corona of two complete graphs."""
-    if n < 1 or m < 1:
-        raise ParameterError("corona closed form needs n, m >= 1")
-    if n == 1:
-        return m
-    return n + max(0, m - n // 2) - 1

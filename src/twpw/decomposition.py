@@ -306,25 +306,6 @@ def path_to_tree(d: PathDecomposition) -> TreeDecomposition:
     return TreeDecomposition(d.host, tree, dict(enumerate(d.bags)))
 
 
-def find_clique_bag(d: Decomposition, clique: Iterable[int]) -> int:
-    """Smallest node id (or bag index) whose bag contains the given clique.
-
-    Every clique of the host sits inside some bag of a valid decomposition;
-    absence is therefore reported as an inconsistency, not as None.
-    """
-    cl = frozenset(int(v) for v in clique)
-    g = d.host
-    if not cl <= g.vertices:
-        raise ParameterError("clique uses vertices outside the host graph")
-    for u, v in ((u, v) for u in cl for v in cl if u < v):
-        if not g.has_edge(u, v):
-            raise ParameterError(f"vertices {u} and {v} are not adjacent")
-    for u, bag in d.bag_items():
-        if cl <= bag:
-            return u
-    raise InconsistencyError("no bag contains the clique; decomposition is invalid")
-
-
 def remove_redundant_bags(td: TreeDecomposition) -> TreeDecomposition:
     """Merge tree-adjacent bags where one contains the other.
 

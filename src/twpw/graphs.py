@@ -11,7 +11,6 @@ from typing import AbstractSet, Iterable, Mapping
 
 from .errors import CapabilityError, ParameterError
 
-ISO_MAX_VERTICES = 10
 # .gr headers and generator arguments are checked against these before any
 # graph is built, so no untrusted count sizes an allocation
 GRAPH_MAX_VERTICES = 100_000
@@ -180,22 +179,6 @@ def fresh_id(g: Graph) -> int:
     return max(g.vertices) + 1 if g.n else 0
 
 
-def induced_subgraph(g: Graph, vertices) -> Graph:
-    keep = frozenset(vertices)
-    if not keep <= g.vertices:
-        raise ParameterError("induced subgraph needs existing vertices")
-    return Graph(keep, [e for e in g.edges if e[0] in keep and e[1] in keep])
-
-
-def biconnected_components(g: Graph) -> list[frozenset[int]]:
-    """Vertex sets of the biconnected components (each spans >= 2 vertices),
-    ordered by smallest member; isolated vertices belong to none."""
-    import networkx as nx
-
-    comps = [frozenset(c) for c in nx.biconnected_components(to_networkx(g))]
-    return sorted(comps, key=min)
-
-
 def guard_size(n: int, m: int) -> None:
     """CapabilityError when a graph of n vertices and m edges is too big."""
     if n > GRAPH_MAX_VERTICES:
@@ -313,34 +296,3 @@ def generate(kind: str, *params: int) -> Graph:
     if len(params) != arity:
         raise ParameterError(f"graph kind {kind!r} takes {arity} parameter(s), got {len(params)}")
     return fn(*params)
-
-
-# --- interop and isomorphism --------------------------------------------
-
-
-def to_networkx(g: Graph):
-    import networkx as nx
-
-    h = nx.Graph()
-    h.add_nodes_from(g.vertices_sorted())
-    h.add_edges_from(g.edges_sorted())
-    return h
-
-
-def from_networkx(h) -> Graph:
-    return Graph(h.nodes(), h.edges())
-
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test, guarded to at most 10 vertices per side."""
-    if g1.n > ISO_MAX_VERTICES or g2.n > ISO_MAX_VERTICES:
-        raise CapabilityError(f"isomorphism test supports at most {ISO_MAX_VERTICES} vertices")
-    if g1.n != g2.n or g1.m != g2.m:
-        return False
-    deg1 = sorted(len(s) for s in g1.adjacency().values())
-    deg2 = sorted(len(s) for s in g2.adjacency().values())
-    if deg1 != deg2:
-        return False
-    import networkx as nx
-
-    return nx.is_isomorphic(to_networkx(g1), to_networkx(g2))

@@ -47,14 +47,17 @@ def _carry(g2: Graph, d: Decomposition | None, f, extra: int = 0) -> Result:
 
 def _hang_bags(d: TreeDecomposition, g2: Graph, leaves) -> TreeDecomposition:
     """d over g2 plus one leaf node per (anchor node, bag) of leaves,
-    numbered from the largest node + 1 on."""
+    numbered from the largest node + 1 on; the tree keeps d's rooting,
+    each new leaf a child of its anchor."""
     z = max(d.tree.vertices) + 1
     bags = dict(d.bags)
     edges = list(d.tree.edges)
+    parent = dict(d._parent)
     for i, (anchor, bag) in enumerate(leaves):
         bags[z + i] = bag
         edges.append((anchor, z + i))
-    return TreeDecomposition(g2, Graph(bags.keys(), edges), bags)
+        parent[z + i] = anchor
+    return TreeDecomposition._rooted(g2, Graph(bags.keys(), edges), bags, d._root, parent)
 
 
 # --- vertex and edge surgery --------------------------------------------
@@ -198,7 +201,8 @@ def identify_vertices(g: Graph, v: int, w: int, d: Decomposition | None = None) 
         # re-connect the two former subtrees by threading z along the tree
         for u in _steiner_nodes(d, marked):
             bags[u] = bags[u] | {z}
-        return Result(g2, TreeDecomposition(g2, d.tree, bags), claimed)
+        dec = TreeDecomposition._rooted(g2, d.tree, bags, d._root, d._parent)
+        return Result(g2, dec, claimed)
     bags = [_rename_pair(bag, v, w, z) for bag in d.bags]
     idxs = [i for i, bag in enumerate(bags) if z in bag]
     for i in range(idxs[0], idxs[-1] + 1):

@@ -10,11 +10,12 @@ from twpw.graphs import (
     cycle_graph,
     grid_graph,
     incidence_star_example,
-    is_isomorphic,
     path_graph,
     star_graph,
 )
 from twpw.harness import SplitMix64, random_graph
+
+from smallgraphs import is_isomorphic
 
 
 def certs(g):
@@ -346,13 +347,7 @@ class TestCorona:
         for n in range(1, 5):
             for m in range(1, 4):
                 res = binary.corona(complete_graph(n), complete_graph(m))
-                assert exact_pathwidth(res.graph).value == binary.corona_pw_complete(n, m)
-
-    def test_closed_form_guards(self):
-        with pytest.raises(ParameterError):
-            binary.corona_pw_complete(0, 2)
-        with pytest.raises(ParameterError):
-            binary.corona_pw_complete(2, 0)
+                assert exact_pathwidth(res.graph).value == n + max(0, m - n // 2) - 1
 
 
 def test_combiners_accept_redundant_decompositions():

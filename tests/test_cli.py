@@ -18,12 +18,13 @@ from twpw.graphs import (
     cycle_graph,
     grid_graph,
     incidence_star_example,
-    is_isomorphic,
     path_graph,
     star_graph,
 )
 from twpw.harness import SplitMix64, random_graph
 from twpw.minors import parse_minor_script, replay_lower_witness
+
+from smallgraphs import is_isomorphic
 
 
 def write(path, text):

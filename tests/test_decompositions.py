@@ -1,6 +1,5 @@
 import math
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +7,6 @@ from twpw import decomposition
 from twpw.decomposition import (
     PathDecomposition,
     TreeDecomposition,
-    find_clique_bag,
     is_valid,
     path_to_tree,
     remove_redundant_bags,
@@ -33,7 +31,6 @@ from twpw.graphs import (
     caterpillar_example,
     complete_graph,
     cycle_graph,
-    from_networkx,
     grid_graph,
     incidence_star_example,
     path_graph,
@@ -352,38 +349,16 @@ class TestPathToTree:
         assert width(t) == width(d)
 
 
-class TestFindCliqueBag:
-    def test_edge_clique(self):
-        g, d = spider_fixture()
-        assert find_clique_bag(d, {2, 5}) == 2
-
-    def test_triangle_in_complete_graph(self):
-        g = complete_graph(4)
-        d = trivial_tree_decomposition(g)
-        assert find_clique_bag(d, {0, 1, 2, 3}) == 0
-
-    def test_lowest_bag_wins(self):
-        g, d = spider_fixture()
-        assert find_clique_bag(d, {2}) == 1
-
-    def test_non_clique_rejected(self):
-        g, d = spider_fixture()
-        with pytest.raises(ParameterError):
-            find_clique_bag(d, {0, 6})
-
+class TestCliquesInBags:
     def test_every_clique_of_every_small_graph_lands_in_a_bag(self):
         from itertools import combinations
 
-        from smallgraphs import all_graphs_up_to
-
-        for g in all_graphs_up_to(5):
-            if g.n == 0:
-                continue
+        for g in all_graphs_up_to(5, include_empty=False):
             d = exact_treewidth(g).certificate
             for size in (1, 2, 3):
                 for c in combinations(g.vertices_sorted(), size):
                     if all(g.has_edge(u, v) for u, v in combinations(c, 2)):
-                        find_clique_bag(d, c)  # raises if absent
+                        assert any(set(c) <= bag for bag in d.all_bags())
 
 
 class TestRedundantBags:
@@ -632,8 +607,7 @@ def assert_builders_match_oracles(g, order):
 class TestCertificateBuildersAgainstOracles:
     def test_every_atlas_graph(self):
         rng = SplitMix64(41)
-        for h in nx.graph_atlas_g()[1:]:  # the first is the empty graph
-            g = from_networkx(h)
+        for g in all_graphs_up_to(7, include_empty=False):
             assert_builders_match_oracles(g, min_degree_order(g))
             assert_builders_match_oracles(g, seeded_order(rng, g))
 

@@ -7,7 +7,6 @@ from twpw.graphs import (
     GRAPH_MAX_EDGES,
     GRAPH_MAX_VERTICES,
     Graph,
-    biconnected_components,
     caterpillar_example,
     complete_bipartite_graph,
     complete_graph,
@@ -20,10 +19,8 @@ from twpw.graphs import (
     generator_names,
     grid_graph,
     incidence_star_example,
-    induced_subgraph,
     is_connected,
     is_forest,
-    is_isomorphic,
     is_tree,
     isolated_graph,
     max_degree,
@@ -31,6 +28,8 @@ from twpw.graphs import (
     star_graph,
 )
 from twpw.harness import SplitMix64, random_graph
+
+from smallgraphs import induced_subgraph
 
 
 def edge_set(pairs):
@@ -165,27 +164,6 @@ class TestTraversal:
         assert fresh_id(empty_graph()) == 0
         assert fresh_id(Graph([0, 7])) == 8
 
-    def test_induced_subgraph(self):
-        g = cycle_graph(4)
-        h = induced_subgraph(g, [0, 1, 2])
-        assert h == Graph([0, 1, 2], [(0, 1), (1, 2)])
-        with pytest.raises(ParameterError):
-            induced_subgraph(g, [0, 9])
-
-    def test_biconnected_components_of_tree_are_edges(self):
-        g = incidence_star_example()
-        comps = biconnected_components(g)
-        assert comps == sorted(
-            (frozenset(e) for e in g.edges_sorted()), key=min
-        )
-
-    def test_biconnected_components_cycle_with_tail(self):
-        g = Graph(range(4), [(0, 1), (1, 2), (0, 2), (2, 3)])
-        assert biconnected_components(g) == [
-            frozenset({0, 1, 2}),
-            frozenset({2, 3}),
-        ]
-
     def test_max_degree(self):
         assert max_degree(star_graph(4)) == 4
         assert max_degree(Graph(range(3))) == 0
@@ -268,23 +246,6 @@ class TestGenerators:
         names = generator_names()
         assert names == sorted(names)
         assert {"path", "cycle", "complete", "grid", "ik13"} <= set(names)
-
-
-class TestIsomorphism:
-    def test_relabeling_detected(self):
-        a = path_graph(4)
-        b = Graph([10, 20, 30, 40], [(20, 10), (10, 30), (30, 40)])
-        assert is_isomorphic(a, b)
-
-    def test_nonisomorphic_same_degrees(self):
-        # C6 versus two triangles: same degree sequence
-        a = cycle_graph(6)
-        b = Graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        assert not is_isomorphic(a, b)
-
-    def test_size_guard(self):
-        with pytest.raises(CapabilityError):
-            is_isomorphic(complete_graph(11), complete_graph(11))
 
 
 @given(st.integers(1, 8), st.integers(0, 2**32 - 1))

@@ -11,7 +11,6 @@ from twpw.graphs import (
     cycle_graph,
     path_graph,
     star_graph,
-    to_networkx,
 )
 from twpw.harness import SplitMix64, random_graph
 from twpw.invariants import (
@@ -23,7 +22,7 @@ from twpw.invariants import (
     vertex_connectivity,
 )
 
-from smallgraphs import all_graphs_up_to
+from smallgraphs import all_graphs_up_to, to_networkx
 
 
 def colorable(g, k):

@@ -1,10 +1,11 @@
-import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twpw import kernels
-from twpw.graphs import Graph, complete_graph, from_networkx, is_connected, path_graph
+from twpw.graphs import Graph, complete_graph, is_connected, path_graph
 from twpw.harness import SplitMix64, random_graph
+
+from smallgraphs import all_graphs_up_to
 
 
 def adjacency_masks(g):
@@ -114,8 +115,8 @@ def per_vertex_treewidth_dp(masks):
 
 class TestTreewidthAgainstPerVertexOracle:
     def test_every_atlas_graph(self):
-        for h in nx.graph_atlas_g():
-            masks = from_networkx(h).masks()
+        for g in all_graphs_up_to(7):
+            masks = g.masks()
             assert kernels.treewidth_dp(masks) == per_vertex_treewidth_dp(masks), masks
 
     def test_seeded_graphs_up_to_13_vertices(self):
@@ -169,8 +170,8 @@ def loop_pathwidth_dp(masks):
 
 class TestPathwidthAgainstLoopOracle:
     def test_every_atlas_graph(self):
-        for h in nx.graph_atlas_g():
-            masks = from_networkx(h).masks()
+        for g in all_graphs_up_to(7):
+            masks = g.masks()
             assert kernels.pathwidth_dp(masks) == loop_pathwidth_dp(masks), masks
 
     def test_seeded_graphs_up_to_16_vertices(self):

@@ -8,7 +8,6 @@ from twpw.graphs import (
     cycle_graph,
     grid_graph,
     incidence_star_example,
-    is_isomorphic,
     path_graph,
     star_graph,
 )
@@ -26,7 +25,7 @@ from twpw.minors import (
 )
 
 from frozen_minors import frozen_replay
-from smallgraphs import all_graphs_up_to
+from smallgraphs import all_graphs_up_to, is_isomorphic
 
 
 class TestScripts:

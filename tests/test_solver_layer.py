@@ -8,7 +8,6 @@ replay, as a lower witness for the value, to a graph whose minimum degree
 is at least the value.
 """
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +20,6 @@ from twpw.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
-    from_networkx,
     grid_graph,
     is_connected,
     path_graph,
@@ -35,6 +33,8 @@ from twpw.minors import (
     replay_lower_witness,
 )
 
+from smallgraphs import all_graphs_up_to
+
 
 # the bare kernels, bound before the kernel_calls fixture can replace the
 # module attributes, so oracle calls are not counted as solver calls
@@ -42,10 +42,6 @@ BARE_TW, BARE_PW = kernels.treewidth_dp, kernels.pathwidth_dp
 
 # a 4-cycle 0-1-2-3 with a roof vertex 4 over the edge 2-3
 HOUSE = Graph(range(5), [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (3, 4)])
-
-
-def atlas():
-    return [from_networkx(h) for h in nx.graph_atlas_g()]
 
 
 def min_degree(g):
@@ -86,7 +82,7 @@ def seeded_graphs():
 
 class TestAgainstKernel:
     def test_every_atlas_graph(self):
-        for g in atlas():
+        for g in all_graphs_up_to(7):
             assert_matches_kernel(g)
 
     def test_seeded_graphs_up_to_sixteen_vertices(self):
@@ -255,7 +251,7 @@ def bound_families():
 
 class TestBounds:
     def test_bounds_enclose_treewidth_on_every_atlas_graph(self):
-        for g in atlas():
+        for g in all_graphs_up_to(7):
             assert_bounds_enclose(g)
 
     def test_bounds_enclose_treewidth_on_seeded_graphs(self):

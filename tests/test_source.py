@@ -2,6 +2,7 @@
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,26 +32,48 @@ def test_module_reads_every_name_it_imports(path):
 
 
 ROOT = SRC.parent.parent
-OPERATION_MODULES = ("unary.py", "binary.py")
+# the standard library and the package itself
+IMPORTABLE = sys.stdlib_module_names | {"__future__", "twpw"}
 
 
-def public_functions(source: str) -> list[str]:
+def foreign_imports(source: str) -> list[str]:
+    """Each module the source imports, anywhere in it, whose top-level
+    package is outside IMPORTABLE, as "line: module"; a relative import is
+    the package's own."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{node.lineno}: {m}" for m in modules if m.split(".")[0] not in IMPORTABLE]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_the_standard_library(path):
+    # the package has no runtime dependency; networkx is a test extra
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_foreign_imports_are_found():
+    source = (
+        "import os.path, networkx as nx\n"
+        "from __future__ import annotations\n"
+        "from . import graphs\n"
+        "from twpw.graphs import Graph\n"
+        "def interop():\n"
+        "    from networkx.generators import atlas\n"
+    )
+    assert foreign_imports(source) == ["1: networkx", "6: networkx.generators"]
+
+
+def public_functions(tree: ast.Module) -> list[ast.FunctionDef]:
     """The module's top-level functions whose names do not start with _."""
-    return [node.name for node in ast.parse(source).body
+    return [node for node in tree.body
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
-
-
-@pytest.mark.parametrize("name", OPERATION_MODULES)
-def test_operation_modules_keep_no_public_helper(name):
-    # every public function of these modules is timed as an operation, so
-    # one that nothing outside its module names is a helper counted as one
-    elsewhere = [p for p in MODULES if p.name != name]
-    elsewhere += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    elsewhere.append(ROOT / "README.md")
-    text = "\n".join(p.read_text(encoding="utf-8") for p in elsewhere)
-    unnamed = [f for f in public_functions((SRC / name).read_text(encoding="utf-8"))
-               if not re.search(rf"\b{f}\b", text)]
-    assert unnamed == []
 
 
 def private_functions(tree: ast.Module) -> list[ast.FunctionDef]:
@@ -87,6 +110,22 @@ def test_every_private_function_is_used():
             if fn.name not in elsewhere | referenced_names(tree, skip=fn):
                 dead.append(f"{name}::{fn.name}")
     assert dead == []
+
+
+def test_every_public_function_has_a_user():
+    # a public function that the package does not call and that neither the
+    # benchmark nor the README names is API that only the tests use
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    named = [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "README.md"]
+    text = "\n".join(p.read_text(encoding="utf-8") for p in named)
+    unused = []
+    for name, tree in trees.items():
+        elsewhere = set().union(*(referenced_names(t) for n, t in trees.items() if n != name))
+        for fn in public_functions(tree):
+            if (fn.name not in elsewhere | referenced_names(tree, skip=fn)
+                    and not re.search(rf"\b{fn.name}\b", text)):
+                unused.append(f"{name}::{fn.name}")
+    assert unused == []
 
 
 # a width table kept at module level, or in a cached function, would

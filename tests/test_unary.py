@@ -12,14 +12,13 @@ from twpw.graphs import (
     complete_graph,
     cycle_graph,
     incidence_star_example,
-    is_isomorphic,
     max_degree,
     path_graph,
     star_graph,
 )
 from twpw.harness import SplitMix64, random_graph
 
-from smallgraphs import all_graphs_up_to
+from smallgraphs import all_graphs_up_to, is_isomorphic
 
 
 def certs(g):

@@ -16,15 +16,16 @@ kernel has to see:
      elimination order gives an upper bound hi (Bodlaender and Koster,
      "Treewidth computations I. Upper bounds", 2010), minor-min-width
      with the least-c contraction rule a lower bound lo (Gogate and
-     Dechter, UAI 2004).  While lo < hi, lo + 1 is tried on the
-     (lo + 1)-improved graph, which joins every non-adjacent pair with at
-     least lo + 1 common neighbors until none is left (Clautiaux, Carlier,
-     Moukrim and Negre, WEA 2003; LBN+ in Bodlaender, Koster and Wolle,
-     JGAA 2006): when minor-min-width reaches lo + 1 there, that is the
-     new lo.  When lo == hi the component is settled and its
-     order is the min-fill order.  Smaller components skip this step:
-     their kernel table has at most 256 entries and costs no more than
-     the bounds, and their certificates stay the kernel's.
+     Dechter, UAI 2004).  While lo < hi, k = lo + 1 is tried by LBN+
+     (Bodlaender, Koster and Wolle, JGAA 2006): minor-min-width's
+     contractions on the k-improved graph, which joins every non-adjacent
+     pair with at least k common neighbors until none is left (Clautiaux,
+     Carlier, Moukrim and Negre, WEA 2003), with the graph k-improved
+     again after every contraction.  When the minimum degree reaches k
+     there, that is the new lo.  When lo == hi the component is settled
+     and its order is the min-fill order.  Smaller components skip this
+     step: their kernel table has at most 256 entries and costs no more
+     than the bounds, and their certificates stay the kernel's.
   4. Run the kernel on every component left.
 
   The certificate is one elimination order: the simplicial vertices in
@@ -54,9 +55,11 @@ below the value, it would stay below under every minor step and under
 every edge addition whose ends share at least value common neighbors,
 which replay checks for each addition.  The script deletes every vertex
 outside the component whose lower bound gives the value, then replays
-that component's edge additions, if its bound came from an improved
-graph, and its contractions; when a peeled simplicial vertex gives the
-value, it deletes every vertex outside that vertex's clique instead.
+that component's steps: if its bound came from LBN+, the edge additions
+that improve it, then each contraction followed by the edge additions
+that improve the graph again; otherwise its contractions alone.  When a
+peeled simplicial vertex gives the value, the script deletes every
+vertex outside that vertex's clique instead.
 
 Certificates and lower witnesses are checked before they are returned; a
 certificate whose width disagrees with the computed value, or a witness
@@ -80,7 +83,7 @@ from .decomposition import (
 )
 from .errors import CapabilityError, InconsistencyError, ParameterError, ToolError
 from .graphs import Graph
-from .minors import MinorScript, replay_lower_witness
+from .minors import MinorScript, _replay
 
 SOLVER_MAX_VERTICES = 16
 BOUNDS_MIN_VERTICES = 9  # smaller tree-width components go straight to the kernel
@@ -199,13 +202,16 @@ def _finish(g: Graph, parameter: str, value: int, cert: Decomposition,
 
 
 def _check_lower_witness(g: Graph, value: int, script: MinorScript) -> None:
-    """Replay script from g as a lower witness for value; the graph it leaves
-    must have minimum degree at least value, which proves tw(g) >= value."""
+    """Replay script from g as a lower witness for value, as
+    `minors.replay_lower_witness` does; the graph it leaves must have
+    minimum degree at least value, which proves tw(g) >= value.  Only the
+    degrees are read, so the replayed neighbor sets are not built into a
+    graph."""
     try:
-        minor = replay_lower_witness(g, script, value)
+        adj = _replay(g, script, value)
     except ToolError as exc:
         raise InconsistencyError(f"tw lower witness does not replay: {exc}") from None
-    if not minor.n or min(map(len, minor.adjacency().values())) < value:
+    if not adj or min(map(len, adj.values())) < value:
         raise InconsistencyError(f"tw lower witness does not reach value {value}")
 
 
@@ -449,7 +455,7 @@ def _minor_min_width(adj: list[int]) -> tuple[int, list[tuple]]:
     return value, steps[:reached]
 
 
-def _improved(adj: list[int], k: int) -> tuple[list[int], list[tuple]]:
+def _improved(adj: list[int], k: int, touched: int = -1) -> tuple[list[int], list[tuple]]:
     """The k-improved graph of adj, and the steps ("a", u, v) that build it.
 
     Each pass joins, lowest pair first, every non-adjacent pair u < v with
@@ -458,6 +464,12 @@ def _improved(adj: list[int], k: int) -> tuple[list[int], list[tuple]]:
     is the same whatever the order.  If tw(adj) <= k - 1, every join keeps
     that bound (see `minors.replay_lower_witness`), so a lower bound of k
     on the improved graph proves tw(adj) >= k.
+
+    Only pairs with an end in the mask touched are tried (every pair by
+    default), and the ends of each join are touched from then on.  A pair
+    gains a common neighbor only when one of its ends gains a neighbor, so
+    when adj was k-improved before its latest edges were added, touching
+    their ends is enough.
     """
     adj = list(adj)
     full = (1 << len(adj)) - 1
@@ -466,7 +478,7 @@ def _improved(adj: list[int], k: int) -> tuple[list[int], list[tuple]]:
     while joined:
         joined = False
         for u in range(len(adj)):
-            rest = full & ~adj[u] & ~((2 << u) - 1)
+            rest = (full if touched >> u & 1 else touched) & ~adj[u] & ~((2 << u) - 1)
             while rest:
                 b = rest & -rest
                 rest ^= b
@@ -474,28 +486,77 @@ def _improved(adj: list[int], k: int) -> tuple[list[int], list[tuple]]:
                 if (adj[u] & adj[v]).bit_count() >= k:
                     adj[u] |= b
                     adj[v] |= 1 << u
+                    touched |= b | 1 << u
                     steps.append(("a", u, v))
                     joined = True
     return adj, steps
 
 
+def _lbn_plus(adj: list[int], k: int) -> list[tuple] | None:
+    """The steps of a witness that tw(adj) >= k, or None when this search
+    finds none: minor-min-width with the graph k-improved again after
+    every contraction (LBN+ in Bodlaender, Koster and Wolle, "Contraction
+    and treewidth lower bounds", JGAA 2006).
+
+    From the k-improved graph, each step contracts the lowest-index vertex
+    v of minimum degree into the neighbor u with the fewest common
+    neighbors, lowest index on ties, which keeps u's index (or deletes v
+    when it has no neighbor), and k-improves the graph again, touching u
+    and its new neighbors.  The search succeeds once the minimum degree is
+    at least k and gives up once at most k vertices are left, since such a
+    graph has minimum degree below k.  The steps are the edge additions,
+    contractions and deletions in the order they were made.
+    """
+    adj, steps = _improved(adj, k)
+    bits = len(adj).bit_length()
+    alive = (1 << len(adj)) - 1
+    for _ in range(len(adj), k, -1):
+        # (degree, v) packed into one int, so min picks
+        best = min(adj[v].bit_count() << bits | v for v in _members(alive))
+        if best >> bits >= k:
+            return steps
+        v = best & ((1 << bits) - 1)
+        alive ^= 1 << v
+        nb, adj[v] = adj[v], 0
+        if not nb:
+            steps.append(("dv", v))
+            continue
+        u, fewest, rest = -1, len(adj), nb
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            w = b.bit_length() - 1
+            adj[w] ^= 1 << v
+            common = (adj[w] & nb).bit_count()
+            if common < fewest:
+                u, fewest = w, common
+        steps.append(("c", v, u))
+        fresh = rest = nb & ~adj[u] & ~(1 << u)
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            adj[b.bit_length() - 1] |= 1 << u
+        adj[u] |= fresh
+        adj, added = _improved(adj, k, fresh | 1 << u)
+        steps += added
+    return None
+
+
 def _lower_bound(adj: list[int], hi: int) -> tuple[int, list[tuple]]:
     """A lower bound on the tree-width of adj, at most hi, and the steps of
-    its witness: LBN+ over minor-min-width (Bodlaender, Koster and Wolle,
-    "Contraction and treewidth lower bounds", JGAA 2006).
+    its witness.
 
     From the minor-min-width bound lo, each k = lo + 1, ..., hi in turn is
-    tried on the k-improved graph: when minor-min-width reaches k there, lo
-    becomes k, and its steps are the improvement's edge additions followed
-    by the contractions.  The first k that fails ends the search.
+    tried by LBN+ (`_lbn_plus`): when it reaches minimum degree k, lo
+    becomes k and its steps are the witness.  The first k that fails ends
+    the search.
     """
     lo, steps = _minor_min_width(adj)
     while lo < hi:
-        improved, added = _improved(adj, lo + 1)
-        reached, contracted = _minor_min_width(improved)
-        if reached <= lo:
+        reached = _lbn_plus(adj, lo + 1)
+        if reached is None:
             break
-        lo, steps = lo + 1, added + contracted
+        lo, steps = lo + 1, reached
     return lo, steps
 
 

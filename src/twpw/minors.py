@@ -73,7 +73,7 @@ def parse_minor_script(text: str) -> MinorScript:
 def apply_minor_script(g: Graph, script: MinorScript) -> Graph:
     """Replay a script of minor steps; failures name the 1-based step
     index.  An edge addition is refused: the result would not be a minor."""
-    return _replay(g, script, None)
+    return _as_graph(_replay(g, script, None))
 
 
 def replay_lower_witness(g: Graph, script: MinorScript, value: int) -> Graph:
@@ -90,17 +90,18 @@ def replay_lower_witness(g: Graph, script: MinorScript, value: int) -> Graph:
     degree at least value, whose tree-width is at least its minimum degree,
     therefore proves tw(g) >= value.
     """
-    return _replay(g, script, value)
+    return _as_graph(_replay(g, script, value))
 
 
-def _replay(g: Graph, script: MinorScript, value: int | None) -> Graph:
-    """Replay script from g; edge additions are checked against value, and
-    refused when value is None.
+def _replay(g: Graph, script: MinorScript, value: int | None) -> dict[int, set[int]]:
+    """Replay script from g and return the neighbor sets of the graph it
+    leaves; edge additions are checked against value, and refused when
+    value is None.
 
     The steps change one map of neighbor sets in place, with the checks
-    and messages of the unary operations they stand for, and the graph
-    is built once at the end.  A contraction fuses its ends into a new
-    vertex, the largest id plus one, as unary.contract_edge names it."""
+    and messages of the unary operations they stand for.  A contraction
+    fuses its ends into a new vertex, the largest id plus one, as
+    unary.contract_edge names it."""
     adj = {v: set(nb) for v, nb in g.adjacency().items()}
     for i, step in enumerate(script.steps, start=1):
         try:
@@ -147,6 +148,11 @@ def _replay(g: Graph, script: MinorScript, value: int | None) -> Graph:
                 raise ParameterError(f"unknown minor step {step!r}")
         except ParameterError as exc:
             raise ScriptError(str(exc), step=i) from exc
+    return adj
+
+
+def _as_graph(adj: dict[int, set[int]]) -> Graph:
+    """The graph with the neighbor sets adj, built without Graph's checks."""
     edges = frozenset({(u, v) for u, nb in adj.items() for v in nb if u < v})
     return Graph._trusted(frozenset(adj), edges, {v: frozenset(nb) for v, nb in adj.items()})
 

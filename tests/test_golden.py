@@ -98,9 +98,12 @@ def test_carried_decompositions():
 # its certificate, its lower witness (or "-"), the pw value and its
 # certificate, over G(n, p) draws for n = 9..14, p = 0.2, 0.5, 0.8 and
 # seeds 1..4; recorded before the bounds and the path-width kernel were
-# rewritten for speed
+# rewritten for speed, and again when the lower bound began to improve the
+# graph after every contraction (all 72 tw and pw values unchanged; one tw
+# certificate and five witnesses changed, and 41 graphs carry a witness
+# instead of 40)
 SOLVER_OUTPUTS_SHA256 = (
-    "921590b3244483d8c451e6a7f600db24650d6dfcddbe4c4ffb7ac4316383124f"
+    "01db49967c204bb2c9d07f24f048551fe0734263d7a4c8acac2bb5b56ca3f61d"
 )
 
 

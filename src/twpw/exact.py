@@ -111,67 +111,97 @@ def _guard(g: Graph) -> None:
 
 
 def elimination_decomposition(g: Graph, order: list[int]) -> TreeDecomposition:
-    """Tree-decomposition read off an elimination order.
+    """Tree-decomposition read off an elimination order: the clique tree of
+    the filled graph.
 
-    Eliminating v produces the bag {v} plus N+(v), v's neighbors in the
-    filled graph when it is eliminated.  The bag node of v hangs off the
-    bag node of the earliest-eliminated vertex of N+(v), its parent in the
-    elimination tree; vertices with an empty N+(v) root their components
-    and are chained.  N+(v) follows from the elimination tree (Liu, "The
-    role of elimination trees in sparse factorization", 1990):
+    Eliminating v gives the bag {v} plus N+(v), v's neighbors in the
+    filled graph when it is eliminated.  Its parent in the elimination
+    tree is the earliest-eliminated vertex of N+(v), and N+(v) follows
+    from that tree (Liu, "The role of elimination trees in sparse
+    factorization", 1990):
 
         N+(v) = (N(v) - eliminated) | union over children c of (N+(c) - {v})
 
     that is, v's neighbors and its children's N+ sets, less every vertex
-    eliminated so far, v included.  Each N+ set is read once, by its
-    parent, so the set operations add up to the size of the graph plus the
-    total size of the bags, and the Python steps are linear in the number
-    of vertices.  Each bag is frozen once, and TreeDecomposition keeps it
-    without a copy.  The tree's edges join vertices of g, so it is built
-    without Graph's checks, from a set filled and frozen as Graph does,
-    which keeps the order its edges are listed in.  Checking the order
-    costs O(n log n).
+    eliminated so far, v included.  So N+(v) contains N+(c) - {v} for
+    each child c, and v's bag lies inside c's exactly when N+(c) is one
+    larger than N+(v).  Then v's bag is not a maximal clique of the
+    filled graph, and v joins the node of its first such child, in
+    elimination order, instead of making one (Blair and Peyton, "An
+    introduction to chordal graphs and clique trees", 1993).  Every other
+    vertex makes a node, keyed by its id, whose bag is {v} plus N+(v).
+    The node of each child that v does not join hangs off v's node; the
+    nodes of vertices with an empty N+(v) root their components, and each
+    hangs off the next one.  So no tree edge joins nested bags, and the
+    bags are the maximal cliques of the filled graph, each once.
 
-    Every tree edge joins a node to one eliminated later, so the tree is
-    rooted at the last vertex of the order with each node's parent known
-    as it is made, and the decomposition is built from these parts
-    without walking the tree again.
+    Each N+ set is read once, by its parent, so the set operations add up
+    to the size of the graph plus the total size of the bags, and the
+    Python steps are linear in the number of vertices.  Each bag is frozen
+    once, and TreeDecomposition keeps it without a copy.  The tree's edges
+    join vertices of g, so it is built without Graph's checks.  Checking
+    the order costs O(n log n).
+
+    A node's parent is found when a vertex of the parent node is
+    eliminated, and the parent node's own parent only later, after its
+    last vertex.  So the tree is rooted at the node that holds the last
+    vertex eliminated, the parent pairs read in reverse of the order they
+    were found list every node after its parent, and the decomposition is
+    built from these parts without walking the tree again.
     """
     if sorted(order) != g.vertices_sorted():
         raise ParameterError("elimination order must list every vertex once")
     rank = {v: i for i, v in enumerate(order)}.__getitem__
     adj = g.adjacency()
     eliminated: set[int] = set()
-    below: dict[int, list[frozenset[int]]] = {}  # the N+ sets of each vertex's children
+    below: dict[int, list[tuple[int, frozenset[int]]]] = {}  # (node, N+ set) of each child
     bags = {}
-    up: dict[int, int] = {}  # each node's parent, children first
-    tree_edges: set[tuple[int, int]] = set()
-    roots = []
+    up = []  # (node, parent node), in the order they are found
+    root = None
     for v in order:
         eliminated.add(v)
-        nb = adj[v].union(*below.pop(v, ())) - eliminated
-        if nb:
-            up[v] = parent = min(nb, key=rank)
-            tree_edges.add((v, parent) if v < parent else (parent, v))
-            below.setdefault(parent, []).append(nb)
+        kids = below.pop(v, None)
+        node = v
+        if kids is None:
+            nb = adj[v] - eliminated
+        elif len(kids) == 1:  # the common case, built without a list or a generator
+            (u, s), = kids
+            nb = (adj[v] | s) - eliminated
+            if len(s) == len(nb) + 1:
+                node = u
+            else:
+                up.append((u, v))
         else:
-            roots.append(v)
-        bags[v] = nb.union((v,))
-    up.update(zip(roots, roots[1:]))
-    tree_edges.update((u, v) if u < v else (v, u) for u, v in zip(roots, roots[1:]))
-    tree = Graph._trusted(g.vertices, frozenset(tree_edges))
-    return TreeDecomposition._rooted(g, tree, bags, roots[-1], dict(reversed(up.items())))
+            nb = adj[v].union(*[s for _, s in kids]) - eliminated
+            node = next((u for u, s in kids if len(s) == len(nb) + 1), v)
+            up += [(u, node) for u, _ in kids if u != node]
+        if node == v:
+            bags[v] = nb.union((v,))
+        if nb:
+            below.setdefault(min(nb, key=rank), []).append((node, nb))
+        else:
+            if root is not None:
+                up.append((root, node))
+            root = node
+    tree = Graph._trusted(frozenset(bags), frozenset(
+        (u, p) if u < p else (p, u) for u, p in up))
+    return TreeDecomposition._rooted(g, tree, bags, root, dict(reversed(up)))
 
 
 def layout_decomposition(g: Graph, order: list[int]) -> PathDecomposition:
     """Path-decomposition read off a vertex layout.
 
-    Bag i holds v_i plus every earlier vertex that still has a neighbor
-    outside the first i-1 vertices.  A count of not-yet-placed neighbors
-    per vertex keeps that boundary as the layout goes, and each bag is the
-    boundary with v_i frozen once, which PathDecomposition keeps without a
-    copy.  So the cost is linear in the size of the graph plus the total
-    size of the bags.  Checking the layout costs O(n log n).
+    After v_i is placed, the boundary holds every placed vertex that still
+    has a neighbor outside the first i vertices.  The bag of step i is
+    v_i plus the boundary before it, and it lies inside the next bag
+    unless some member leaves the boundary at step i; so a bag is kept
+    only at such a step, the last one always.  A count of not-yet-placed
+    neighbors per vertex keeps the boundary as the layout goes.  A
+    neighbor whose count reaches 0 before it is placed has not entered
+    the boundary; it leaves when it is placed.  Each kept bag is the
+    boundary frozen once, which PathDecomposition keeps without a copy.
+    So the cost is linear in the size of the graph plus the total size of
+    the bags.  Checking the layout costs O(n log n).
     """
     if sorted(order) != g.vertices_sorted():
         raise ParameterError("layout must list every vertex once")
@@ -181,13 +211,16 @@ def layout_decomposition(g: Graph, order: list[int]) -> PathDecomposition:
     bags = []
     for v in order:
         boundary.add(v)
-        bags.append(frozenset(boundary))
+        done = []
         for u in adj[v]:
             unplaced[u] -= 1
-            if not unplaced[u]:
-                boundary.discard(u)
+            if not unplaced[u] and u in boundary:
+                done.append(u)
         if not unplaced[v]:
-            boundary.discard(v)
+            done.append(v)
+        if done:
+            bags.append(frozenset(boundary))
+            boundary.difference_update(done)
     return PathDecomposition(g, bags)
 
 

@@ -66,15 +66,33 @@ def _hang_bags(d: TreeDecomposition, g2: Graph, leaves) -> TreeDecomposition:
 def _drop_empty_bags_tree(d: TreeDecomposition) -> TreeDecomposition:
     adj = {u: set(nb) for u, nb in d.tree.adjacency().items()}
     bags = dict(d.bags)
+    into = {}  # each contracted node -> the node it went into
     # an empty bag crosses no vertex subtree, so its neighbors re-link
     # freely; a contraction empties no bag, so the empty nodes are met in
     # ascending order, each contracted into its lowest neighbor
     for u in sorted(u for u, bag in bags.items() if not bag):
         if len(bags) == 1:
             break
-        _contract(adj, bags, u, min(adj[u]))
-    tree = Graph(adj, [(a, b) for a in adj for b in adj[a] if a < b])
-    return TreeDecomposition(d.host, tree, bags)
+        into[u] = min(adj[u])
+        _contract(adj, bags, u, into[u])
+
+    def kept(u: int) -> int:
+        while u in into:
+            u = into[u]
+        return u
+
+    # the nodes kept as one node form a subtree of d's tree, which only its
+    # top node joins to a node kept as another; so d's rooting, read at
+    # those top nodes, roots the contracted tree with each node after its
+    # parent
+    parent = {}
+    for u, p in d._parent.items():
+        ku, kp = kept(u), kept(p)
+        if ku != kp:
+            parent[ku] = kp
+    tree = Graph._trusted(frozenset(bags), frozenset(
+        (u, p) if u < p else (p, u) for u, p in parent.items()))
+    return TreeDecomposition._rooted(d.host, tree, bags, kept(d._root), parent)
 
 
 def delete_vertex(g: Graph, v: int, d: Decomposition | None = None) -> Result:
@@ -174,7 +192,7 @@ def _steiner_nodes(d: TreeDecomposition, marked: set[int]) -> set[int]:
     marked nodes and both ends of every tree edge with marked nodes on
     both sides.  The marked nodes below each node are counted children
     first, along the rooting the decomposition keeps."""
-    parent = d._parent  # breadth-first from the root, which it omits
+    parent = d._parent  # each node after its parent; the root is omitted
     below = {u: int(u in marked) for u in d.tree.vertices}
     for u in reversed(parent):
         below[parent[u]] += below[u]

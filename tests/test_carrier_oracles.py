@@ -12,6 +12,7 @@ from functools import lru_cache
 import pytest
 
 import frozen_carriers as frozen
+from rooting import assert_rooting
 from smallgraphs import all_graphs_up_to
 from twpw import binary, unary
 from twpw.decomposition import (
@@ -46,7 +47,8 @@ def cases(kind, min_n=0):
 def outcome(call):
     """What a carrier gives: its graph, decomposition and claim (or the
     exception it raises), with the decomposition as bags, tree edges and,
-    when its bags lie in the graph, its .td text."""
+    when its bags lie in the graph, its .td text.  A tree's rooting must
+    fit its tree, since the walks that read it trust it."""
     try:
         res = call()
     except Exception as exc:  # the oracle's exception is part of its outcome
@@ -54,7 +56,10 @@ def outcome(call):
     d = res.decomposition
     if d is None:
         return res.graph, None, res.claimed_bound
-    tree = sorted(d.tree.edges) if isinstance(d, TreeDecomposition) else None
+    tree = None
+    if isinstance(d, TreeDecomposition):
+        assert_rooting(d)
+        tree = sorted(d.tree.edges)
     inside = all(bag <= res.graph.vertices for bag in d.all_bags())
     text = format_td(d) if inside else None
     return res.graph, type(d).__name__, d.bag_items(), tree, text, res.claimed_bound

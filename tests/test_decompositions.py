@@ -25,7 +25,6 @@ from twpw.exact import (
     exact_treewidth,
     layout_decomposition,
 )
-from twpw.fileformats import format_td
 from twpw.graphs import (
     Graph,
     caterpillar_example,
@@ -39,6 +38,7 @@ from twpw.graphs import (
 from twpw.harness import SplitMix64, random_graph, random_tree
 
 from frozen_validate import frozen_validate
+from rooting import assert_rooting
 from smallgraphs import all_graphs_up_to
 
 
@@ -486,8 +486,9 @@ def test_trivial_decompositions_always_valid(seed, n):
 
 def pairwise_elimination_decomposition(g, order):
     """The elimination certificate as it was before the fill became one set
-    union per neighbor: one Python step per pair of neighbors.  Frozen here
-    as the oracle for the current builder's bags and tree edges."""
+    union per neighbor: one Python step per pair of neighbors, and one bag
+    per vertex.  Frozen here as the oracle for the current builder, which
+    keeps only the bags that remove_redundant_bags leaves of these."""
     pos = {v: i for i, v in enumerate(order)}
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
     bags = {}
@@ -513,8 +514,9 @@ def pairwise_elimination_decomposition(g, order):
 
 def rescan_layout_decomposition(g, order):
     """The layout certificate as it was before the running boundary: the
-    whole boundary recomputed for every placed vertex.  Frozen here as the
-    oracle for the current builder's bags."""
+    whole boundary recomputed for every placed vertex, and one bag per
+    vertex.  Frozen here as the oracle for the current builder, which keeps
+    only the bags not contained in their successor."""
     placed = set()
     bags = []
     for v in order:
@@ -575,33 +577,25 @@ def certify_family_graphs(rng):
     yield caterpillar(rng, 20 + rng.next_below(41))
 
 
-def assert_rooting(td):
-    """The rooting td keeps is one of its tree: every node but the root has
-    a parent across a tree edge, listed after the parent's own entry."""
-    parent, root = td._parent, td._root
-    assert set(parent) == td.tree.vertices - {root}
-    assert {(u, p) if u < p else (p, u) for u, p in parent.items()} == td.tree.edges
-    placed = {root}
-    for u, p in parent.items():
-        assert p in placed
-        placed.add(u)
-
-
 def assert_builders_match_oracles(g, order):
+    """The builders against the one-bag-per-vertex oracles: the path keeps
+    the oracle's bags less each one inside its successor, and the tree
+    keeps the bags remove_redundant_bags leaves of the oracle's, with no
+    tree edge between nested bags and a rooting that fits its tree."""
     td = elimination_decomposition(g, order)
     old_td = pairwise_elimination_decomposition(g, order)
-    assert td.bag_items() == old_td.bag_items()
+    assert width(td) == width(old_td)
+    slim = remove_redundant_bags(old_td)
+    assert sorted(map(sorted, td.all_bags())) == sorted(map(sorted, slim.all_bags()))
+    for u, p in td._parent.items():
+        assert not (td.bags[u] <= td.bags[p] or td.bags[p] <= td.bags[u])
     assert_rooting(td)
-    # the tree, built without Graph's checks, against Graph's checked build
-    assert td.tree == old_td.tree
-    assert list(td.tree.edges) == list(old_td.tree.edges)
-    assert td.tree.adjacency() == old_td.tree.adjacency()
-    assert td.tree.masks() == old_td.tree.masks()
-    assert format_td(td) == format_td(old_td)
+    assert validate(g, td).valid
     pd = layout_decomposition(g, order)
-    old_pd = rescan_layout_decomposition(g, order)
-    assert pd.bags == old_pd.bags
-    assert format_td(pd) == format_td(old_pd)
+    old_bags = rescan_layout_decomposition(g, order).bags
+    assert width(pd) == max(map(len, old_bags)) - 1
+    assert list(pd.bags) == [bag for bag, after in zip(old_bags, old_bags[1:] + (None,))
+                             if after is None or not bag <= after]
 
 
 class TestCertificateBuildersAgainstOracles:

@@ -41,6 +41,7 @@ from frozen_readers import (
     reachability_path_order,
 )
 from frozen_validate import frozen_validate
+from rooting import assert_rooting
 from test_parser_fuzz import td_inputs
 
 
@@ -443,6 +444,16 @@ def mutated(rng, text, n):
     return "\n".join(lines) + "\n"
 
 
+def with_a_cycle(text):
+    """The .td text of r >= 4 bags with its tree edges replaced by a
+    triangle on bags 1-3 and a path over bags 4..r: r - 1 distinct edges
+    without loops that do not form a tree."""
+    lines = text.splitlines()
+    r = int(lines[0].split()[2])
+    edges = [(1, 2), (2, 3), (1, 3), *((i, i + 1) for i in range(4, r))]
+    return "\n".join(lines[:1 + r] + [f"{a} {b}" for a, b in edges]) + "\n"
+
+
 class TestParseTdAgainstFrozenOracle:
     def test_seeded_round_trips_and_mutations(self):
         rng = SplitMix64(53)
@@ -494,9 +505,10 @@ class TestParseTdAgainstFrozenOracle:
 
 
 class TestReadersAgainstTwoPassOracles:
-    """Written files with up to two lines mutated, read by the current
-    readers and by the two-pass readers they replaced: the same value or
-    the same error, Python-only forms included."""
+    """Written files with up to two lines mutated, or with their tree
+    edges rewired around a cycle, read by the current readers and by the
+    two-pass readers they replaced: the same value or the same error,
+    Python-only forms included."""
 
     @staticmethod
     def mutations(rng, text, n):
@@ -520,7 +532,10 @@ class TestReadersAgainstTwoPassOracles:
                 assert got == parse_outcome_of(frozen_parse_gr, text), text
                 seen.add(("gr", Graph if got[0] is list else got[0]))
             for d in (elimination_decomposition(g, order), layout_decomposition(g, order)):
-                for text in self.mutations(rng, format_td(d), n):
+                texts = list(self.mutations(rng, format_td(d), n))
+                if len(d.bags) >= 4:
+                    texts.append(with_a_cycle(texts[0]))
+                for text in texts:
                     for kind in ("tree", "path"):
                         got = parse_outcome(parse_td, text, g, kind)
                         assert got == parse_outcome(frozen_two_pass_parse_td, text, g, kind), text
@@ -581,12 +596,7 @@ def assert_rooted_as_frozen(text, host):
         return got[0]
     assert got.tree == want.tree and dict(got.bags) == dict(want.bags), text
     assert got._root == 0
-    seen = {0}
-    for u, p in got._parent.items():
-        assert p in seen and u not in seen, text
-        seen.add(u)
-    assert seen == got.tree.vertices
-    assert {(u, p) if u < p else (p, u) for u, p in got._parent.items()} == got.tree.edges
+    assert_rooting(got)
     assert validate(host, got) == validate(host, want) == frozen_validate(host, want)
     return TreeDecomposition
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .decomposition import validate, width
 from .errors import InconsistencyError, ParameterError, ScriptError, ToolError
-from .exact import exact_pathwidth, exact_treewidth
+from .exact import exact_width
 from .fileformats import _numeral, read_gr, read_td, write_gr, write_td
 from .graphs import Graph, generate, generator_names, guard_size
 from .harness import SUITES, SolveTable, SweepConfig, check_suites, render_tap, run_suite
@@ -102,11 +102,6 @@ def _resolve(op, args: tuple, g: Graph, g2: Graph | None, lineno: int) -> tuple:
     )
 
 
-def _certificate_for(g: Graph, kind: str):
-    report = exact_treewidth(g) if kind == "tree" else exact_pathwidth(g)
-    return report.certificate
-
-
 def _apply(state: Result, lineno: int, opcode: str, script_args: tuple,
            g2: Graph | None, kind: str) -> Result:
     """The result of one script line on state; with a carried decomposition,
@@ -118,7 +113,7 @@ def _apply(state: Result, lineno: int, opcode: str, script_args: tuple,
     d1, d2 = state.decomposition, None
     if d1 is not None and op.decs == 2:
         # the second input arrives without a decomposition; solve for one
-        d2 = _certificate_for(g2, kind)
+        d2 = exact_width(g2, "tw" if kind == "tree" else "pw").certificate
     args = _resolve(op, script_args, state.graph, g2, lineno)
     if d1 is not None and not op.can_carry(*args):
         # a word argument picks a variant of the operation (a product kind)
@@ -163,7 +158,7 @@ def cmd_gen(args) -> int:
 
 def cmd_width(args) -> int:
     g = read_gr(args.graph)
-    report = exact_treewidth(g) if args.param == "tw" else exact_pathwidth(g)
+    report = exact_width(g, args.param)
     print("undefined" if report.value < 0 else report.value)
     if args.cert:
         write_td(report.certificate, args.cert)

@@ -17,15 +17,15 @@ kernel has to see:
      "Treewidth computations I. Upper bounds", 2010), minor-min-width
      with the least-c contraction rule a lower bound lo (Gogate and
      Dechter, UAI 2004).  While lo < hi, k = lo + 1 is tried by LBN+
-     (Bodlaender, Koster and Wolle, JGAA 2006): minor-min-width's
-     contractions on the k-improved graph, which joins every non-adjacent
-     pair with at least k common neighbors until none is left (Clautiaux,
-     Carlier, Moukrim and Negre, WEA 2003), with the graph k-improved
-     again after every contraction.  When the minimum degree reaches k
-     there, that is the new lo.  When lo == hi the component is settled
-     and its order is the min-fill order.  Smaller components skip this
-     step: their kernel table has at most 256 entries and costs no more
-     than the bounds, and their certificates stay the kernel's.
+     (Bodlaender, Koster and Wolle, JGAA 2006), which is minor-min-width's
+     loop run with k: the same contractions on the k-improved graph, which
+     joins every non-adjacent pair with at least k common neighbors until
+     none is left (Clautiaux, Carlier, Moukrim and Negre, WEA 2003), with
+     the graph k-improved again after every contraction.  When the bound
+     reaches k there, that is the new lo.  When lo == hi the component
+     is settled and its order is the min-fill order.  Smaller components
+     skip this step: their kernel table has at most 256 entries and costs
+     no more than the bounds, and their certificates stay the kernel's.
   4. Run the kernel on every component left.
 
   The certificate is one elimination order: the simplicial vertices in
@@ -428,7 +428,7 @@ def _min_fill(adj: list[int]) -> tuple[int, list[int]]:
     return value, order
 
 
-def _minor_min_width(adj: list[int]) -> tuple[int, list[tuple]]:
+def _minor_min_width(adj: list[int], k: int | None = None) -> tuple[int, list[tuple]]:
     """The minor-min-width lower bound on adj, and the steps that reach it.
 
     Each step takes the lowest-index vertex v of minimum degree and raises
@@ -442,25 +442,34 @@ def _minor_min_width(adj: list[int]) -> tuple[int, list[tuple]]:
     graph whose minimum degree is the bound.  (-1, []) for the empty graph.
     Degrees are kept as the graph shrinks, and the steps stop once no graph
     left could raise the bound.
+
+    With k this is LBN+ for k (Bodlaender, Koster and Wolle, "Contraction
+    and treewidth lower bounds", JGAA 2006): the same steps on the
+    k-improved graph, k-improved again after each contraction, with its
+    edge additions among the steps.  A bound of at least k then proves
+    tw(adj) >= k (see `_improved`); the steps stop once it is reached or
+    at most k vertices are left, as no such graph has minimum degree k.
     """
     n = len(adj)
-    adj = list(adj)
+    adj, steps = (list(adj), []) if k is None else _improved(adj, k)
     # key[v] packs (degree, v) into one int, so min(key) picks; a removed
     # vertex's key is above every other
     bits = n.bit_length()
     one = 1 << bits
     key = [nb.bit_count() << bits | v for v, nb in enumerate(adj)]
-    value, steps, reached = (0 if adj else -1), [], 0
+    value, reached = (0 if adj else -1), 0
     # a graph on `left` vertices has minimum degree at most left - 1, so
     # the bound stops rising once that is at most value
     for left in range(n, 1, -1):
-        if left - 1 <= value:
+        if left - 1 <= value if k is None else left <= k:
             break
         v = min(key) & (one - 1)
         key[v] = n * one
-        nb = adj[v]
+        nb, adj[v] = adj[v], 0  # zeroed: _improved scans every index
         if nb.bit_count() > value:
             value, reached = nb.bit_count(), len(steps)
+            if k is not None and value >= k:
+                break
         if not nb:
             steps.append(("dv", v))
             continue
@@ -475,16 +484,21 @@ def _minor_min_width(adj: list[int]) -> tuple[int, list[tuple]]:
             if common < fewest:
                 u, fewest = w, common
         steps.append(("c", v, u))
-        merged = adj[u] | nb & ~(1 << u)
-        rest = merged & ~adj[u]
+        fresh = rest = nb & ~adj[u] & ~(1 << u)
         while rest:
             b = rest & -rest
             rest ^= b
             w = b.bit_length() - 1
             adj[w] |= 1 << u
             key[w] += one
-        adj[u] = merged
-        key[u] = merged.bit_count() << bits | u
+        adj[u] |= fresh
+        key[u] = adj[u].bit_count() << bits | u
+        if k is not None:
+            adj, added = _improved(adj, k, fresh | 1 << u)
+            for _, s, t in added:
+                key[s] += one
+                key[t] += one
+            steps += added
     return value, steps[:reached]
 
 
@@ -525,71 +539,22 @@ def _improved(adj: list[int], k: int, touched: int = -1) -> tuple[list[int], lis
     return adj, steps
 
 
-def _lbn_plus(adj: list[int], k: int) -> list[tuple] | None:
-    """The steps of a witness that tw(adj) >= k, or None when this search
-    finds none: minor-min-width with the graph k-improved again after
-    every contraction (LBN+ in Bodlaender, Koster and Wolle, "Contraction
-    and treewidth lower bounds", JGAA 2006).
-
-    From the k-improved graph, each step contracts the lowest-index vertex
-    v of minimum degree into the neighbor u with the fewest common
-    neighbors, lowest index on ties, which keeps u's index (or deletes v
-    when it has no neighbor), and k-improves the graph again, touching u
-    and its new neighbors.  The search succeeds once the minimum degree is
-    at least k and gives up once at most k vertices are left, since such a
-    graph has minimum degree below k.  The steps are the edge additions,
-    contractions and deletions in the order they were made.
-    """
-    adj, steps = _improved(adj, k)
-    bits = len(adj).bit_length()
-    alive = (1 << len(adj)) - 1
-    for _ in range(len(adj), k, -1):
-        # (degree, v) packed into one int, so min picks
-        best = min(adj[v].bit_count() << bits | v for v in _members(alive))
-        if best >> bits >= k:
-            return steps
-        v = best & ((1 << bits) - 1)
-        alive ^= 1 << v
-        nb, adj[v] = adj[v], 0
-        if not nb:
-            steps.append(("dv", v))
-            continue
-        u, fewest, rest = -1, len(adj), nb
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            w = b.bit_length() - 1
-            adj[w] ^= 1 << v
-            common = (adj[w] & nb).bit_count()
-            if common < fewest:
-                u, fewest = w, common
-        steps.append(("c", v, u))
-        fresh = rest = nb & ~adj[u] & ~(1 << u)
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            adj[b.bit_length() - 1] |= 1 << u
-        adj[u] |= fresh
-        adj, added = _improved(adj, k, fresh | 1 << u)
-        steps += added
-    return None
-
-
 def _lower_bound(adj: list[int], hi: int) -> tuple[int, list[tuple]]:
     """A lower bound on the tree-width of adj, at most hi, and the steps of
     its witness.
 
     From the minor-min-width bound lo, each k = lo + 1, ..., hi in turn is
-    tried by LBN+ (`_lbn_plus`): when it reaches minimum degree k, lo
-    becomes k and its steps are the witness.  The first k that fails ends
-    the search.
+    tried by LBN+, `_minor_min_width` run with k: when its bound reaches k,
+    lo becomes k and its steps are the witness.  Only k is proved, even
+    when the bound goes past it, since the additions are safe for k alone.
+    The first k that fails ends the search.
     """
     lo, steps = _minor_min_width(adj)
     while lo < hi:
-        reached = _lbn_plus(adj, lo + 1)
-        if reached is None:
+        reached, found = _minor_min_width(adj, lo + 1)
+        if reached <= lo:
             break
-        lo, steps = lo + 1, reached
+        lo, steps = lo + 1, found
     return lo, steps
 
 

@@ -8,6 +8,8 @@ in ``twpw.exact`` must return exactly what these return, orders, steps
 and tie-breaks included, since certificates and lower witnesses are built
 from them.  ``_members`` and ``_is_simplicial`` are copied too, so a
 rewrite of either cannot change both sides of a differential test.
+``lbn_plus`` is LBN+ as its own loop, before it became minor-min-width's
+loop run with k, with the incremental ``_improved`` it called.
 """
 
 
@@ -143,3 +145,61 @@ def lower_bound(adj, hi):
             break
         lo, steps = lo + 1, added + contracted
     return lo, steps
+
+
+def _improved(adj, k, touched=-1):
+    adj = list(adj)
+    full = (1 << len(adj)) - 1
+    steps = []
+    joined = True
+    while joined:
+        joined = False
+        for u in range(len(adj)):
+            rest = (full if touched >> u & 1 else touched) & ~adj[u] & ~((2 << u) - 1)
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                v = b.bit_length() - 1
+                if (adj[u] & adj[v]).bit_count() >= k:
+                    adj[u] |= b
+                    adj[v] |= 1 << u
+                    touched |= b | 1 << u
+                    steps.append(("a", u, v))
+                    joined = True
+    return adj, steps
+
+
+def lbn_plus(adj, k):
+    adj, steps = _improved(adj, k)
+    bits = len(adj).bit_length()
+    alive = (1 << len(adj)) - 1
+    for _ in range(len(adj), k, -1):
+        # (degree, v) packed into one int, so min picks
+        best = min(adj[v].bit_count() << bits | v for v in _members(alive))
+        if best >> bits >= k:
+            return steps
+        v = best & ((1 << bits) - 1)
+        alive ^= 1 << v
+        nb, adj[v] = adj[v], 0
+        if not nb:
+            steps.append(("dv", v))
+            continue
+        u, fewest, rest = -1, len(adj), nb
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            w = b.bit_length() - 1
+            adj[w] ^= 1 << v
+            common = (adj[w] & nb).bit_count()
+            if common < fewest:
+                u, fewest = w, common
+        steps.append(("c", v, u))
+        fresh = rest = nb & ~adj[u] & ~(1 << u)
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            adj[b.bit_length() - 1] |= 1 << u
+        adj[u] |= fresh
+        adj, added = _improved(adj, k, fresh | 1 << u)
+        steps += added
+    return None

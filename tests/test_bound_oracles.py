@@ -6,7 +6,9 @@ each for every k up to min-fill's bound, so the improved graphs' denser
 ties are covered too.  Orders, steps and masks must match exactly, except
 for the lower bound: the frozen one improves the graph once before it
 contracts, the current one again after every contraction, so the frozen
-bound is the floor the current one must reach.
+bound is the floor the current one must reach.  That search, LBN+, is
+minor-min-width's loop run with k; it must find a witness exactly where
+the frozen copy of its earlier, separate loop does, with the same steps.
 """
 
 import pytest
@@ -49,6 +51,14 @@ def test_min_fill(cases):
 def test_minor_min_width(cases):
     for masks in cases:
         assert exact._minor_min_width(masks) == frozen.minor_min_width(masks), masks
+
+
+def test_lbn_plus(cases):
+    for masks in cases:
+        hi, _ = frozen.min_fill(masks)
+        for k in range(1, hi + 2):
+            value, steps = exact._minor_min_width(masks, k)
+            assert (steps if value >= k else None) == frozen.lbn_plus(masks, k), (masks, k)
 
 
 def test_improved(cases):
@@ -126,6 +136,7 @@ def test_inputs_are_not_changed():
         kept = list(masks)
         exact._min_fill(masks)
         exact._minor_min_width(masks)
+        exact._minor_min_width(masks, 3)
         exact._improved(masks, 3)
         exact._lower_bound(masks, len(masks))
         assert masks == kept

@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from twpw import exact, kernels
 from twpw.binary import PRODUCT_KINDS
 from twpw.cli import main
 from twpw.errors import ParameterError
@@ -142,8 +143,24 @@ def test_sweep_tap(tmp_path, capsys):
     assert _sweep_tap_sha(tmp_path, capsys, 10) == SWEEP_TAP_SHA256
 
 
-def test_full_sweep_tap(tmp_path, capsys):
+def test_full_sweep_tap(tmp_path, capsys, monkeypatch):
+    """The TAP, and the solver path it cannot show: how often min-fill and
+    the tree-width kernel ran on components of at least 9 vertices."""
+    sizes = {"min-fill": [], "kernel": []}
+    min_fill, treewidth_dp = exact._min_fill, kernels.treewidth_dp
+
+    def spy_min_fill(masks):
+        sizes["min-fill"].append(len(masks))
+        return min_fill(masks)
+
+    def spy_treewidth_dp(masks):
+        sizes["kernel"].append(len(masks))
+        return treewidth_dp(masks)
+
+    monkeypatch.setattr(exact, "_min_fill", spy_min_fill)
+    monkeypatch.setattr(kernels, "treewidth_dp", spy_treewidth_dp)
     assert _sweep_tap_sha(tmp_path, capsys, 200) == FULL_SWEEP_TAP_SHA256
+    assert [sum(n >= 9 for n in sizes[name]) for name in ("min-fill", "kernel")] == [344, 34]
 
 
 # a 4-cycle 0-1-2-3 with a roof vertex 4 over the edge 2-3

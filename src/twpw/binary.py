@@ -37,14 +37,32 @@ def _check_pair(d1, d2, g1: Graph, g2: Graph) -> None:
     check_host(g2, d2)
 
 
-def _mapped_tree(d: TreeDecomposition, vmap, node_offset: int):
-    """Tree nodes renumbered to offset..offset+r-1 in sorted order; bags
-    pushed through vmap (a callable on vertex ids)."""
-    nodes = d.tree.vertices_sorted()
-    rank = {u: node_offset + i for i, u in enumerate(nodes)}
-    edges = [(rank[a], rank[b]) for a, b in d.tree.edges]
-    bags = {rank[u]: frozenset(vmap(x) for x in d.bags[u]) for u in nodes}
-    return rank, edges, bags
+def _through(f):
+    """The bag function pushing each member through the vertex map f."""
+    return lambda bag: frozenset(map(f, bag))
+
+
+def _lowest(d: TreeDecomposition) -> dict[int, int]:
+    """Each vertex in d's bags -> the lowest tree node holding it."""
+    return {x: u for u, bag in reversed(d.bag_items()) for x in bag}
+
+
+def _graft(host: Graph, d: TreeDecomposition, f, pieces) -> TreeDecomposition:
+    """One tree-decomposition of host from d's tree with each piece's tree
+    hung off it.  A piece is (p, g, a, b): tree-decomposition p, its bag
+    function g, and the link from d's node a to p's node b.  d's nodes
+    become 0, 1, ... in id order, then each piece's nodes in turn; bags go
+    through f for d and through g for a piece.  The tree lists d's edges,
+    then each piece's edges followed by its link."""
+    rank = {u: i for i, u in enumerate(d.tree.vertices_sorted())}
+    edges = [(rank[x], rank[y]) for x, y in d.tree.edges]
+    bags = {i: f(d.bags[u]) for u, i in rank.items()}
+    for p, g, a, b in pieces:
+        offset = len(bags)
+        prank = {u: offset + i for i, u in enumerate(p.tree.vertices_sorted())}
+        edges += [(prank[x], prank[y]) for x, y in p.tree.edges] + [(rank[a], prank[b])]
+        bags |= {i: g(p.bags[u]) for u, i in prank.items()}
+    return TreeDecomposition(host, Graph(range(len(bags)), edges), bags)
 
 
 # --- disjoint union and join ---------------------------------------------
@@ -57,15 +75,13 @@ def disjoint_union(g1: Graph, g2: Graph, d1=None, d2=None) -> Result:
     graph = Graph(range(g1.n + g2.n), _map_edges(g1, m1) + _map_edges(g2, m2))
     if d1 is None:
         return Result(graph)
-    claimed = max(width(d1), width(d2))
+    f1, f2 = _through(m1.__getitem__), _through(m2.__getitem__)
     if isinstance(d1, TreeDecomposition):
-        _, e1, b1 = _mapped_tree(d1, m1.__getitem__, 0)
-        _, e2, b2 = _mapped_tree(d2, m2.__getitem__, d1.tree.n)
-        tree = Graph(range(d1.tree.n + d2.tree.n), e1 + e2 + [(0, d1.tree.n)])
-        return Result(graph, TreeDecomposition(graph, tree, b1 | b2), claimed)
-    bags = [frozenset(m1[x] for x in bag) for bag in d1.bags]
-    bags += [frozenset(m2[x] for x in bag) for bag in d2.bags]
-    return Result(graph, PathDecomposition(graph, bags), claimed)
+        lowest = (min(d1.tree.vertices), min(d2.tree.vertices))
+        dec = _graft(graph, d1, f1, [(d2, f2, *lowest)])
+    else:
+        dec = PathDecomposition(graph, [*map(f1, d1.bags), *map(f2, d2.bags)])
+    return Result(graph, dec, max(width(d1), width(d2)))
 
 
 def join(g1: Graph, g2: Graph, d1=None, d2=None) -> Result:
@@ -160,15 +176,12 @@ def _substitute_neighbors(graph, v, nb, d1, d2, m2) -> Result:
     if not nb:
         raise ParameterError("the neighbors combiner needs a non-isolated vertex")
     claimed = max(width(d1) - 1, width(d2)) + len(nb)
-    rank1, edges1, bags1 = _mapped_tree(d1, lambda x: x, 0)
-    anchor = rank1[min(u for u, bag in d1.bags.items() if v in bag)]
-    bags1 = {u: (bag - {v}) | nb if v in bag else bag for u, bag in bags1.items()}
-    _, edges2, bags2 = _mapped_tree(d2, m2.__getitem__, d1.tree.n)
-    bags2 = {u: bag | nb for u, bag in bags2.items()}
-    tree = Graph(
-        range(d1.tree.n + d2.tree.n), edges1 + edges2 + [(anchor, d1.tree.n)]
+    dec = _graft(
+        graph, d1, lambda bag: (bag - {v}) | nb if v in bag else bag,
+        [(d2, lambda bag: frozenset(map(m2.__getitem__, bag)) | nb,
+          _lowest(d1)[v], min(d2.tree.vertices))],
     )
-    return Result(graph, TreeDecomposition(graph, tree, bags1 | bags2), claimed)
+    return Result(graph, dec, claimed)
 
 
 # --- products -------------------------------------------------------------
@@ -186,55 +199,59 @@ _PRODUCT_RULES = {
     "rejection": lambda s1, e1, s2, e2: not e1 and not e2,
 }
 PRODUCT_KINDS = tuple(_PRODUCT_RULES)
-# the kinds whose edges follow from the factors' edges, so they are listed
-# from them instead of deciding every pair of vertices
-_SPARSE_KINDS = ("cartesian", "categorical", "lexicographic", "normal")
 
+# An ordered pair of distinct product vertices is same, edge or apart
+# (distinct and not adjacent) in each coordinate; a kind's patterns are the
+# (first, second) classes its rule joins (Hammack, Imrich and Klavzar).
 _SAME, _EDGE, _APART = (True, False), (False, True), (False, False)
+_PRODUCT_PATTERNS = {
+    kind: tuple((a, b) for a in (_SAME, _EDGE, _APART) for b in (_SAME, _EDGE, _APART)
+                if (a, b) != (_SAME, _SAME) and rule(*a, *b))
+    for kind, rule in _PRODUCT_RULES.items()
+}
 
 
-def _product_size(rule, g1: Graph, g2: Graph) -> int:
-    """The number of edges of the product by rule.  An ordered pair of
-    distinct product vertices is same, edge or apart (distinct and not
-    adjacent) in each coordinate; each pattern but same-same counts the
-    product of its coordinates' ordered-pair counts, and each edge is two
-    ordered pairs."""
-    def counts(g):
-        return {_SAME: g.n, _EDGE: 2 * g.m, _APART: g.n * (g.n - 1) - 2 * g.m}
-    c1, c2 = counts(g1), counts(g2)
-    return sum(c1[a] * c2[b] for a in c1 for b in c2
-               if (a, b) != (_SAME, _SAME) and rule(*a, *b)) // 2
+def _class_pairs(g: Graph, classes) -> dict[tuple[bool, bool], list[tuple[int, int]]]:
+    """g's pairs i < j of sorted-order ranks by class, same as (i, i); apart
+    pairs only when asked for."""
+    rank = {u: i for i, u in enumerate(g.vertices_sorted())}
+    pairs = {_SAME: [(i, i) for i in range(g.n)], _EDGE: [(rank[a], rank[b]) for a, b in g.edges]}
+    if _APART in classes:
+        taken = set(pairs[_EDGE])
+        pairs[_APART] = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
+                         if (i, j) not in taken]
+    return pairs
 
 
-def _sparse_product_edges(kind: str, g1: Graph, g2: Graph) -> list[tuple[int, int]]:
-    """The edges of a sparse product as row-major id pairs, read off the
-    factors' edges.  Each factor edge (a, b) has a < b, so every pair is
-    ordered; the list is sorted, the order in which the pairwise scan finds
-    the edges, so the result graph holds its edges in the same order."""
+def _product_edges(kind: str, g1: Graph, g2: Graph) -> list[tuple[int, int]]:
+    """The product's edges as sorted row-major id pairs, the order of a
+    pairwise scan.  Patterns with an empty class are dropped first; the
+    rest give the edge count for graphs.guard_size (each pattern the product
+    of its classes' ordered-pair counts, each edge two ordered pairs) and
+    then the edges, so nothing is listed that the guard did not count."""
+    c1, c2 = ({_SAME: g.n, _EDGE: 2 * g.m, _APART: g.n * (g.n - 1) - 2 * g.m} for g in (g1, g2))
+    patterns = [(a, b) for a, b in _PRODUCT_PATTERNS[kind] if c1[a] and c2[b]]
+    guard_size(g1.n * g2.n, sum(c1[a] * c2[b] for a, b in patterns) // 2)
+    p1 = _class_pairs(g1, [a for a, _ in patterns])
+    p2 = _class_pairs(g2, [b for _, b in patterns])
     n2 = g2.n
-    r1 = {u: i * n2 for i, u in enumerate(g1.vertices_sorted())}  # id of (u, 0th)
-    r2 = {u: j for j, u in enumerate(g2.vertices_sorted())}
-    e1 = [(r1[a], r1[b]) for a, b in g1.edges]
-    e2 = [(r2[a], r2[b]) for a, b in g2.edges]
     edges = []
-    if kind != "categorical":  # equal first coordinates, adjacent second ones
-        edges += [(x + a, x + b) for x in r1.values() for a, b in e2]
-    if kind in ("cartesian", "normal"):  # adjacent first, equal second
-        edges += [(a + j, b + j) for a, b in e1 for j in range(n2)]
-    if kind in ("categorical", "normal"):  # adjacent in both
-        edges += [(a + c, b + d) for a, b in e1 for c, d in e2]
-        edges += [(a + d, b + c) for a, b in e1 for c, d in e2]
-    if kind == "lexicographic":  # adjacent first, any second
-        edges += [(a + x, b + y) for a, b in e1 for x in range(n2) for y in range(n2)]
+    for a, b in patterns:
+        if a == _SAME:  # equal first coordinates
+            edges += [(x * n2 + p, x * n2 + q) for x in range(g1.n) for p, q in p2[b]]
+        else:
+            both = p2[b] if b == _SAME else p2[b] + [(q, p) for p, q in p2[b]]
+            edges += [(x * n2 + p, y * n2 + q) for x, y in p1[a] for p, q in both]
     edges.sort()
     return edges
 
 
 def product(kind: str, g1: Graph, g2: Graph, d1=None) -> Result:
     """The seven products over V1 x V2; (u1, u2) gets the row-major id
-    i1 * n2 + i2 of its ranks in the sorted vertex orders.  A result too
-    large for a graph is refused (graphs.guard_size) before any edge is
-    built.
+    i1 * n2 + i2 of its ranks in the sorted vertex orders.  The size guard
+    and the edge listing both read the rule's patterns, skipping those with
+    an empty class, so a result too large for a graph is refused
+    (graphs.guard_size) before any edge is built.
 
     Only the lexicographic product carries a decomposition (of g1): each
     vertex blows up into its {v} x V2 block, claimed (w1+1)|V2|-1."""
@@ -243,23 +260,12 @@ def product(kind: str, g1: Graph, g2: Graph, d1=None) -> Result:
     if d1 is not None and kind != "lexicographic":
         raise ParameterError("only the lexicographic product has a combiner")
     check_host(g1, d1)
-    rule = _PRODUCT_RULES[kind]
-    guard_size(g1.n * g2.n, _product_size(rule, g1, g2))
-    o1, o2 = g1.vertices_sorted(), g2.vertices_sorted()
-    if kind in _SPARSE_KINDS:
-        edges = _sparse_product_edges(kind, g1, g2)
-    else:
-        pairs = [(u1, u2) for u1 in o1 for u2 in o2]
-        edges = []
-        for i, (u1, u2) in enumerate(pairs):
-            for j, (v1, v2) in enumerate(pairs[i + 1 :], i + 1):
-                if rule(u1 == v1, g1.has_edge(u1, v1), u2 == v2, g2.has_edge(u2, v2)):
-                    edges.append((i, j))
-    graph = Graph(range(g1.n * g2.n), edges)
+    graph = Graph(range(g1.n * g2.n), _product_edges(kind, g1, g2))
     if d1 is None:
         return Result(graph)
     n2 = g2.n
-    blocks = {u1: frozenset(range(i1 * n2, (i1 + 1) * n2)) for i1, u1 in enumerate(o1)}
+    blocks = {u1: frozenset(range(i1 * n2, (i1 + 1) * n2))
+              for i1, u1 in enumerate(g1.vertices_sorted())}
     claimed = (width(d1) + 1) * n2 - 1
     dec = d1.rebag(graph, lambda bag: frozenset().union(*(blocks[x] for x in bag)))
     return Result(graph, dec, claimed)
@@ -291,14 +297,9 @@ def one_sum(g1: Graph, v: int, g2: Graph, w: int, d1=None, d2=None) -> Result:
         return Result(graph)
     claimed = max(width(d1), width(d2))
     if isinstance(d1, TreeDecomposition):
-        _, e1, b1 = _mapped_tree(d1, f1, 0)
-        _, e2, b2 = _mapped_tree(d2, f2, d1.tree.n)
-        a1 = min(u for u, bag in b1.items() if z in bag)
-        a2 = min(u for u, bag in b2.items() if z in bag)
-        tree = Graph(range(d1.tree.n + d2.tree.n), e1 + e2 + [(a1, a2)])
-        return Result(graph, TreeDecomposition(graph, tree, b1 | b2), claimed)
-    bags = [frozenset(f1(x) for x in bag) for bag in d1.bags]
-    bags += [frozenset(f2(x) for x in bag) for bag in d2.bags]
+        piece = (d2, _through(f2), _lowest(d1)[v], _lowest(d2)[w])
+        return Result(graph, _graft(graph, d1, _through(f1), [piece]), claimed)
+    bags = [*map(_through(f1), d1.bags), *map(_through(f2), d2.bags)]
     idxs = [i for i, bag in enumerate(bags) if z in bag]
     if idxs[-1] - idxs[0] + 1 != len(idxs):
         for i in range(idxs[0], idxs[-1] + 1):
@@ -317,33 +318,27 @@ def corona(g1: Graph, g2: Graph, d1=None, d2=None) -> Result:
     _check_pair(d1, d2, g1, g2)
     n1, n2 = g1.n, g2.n
     guard_size(n1 + n1 * n2, g1.m + n1 * (g2.m + n2))
-    m1 = {x: i for i, x in enumerate(g1.vertices_sorted())}
-    m2 = {u: j for j, u in enumerate(g2.vertices_sorted())}
-    e2 = _map_edges(g2, m2)  # copy i is g2 so relabeled, shifted by n1 + i * n2
+    m1, m2 = _rank_maps(g1, g2)  # copy i is g2 so relabeled, shifted by i * n2
+    e2 = _map_edges(g2, m2)
     edges = _map_edges(g1, m1)
     for i in range(n1):
-        base = n1 + i * n2
-        edges += [(base + a, base + b) for a, b in e2] + [(i, base + j) for j in range(n2)]
+        shift = i * n2
+        edges += [(a + shift, b + shift) for a, b in e2]
+        edges += [(i, j + shift) for j in range(n1, n1 + n2)]
     graph = Graph(range(n1 + n1 * n2), edges)
     if d1 is None:
         return Result(graph)
     w1 = width(d1)
     w2 = width(d2)
     if n2 == 0:
-        return Result(graph, d1.rebag(graph, lambda bag: frozenset(m1[x] for x in bag)), w1)
+        return Result(graph, d1.rebag(graph, _through(m1.__getitem__)), w1)
+    shifted = lambda i, bag: frozenset(m2[x] + i * n2 for x in bag)
     if isinstance(d1, TreeDecomposition):
-        r1, r2 = d1.tree.n, d2.tree.n
-        _, edges_t, bags = _mapped_tree(d1, m1.__getitem__, 0)
-        _, t2, b2 = _mapped_tree(d2, m2.__getitem__, 0)
-        # vertex of g1 -> the lowest node holding it: walked backwards, it comes last
-        anchor = {x: u for u, bag in reversed(bags.items()) for x in bag}
-        for i in range(n1):
-            base, offset = n1 + i * n2, r1 + i * r2
-            edges_t += [(a + offset, b + offset) for a, b in t2] + [(anchor[i], offset)]
-            bags |= {u + offset: frozenset(base + x for x in bag) | {i} for u, bag in b2.items()}
-        tree = Graph(range(r1 + n1 * r2), edges_t)
-        return Result(graph, TreeDecomposition(graph, tree, bags), max(w1, w2) + 1)
+        lowest, top = _lowest(d1), min(d2.tree.vertices)
+        pieces = [(d2, lambda bag, i=i: shifted(i, bag) | {i}, lowest[x], top)
+                  for i, x in enumerate(g1.vertices_sorted())]
+        dec = _graft(graph, d1, _through(m1.__getitem__), pieces)
+        return Result(graph, dec, max(w1, w2) + 1)
     everyone = frozenset(range(n1))
-    b2 = [frozenset(m2[x] for x in bag) for bag in d2.bags]
-    bags = [frozenset(n1 + i * n2 + x for x in bag) | everyone for i in range(n1) for bag in b2]
+    bags = [shifted(i, bag) | everyone for i in range(n1) for bag in d2.bags]
     return Result(graph, PathDecomposition(graph, bags), max(w1, w2) + n1)

@@ -459,19 +459,10 @@ def seidel_complement(g: Graph, v: int) -> Result:
 
 
 def seidel_switch(g: Graph, v: int, d: Decomposition | None = None) -> Result:
-    """Disconnect v from its neighbors and connect it to the rest."""
-    return switch_sequence(g, [v], d)
-
-
-def switch_sequence(g: Graph, vs, d: Decomposition | None = None) -> Result:
-    """Seidel switches at vs in turn; every switched vertex joins every bag."""
+    """Disconnect v from its neighbors and connect it to the rest; v joins
+    every bag."""
     check_host(g, d)
-    vs = list(vs)
-    cur = g
-    for v in vs:
-        _require_vertex(g, v)
-        new_nb = cur.vertices - cur.neighbors(v) - {v}
-        cur = Graph(cur.vertices, [e for e in cur.edges if v not in e]
-                    + [(v, u) for u in new_nb])
-    switched = frozenset(vs)
-    return _carry(cur, d, lambda bag: bag | switched, len(switched))
+    _require_vertex(g, v)
+    far = g.vertices - g.neighbors(v) - {v}
+    g2 = Graph(g.vertices, [e for e in g.edges if v not in e] + [(v, u) for u in far])
+    return _carry(g2, d, lambda bag: bag | {v}, 1)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from twpw import binary, unary
@@ -248,6 +250,21 @@ class TestProducts:
             monkeypatch.setattr("twpw.graphs.GRAPH_MAX_VERTICES", g.n - 1)
             with pytest.raises(CapabilityError, match=f"vertices, got {g.n}$"):
                 binary.product(kind, g1, g2)
+
+    def test_edgeless_factors_list_no_pairs(self):
+        # on edgeless factors every kind but rejection has no edges, and no
+        # pattern with an empty class may list the other factor's pairs;
+        # rejection joins every pair and is refused by the guard
+        start = time.perf_counter()
+        for n1, n2 in [(80, 80), (2000, 1), (1, 2000)]:
+            g1, g2 = Graph(range(n1)), Graph(range(n2))
+            for kind in binary.PRODUCT_KINDS:
+                if kind == "rejection":
+                    with pytest.raises(CapabilityError):
+                        binary.product(kind, g1, g2)
+                else:
+                    assert binary.product(kind, g1, g2).graph.m == 0
+        assert time.perf_counter() - start < 1.0
 
     def test_preconditions(self):
         with pytest.raises(ParameterError):

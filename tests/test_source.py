@@ -177,3 +177,38 @@ def test_lasting_state_is_found():
         "2: import lru_cache", "5: global TABLE", "8: functools.lru_cache"]
     assert lasting_state("exact.py", source)[-2:] == [
         "6: functools.cache", "8: functools.lru_cache"]
+
+
+def stray_kind_literals(source: str) -> list[str]:
+    """Each string literal naming a product kind (a key of the module's
+    _PRODUCT_RULES table) outside that table's keys, as "where: kind",
+    where is the enclosing top-level function or <module>."""
+    tree = ast.parse(source)
+    keys = next(node.value.keys for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["_PRODUCT_RULES"])
+    kinds = {key.value for key in keys}
+    found = []
+    for top in tree.body:
+        where = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+        found += [f"{where}: {node.value}" for node in ast.walk(top)
+                  if isinstance(node, ast.Constant) and node.value in kinds
+                  and not any(node is key for key in keys)]
+    return found
+
+
+def test_product_rules_are_written_once():
+    # the rule table defines every product kind; the one other mention is
+    # the kind that carries a decomposition
+    source = (SRC / "binary.py").read_text(encoding="utf-8")
+    assert stray_kind_literals(source) == ["product: lexicographic"]
+
+
+def test_stray_kind_literals_are_found():
+    source = (
+        "_PRODUCT_RULES = {'cartesian': None, 'normal': None}\n"
+        "SPARSE = ('cartesian',)\n"
+        "def edges(kind):\n"
+        "    if kind == 'normal':\n"
+        "        return 'tensor'\n"
+    )
+    assert stray_kind_literals(source) == ["<module>: cartesian", "edges: normal"]

@@ -239,20 +239,6 @@ class TestSwitching:
             v = g.vertices_sorted()[rng.next_below(g.n)]
             assert unary.seidel_switch(unary.seidel_switch(g, v).graph, v).graph == g
 
-    def test_switch_sequence_composes(self):
-        res = unary.switch_sequence(path_graph(4), [0, 2])
-        step = unary.seidel_switch(path_graph(4), 0)
-        step = unary.seidel_switch(step.graph, 2)
-        assert res.graph == step.graph
-
-    def test_switch_sequence_claim_counts_distinct_vertices(self):
-        g = cycle_graph(5)
-        k, _, dt, _ = certs(g)
-        carried = unary.switch_sequence(g, [0, 1, 0], dt)
-        host = unary.switch_sequence(g, [0, 1, 0]).graph
-        check_carried(host, carried)
-        assert carried.claimed_bound == k + 2
-
 
 class TestForestDecomposition:
     def test_every_small_forest(self):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .decomposition import PathDecomposition, TreeDecomposition, width
 from .errors import ParameterError
-from .graphs import Graph, guard_size
+from .graphs import Graph, edited, fuse_vertices, guard_size
 from .results import Result, check_host
 
 
@@ -275,7 +275,8 @@ def product(kind: str, g1: Graph, g2: Graph, d1=None) -> Result:
 
 
 def one_sum(g1: Graph, v: int, g2: Graph, w: int, d1=None, d2=None) -> Result:
-    """Disjoint union with v and w fused into the fresh vertex n1+n2.
+    """Disjoint union with v and w fused by graphs.fuse_vertices, into the
+    new vertex n1+n2.
 
     Tree-decompositions bridge two bags holding the fused vertex (width
     max(w1, w2), exact); bag sequences concatenate, adding the fused vertex
@@ -286,13 +287,10 @@ def one_sum(g1: Graph, v: int, g2: Graph, w: int, d1=None, d2=None) -> Result:
         raise ParameterError(f"vertex {w} not in second graph")
     _check_pair(d1, d2, g1, g2)
     m1, m2 = _rank_maps(g1, g2)
-    z = g1.n + g2.n
+    union = Graph(range(g1.n + g2.n), _map_edges(g1, m1) + _map_edges(g2, m2))
+    graph, z = edited(union, fuse_vertices, m1[v], m2[w])
     f1 = lambda x: z if x == v else m1[x]
     f2 = lambda x: z if x == w else m2[x]
-    edges = {tuple(sorted((f1(a), f1(b)))) for a, b in g1.edges}
-    edges |= {tuple(sorted((f2(a), f2(b)))) for a, b in g2.edges}
-    vertices = {f1(x) for x in g1.vertices} | {f2(x) for x in g2.vertices}
-    graph = Graph(vertices, edges)
     if d1 is None:
         return Result(graph)
     claimed = max(width(d1), width(d2))

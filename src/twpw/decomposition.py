@@ -121,9 +121,6 @@ class TreeDecomposition:
     def bag_items(self) -> list[tuple[int, frozenset[int]]]:
         return [(u, self.bags[u]) for u in self.tree.vertices_sorted()]
 
-    def all_bags(self) -> list[frozenset[int]]:
-        return [bag for _, bag in self.bag_items()]
-
     def __repr__(self) -> str:
         return f"TreeDecomposition(nodes={self.tree.n}, width={width(self)})"
 
@@ -151,9 +148,6 @@ class PathDecomposition:
 
     def bag_items(self) -> list[tuple[int, frozenset[int]]]:
         return list(enumerate(self.bags))
-
-    def all_bags(self) -> list[frozenset[int]]:
-        return list(self.bags)
 
     def __repr__(self) -> str:
         return f"PathDecomposition(bags={len(self.bags)}, width={width(self)})"

@@ -24,8 +24,9 @@ kernel has to see:
      the graph k-improved again after every contraction.  When the bound
      reaches k there, that is the new lo.  When lo == hi the component
      is settled and its order is the min-fill order.  Smaller components
-     skip this step: their kernel table has at most 256 entries and costs
-     no more than the bounds, and their certificates stay the kernel's.
+     skip this step so that their certificates stay the kernel's, which
+     the golden pins of the tests are built on; the bounds would cost
+     less there, not more (README, "Solver layer").
   4. Run the kernel on every component left.
 
   The certificate is one elimination order: the simplicial vertices in
@@ -83,7 +84,7 @@ from .decomposition import (
 )
 from .errors import CapabilityError, InconsistencyError, ParameterError, ToolError
 from .graphs import Graph
-from .minors import MinorScript, _replay
+from .minors import MinorScript, replay_lower_witness
 
 SOLVER_MAX_VERTICES = 16
 BOUNDS_MIN_VERTICES = 9  # smaller tree-width components go straight to the kernel
@@ -235,16 +236,14 @@ def _finish(g: Graph, parameter: str, value: int, cert: Decomposition,
 
 
 def _check_lower_witness(g: Graph, value: int, script: MinorScript) -> None:
-    """Replay script from g as a lower witness for value, as
-    `minors.replay_lower_witness` does; the graph it leaves must have
-    minimum degree at least value, which proves tw(g) >= value.  Only the
-    degrees are read, so the replayed neighbor sets are not built into a
-    graph."""
+    """Replay script from g as a lower witness for value; the graph it
+    leaves must have minimum degree at least value, which proves
+    tw(g) >= value."""
     try:
-        adj = _replay(g, script, value)
+        left = replay_lower_witness(g, script, value)
     except ToolError as exc:
         raise InconsistencyError(f"tw lower witness does not replay: {exc}") from None
-    if not adj or min(map(len, adj.values())) < value:
+    if not left.n or min(map(len, left.adjacency().values())) < value:
         raise InconsistencyError(f"tw lower witness does not reach value {value}")
 
 
@@ -586,7 +585,7 @@ def _peeled_clique(masks: list[int], removed: list[int], degree: int) -> list[in
 def _lower_witness(ids: list[int], keep: list[int], steps: list[tuple]) -> MinorScript:
     """Witness steps over the vertex ids: delete every vertex outside keep,
     then replay steps, written over the indices of keep.  A contraction's
-    vertex is named as unary.contract_edge names it, one more than the
+    vertex is named as graphs.fuse_vertices names it, one more than the
     largest id left."""
     names = {i: ids[v] for i, v in enumerate(keep)}
     kept = set(names.values())

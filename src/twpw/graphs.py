@@ -189,6 +189,86 @@ def guard_size(n: int, m: int) -> None:
         raise CapabilityError(f"graphs support at most {GRAPH_MAX_EDGES} edges, got {m}")
 
 
+# --- minor steps ----------------------------------------------------------
+#
+# Each step edits a neighbor map (vertex -> frozenset of neighbors) and the
+# matching set of sorted edge pairs in place, replacing only the neighbor
+# sets it touches.  `edited` applies one step to copies of a graph's parts.
+
+
+def _require_vertex(adj: Mapping[int, frozenset[int]], v: int) -> None:
+    if v not in adj:
+        raise ParameterError(f"vertex {v} not in graph")
+
+
+def _require_edge(adj: Mapping[int, frozenset[int]], u: int, v: int) -> None:
+    if u not in adj or v not in adj[u]:
+        raise ParameterError(f"edge ({u}, {v}) not in graph")
+
+
+def drop_vertex(adj: dict[int, frozenset[int]], edges: set[tuple[int, int]],
+                v: int) -> None:
+    """Delete v and its edges."""
+    _require_vertex(adj, v)
+    nb = adj.pop(v)
+    for x in nb:
+        adj[x] = adj[x] - {v}
+    edges -= {(v, x) if v < x else (x, v) for x in nb}
+
+
+def drop_edge(adj: dict[int, frozenset[int]], edges: set[tuple[int, int]],
+              u: int, v: int) -> None:
+    """Delete the edge uv."""
+    _require_edge(adj, u, v)
+    adj[u], adj[v] = adj[u] - {v}, adj[v] - {u}
+    edges.remove((u, v) if u < v else (v, u))
+
+
+def join_vertices(adj: dict[int, frozenset[int]], edges: set[tuple[int, int]],
+                  u: int, v: int) -> None:
+    """Add the edge uv between two present, non-adjacent vertices."""
+    _require_vertex(adj, u)
+    _require_vertex(adj, v)
+    if u == v:
+        raise ParameterError("cannot add a loop")
+    if v in adj[u]:
+        raise ParameterError(f"edge ({u}, {v}) already present")
+    u, v = int(u), int(v)
+    adj[u], adj[v] = adj[u] | {v}, adj[v] | {u}
+    edges.add((u, v) if u < v else (v, u))
+
+
+def fuse_vertices(adj: dict[int, frozenset[int]], edges: set[tuple[int, int]],
+                  v: int, w: int) -> int:
+    """Replace v and w by one new vertex z adjacent to the neighbors of
+    both; z is one above the largest id, so each new edge is (x, z).
+    Returns z."""
+    _require_vertex(adj, v)
+    _require_vertex(adj, w)
+    if v == w:
+        raise ParameterError("identification needs two distinct vertices")
+    z = max(adj) + 1
+    pair, new = {v, w}, {z}
+    nv, nw = adj.pop(v), adj.pop(w)
+    edges -= {(v, x) if v < x else (x, v) for x in nv}
+    edges -= {(w, x) if w < x else (x, w) for x in nw}
+    around = (nv | nw) - pair
+    for x in around:
+        adj[x] = adj[x] - pair | new
+    adj[z] = around
+    edges |= {(x, z) for x in around}
+    return z
+
+
+def edited(g: Graph, step, *args) -> tuple[Graph, int | None]:
+    """g after step(adj, edges, *args) on copies of its neighbor map and
+    edges, and what the step returned: the new vertex of fuse_vertices,
+    else None."""
+    adj, edges = dict(g.adjacency()), set(g.edges)
+    out = step(adj, edges, *args)
+    return Graph._trusted(frozenset(adj), frozenset(edges), adj), out
+
+
 # --- generators ---------------------------------------------------------
 
 

@@ -66,9 +66,12 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def next_below(self, n: int) -> int:
-        """Uniform draw from 0..n-1 by rejection, so no modulo bias."""
+        """Uniform draw from 0..n-1 by rejection, so no modulo bias.  One
+        64-bit draw reaches at most 2^64 values, so n is at most 2^64."""
         if n <= 0:
             raise ParameterError("next_below needs a positive bound")
+        if n > 1 << 64:
+            raise ParameterError("next_below needs a bound of at most 2^64")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             x = self.next_u64()

@@ -11,10 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import unary
 from .errors import CapabilityError, FormatError, ParameterError, ScriptError
 from .fileformats import _numeral
-from .graphs import Graph, complete_graph, fresh_id, incidence_star_example
+from .graphs import (
+    Graph,
+    _require_edge,
+    complete_graph,
+    drop_edge,
+    drop_vertex,
+    fuse_vertices,
+    incidence_star_example,
+    join_vertices,
+)
 
 MINOR_MAX_VERTICES = 12
 
@@ -73,7 +81,7 @@ def parse_minor_script(text: str) -> MinorScript:
 def apply_minor_script(g: Graph, script: MinorScript) -> Graph:
     """Replay a script of minor steps; failures name the 1-based step
     index.  An edge addition is refused: the result would not be a minor."""
-    return _as_graph(_replay(g, script, None))
+    return _replay(g, script, None)
 
 
 def replay_lower_witness(g: Graph, script: MinorScript, value: int) -> Graph:
@@ -90,81 +98,41 @@ def replay_lower_witness(g: Graph, script: MinorScript, value: int) -> Graph:
     degree at least value, whose tree-width is at least its minimum degree,
     therefore proves tw(g) >= value.
     """
-    return _as_graph(_replay(g, script, value))
+    return _replay(g, script, value)
 
 
-def _replay(g: Graph, script: MinorScript, value: int | None) -> dict[int, set[int]]:
-    """Replay script from g and return the neighbor sets of the graph it
-    leaves; edge additions are checked against value, and refused when
-    value is None.
+def _replay(g: Graph, script: MinorScript, value: int | None) -> Graph:
+    """Replay script from g and return the graph it leaves; edge additions
+    are checked against value, and refused when value is None.
 
-    The steps change one map of neighbor sets in place, with the checks
-    and messages of the unary operations they stand for.  A contraction
-    fuses its ends into a new vertex, the largest id plus one, as
-    unary.contract_edge names it."""
-    adj = {v: set(nb) for v, nb in g.adjacency().items()}
+    Each step is one of the minor steps of graphs.py, applied to one
+    neighbor map and edge set, so a contraction fuses its ends into a new
+    vertex exactly as unary.contract_edge does."""
+    adj, edges = dict(g.adjacency()), set(g.edges)
     for i, step in enumerate(script.steps, start=1):
         try:
             if step[0] == "a":
                 if value is None:
                     raise ParameterError("an edge addition is not a minor step")
                 u, v = step[1], step[2]
-                _require_vertex(adj, u)
-                _require_vertex(adj, v)
-                if u == v:
-                    raise ParameterError("cannot add a loop")
-                if v in adj[u]:
-                    raise ParameterError(f"edge ({u}, {v}) already present")
+                join_vertices(adj, edges, u, v)
                 common = len(adj[u] & adj[v])
                 if common < value:
                     raise ParameterError(
                         f"vertices {u} and {v} have {common} common neighbors, fewer than {value}"
                     )
-                adj[u].add(v)
-                adj[v].add(u)
             elif step[0] == "d":
-                u, v = step[1], step[2]
-                _require_edge(adj, u, v)
-                adj[u].remove(v)
-                adj[v].remove(u)
+                drop_edge(adj, edges, step[1], step[2])
             elif step[0] == "c":
-                u, v = step[1], step[2]
-                _require_edge(adj, u, v)
-                z = max(adj) + 1
-                around = adj.pop(u) | adj.pop(v)
-                around -= {u, v}
-                for x in around:
-                    nb = adj[x]
-                    nb.discard(u)
-                    nb.discard(v)
-                    nb.add(z)
-                adj[z] = around
+                _require_edge(adj, step[1], step[2])
+                fuse_vertices(adj, edges, step[1], step[2])
             elif step[0] == "dv":
-                v = step[1]
-                _require_vertex(adj, v)
-                for x in adj.pop(v):
-                    adj[x].remove(v)
+                drop_vertex(adj, edges, step[1])
             else:
                 raise ParameterError(f"unknown minor step {step!r}")
         except ParameterError as exc:
             raise ScriptError(str(exc), step=i) from exc
-    return adj
-
-
-def _as_graph(adj: dict[int, set[int]]) -> Graph:
-    """The graph with the neighbor sets adj, built without Graph's checks."""
-    edges = frozenset({(u, v) for u, nb in adj.items() for v in nb if u < v})
-    return Graph._trusted(frozenset(adj), edges, {v: frozenset(nb) for v, nb in adj.items()})
-
-
-def _require_vertex(adj: dict[int, set[int]], v: int) -> None:
-    if v not in adj:
-        raise ParameterError(f"vertex {v} not in graph")
-
-
-def _require_edge(adj: dict[int, set[int]], u: int, v: int) -> None:
-    if u not in adj or v not in adj[u]:
-        raise ParameterError(f"edge ({u}, {v}) not in graph")
+    return Graph._trusted(frozenset(adj), frozenset(edges), adj)
 
 
 def _connected_subsets(root_bit: int, allowed: int, adj: list[int], max_size: int):
@@ -243,29 +211,24 @@ def _script_from_branch_sets(
     g: Graph, h: Graph, horder: list[int], sets: list[frozenset[int]]
 ) -> MinorScript:
     steps: list[tuple] = []
-    cur = g
+    adj, edges = dict(g.adjacency()), set(g.edges)
     used = frozenset().union(*sets)
     for v in sorted(g.vertices - used):
         steps.append(("dv", v))
-        cur = unary.delete_vertex(cur, v).graph
+        drop_vertex(adj, edges, v)
     reps = {}
     for hv, branch in zip(horder, sets):
         alive = set(branch)
         while len(alive) > 1:
-            u, v = min((u, v) for u in alive for v in alive if u < v and cur.has_edge(u, v))
-            z = fresh_id(cur)  # the vertex contract_edge fuses u and v into
+            u, v = min((u, v) for u in alive for v in alive if u < v and v in adj[u])
             steps.append(("c", u, v))
-            cur = unary.contract_edge(cur, u, v).graph
             alive -= {u, v}
-            alive.add(z)
+            alive.add(fuse_vertices(adj, edges, u, v))
         reps[hv] = alive.pop()
     keep = {
         (min(reps[a], reps[b]), max(reps[a], reps[b])) for a, b in h.edges
     }
-    for u, v in cur.edges_sorted():
-        if (u, v) not in keep:
-            steps.append(("d", u, v))
-            cur = unary.delete_edge(cur, u, v).graph
+    steps += [("d", u, v) for u, v in sorted(edges) if (u, v) not in keep]
     return MinorScript(tuple(steps))
 
 

@@ -23,18 +23,21 @@ from .decomposition import (
     width,
 )
 from .errors import ParameterError
-from .graphs import GRAPH_MAX_EDGES, Graph, fresh_id, guard_size, is_forest, max_degree
+from .graphs import (
+    GRAPH_MAX_EDGES,
+    Graph,
+    _require_edge,
+    drop_edge,
+    drop_vertex,
+    edited,
+    fresh_id,
+    fuse_vertices,
+    guard_size,
+    is_forest,
+    join_vertices,
+    max_degree,
+)
 from .results import Result, check_host
-
-
-def _require_vertex(g: Graph, v: int) -> None:
-    if not g.has_vertex(v):
-        raise ParameterError(f"vertex {v} not in graph")
-
-
-def _require_edge(g: Graph, u: int, v: int) -> None:
-    if not g.has_edge(u, v):
-        raise ParameterError(f"edge ({u}, {v}) not in graph")
 
 
 def _carry(g2: Graph, d: Decomposition | None, f, extra: int = 0) -> Result:
@@ -97,14 +100,7 @@ def _drop_empty_bags_tree(d: TreeDecomposition) -> TreeDecomposition:
 
 def delete_vertex(g: Graph, v: int, d: Decomposition | None = None) -> Result:
     check_host(g, d)
-    _require_vertex(g, v)
-    adj = g.adjacency()
-    adj2 = dict(adj)
-    del adj2[v]
-    for x in adj[v]:
-        adj2[x] = adj[x] - {v}
-    edges = g.edges - {(v, x) if v < x else (x, v) for x in adj[v]}
-    g2 = Graph._trusted(g.vertices - {v}, edges, adj2)
+    g2, _ = edited(g, drop_vertex, v)
     if d is None:
         return Result(g2)
     stripped = d.rebag(g2, lambda bag: bag - {v})
@@ -114,16 +110,13 @@ def delete_vertex(g: Graph, v: int, d: Decomposition | None = None) -> Result:
     return Result(g2, PathDecomposition(g2, kept), width(d))
 
 
-def add_vertex(g: Graph, neighbors, v: int | None = None,
-               d: Decomposition | None = None) -> Result:
+def add_vertex(g: Graph, neighbors, d: Decomposition | None = None) -> Result:
+    """A new vertex fresh_id(g) joined to the given neighbors."""
     check_host(g, d)
     nb = frozenset(int(u) for u in neighbors)
     if not nb <= g.vertices:
         raise ParameterError("neighbors must be existing vertices")
-    if v is None:
-        v = fresh_id(g)
-    elif g.has_vertex(v):
-        raise ParameterError(f"vertex {v} already present")
+    v = fresh_id(g)
     g2 = Graph(g.vertices | {v}, list(g.edges) + [(v, u) for u in nb])
     if isinstance(d, TreeDecomposition) and len(nb) == 1:
         # pendant vertex: one fresh bag keeps the width at max(w, 1)
@@ -136,49 +129,18 @@ def add_vertex(g: Graph, neighbors, v: int | None = None,
 
 def delete_edge(g: Graph, u: int, v: int, d: Decomposition | None = None) -> Result:
     check_host(g, d)
-    _require_edge(g, u, v)
-    edges = [e for e in g.edges if e != ((u, v) if u < v else (v, u))]
-    return _carry(Graph(g.vertices, edges), d, lambda bag: bag)
+    g2, _ = edited(g, drop_edge, u, v)
+    return _carry(g2, d, lambda bag: bag)
 
 
 def add_edge(g: Graph, u: int, v: int, d: Decomposition | None = None) -> Result:
     check_host(g, d)
-    _require_vertex(g, u)
-    _require_vertex(g, v)
-    if u == v:
-        raise ParameterError("cannot add a loop")
-    if g.has_edge(u, v):
-        raise ParameterError(f"edge ({u}, {v}) already present")
-    u, v = int(u), int(v)
-    adj = dict(g.adjacency())
-    adj[u], adj[v] = adj[u] | {v}, adj[v] | {u}
-    g2 = Graph._trusted(g.vertices, g.edges | {(u, v) if u < v else (v, u)}, adj)
+    g2, _ = edited(g, join_vertices, u, v)
     # the second endpoint is the one added to every bag
-    return _carry(g2, d, lambda bag: bag | {v}, 1)
+    return _carry(g2, d, lambda bag: bag | {int(v)}, 1)
 
 
 # --- identification, contraction, subdivision ---------------------------
-
-
-def _merge(g: Graph, v: int, w: int) -> tuple[Graph, int]:
-    """g with v and w fused into the fresh vertex z; returns (graph, z).
-
-    Only the edges at v and w change, so the result is g's edges and
-    adjacency with those replaced; z is above every id, so each new edge
-    is (x, z)."""
-    z = fresh_id(g)
-    adj = g.adjacency()
-    pair = {v, w}
-    around = (adj[v] | adj[w]) - pair
-    gone = {(v, x) if v < x else (x, v) for x in adj[v]}
-    gone.update((w, x) if w < x else (x, w) for x in adj[w])
-    edges = (g.edges - gone) | {(x, z) for x in around}
-    adj2 = dict(adj)
-    del adj2[v], adj2[w]
-    for x in around:
-        adj2[x] = (adj[x] - pair) | {z}
-    adj2[z] = around
-    return Graph._trusted((g.vertices - pair) | {z}, edges, adj2), z
 
 
 def _rename_pair(bag: frozenset[int], v: int, w: int, z: int) -> frozenset[int]:
@@ -205,11 +167,7 @@ def _steiner_nodes(d: TreeDecomposition, marked: set[int]) -> set[int]:
 
 def identify_vertices(g: Graph, v: int, w: int, d: Decomposition | None = None) -> Result:
     check_host(g, d)
-    _require_vertex(g, v)
-    _require_vertex(g, w)
-    if v == w:
-        raise ParameterError("identification needs two distinct vertices")
-    g2, z = _merge(g, v, w)
+    g2, z = edited(g, fuse_vertices, v, w)
     if d is None:
         return Result(g2)
     claimed = width(d) + 1
@@ -230,8 +188,8 @@ def identify_vertices(g: Graph, v: int, w: int, d: Decomposition | None = None) 
 
 def contract_edge(g: Graph, v: int, w: int, d: Decomposition | None = None) -> Result:
     check_host(g, d)
-    _require_edge(g, v, w)
-    g2, z = _merge(g, v, w)
+    _require_edge(g.adjacency(), v, w)
+    g2, z = edited(g, fuse_vertices, v, w)
     # some bag held both endpoints, so the renamed occurrences stay connected
     return _carry(g2, d, lambda bag: _rename_pair(bag, v, w, z))
 
@@ -285,7 +243,7 @@ def forest_decomposition(g: Graph) -> TreeDecomposition:
 
 def subdivide_edge(g: Graph, v: int, w: int, d: Decomposition | None = None) -> Result:
     check_host(g, d)
-    _require_edge(g, v, w)
+    _require_edge(g.adjacency(), v, w)
     u = fresh_id(g)
     edges = [e for e in g.edges if e != ((v, w) if v < w else (w, v))]
     edges += [(v, u), (u, w)]
@@ -443,7 +401,6 @@ def edge_complement(g: Graph) -> Result:
 
 def local_complement(g: Graph, v: int) -> Result:
     """Complement the subgraph induced on the neighborhood of v."""
-    _require_vertex(g, v)
     nb = sorted(g.neighbors(v))
     pairs = {(a, b) for i, a in enumerate(nb) for b in nb[i + 1 :]}
     return Result(Graph(g.vertices, g.edges ^ pairs))
@@ -451,7 +408,6 @@ def local_complement(g: Graph, v: int) -> Result:
 
 def seidel_complement(g: Graph, v: int) -> Result:
     """Complement the edges between N(v) and V - N(v) - {v}."""
-    _require_vertex(g, v)
     nb = g.neighbors(v)
     far = g.vertices - nb - {v}
     pairs = {(a, b) if a < b else (b, a) for a in nb for b in far}
@@ -462,7 +418,6 @@ def seidel_switch(g: Graph, v: int, d: Decomposition | None = None) -> Result:
     """Disconnect v from its neighbors and connect it to the rest; v joins
     every bag."""
     check_host(g, d)
-    _require_vertex(g, v)
     far = g.vertices - g.neighbors(v) - {v}
     g2 = Graph(g.vertices, [e for e in g.edges if v not in e] + [(v, u) for u in far])
     return _carry(g2, d, lambda bag: bag | {v}, 1)

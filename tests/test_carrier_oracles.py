@@ -60,7 +60,7 @@ def outcome(call):
     if isinstance(d, TreeDecomposition):
         assert_rooting(d)
         tree = sorted(d.tree.edges)
-    inside = all(bag <= res.graph.vertices for bag in d.all_bags())
+    inside = all(bag <= res.graph.vertices for _, bag in d.bag_items())
     text = format_td(d) if inside else None
     return res.graph, type(d).__name__, d.bag_items(), tree, text, res.claimed_bound
 

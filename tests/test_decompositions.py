@@ -244,11 +244,12 @@ def scan_validate_tree(g, d):
     for u, bag in d.bag_items():
         for v in sorted(bag - g.vertices):
             out.append(Violation("bag", (u, v)))
-    covered = frozenset().union(*d.all_bags()) if d.all_bags() else frozenset()
+    bags = [bag for _, bag in d.bag_items()]
+    covered = frozenset().union(*bags)
     for v in sorted(g.vertices - covered):
         out.append(Violation("tw-1", (v,)))
     for u, v in g.edges_sorted():
-        if not any(u in bag and v in bag for bag in d.all_bags()):
+        if not any(u in bag and v in bag for bag in bags):
             out.append(Violation("tw-2", (u, v)))
     tree_adj = d.tree.adjacency()
     for v in sorted(g.vertices):
@@ -358,7 +359,7 @@ class TestCliquesInBags:
             for size in (1, 2, 3):
                 for c in combinations(g.vertices_sorted(), size):
                     if all(g.has_edge(u, v) for u, v in combinations(c, 2)):
-                        assert any(set(c) <= bag for bag in d.all_bags())
+                        assert any(set(c) <= bag for _, bag in d.bag_items())
 
 
 class TestRedundantBags:
@@ -586,7 +587,7 @@ def assert_builders_match_oracles(g, order):
     old_td = pairwise_elimination_decomposition(g, order)
     assert width(td) == width(old_td)
     slim = remove_redundant_bags(old_td)
-    assert sorted(map(sorted, td.all_bags())) == sorted(map(sorted, slim.all_bags()))
+    assert sorted(map(sorted, td.bags.values())) == sorted(map(sorted, slim.bags.values()))
     for u, p in td._parent.items():
         assert not (td.bags[u] <= td.bags[p] or td.bags[p] <= td.bags[u])
     assert_rooting(td)

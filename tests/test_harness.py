@@ -50,6 +50,12 @@ class TestSplitMix64:
         with pytest.raises(ParameterError):
             SplitMix64(1).next_below(0)
 
+    def test_next_below_takes_bounds_up_to_two_to_the_64(self):
+        # above 2^64 the rejection limit is 0 and no draw would be accepted
+        assert SplitMix64(1).next_below(1 << 64) == SplitMix64(1).next_u64()
+        with pytest.raises(ParameterError, match="at most 2"):
+            SplitMix64(1).next_below((1 << 64) + 1)
+
 
 class TestSampling:
     def test_random_graph_respects_density_extremes(self):

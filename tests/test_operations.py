@@ -116,7 +116,7 @@ def test_empty_graph_carries_within_its_claim(opcode, graphs, args, kind):
     certs = [_certificate(g, kind) for g in graphs][: op.decs]
     res = op.op(*graphs, *certs, *args)
     assert validate(res.graph, res.decomposition).valid
-    assert max(map(len, res.decomposition.all_bags())) - 1 <= res.claimed_bound
+    assert max(len(bag) for _, bag in res.decomposition.bag_items()) - 1 <= res.claimed_bound
 
 
 @KINDS

@@ -212,3 +212,48 @@ def test_stray_kind_literals_are_found():
         "        return 'tensor'\n"
     )
     assert stray_kind_literals(source) == ["<module>: cartesian", "edges: normal"]
+
+
+def package_imports(source: str) -> list[str]:
+    """Each twpw module the source imports, or imports a name from,
+    anywhere in it, as "line: module"; in ``from . import x`` and
+    ``from twpw import x``, x is the module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name.removeprefix("twpw.") for a in node.names
+                       if a.name.startswith("twpw.")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "twpw":
+                    continue
+                module = module.removeprefix("twpw").lstrip(".")
+            modules = [module] if module else [a.name for a in node.names]
+        else:
+            continue
+        found += [f"{node.lineno}: {m.split('.')[0]}" for m in modules]
+    return found
+
+
+def test_minors_imports_nothing_from_unary():
+    # a minor script replays the steps of graphs.py; routed through unary,
+    # each replayed step would be a traced operation and a second copy of
+    # the step's checks
+    source = (SRC / "minors.py").read_text(encoding="utf-8")
+    assert [m for m in package_imports(source) if m.endswith(": unary")] == []
+
+
+def test_package_imports_are_found():
+    source = (
+        "import os, twpw.unary\n"
+        "from . import unary, graphs\n"
+        "from .unary import delete_vertex\n"
+        "from twpw import minors\n"
+        "from twpw.graphs import Graph\n"
+        "from networkx import Graph\n"
+        "def replay():\n"
+        "    from .unary import add_edge\n"
+    )
+    assert package_imports(source) == [
+        "1: unary", "2: unary", "2: graphs", "3: unary", "4: minors", "5: graphs", "8: unary"]

@@ -52,10 +52,6 @@ class TestVertexSurgery:
         assert res.graph.vertices - path_graph(3).vertices == frozenset({3})
         assert res.graph.has_edge(3, 0) and res.graph.has_edge(3, 2)
 
-    def test_add_vertex_explicit_id(self):
-        res = unary.add_vertex(path_graph(2), [0], v=9)
-        assert res.graph.edges_sorted() == [(0, 1), (0, 9)]
-
     def test_pendant_keeps_treewidth(self):
         g = caterpillar_example()
         res = unary.add_vertex(g, [5])
@@ -222,6 +218,12 @@ class TestComplements:
     def test_seidel_complement_moves_cross_pairs_only(self):
         res = unary.seidel_complement(path_graph(4), 1)
         assert is_isomorphic(res.graph, path_graph(4))
+
+    @pytest.mark.parametrize("op", [unary.local_complement, unary.seidel_complement,
+                                    unary.seidel_switch])
+    def test_missing_vertex_is_refused(self, op):
+        with pytest.raises(ParameterError, match="^vertex 7 not in graph$"):
+            op(path_graph(3), 7)
 
 
 class TestSwitching:

@@ -23,14 +23,24 @@ kernel has to see:
      none is left (Clautiaux, Carlier, Moukrim and Negre, WEA 2003), with
      the graph k-improved again after every contraction.  When the bound
      reaches k there, that is the new lo.  When lo == hi the component
-     is settled and its order is the min-fill order.  Smaller components
-     skip this step so that their certificates stay the kernel's, which
-     the golden pins of the tests are built on; the bounds would cost
-     less there, not more (README, "Solver layer").
+     is settled and its order is the min-fill order.  Otherwise the
+     component is peeled again with the bound lo: besides simplicial
+     vertices, an almost-simplicial vertex (all its neighbors but one, w,
+     pairwise adjacent) of degree at most lo is eliminated, which
+     contracts it into w (Bodlaender, Koster and van den Eijkhof,
+     "Preprocessing rules for triangulation of probabilistic networks",
+     Computational Intelligence 2005).  Every vertex eliminated has degree
+     at most low, lo raised by the degrees of the simplicial ones, and
+     low <= tw, so tw = max(low, tw of what is left).  When nothing is
+     left, the component is settled at low.  Smaller components skip
+     this step so that their certificates stay the kernel's, which the
+     golden pins of the tests are built on; the bounds would cost less
+     there, not more (README, "Solver layer").
   4. Run the kernel on every component left.
 
   The certificate is one elimination order: the simplicial vertices in
-  removal order, then each component's order.
+  removal order, then each component's order, which starts with the
+  vertices its own peel eliminated.
 * Path-width runs the kernel on each connected component with more than
   one vertex and concatenates the layouts.
 
@@ -46,11 +56,12 @@ lowest index on ties (see `_min_fill` and `_minor_min_width`).
 The empty graph has tree-width and path-width -1, certified by one empty
 bag.
 
-`WidthReport.method` is "bounds" when some component was settled by the
-bounds and none reached the kernel, and "subset-DP" otherwise; it is read
-off `lower_witness`, which exactly the "bounds" reports carry.  The
-witness is a script that proves the lower side: replayed from the graph
-with `minors.replay_lower_witness` it leaves a graph of minimum degree at
+`WidthReport.method` is "bounds" when no kernel ran: every component was
+settled by the bounds or by its own peel, or the first peel removed the
+whole graph; it is "subset-DP" otherwise.  It is read off
+`lower_witness`, which exactly the "bounds" reports carry.  The witness
+is a script that proves the lower side: replayed from the graph with
+`minors.replay_lower_witness` it leaves a graph of minimum degree at
 least the value.  Tree-width is at least the minimum degree.  Were it
 below the value, it would stay below under every minor step and under
 every edge addition whose ends share at least value common neighbors,
@@ -60,7 +71,10 @@ that component's steps: if its bound came from LBN+, the edge additions
 that improve it, then each contraction followed by the edge additions
 that improve the graph again; otherwise its contractions alone.  When a
 peeled simplicial vertex gives the value, the script deletes every
-vertex outside that vertex's clique instead.
+vertex outside that vertex's clique instead; when the peel had
+contracted vertices before it, the script first replays the peel's
+eliminations up to that vertex, contractions and deletions, since the
+clique is one of the graph they leave.
 
 Certificates and lower witnesses are checked before they are returned; a
 certificate whose width disagrees with the computed value, or a witness
@@ -84,7 +98,7 @@ from .decomposition import (
 )
 from .errors import CapabilityError, InconsistencyError, ParameterError, ToolError
 from .graphs import Graph
-from .minors import MinorScript, replay_lower_witness
+from .minors import MinorScript, _replay
 
 SOLVER_MAX_VERTICES = 16
 BOUNDS_MIN_VERTICES = 9  # smaller tree-width components go straight to the kernel
@@ -236,14 +250,17 @@ def _finish(g: Graph, parameter: str, value: int, cert: Decomposition,
 
 
 def _check_lower_witness(g: Graph, value: int, script: MinorScript) -> None:
-    """Replay script from g as a lower witness for value; the graph it
-    leaves must have minimum degree at least value, which proves
-    tw(g) >= value."""
+    """Replay script from g as a lower witness for value, as
+    `minors.replay_lower_witness` does; the graph it leaves must have
+    minimum degree at least value, which proves tw(g) >= value.  Only the
+    degrees are read, so the replay edits mutable copies of g's neighbor
+    sets in place and keeps no edge set."""
+    adj = {v: set(nb) for v, nb in g.adjacency().items()}
     try:
-        left = replay_lower_witness(g, script, value)
+        _replay(adj, None, script, value)
     except ToolError as exc:
         raise InconsistencyError(f"tw lower witness does not replay: {exc}") from None
-    if not left.n or min(map(len, left.adjacency().values())) < value:
+    if not adj or min(map(len, adj.values())) < value:
         raise InconsistencyError(f"tw lower witness does not reach value {value}")
 
 
@@ -263,47 +280,86 @@ def _members(mask: int) -> list[int]:
     return out
 
 
-def _is_simplicial(adj: list[int], v: int) -> bool:
-    """True when the neighbors of v are pairwise adjacent."""
-    nb = adj[v]
-    rest = nb
+def _is_clique(adj: list[int], mask: int) -> bool:
+    """True when the vertices of mask are pairwise adjacent."""
+    rest = mask
     while rest:
         b = rest & -rest
         rest ^= b
-        if nb & ~adj[b.bit_length() - 1] != b:
+        if mask & ~adj[b.bit_length() - 1] != b:
             return False
     return True
 
 
-def _peel_simplicial(adj: list[int]) -> tuple[list[int], int, int]:
-    """Remove simplicial vertices from adj in place, highest index first.
+def _eliminable(adj: list[int], v: int, bound: int) -> bool:
+    """True when v is simplicial, or almost simplicial with degree at most
+    bound: all its neighbors but one, w, pairwise adjacent."""
+    nb = rest = adj[v]
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        missing = (nb & ~adj[b.bit_length() - 1]) ^ b
+        if missing:
+            # every non-adjacent pair of neighbors holds w, so w is b, or
+            # the one neighbor that b misses
+            return nb.bit_count() <= bound and (
+                _is_clique(adj, nb ^ b)
+                or (missing & (missing - 1) == 0 and _is_clique(adj, nb ^ missing)))
+    return True
 
-    Returns the removed vertices in removal order, the largest degree one
-    had when it was removed (-1 when none was), and the mask of the
-    vertices left.  Removing a vertex keeps every other simplicial vertex
-    simplicial and can make only its neighbors simplicial, so only those
-    are tested again.
+
+def _eliminate(adj: list[int], v: int) -> list[tuple[int, int]]:
+    """Join the neighbors of v pairwise and remove v, in adj in place.
+    Returns (u, the neighbors u gains) for each neighbor u that gains one."""
+    nb = rest = adj[v]
+    joined = []
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        u = b.bit_length() - 1
+        gains = (nb & ~adj[u]) ^ b
+        if gains:
+            joined.append((u, gains))
+        adj[u] = (adj[u] | nb) & ~(b | 1 << v)
+    return joined
+
+
+def _peel(adj: list[int], bound: int = -1) -> tuple[list[int], int, int]:
+    """Eliminate from adj in place, highest index first, every simplicial
+    vertex and every almost-simplicial vertex of degree at most bound,
+    while any is left.
+
+    Returns the eliminated vertices in order, bound raised to the largest
+    degree one had when it was eliminated, and the mask of the vertices
+    left.  Eliminating an almost-simplicial v joins w to v's other
+    neighbors, which is contracting v into w.  An elimination changes the
+    neighborhoods of v's neighbors only, and joins only pairs of them, so
+    only they and the common neighbors of a joined pair are tested again.
+    With bound -1 only simplicial vertices go, and no pair is joined.
     """
     alive = (1 << len(adj)) - 1
-    simplicial = 0
+    ready = 0
     for v in range(len(adj)):
-        if _is_simplicial(adj, v):
-            simplicial |= 1 << v
-    removed, low = [], -1
-    while simplicial:
-        v = simplicial.bit_length() - 1
-        simplicial ^= 1 << v
+        if _eliminable(adj, v, bound):
+            ready |= 1 << v
+    removed, low = [], bound
+    while ready:
+        v = ready.bit_length() - 1
         alive ^= 1 << v
         removed.append(v)
-        nb = rest = adj[v]
-        low = max(low, nb.bit_count())
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            u = b.bit_length() - 1
-            adj[u] ^= 1 << v
-            if _is_simplicial(adj, u):
-                simplicial |= b
+        stale = adj[v]
+        low = max(low, stale.bit_count())
+        for u, gains in _eliminate(adj, v):
+            while gains:
+                b = gains & -gains
+                gains ^= b
+                stale |= adj[u] & adj[b.bit_length() - 1]
+        ready &= ~(stale | 1 << v)
+        while stale:
+            b = stale & -stale
+            stale ^= b
+            if _eliminable(adj, b.bit_length() - 1, bound):
+                ready |= b
     return removed, low, alive
 
 
@@ -557,28 +613,65 @@ def _lower_bound(adj: list[int], hi: int) -> tuple[int, list[tuple]]:
     return lo, steps
 
 
-def _settle_component(masks: list[int]) -> tuple[int, list[int], list[tuple] | None]:
-    """Tree-width and an optimal order of a connected graph, and the steps
-    of its lower witness when the bounds meet; None for the steps when the
-    kernel decided."""
-    if len(masks) >= BOUNDS_MIN_VERTICES:
-        hi, order = _min_fill(masks)
-        lo, steps = _lower_bound(masks, hi)
-        if lo == hi:
-            return hi, order, steps
-    value, order = kernels.treewidth_dp(masks)
-    return value, order, None
+def _settle_component(masks: list[int]) -> tuple[int, list[int], tuple | None]:
+    """Tree-width and an optimal order of a connected graph, and the
+    (keep, steps) of its lower witness, over masks' indices, when no
+    kernel ran; None when one did.
+
+    A component of at least 9 vertices is bounded first.  When the bounds
+    leave lo < hi, the peel with bound lo shrinks it before the kernel
+    sees what is left: each vertex it eliminates has degree at most low,
+    the bound it returns, and lo <= low <= tw, so tw = max(low, tw(rest)).
+    When the peel leaves nothing, tw = low, witnessed by lo's steps or,
+    when low > lo, by the clique of a simplicial vertex it eliminated."""
+    if len(masks) < BOUNDS_MIN_VERTICES:
+        value, order = kernels.treewidth_dp(masks)
+        return value, order, None
+    hi, order = _min_fill(masks)
+    lo, steps = _lower_bound(masks, hi)
+    if lo == hi:
+        return hi, order, (range(len(masks)), steps)
+    adj = list(masks)
+    removed, low, alive = _peel(adj, lo)
+    if not alive:
+        if low == lo:
+            return low, removed, (range(len(masks)), steps)
+        return low, removed, _peeled_clique(masks, removed, low)
+    value, rest = _by_components(kernels.treewidth_dp, adj, alive)
+    return max(low, value), removed + rest, None
 
 
-def _peeled_clique(masks: list[int], removed: list[int], degree: int) -> list[int]:
-    """The first peeled vertex with the given degree at its removal, with
-    its neighbors then: a clique of the graph on masks."""
-    gone = 0
+def _peeled_clique(masks: list[int], removed: list[int],
+                   degree: int) -> tuple[list[int], list[tuple]]:
+    """The (keep, steps) of a lower witness for degree: the first vertex
+    that `_peel` eliminated from masks, in the order removed, while
+    simplicial and of that degree, makes with its neighbors then a clique
+    of a minor of masks.
+
+    The peel's eliminations are replayed: a simplicial vertex is deleted,
+    an almost-simplicial one contracted into the neighbor w that its
+    other neighbors are all adjacent to.  When no vertex before the
+    clique's was contracted, the clique is one of the graph on masks:
+    keep is the clique and there are no steps.  Otherwise keep is every
+    vertex, and the steps replay the eliminations before it and delete
+    every vertex outside the clique."""
+    adj = list(masks)
+    alive = (1 << len(adj)) - 1
+    steps: list[tuple] = []
     for v in removed:
-        nb = masks[v] & ~gone
-        if nb.bit_count() == degree:
-            return _members(nb | 1 << v)
-        gone |= 1 << v
+        nb = adj[v]
+        if not _is_clique(adj, nb):
+            w = next(u for u in _members(nb) if _is_clique(adj, nb ^ 1 << u))
+            steps.append(("c", v, w))
+        elif nb.bit_count() == degree:
+            clique = nb | 1 << v
+            if not any(step[0] == "c" for step in steps):
+                return _members(clique), []
+            return list(range(len(adj))), steps + [("dv", u) for u in _members(alive & ~clique)]
+        else:
+            steps.append(("dv", v))
+        _eliminate(adj, v)
+        alive ^= 1 << v
     raise InconsistencyError(f"no peeled vertex had degree {degree}")
 
 
@@ -608,26 +701,25 @@ def exact_treewidth(g: Graph) -> WidthReport:
         return WidthReport("tw", -1, trivial_tree_decomposition(g))
     ids = g.vertices_sorted()
     adj = g.masks()
-    removed, low, alive = _peel_simplicial(adj)
+    removed, low, alive = _peel(adj)
     value, order = low, list(removed)
-    settled = kernel_used = False
-    lower = None  # (members, steps) of the settled component that sets value
+    kernel_used = False
+    lower = None  # (keep, steps) of the component witness that sets value
     # the peel leaves no isolated vertex, so every component has an edge
     for comp in _components(adj, alive):
         members = _members(comp)
-        part, sub, steps = _settle_component(_restrict(adj, members))
+        part, sub, witness = _settle_component(_restrict(adj, members))
         order.extend(members[i] for i in sub)
-        if steps is None:
+        if witness is None:
             kernel_used = True
-        else:
-            settled = True
-            if part > value:
-                lower = members, steps
+        elif part > value:
+            keep, steps = witness
+            lower = [members[i] for i in keep], steps
         value = max(value, part)
     cert = elimination_decomposition(g, [ids[i] for i in order])
-    if not settled or kernel_used:
+    if kernel_used:
         return _finish(g, "tw", value, cert)
-    keep, steps = lower or (_peeled_clique(g.masks(), removed, low), [])
+    keep, steps = lower or _peeled_clique(g.masks(), removed, low)
     return _finish(g, "tw", value, cert, _lower_witness(ids, keep, steps))
 
 

@@ -191,9 +191,13 @@ def guard_size(n: int, m: int) -> None:
 
 # --- minor steps ----------------------------------------------------------
 #
-# Each step edits a neighbor map (vertex -> frozenset of neighbors) and the
-# matching set of sorted edge pairs in place, replacing only the neighbor
-# sets it touches.  `edited` applies one step to copies of a graph's parts.
+# Each step edits a neighbor map (vertex -> set of neighbors) in place,
+# and the matching set of sorted edge pairs with it, unless that is None.
+# It edits only the neighbor sets it touches, each by one augmented
+# assignment: a frozenset is replaced by a new one, so a map that shares a
+# graph's frozensets leaves the graph alone, while a mutable set is changed
+# in place, which spares a new set per neighbor.  `edited` applies one step
+# to copies of a graph's parts.
 
 
 def _require_vertex(adj: Mapping[int, frozenset[int]], v: int) -> None:
@@ -206,25 +210,29 @@ def _require_edge(adj: Mapping[int, frozenset[int]], u: int, v: int) -> None:
         raise ParameterError(f"edge ({u}, {v}) not in graph")
 
 
-def drop_vertex(adj: dict[int, frozenset[int]], edges: set[tuple[int, int]],
+def drop_vertex(adj: dict[int, frozenset[int]], edges: set[tuple[int, int]] | None,
                 v: int) -> None:
     """Delete v and its edges."""
     _require_vertex(adj, v)
     nb = adj.pop(v)
+    gone = frozenset((v,))
     for x in nb:
-        adj[x] = adj[x] - {v}
-    edges -= {(v, x) if v < x else (x, v) for x in nb}
+        adj[x] -= gone
+    if edges is not None:
+        edges.difference_update([(v, x) if v < x else (x, v) for x in nb])
 
 
-def drop_edge(adj: dict[int, frozenset[int]], edges: set[tuple[int, int]],
+def drop_edge(adj: dict[int, frozenset[int]], edges: set[tuple[int, int]] | None,
               u: int, v: int) -> None:
     """Delete the edge uv."""
     _require_edge(adj, u, v)
-    adj[u], adj[v] = adj[u] - {v}, adj[v] - {u}
-    edges.remove((u, v) if u < v else (v, u))
+    adj[u] -= {v}
+    adj[v] -= {u}
+    if edges is not None:
+        edges.remove((u, v) if u < v else (v, u))
 
 
-def join_vertices(adj: dict[int, frozenset[int]], edges: set[tuple[int, int]],
+def join_vertices(adj: dict[int, frozenset[int]], edges: set[tuple[int, int]] | None,
                   u: int, v: int) -> None:
     """Add the edge uv between two present, non-adjacent vertices."""
     _require_vertex(adj, u)
@@ -234,11 +242,30 @@ def join_vertices(adj: dict[int, frozenset[int]], edges: set[tuple[int, int]],
     if v in adj[u]:
         raise ParameterError(f"edge ({u}, {v}) already present")
     u, v = int(u), int(v)
-    adj[u], adj[v] = adj[u] | {v}, adj[v] | {u}
-    edges.add((u, v) if u < v else (v, u))
+    adj[u] |= {v}
+    adj[v] |= {u}
+    if edges is not None:
+        edges.add((u, v) if u < v else (v, u))
 
 
-def fuse_vertices(adj: dict[int, frozenset[int]], edges: set[tuple[int, int]],
+def new_vertex(adj: dict[int, frozenset[int]], edges: set[tuple[int, int]] | None,
+               nb: frozenset[int]) -> int:
+    """Add a vertex one above the largest id (0 in an empty map), as
+    fresh_id names it, joined to the vertices of nb, which must be
+    present; so each new edge is (x, v).  Returns v.  The new vertex takes
+    its neighbors at once, since adding them one join at a time would
+    build a new set per join."""
+    v = max(adj, default=-1) + 1
+    add = frozenset((v,))
+    for x in nb:
+        adj[x] |= add
+    adj[v] = frozenset(nb)
+    if edges is not None:
+        edges.update([(x, v) for x in nb])
+    return v
+
+
+def fuse_vertices(adj: dict[int, frozenset[int]], edges: set[tuple[int, int]] | None,
                   v: int, w: int) -> int:
     """Replace v and w by one new vertex z adjacent to the neighbors of
     both; z is one above the largest id, so each new edge is (x, z).
@@ -248,22 +275,27 @@ def fuse_vertices(adj: dict[int, frozenset[int]], edges: set[tuple[int, int]],
     if v == w:
         raise ParameterError("identification needs two distinct vertices")
     z = max(adj) + 1
-    pair, new = {v, w}, {z}
     nv, nw = adj.pop(v), adj.pop(w)
-    edges -= {(v, x) if v < x else (x, v) for x in nv}
-    edges -= {(w, x) if w < x else (x, w) for x in nw}
-    around = (nv | nw) - pair
-    for x in around:
-        adj[x] = adj[x] - pair | new
-    adj[z] = around
-    edges |= {(x, z) for x in around}
+    # one symmetric difference per neighbor swaps its v, w or both for z
+    swap_v, swap_w, swap_both = frozenset((v, z)), frozenset((w, z)), frozenset((v, w, z))
+    for x in nv:
+        if x != w:
+            adj[x] ^= swap_both if x in nw else swap_v
+    for x in nw:
+        if x != v and x not in nv:
+            adj[x] ^= swap_w
+    adj[z] = around = (nv | nw) - {v, w}
+    if edges is not None:
+        edges.difference_update([(v, x) if v < x else (x, v) for x in nv])
+        edges.difference_update([(w, x) if w < x else (x, w) for x in nw])
+        edges.update([(x, z) for x in around])
     return z
 
 
 def edited(g: Graph, step, *args) -> tuple[Graph, int | None]:
     """g after step(adj, edges, *args) on copies of its neighbor map and
-    edges, and what the step returned: the new vertex of fuse_vertices,
-    else None."""
+    edges, and what the step returned: the new vertex of a step that
+    makes one, else None."""
     adj, edges = dict(g.adjacency()), set(g.edges)
     out = step(adj, edges, *args)
     return Graph._trusted(frozenset(adj), frozenset(edges), adj), out

@@ -81,7 +81,7 @@ def parse_minor_script(text: str) -> MinorScript:
 def apply_minor_script(g: Graph, script: MinorScript) -> Graph:
     """Replay a script of minor steps; failures name the 1-based step
     index.  An edge addition is refused: the result would not be a minor."""
-    return _replay(g, script, None)
+    return _replayed(g, script, None)
 
 
 def replay_lower_witness(g: Graph, script: MinorScript, value: int) -> Graph:
@@ -98,17 +98,25 @@ def replay_lower_witness(g: Graph, script: MinorScript, value: int) -> Graph:
     degree at least value, whose tree-width is at least its minimum degree,
     therefore proves tw(g) >= value.
     """
-    return _replay(g, script, value)
+    return _replayed(g, script, value)
 
 
-def _replay(g: Graph, script: MinorScript, value: int | None) -> Graph:
-    """Replay script from g and return the graph it leaves; edge additions
-    are checked against value, and refused when value is None.
-
-    Each step is one of the minor steps of graphs.py, applied to one
-    neighbor map and edge set, so a contraction fuses its ends into a new
-    vertex exactly as unary.contract_edge does."""
+def _replayed(g: Graph, script: MinorScript, value: int | None) -> Graph:
+    """The graph that script leaves, replayed on copies of g's neighbor
+    map and edges."""
     adj, edges = dict(g.adjacency()), set(g.edges)
+    _replay(adj, edges, script, value)
+    return Graph._trusted(frozenset(adj), frozenset(edges), adj)
+
+
+def _replay(adj: dict, edges: set[tuple[int, int]] | None, script: MinorScript,
+            value: int | None) -> None:
+    """Replay script on the neighbor map adj and its edges (None: the map
+    alone), in place; edge additions are checked against value, and
+    refused when value is None.
+
+    Each step is one of the minor steps of graphs.py, so a contraction
+    fuses its ends into a new vertex exactly as unary.contract_edge does."""
     for i, step in enumerate(script.steps, start=1):
         try:
             if step[0] == "a":
@@ -132,7 +140,6 @@ def _replay(g: Graph, script: MinorScript, value: int | None) -> Graph:
                 raise ParameterError(f"unknown minor step {step!r}")
         except ParameterError as exc:
             raise ScriptError(str(exc), step=i) from exc
-    return Graph._trusted(frozenset(adj), frozenset(edges), adj)
 
 
 def _connected_subsets(root_bit: int, allowed: int, adj: list[int], max_size: int):

@@ -36,6 +36,7 @@ from .graphs import (
     is_forest,
     join_vertices,
     max_degree,
+    new_vertex,
 )
 from .results import Result, check_host
 
@@ -116,8 +117,7 @@ def add_vertex(g: Graph, neighbors, d: Decomposition | None = None) -> Result:
     nb = frozenset(int(u) for u in neighbors)
     if not nb <= g.vertices:
         raise ParameterError("neighbors must be existing vertices")
-    v = fresh_id(g)
-    g2 = Graph(g.vertices | {v}, list(g.edges) + [(v, u) for u in nb])
+    g2, v = edited(g, new_vertex, nb)
     if isinstance(d, TreeDecomposition) and len(nb) == 1:
         # pendant vertex: one fresh bag keeps the width at max(w, 1)
         (u,) = nb
@@ -241,13 +241,16 @@ def forest_decomposition(g: Graph) -> TreeDecomposition:
     return TreeDecomposition(g, Graph(range(counter), tree_edges), bags)
 
 
+def _subdivide(adj: dict[int, frozenset[int]], edges: set[tuple[int, int]],
+               v: int, w: int) -> int:
+    """Step: replace the edge vw by a new vertex joined to v and w."""
+    drop_edge(adj, edges, v, w)
+    return new_vertex(adj, edges, frozenset((int(v), int(w))))
+
+
 def subdivide_edge(g: Graph, v: int, w: int, d: Decomposition | None = None) -> Result:
     check_host(g, d)
-    _require_edge(g.adjacency(), v, w)
-    u = fresh_id(g)
-    edges = [e for e in g.edges if e != ((v, w) if v < w else (w, v))]
-    edges += [(v, u), (u, w)]
-    g2 = Graph(g.vertices | {u}, edges)
+    g2, u = edited(g, _subdivide, v, w)
     if d is None:
         return Result(g2)
     wd = width(d)

@@ -9,6 +9,8 @@ contracts, the current one again after every contraction, so the frozen
 bound is the floor the current one must reach.  That search, LBN+, is
 minor-min-width's loop run with k; it must find a witness exactly where
 the frozen copy of its earlier, separate loop does, with the same steps.
+The peel, run with bound -1 as on the whole graph, must match the frozen
+simplicial peel, which has no bound.
 """
 
 import pytest
@@ -121,7 +123,7 @@ def test_peel_split_and_restrict(cases):
         full = (1 << len(masks)) - 1
         assert exact._components(masks, full) == frozen.components(masks, full), masks
         ours, theirs = list(masks), list(masks)
-        peeled = exact._peel_simplicial(ours)
+        peeled = exact._peel(ours, -1)
         assert peeled == frozen.peel_simplicial(theirs), masks
         assert ours == theirs, masks
         comps = exact._components(ours, peeled[2])

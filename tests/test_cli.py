@@ -107,10 +107,11 @@ class TestGenAndWidth:
         assert capsys.readouterr().out == "valid width 2\n"
 
     def test_width_cert_writes_the_lower_witness_of_the_bounds(self, tmp_path, capsys):
-        # C9 is settled by the plain bounds; the 9-vertex graph of seed 75
+        # the peel removes P4 whole, and its witness is a peeled edge; C9
+        # is settled by the plain bounds; the 9-vertex graph of seed 75
         # needs the 5-improved graph, so its witness adds edges
         improvable = random_graph(SplitMix64(75), 9, 5)
-        for g, value in ((cycle_graph(9), 2), (improvable, 5)):
+        for g, value in ((path_graph(4), 1), (cycle_graph(9), 2), (improvable, 5)):
             g_path = gr(tmp_path, g)
             td_path = tmp_path / "g.td"
             assert main(["width", g_path, "--param", "tw", "--cert", str(td_path)]) == 0

@@ -22,6 +22,7 @@ from twpw.graphs import (
     star_graph,
 )
 from twpw.harness import SplitMix64, random_graph
+from twpw.minors import MinorScript
 
 from smallgraphs import all_graphs_up_to
 
@@ -150,7 +151,12 @@ class TestCertificates:
     def test_report_fields(self):
         rep = exact_treewidth(path_graph(3))
         assert rep.parameter == "tw"
-        assert rep.method == "subset-DP"
+        # the peel removes the path whole, so no kernel runs; the peeled
+        # edge {1, 2} is the witness
+        assert rep.method == "bounds"
+        assert rep.lower_witness == MinorScript((("dv", 0),))
+        rep = exact_treewidth(cycle_graph(4))
+        assert (rep.method, rep.lower_witness) == ("subset-DP", None)
         rep = exact_pathwidth(path_graph(3))
         assert rep.parameter == "pw"
 

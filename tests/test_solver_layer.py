@@ -80,6 +80,24 @@ def seeded_graphs():
     return [random_graph(rng, n, p) for n in range(8, 17) for p in (2, 5, 8)]
 
 
+def almost_simplicial_graphs():
+    """Seeded graphs of 9 to 16 vertices, two per size and density 0.5
+    or 0.8, whose last vertex is almost simplicial: it is joined to both
+    ends of an edge and to a third vertex not adjacent to both."""
+    rng = SplitMix64(41)
+    graphs = []
+    for n in range(9, 17):
+        for p in (5, 8):
+            for _ in range(2):
+                base = random_graph(rng, n - 1, p)
+                edges = base.edges_sorted()
+                a, b = edges[rng.next_below(len(edges))]
+                w = next(u for u in base.vertices_sorted() if u not in (a, b)
+                         and not (base.has_edge(a, u) and base.has_edge(b, u)))
+                graphs.append(Graph(range(n), edges + [(a, n - 1), (b, n - 1), (w, n - 1)]))
+    return graphs
+
+
 class TestAgainstKernel:
     def test_every_atlas_graph(self):
         for g in all_graphs_up_to(7):
@@ -91,6 +109,23 @@ class TestAgainstKernel:
         assert any(is_connected(g) for g in graphs)
         for g in graphs:
             assert_matches_kernel(g)
+
+    def test_seeded_graphs_with_almost_simplicial_vertices(self, monkeypatch):
+        # how many vertices the peel removed from each component that the
+        # bounds left unsettled
+        removed = []
+        peel = exact._peel
+
+        def spy(adj, bound=-1):
+            out = peel(adj, bound)
+            if bound >= 0:
+                removed.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(exact, "_peel", spy)
+        for g in almost_simplicial_graphs():
+            assert_matches_kernel(g)
+        assert sum(k > 0 for k in removed) >= 5
 
     def test_random_trees(self):
         rng = SplitMix64(11)
@@ -111,13 +146,13 @@ def test_hypothesis_seeds_match_kernel(seed, n, p):
 
 
 def test_peeling_the_masks_leaves_the_graph_alone():
-    # _peel_simplicial removes vertices from its list in place; the graph
+    # _peel removes vertices from its list in place; the graph
     # hands out a fresh list of its cached masks each time
     g = HOUSE
     expected = exact_treewidth(Graph(g.vertices, g.edges))
     before = g.masks()
     peeled = g.masks()
-    exact._peel_simplicial(peeled)
+    exact._peel(peeled)
     assert peeled != before
     assert g.masks() == before
     report = exact_treewidth(g)
@@ -127,9 +162,9 @@ def test_peeling_the_masks_leaves_the_graph_alone():
 
 def test_simplicial_vertices():
     masks = HOUSE.masks()
-    assert [v for v in range(5) if exact._is_simplicial(masks, v)] == [4]
-    assert not exact._is_simplicial(cycle_graph(4).masks(), 0)
-    assert exact._is_simplicial(Graph([0]).masks(), 0)
+    assert [v for v in range(5) if exact._eliminable(masks, v, -1)] == [4]
+    assert not exact._eliminable(cycle_graph(4).masks(), 0, -1)
+    assert exact._eliminable(Graph([0]).masks(), 0, -1)
 
 
 @pytest.fixture
@@ -160,7 +195,7 @@ def dense_graph():
 class TestBranches:
     def test_tree_is_fully_reduced(self, kernel_calls):
         g = random_tree(SplitMix64(5), 12)
-        removed, low, alive = exact._peel_simplicial(g.masks())
+        removed, low, alive = exact._peel(g.masks())
         assert (len(removed), low, alive) == (12, 1, 0)
         assert exact_treewidth(g).value == 1
         assert kernel_calls["tw"] == []
@@ -170,20 +205,20 @@ class TestBranches:
         fan = Graph(range(10), [(0, v) for v in range(1, 10)]
                     + [(v, v + 1) for v in range(1, 9)])
         for g in (fan, complete_graph(16)):
-            assert exact._peel_simplicial(g.masks())[2] == 0
+            assert exact._peel(g.masks())[2] == 0
             assert_matches_kernel(g)
         assert kernel_calls["tw"] == []
 
     def test_reduced_graph_goes_to_the_kernel(self, kernel_calls):
         # the roof of the house is simplicial; the 4-cycle under it is not
-        assert exact._peel_simplicial(HOUSE.masks()) == ([4], 2, 0b1111)
+        assert exact._peel(HOUSE.masks()) == ([4], 2, 0b1111)
         assert exact_treewidth(HOUSE).value == 2
         assert kernel_calls["tw"] == [4]
 
     def test_dense_graph_goes_to_the_kernel_whole(self, kernel_calls):
         g = dense_graph()
         masks = g.masks()
-        assert exact._peel_simplicial(list(masks))[0] == []
+        assert exact._peel(list(masks))[0] == []
         value, order = BARE_TW(masks)
         report = exact_treewidth(g)
         assert report.value == value
@@ -205,9 +240,88 @@ class TestBranches:
         assert kernel_calls["pw"] == [3, 4, 8]
 
 
+# K_{4,4} on 0-3 and 4-7: no vertex of it is almost simplicial
+K44 = [(a, b) for a in range(4) for b in range(4, 8)]
+
+
+class TestBoundedPeel:
+    def test_almost_simplicial_vertex_goes_only_within_the_bound(self):
+        # 8 sees 0, 1 and 4; 4 is adjacent to 0 and 1, which are not
+        masks = Graph(range(9), K44 + [(0, 8), (1, 8), (4, 8)]).masks()
+        assert [v for v in range(9) if exact._eliminable(masks, v, 3)] == [8]
+        assert not any(exact._eliminable(masks, v, 2) for v in range(9))
+        assert exact._peel(list(masks), 2) == ([], 2, 0b111111111)
+        assert exact._peel(list(masks), 3) == ([8], 3, 0b11111111)
+
+    def test_fill_joins_w_to_the_other_neighbors(self):
+        masks = Graph(range(9), K44 + [(0, 8), (1, 8), (4, 8)]).masks()
+        exact._peel(masks, 3)
+        # 8 is contracted into 0 (or 1): the one missing pair is joined
+        assert masks[:8] == Graph(range(8), K44 + [(0, 1)]).masks()
+
+    def test_a_vertex_made_simplicial_by_fill_goes_next(self):
+        # 9 sees 0, 1 and 4 and has degree 3 > 2; the fill of 8, which
+        # sees 0 and 1 only, joins 0 and 1 and makes 9 simplicial
+        masks = Graph(range(10), K44 + [(0, 8), (1, 8), (0, 9), (1, 9), (4, 9)]).masks()
+        assert [v for v in range(10) if exact._eliminable(masks, v, 2)] == [8]
+        assert exact._peel(masks, 2) == ([8, 9], 3, 0b11111111)
+        assert masks[:8] == Graph(range(8), K44 + [(0, 1)]).masks()
+
+    def test_without_a_bound_only_simplicial_vertices_go(self):
+        for g in all_graphs_up_to(6):
+            masks = g.masks()
+            removed, low, alive = exact._peel(list(masks))
+            assert exact._peel(list(masks), -1) == (removed, low, alive)
+            assert all(exact._eliminable(masks, v, -1) == exact._is_clique(masks, masks[v])
+                       for v in range(g.n))
+
+    def test_a_component_the_peel_removes_is_settled_by_the_bound(self, kernel_calls):
+        # lo = 6 < hi = 7, and every vertex goes with degree at most 6
+        g = random_graph(SplitMix64(125), 9, 8)
+        masks = g.masks()
+        assert exact._peel(list(masks))[0] == []
+        hi = exact._min_fill(masks)[0]
+        lo, steps = exact._lower_bound(masks, hi)
+        assert (lo, hi) == (6, 7)
+        assert exact._peel(list(masks), lo)[1:] == (6, 0)
+        report = exact_treewidth(g)
+        assert (report.value, report.method) == (6, "bounds")
+        assert kernel_calls["tw"] == []
+        assert report.lower_witness == exact._lower_witness(g.vertices_sorted(), range(9), steps)
+        assert_lower_witness(report, g)
+
+    def test_a_clique_of_a_minor_is_the_witness_when_it_sets_the_value(self, kernel_calls):
+        # lo = 4 < hi = 5; after three contractions the peel meets a
+        # simplicial vertex of degree 5, so the graph left is K6
+        g = random_graph(SplitMix64(158), 9, 5)
+        masks = g.masks()
+        hi = exact._min_fill(masks)[0]
+        assert (exact._lower_bound(masks, hi)[0], hi) == (4, 5)
+        assert exact._peel(list(masks), 4)[1:] == (5, 0)
+        report = exact_treewidth(g)
+        assert (report.value, report.method) == (5, "bounds")
+        assert kernel_calls["tw"] == []
+        assert [step[0] for step in report.lower_witness.steps] == ["c", "c", "c"]
+        left = apply_minor_script(g, report.lower_witness)
+        assert (left.n, left.m) == (6, 15)
+        assert_lower_witness(report, g)
+
+    def test_the_kernel_sees_what_the_peel_leaves(self, kernel_calls):
+        # lo = 5 < hi = 6; the peel with bound 5 eliminates 2, then 6
+        g = random_graph(SplitMix64(77), 10, 5)
+        masks = g.masks()
+        assert exact._peel(list(masks))[0] == []
+        hi = exact._min_fill(masks)[0]
+        assert (exact._lower_bound(masks, hi)[0], hi) == (5, 6)
+        assert exact._peel(list(masks), 5) == ([2, 6], 5, 0b1110111011)
+        assert_matches_kernel(g)
+        assert kernel_calls["tw"] == [8]
+        assert exact_treewidth(g).method == "subset-DP"
+
+
 class TestTieBreaks:
     def test_highest_simplicial_vertex_goes_first(self):
-        assert exact._peel_simplicial(path_graph(5).masks()) == ([4, 3, 2, 1, 0], 1, 0)
+        assert exact._peel(path_graph(5).masks()) == ([4, 3, 2, 1, 0], 1, 0)
 
     def test_components_by_lowest_vertex_highest_first(self):
         g = Graph(range(6), [(0, 5), (1, 3), (2, 4)])
@@ -395,7 +509,7 @@ class TestImprovedGraph:
 
     def test_settled_by_the_improved_graph(self, kernel_calls):
         masks = IMPROVABLE.masks()
-        assert exact._peel_simplicial(list(masks))[0] == []
+        assert exact._peel(list(masks))[0] == []
         assert (exact._minor_min_width(masks)[0], exact._min_fill(masks)[0]) == (4, 5)
         report = exact_treewidth(IMPROVABLE)
         assert (report.value, report.method) == (5, "bounds")
@@ -450,9 +564,11 @@ def test_kernel_calls_over_the_solve_strata(kernel_calls):
     seeded graphs in the solve workload's strata.  The count depends only
     on the code, not on the host: 61 with minor-min-width alone as the
     lower bound, 49 with the graph improved once before contracting, 41
-    with it improved again after every contraction."""
+    with it improved again after every contraction, 40 once the peel
+    shrinks the components the bounds leave unsettled, one of them to
+    nothing."""
     rng = SplitMix64(1)
     for _ in range(10):
         for n, p in SOLVE_STRATA:
             exact_treewidth(random_graph(rng, n, p))
-    assert len(kernel_calls["tw"]) == 41
+    assert len(kernel_calls["tw"]) == 40

@@ -267,14 +267,6 @@ class TestBoundedPeel:
         assert exact._peel(masks, 2) == ([8, 9], 3, 0b11111111)
         assert masks[:8] == Graph(range(8), K44 + [(0, 1)]).masks()
 
-    def test_without_a_bound_only_simplicial_vertices_go(self):
-        for g in all_graphs_up_to(6):
-            masks = g.masks()
-            removed, low, alive = exact._peel(list(masks))
-            assert exact._peel(list(masks), -1) == (removed, low, alive)
-            assert all(exact._eliminable(masks, v, -1) == exact._is_clique(masks, masks[v])
-                       for v in range(g.n))
-
     def test_a_component_the_peel_removes_is_settled_by_the_bound(self, kernel_calls):
         # lo = 6 < hi = 7, and every vertex goes with degree at most 6
         g = random_graph(SplitMix64(125), 9, 8)

@@ -42,7 +42,11 @@ kernel has to see:
   removal order, then each component's order, which starts with the
   vertices its own peel eliminated.
 * Path-width runs the kernel on each connected component with more than
-  one vertex and concatenates the layouts.
+  one vertex and concatenates the layouts.  The kernel starts at the
+  component's minor-min-width bound (step 3 above): tree-width is at
+  most path-width, so no level below that bound can hold the component,
+  and the kernel builds none.  This moves only the layout's tie-breaks
+  below the bound, never the width.
 
 Every tie in the peel and the split goes to the highest vertex index:
 the highest simplicial vertex is removed first, and components are taken
@@ -254,10 +258,28 @@ def _check_lower_witness(g: Graph, value: int, script: MinorScript) -> None:
     `minors.replay_lower_witness` does; the graph it leaves must have
     minimum degree at least value, which proves tw(g) >= value.  Only the
     degrees are read, so the replay edits mutable copies of g's neighbor
-    sets in place and keeps no edge set."""
-    adj = {v: set(nb) for v, nb in g.adjacency().items()}
+    sets in place and keeps no edge set.
+
+    The leading run of vertex deletions, the whole of a witness that keeps
+    a peeled clique, is applied at once: only the vertices it leaves are
+    copied, and each deleted vertex is taken out of its neighbors' copies.
+    When the run names a vertex twice or one not in g, the whole script
+    is replayed instead, so its failure reads as it always has."""
+    nbrs, steps = g.adjacency(), script.steps
+    run = 0
+    while run < len(steps) and steps[run][0] == "dv":
+        run += 1
+    gone = {step[1] for step in steps[:run]}
+    if run and len(gone) == run and gone <= nbrs.keys():
+        adj = {v: set(nb) for v, nb in nbrs.items() if v not in gone}
+        for v in gone:
+            for x in nbrs[v]:
+                if x in adj:
+                    adj[x].remove(v)
+    else:
+        adj, run = {v: set(nb) for v, nb in nbrs.items()}, 0
     try:
-        _replay(adj, None, script, value)
+        _replay(adj, None, script, value, run)
     except ToolError as exc:
         raise InconsistencyError(f"tw lower witness does not replay: {exc}") from None
     if not adj or min(map(len, adj.values())) < value:
@@ -432,9 +454,11 @@ def _min_fill(adj: list[int]) -> tuple[int, list[int]]:
     largest degree a vertex has when it is eliminated, bounds the
     tree-width from above.  (-1, []) for the empty graph.
 
-    Keys are kept between steps: an elimination changes the fill only of
-    the eliminated vertex's neighbors and of their neighbors, so only
-    theirs are counted again.  Once the vertices left form a clique they
+    Keys are kept between steps: an elimination changes the neighborhoods
+    only of the eliminated vertex's neighbors, so only their fill is
+    counted again.  Any other vertex keeps its neighbors, and loses one
+    missing pair for each fill edge whose ends are both its neighbors,
+    which is taken off its key.  Once the vertices left form a clique they
     all tie, and the rest of the order is ascending.
     """
     n = len(adj)
@@ -445,6 +469,7 @@ def _min_fill(adj: list[int]) -> tuple[int, list[int]]:
     index = (1 << bits) - 1
     key = [0] * n
     gone = n * n << 2 * bits
+    pair = 2 << 2 * bits  # one missing pair, counted from both ends
     value, order = -1, []
     alive = stale = (1 << n) - 1  # stale: the vertices whose key is out of date
     for left in range(n, 0, -1):
@@ -472,14 +497,24 @@ def _min_fill(adj: list[int]) -> tuple[int, list[int]]:
         nb = rest = adj[pick]
         value = max(value, nb.bit_count())
         order.append(pick)
-        # completing nb changes the fill of its members and their neighbors
+        # completing nb changes the neighbors of its members; a vertex
+        # outside nb adjacent to both ends of a fill edge loses that pair
         stale = nb
         while rest:
             b = rest & -rest
             rest ^= b
             u = b.bit_length() - 1
+            fill = nb & ~adj[u] & -(b << 1)  # the fill edges to higher members
             adj[u] = (adj[u] | nb) & ~(b | 1 << pick)
-            stale |= adj[u]
+            outside = adj[u] & ~nb
+            while fill:
+                x = fill & -fill
+                fill ^= x
+                common = outside & adj[x.bit_length() - 1]
+                while common:
+                    w = common & -common
+                    common ^= w
+                    key[w.bit_length() - 1] -= pair
     return value, order
 
 
@@ -728,9 +763,15 @@ def exact_pathwidth(g: Graph) -> WidthReport:
     if g.n == 0:
         return WidthReport("pw", -1, trivial_path_decomposition(g))
     ids = g.vertices_sorted()
-    value, layout = _by_components(kernels.pathwidth_dp, g.masks(), (1 << g.n) - 1)
+    value, layout = _by_components(_pathwidth_above_bound, g.masks(), (1 << g.n) - 1)
     cert = layout_decomposition(g, [ids[i] for i in layout])
     return _finish(g, "pw", value, cert)
+
+
+def _pathwidth_above_bound(masks: list[int]) -> tuple[int, list[int]]:
+    """The path-width kernel on masks, started at their minor-min-width
+    bound: mmw <= tw <= pw."""
+    return kernels.pathwidth_dp(masks, _minor_min_width(masks)[0])
 
 
 def exact_width(g: Graph, parameter: str) -> WidthReport:

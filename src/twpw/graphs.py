@@ -274,7 +274,13 @@ def fuse_vertices(adj: dict[int, frozenset[int]], edges: set[tuple[int, int]] | 
     _require_vertex(adj, w)
     if v == w:
         raise ParameterError("identification needs two distinct vertices")
-    z = max(adj) + 1
+    return _fuse(adj, edges, v, w, max(adj) + 1)
+
+
+def _fuse(adj: dict[int, frozenset[int]], edges: set[tuple[int, int]] | None,
+          v: int, w: int, z: int) -> int:
+    """fuse_vertices for two distinct present vertices, with the new id z,
+    one above the largest id, found by the caller."""
     nv, nw = adj.pop(v), adj.pop(w)
     # one symmetric difference per neighbor swaps its v, w or both for z
     swap_v, swap_w, swap_both = frozenset((v, z)), frozenset((w, z)), frozenset((v, w, z))

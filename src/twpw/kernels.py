@@ -15,6 +15,11 @@ n vertices is one Python int of 2^n bits whose bit S is set when the subset
 with mask S belongs to it (at most 8 KB at n = 16).  One big-int operation
 then acts on all subsets at once: & and | intersect and unite families,
 and shifting a family that avoids v left by 2^v adds v to each member.
+It can start from a lower bound the caller knows, since the families
+below the path-width only lead up to it; skipping them changes only the
+layout's tie-breaks below that bound.  The solver layer passes the
+minor-min-width bound, a tree-width bound, and tree-width is at most
+path-width.
 The one-subset-at-a-time loops of both recurrences are kept in
 tests/test_kernels.py (per_vertex_treewidth_dp, loop_pathwidth_dp) as the
 readable oracles both values and orders are checked against.
@@ -174,7 +179,7 @@ def treewidth_dp(masks: list[int]) -> tuple[int, list[int]]:
     return value[full], order
 
 
-def pathwidth_dp(masks: list[int]) -> tuple[int, list[int]]:
+def pathwidth_dp(masks: list[int], start: int = 0) -> tuple[int, list[int]]:
     """Exact path-width via the vertex separation number.
 
     value[S] = max(boundary(S), min over v in S of value[S - v]), with
@@ -195,21 +200,35 @@ def pathwidth_dp(masks: list[int]) -> tuple[int, list[int]]:
     second look, since every subset it added holds it.  The first k whose
     family holds V is the path-width.
 
+    start, a lower bound on the path-width that the caller knows, skips
+    the levels below it: F_start is built at once as the closure of {empty
+    set} under LE_start, which is the same family, since every member of
+    F_start is reached from the empty set through members of F_start.  A
+    start outside 0..n-1 (other than 0 for the empty graph) is refused
+    with ValueError before any table is sized.
+
     The layout is read back from the stored families: from V, repeatedly
-    remove the lowest-index v minimising value[S - v].  That minimum never
-    rises along the way: the next set S - v has value[S - v] equal to it,
-    and value[S - v] is at least the next minimum by the recurrence.  So its
-    level k is found by walking down from the last one: k drops while some
-    S - v lies in F_{k-1}, and the removed v is the lowest one with S - v
-    in F_k.
+    remove the lowest-index v minimising value[S - v], or, once that
+    minimum is at most start, the lowest v with S - v in F_start.  That
+    minimum never rises along the way: the next set S - v has value[S - v]
+    equal to it, and value[S - v] is at least the next minimum by the
+    recurrence.  So its level k is found by walking down from the last
+    one: k drops while k > start and some S - v lies in F_{k-1}, and the
+    removed v is the lowest one with S - v in F_k.  Every set on the way
+    lies in the family of its level, so the layout's vertex separation is
+    the path-width whatever start is; only its tie-breaks below start
+    depend on it.
 
     A clique, a single edge included, is answered without the families:
     there boundary(S) = |S| for every S but V, so value[S] = |S| and
     value[V] = n - 1, every S - v ties, and the read-back removes 0, 1,
-    ..., n - 1 in turn, so the layout places n - 1 first and 0 last.
+    ..., n - 1 in turn, so the layout places n - 1 first and 0 last.  The
+    families are skipped whatever start is.
     Returns (path-width, placement order), (-1, []) for the empty graph.
     """
     n = _check_masks(masks)
+    if not 0 <= start <= max(n - 1, 0):
+        raise ValueError(f"start {start} is outside 0..{max(n - 1, 0)}")
     if n == 0:
         return -1, []
     full = (1 << n) - 1
@@ -238,6 +257,8 @@ def pathwidth_dp(masks: list[int]) -> tuple[int, list[int]]:
         for i, c in enumerate(counter):
             exactly_k &= c if k >> i & 1 else everything ^ c
         at_most_k |= exactly_k
+        if k < start:
+            continue
         stable = v = 0  # vertices applied in a row without adding a subset
         while stable < n:
             grown = family | ((family & lacks[v]) << (1 << v)) & at_most_k
@@ -262,7 +283,7 @@ def pathwidth_dp(masks: list[int]) -> tuple[int, list[int]]:
         order.append(low.bit_length() - 1)
         s ^= low
     order.reverse()
-    return len(families) - 1, order
+    return start + len(families) - 1, order
 
 
 def _lacking(n: int) -> list[int]:

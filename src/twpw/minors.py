@@ -15,6 +15,7 @@ from .errors import CapabilityError, FormatError, ParameterError, ScriptError
 from .fileformats import _numeral
 from .graphs import (
     Graph,
+    _fuse,
     _require_edge,
     complete_graph,
     drop_edge,
@@ -110,14 +111,18 @@ def _replayed(g: Graph, script: MinorScript, value: int | None) -> Graph:
 
 
 def _replay(adj: dict, edges: set[tuple[int, int]] | None, script: MinorScript,
-            value: int | None) -> None:
+            value: int | None, skip: int = 0) -> None:
     """Replay script on the neighbor map adj and its edges (None: the map
     alone), in place; edge additions are checked against value, and
-    refused when value is None.
+    refused when value is None.  The first skip steps are left out, as
+    already applied, and the steps keep their numbers.
 
     Each step is one of the minor steps of graphs.py, so a contraction
-    fuses its ends into a new vertex exactly as unary.contract_edge does."""
-    for i, step in enumerate(script.steps, start=1):
+    fuses its ends into a new vertex exactly as unary.contract_edge does,
+    one above the largest id.  That id is kept as the steps go, and found
+    again only when a deletion removes the vertex that holds it."""
+    top = max(adj, default=-1)
+    for i, step in enumerate(script.steps[skip:], start=skip + 1):
         try:
             if step[0] == "a":
                 if value is None:
@@ -133,9 +138,12 @@ def _replay(adj: dict, edges: set[tuple[int, int]] | None, script: MinorScript,
                 drop_edge(adj, edges, step[1], step[2])
             elif step[0] == "c":
                 _require_edge(adj, step[1], step[2])
-                fuse_vertices(adj, edges, step[1], step[2])
+                top += 1
+                _fuse(adj, edges, step[1], step[2], top)
             elif step[0] == "dv":
                 drop_vertex(adj, edges, step[1])
+                if step[1] == top:
+                    top = max(adj, default=-1)
             else:
                 raise ParameterError(f"unknown minor step {step!r}")
         except ParameterError as exc:

@@ -10,6 +10,9 @@ from them.  ``_members`` and ``_is_simplicial`` are copied too, so a
 rewrite of either cannot change both sides of a differential test.
 ``lbn_plus`` is LBN+ as its own loop, before it became minor-min-width's
 loop run with k, with the incremental ``_improved`` it called.
+``min_fill_by_recount`` is min-fill as it was before its keys were kept
+by delta: after each elimination it counts again the fill of every
+neighbor of the eliminated vertex and of their neighbors.
 """
 
 
@@ -92,6 +95,47 @@ def min_fill(adj):
         alive ^= 1 << pick
         for u in _members(nb):
             adj[u] = (adj[u] | nb) & ~(1 << u | 1 << pick)
+    return value, order
+
+
+def min_fill_by_recount(adj):
+    n = len(adj)
+    adj = list(adj)
+    bits = n.bit_length()
+    index = (1 << bits) - 1
+    key = [0] * n
+    gone = n * n << 2 * bits
+    value, order = -1, []
+    alive = stale = (1 << n) - 1
+    for left in range(n, 0, -1):
+        while stale:
+            b = stale & -stale
+            stale ^= b
+            v = b.bit_length() - 1
+            nb = rest = adj[v]
+            missing = -nb.bit_count()
+            while rest:
+                u = rest & -rest
+                rest ^= u
+                missing += (nb & ~adj[u.bit_length() - 1]).bit_count()
+            key[v] = (missing << bits | nb.bit_count()) << bits | v
+        best = min(key)
+        if best >> bits == left - 1:
+            order.extend(_members(alive))
+            return max(value, left - 1), order
+        pick = best & index
+        key[pick] = gone
+        alive ^= 1 << pick
+        nb = rest = adj[pick]
+        value = max(value, nb.bit_count())
+        order.append(pick)
+        stale = nb
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            u = b.bit_length() - 1
+            adj[u] = (adj[u] | nb) & ~(b | 1 << pick)
+            stale |= adj[u]
     return value, order
 
 

@@ -50,6 +50,12 @@ def test_min_fill(cases):
         assert exact._min_fill(masks) == frozen.min_fill(masks), masks
 
 
+def test_min_fill_keys_by_delta(cases):
+    """Keys kept by delta give the orders of keys counted again."""
+    for masks in cases:
+        assert exact._min_fill(masks) == frozen.min_fill_by_recount(masks), masks
+
+
 def test_minor_min_width(cases):
     for masks in cases:
         assert exact._minor_min_width(masks) == frozen.minor_min_width(masks), masks

@@ -57,9 +57,12 @@ def test_sweep_check_values(tmp_path):
 # unary operation and its decomposition transformer were still two
 # functions, and again when the certificate builders stopped writing bags
 # nested in a neighbor's (every graph, claim and error unchanged, every
-# carried decomposition valid; only .td text moved)
+# carried decomposition valid; only .td text moved), and when the
+# path-width kernel began at the minor-min-width bound (5 of 192 records
+# changed, each only in the .td text of a decomposition carried from a
+# path-width certificate, every one valid at its old width)
 CARRIED_SHA256 = (
-    "7da5acc10e49532a28e7f0d9aad5c6cf0dce22980576daebe4a7b6a4a7fc9812"
+    "fc555e9abc8c19437f4232b39ec47c603efcb619e73c417a426c6ccc03066de6"
 )
 
 
@@ -110,9 +113,12 @@ def test_carried_decompositions():
 # components the bounds leave unsettled (all 72 tw and pw values
 # unchanged; 13 witnesses added: 11 graphs the peel removes whole, 2 with
 # a component it removes whole; 4 kernel-decided tw certificates changed,
-# all valid; every other record unchanged)
+# all valid; every other record unchanged), and when the path-width kernel
+# began at the minor-min-width bound (38 of 72 records changed, each only
+# in its pw certificate, whose layout breaks ties differently below that
+# bound; every value, tw certificate and witness unchanged)
 SOLVER_OUTPUTS_SHA256 = (
-    "c504b4aa3af590659c6f0a906928d4453835ca0d505e8bf8e1e1760ecc01f926"
+    "88ea90fd1ed499088179713739258ac10a6b3c78b6e97898dfe15a06839ec022"
 )
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twpw import kernels
+from twpw import exact, kernels
 from twpw.graphs import Graph, complete_graph, is_connected, path_graph
 from twpw.harness import SplitMix64, random_graph
 
@@ -168,6 +168,12 @@ def loop_pathwidth_dp(masks):
     return value[full], order
 
 
+def seeded_graphs():
+    """G(n, p) draws of 8 to 16 vertices, some of them disconnected."""
+    rng = SplitMix64(29)
+    return [random_graph(rng, n, p) for n in range(8, 17) for p in (2, 5, 8)]
+
+
 class TestPathwidthAgainstLoopOracle:
     def test_every_atlas_graph(self):
         for g in all_graphs_up_to(7):
@@ -175,14 +181,11 @@ class TestPathwidthAgainstLoopOracle:
             assert kernels.pathwidth_dp(masks) == loop_pathwidth_dp(masks), masks
 
     def test_seeded_graphs_up_to_16_vertices(self):
-        rng = SplitMix64(29)
         disconnected = 0
-        for n in range(8, 17):
-            for p in (2, 5, 8):
-                g = random_graph(rng, n, p)
-                disconnected += not is_connected(g)
-                masks = g.masks()
-                assert kernels.pathwidth_dp(masks) == loop_pathwidth_dp(masks), masks
+        for g in seeded_graphs():
+            disconnected += not is_connected(g)
+            masks = g.masks()
+            assert kernels.pathwidth_dp(masks) == loop_pathwidth_dp(masks), masks
         assert disconnected > 0
 
     @pytest.mark.parametrize("g", [Graph(range(16)), path_graph(16), complete_graph(16)],
@@ -209,6 +212,54 @@ class TestPathwidthAgainstLoopOracle:
 def test_pathwidth_matches_loop_oracle(seed, n, p):
     masks = random_graph(SplitMix64(seed), n, p).masks()
     assert kernels.pathwidth_dp(masks) == loop_pathwidth_dp(masks)
+
+
+def vertex_separation(masks, layout):
+    """The most placed vertices with a neighbor not yet placed, over the
+    prefixes of layout."""
+    placed = worst = 0
+    for v in layout:
+        placed |= 1 << v
+        worst = max(worst, sum(1 for u in range(len(masks))
+                               if placed >> u & 1 and masks[u] & ~placed))
+    return worst
+
+
+START_GRAPHS = [g for g in all_graphs_up_to(7) + seeded_graphs() if g.n]
+
+
+class TestStart:
+    """pathwidth_dp(masks, start) builds no family below start: any start
+    up to the path-width gives the path-width, and a layout of it; start 0
+    gives the loop oracle's layout too."""
+
+    def test_every_start_up_to_the_pathwidth(self):
+        for g in START_GRAPHS:
+            masks = g.masks()
+            pw, order = loop_pathwidth_dp(masks)
+            assert kernels.pathwidth_dp(masks, 0) == (pw, order), masks
+            for start in range(1, pw + 1):
+                value, layout = kernels.pathwidth_dp(masks, start)
+                assert value == pw, (masks, start)
+                assert sorted(layout) == list(range(g.n)), (masks, start)
+                assert vertex_separation(masks, layout) == pw, (masks, start)
+
+    def test_start_outside_the_vertices_refused_before_a_table_is_sized(self, monkeypatch):
+        def sized(n):
+            raise AssertionError("a table was sized")
+
+        monkeypatch.setattr(kernels, "_lacking", sized)
+        for g in START_GRAPHS[::25] + [complete_graph(16), path_graph(16)]:
+            for start in (-1, g.n, 1 << 40):
+                with pytest.raises(ValueError, match=f"start {start} is outside 0..{g.n - 1}"):
+                    kernels.pathwidth_dp(g.masks(), start)
+        with pytest.raises(ValueError, match="start 1 is outside 0..0"):
+            kernels.pathwidth_dp([], 1)
+
+    def test_minor_min_width_is_at_most_the_pathwidth(self):
+        for g in START_GRAPHS:
+            masks = g.masks()
+            assert exact._minor_min_width(masks)[0] <= kernels.pathwidth_dp(masks)[0], masks
 
 
 class TestSizeGuard:

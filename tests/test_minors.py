@@ -282,6 +282,18 @@ class TestReplayAgainstFrozen:
                     assert_replays_as_frozen(g, broken(rng, g, script), None)
         assert found
 
+    @pytest.mark.parametrize("steps", [
+        (("dv", 5), ("c", 0, 1)),
+        (("c", 0, 1), ("dv", 6), ("dv", 5), ("c", 2, 3), ("c", 4, 5)),
+        (("dv", 2), ("c", 0, 1), ("c", 6, 5), ("dv", 7), ("c", 3, 4)),
+        (("c", 4, 5), ("dv", 3), ("dv", 6), ("c", 0, 1), ("c", 3, 2)),
+    ])
+    def test_fused_names_after_deleting_the_largest_vertex(self, steps):
+        """A contraction's vertex is one above the largest id left, also
+        after a deletion of the vertex that held it."""
+        got = assert_replays_as_frozen(cycle_graph(6), MinorScript(steps), None)
+        assert got[0] is not ScriptError
+
     @pytest.mark.parametrize("steps, value", [
         ((("dv", 9),), None),  # missing vertex
         ((("dv", 1), ("d", 0, 1)), None),

@@ -258,28 +258,10 @@ def _check_lower_witness(g: Graph, value: int, script: MinorScript) -> None:
     `minors.replay_lower_witness` does; the graph it leaves must have
     minimum degree at least value, which proves tw(g) >= value.  Only the
     degrees are read, so the replay edits mutable copies of g's neighbor
-    sets in place and keeps no edge set.
-
-    The leading run of vertex deletions, the whole of a witness that keeps
-    a peeled clique, is applied at once: only the vertices it leaves are
-    copied, and each deleted vertex is taken out of its neighbors' copies.
-    When the run names a vertex twice or one not in g, the whole script
-    is replayed instead, so its failure reads as it always has."""
-    nbrs, steps = g.adjacency(), script.steps
-    run = 0
-    while run < len(steps) and steps[run][0] == "dv":
-        run += 1
-    gone = {step[1] for step in steps[:run]}
-    if run and len(gone) == run and gone <= nbrs.keys():
-        adj = {v: set(nb) for v, nb in nbrs.items() if v not in gone}
-        for v in gone:
-            for x in nbrs[v]:
-                if x in adj:
-                    adj[x].remove(v)
-    else:
-        adj, run = {v: set(nb) for v, nb in nbrs.items()}, 0
+    sets in place and keeps no edge set."""
+    adj = {v: set(nb) for v, nb in g.adjacency().items()}
     try:
-        _replay(adj, None, script, value, run)
+        _replay(adj, None, script, value)
     except ToolError as exc:
         raise InconsistencyError(f"tw lower witness does not replay: {exc}") from None
     if not adj or min(map(len, adj.values())) < value:

@@ -111,18 +111,17 @@ def _replayed(g: Graph, script: MinorScript, value: int | None) -> Graph:
 
 
 def _replay(adj: dict, edges: set[tuple[int, int]] | None, script: MinorScript,
-            value: int | None, skip: int = 0) -> None:
+            value: int | None) -> None:
     """Replay script on the neighbor map adj and its edges (None: the map
     alone), in place; edge additions are checked against value, and
-    refused when value is None.  The first skip steps are left out, as
-    already applied, and the steps keep their numbers.
+    refused when value is None.
 
     Each step is one of the minor steps of graphs.py, so a contraction
     fuses its ends into a new vertex exactly as unary.contract_edge does,
     one above the largest id.  That id is kept as the steps go, and found
     again only when a deletion removes the vertex that holds it."""
     top = max(adj, default=-1)
-    for i, step in enumerate(script.steps[skip:], start=skip + 1):
+    for i, step in enumerate(script.steps, start=1):
         try:
             if step[0] == "a":
                 if value is None:

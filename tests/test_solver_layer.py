@@ -318,15 +318,15 @@ class TestTieBreaks:
     def test_components_by_lowest_vertex_highest_first(self):
         g = Graph(range(6), [(0, 5), (1, 3), (2, 4)])
         assert exact._components(g.masks(), 0b111111) == [0b10100, 0b1010, 0b100001]
-        value, layout = exact._by_components(kernels.pathwidth_dp, g.masks(), 0b111111)
+        value, layout = exact._by_components(exact._pathwidth_above_bound, g.masks(), 0b111111)
         assert (value, layout) == (1, [4, 2, 3, 1, 5, 0])
 
     def test_connected_graph_keeps_the_kernel_layout(self):
         g = dense_graph()
         masks = g.masks()
         everything = (1 << g.n) - 1
-        assert (exact._by_components(kernels.pathwidth_dp, masks, everything)
-                == kernels.pathwidth_dp(masks))
+        assert (exact._by_components(exact._pathwidth_above_bound, masks, everything)
+                == kernels.pathwidth_dp(masks, exact._minor_min_width(masks)[0]))
 
 
 def assert_bounds_enclose(g):
@@ -438,65 +438,6 @@ class TestBounds:
         monkeypatch.setattr(exact, "_lower_witness", lambda ids, keep, steps: MinorScript(()))
         with pytest.raises(InconsistencyError, match="does not reach"):
             exact_treewidth(grid_graph(3, 3))
-
-
-def witness_check_outcome(g, value, script):
-    """What exact._check_lower_witness makes of script: None or its message."""
-    try:
-        exact._check_lower_witness(g, value, script)
-    except InconsistencyError as exc:
-        return str(exc)
-    return None
-
-
-def full_replay_outcome(g, value, script):
-    """The same verdict, and message, read off the whole script replayed."""
-    try:
-        left = replay_lower_witness(g, script, value)
-    except ScriptError as exc:
-        return f"tw lower witness does not replay: {exc}"
-    if not left.n or min_degree(left) < value:
-        return f"tw lower witness does not reach value {value}"
-    return None
-
-
-def leading_deletion_variants(g, script):
-    """script, and copies whose leading vertex deletions name a vertex
-    twice, one not in g, one fewer or one more."""
-    steps = list(script.steps)
-    run = next((i for i, step in enumerate(steps) if step[0] != "dv"), len(steps))
-    deleted = {step[1] for step in steps[:run]}
-    kept = sorted(g.vertices - deleted)
-    yield script
-    if run:
-        yield MinorScript((steps[0], *steps))
-        yield MinorScript((("dv", max(g.vertices) + 1), *steps[1:]))
-        yield MinorScript(tuple(steps[1:]))
-        yield MinorScript((*steps[:run], steps[0], *steps[run:]))
-    if kept:
-        yield MinorScript((("dv", kept[0]), *steps))
-
-
-class TestWitnessCheckShortcut:
-    """The witness check applies a script's leading vertex deletions at
-    once; its verdicts and messages are those of the whole replay."""
-
-    def test_same_verdicts_as_the_whole_replay(self):
-        peel_only = 0
-        for seed in range(1, 4):
-            for n in range(9, 15):
-                for p in (2, 5, 8):
-                    g = random_graph(SplitMix64(seed), n, p)
-                    report = exact_treewidth(g)
-                    if report.lower_witness is None:
-                        continue
-                    script = report.lower_witness
-                    peel_only += all(step[0] == "dv" for step in script.steps)
-                    for value in (report.value, report.value + 1):
-                        for variant in leading_deletion_variants(g, script):
-                            assert (witness_check_outcome(g, value, variant)
-                                    == full_replay_outcome(g, value, variant)), (g, variant)
-        assert peel_only
 
 
 # 9 vertices without a simplicial vertex: minor-min-width gives 4 and

@@ -31,12 +31,18 @@ kernel has to see:
      "Preprocessing rules for triangulation of probabilistic networks",
      Computational Intelligence 2005).  Every vertex eliminated has degree
      at most low, lo raised by the degrees of the simplicial ones, and
-     low <= tw, so tw = max(low, tw of what is left).  When nothing is
-     left, the component is settled at low.  Smaller components skip
-     this step so that their certificates stay the kernel's, which the
-     golden pins of the tests are built on; the bounds would cost less
-     there, not more (README, "Solver layer").
+     low <= tw, so tw = max(low, tw of what is left).  The peel records
+     low's witness as it eliminates.  When nothing is left, the component
+     is settled at low.  Smaller components skip this step so that their
+     certificates stay the kernel's, which the golden pins of the tests
+     are built on; the bounds would cost less there, not more (README,
+     "Solver layer").
   4. Run the kernel on every component left.
+
+  `_by_components` is the one loop over components, for both widths.
+  Tree-width runs it on what the first peel leaves, settling each
+  component as in step 3, and on what a component's own peel leaves,
+  giving each part to the kernel.
 
   The certificate is one elimination order: the simplicial vertices in
   removal order, then each component's order, which starts with the
@@ -78,7 +84,9 @@ peeled simplicial vertex gives the value, the script deletes every
 vertex outside that vertex's clique instead; when the peel had
 contracted vertices before it, the script first replays the peel's
 eliminations up to that vertex, contractions and deletions, since the
-clique is one of the graph they leave.
+clique is one of the graph they leave.  The peel records these steps as
+it eliminates and notes the vertex that last raised its bound with its
+clique (see `_peel`); nothing replays the peel afterwards.
 
 Certificates and lower witnesses are checked before they are returned; a
 certificate whose width disagrees with the computed value, or a witness
@@ -295,9 +303,11 @@ def _is_clique(adj: list[int], mask: int) -> bool:
     return True
 
 
-def _eliminable(adj: list[int], v: int, bound: int) -> bool:
-    """True when v is simplicial, or almost simplicial with degree at most
-    bound: all its neighbors but one, w, pairwise adjacent."""
+def _eliminable(adj: list[int], v: int, bound: int) -> int:
+    """The bit of the vertex that v goes into when it is eliminated: v's
+    own when v is simplicial; the lowest w when v is almost simplicial
+    with degree at most bound, that is all its neighbors but w pairwise
+    adjacent; 0 when v cannot be eliminated."""
     nb = rest = adj[v]
     while rest:
         b = rest & -rest
@@ -305,11 +315,13 @@ def _eliminable(adj: list[int], v: int, bound: int) -> bool:
         missing = (nb & ~adj[b.bit_length() - 1]) ^ b
         if missing:
             # every non-adjacent pair of neighbors holds w, so w is b, or
-            # the one neighbor that b misses
-            return nb.bit_count() <= bound and (
-                _is_clique(adj, nb ^ b)
-                or (missing & (missing - 1) == 0 and _is_clique(adj, nb ^ missing)))
-    return True
+            # the one neighbor that b misses, which is above b
+            if nb.bit_count() > bound:
+                return 0
+            if _is_clique(adj, nb ^ b):
+                return b
+            return missing if missing & (missing - 1) == 0 and _is_clique(adj, nb ^ missing) else 0
+    return 1 << v
 
 
 def _eliminate(adj: list[int], v: int) -> list[tuple[int, int]]:
@@ -328,31 +340,47 @@ def _eliminate(adj: list[int], v: int) -> list[tuple[int, int]]:
     return joined
 
 
-def _peel(adj: list[int], bound: int = -1) -> tuple[list[int], int, int]:
+def _peel(adj: list[int], bound: int = -1) -> tuple[list[int], int, int, tuple | None]:
     """Eliminate from adj in place, highest index first, every simplicial
     vertex and every almost-simplicial vertex of degree at most bound,
     while any is left.
 
-    Returns the eliminated vertices in order, bound raised to the largest
-    degree one had when it was eliminated, and the mask of the vertices
-    left.  Eliminating an almost-simplicial v joins w to v's other
-    neighbors, which is contracting v into w.  An elimination changes the
-    neighborhoods of v's neighbors only, and joins only pairs of them, so
-    only they and the common neighbors of a joined pair are tested again.
-    With bound -1 only simplicial vertices go, and no pair is joined.
+    Returns the eliminated vertices in order, low: bound raised to the
+    largest degree one had when it was eliminated, the mask of the
+    vertices left, and the (keep, steps) of a lower witness for low when
+    low > bound, else None.  Eliminating an almost-simplicial v joins w
+    to v's other neighbors, which is contracting v into w.  An elimination
+    changes the neighborhoods of v's neighbors only, and joins only pairs
+    of them, so only they and the common neighbors of a joined pair are
+    tested again.  With bound -1 only simplicial vertices go, and no pair
+    is joined.
+
+    Each elimination is a minor step: ("dv", v) for a simplicial v, ("c",
+    v, w) for an almost-simplicial one.  The vertex that last raised low
+    was simplicial, so with its neighbors it made a clique of the graph
+    the steps before it left.  When none of them contracted, that clique
+    is one of adj: keep is the clique and there are no steps.  Otherwise
+    keep is every vertex, and the steps are those before it, then the
+    deletion of every vertex outside the clique.
     """
+    into = [0] * len(adj)  # the bit of the vertex each ready vertex goes into
     alive = (1 << len(adj)) - 1
     ready = 0
     for v in range(len(adj)):
-        if _eliminable(adj, v, bound):
+        into[v] = _eliminable(adj, v, bound)
+        if into[v]:
             ready |= 1 << v
-    removed, low = [], bound
+    removed, low, steps, raised = [], bound, [], None
     while ready:
         v = ready.bit_length() - 1
         alive ^= 1 << v
         removed.append(v)
         stale = adj[v]
-        low = max(low, stale.bit_count())
+        if stale.bit_count() > low:
+            low = stale.bit_count()
+            raised = len(steps), stale | 1 << v, alive
+        w = into[v]
+        steps.append(("dv", v) if w == 1 << v else ("c", v, w.bit_length() - 1))
         for u, gains in _eliminate(adj, v):
             while gains:
                 b = gains & -gains
@@ -362,9 +390,17 @@ def _peel(adj: list[int], bound: int = -1) -> tuple[list[int], int, int]:
         while stale:
             b = stale & -stale
             stale ^= b
-            if _eliminable(adj, b.bit_length() - 1, bound):
+            u = b.bit_length() - 1
+            into[u] = _eliminable(adj, u, bound)
+            if into[u]:
                 ready |= b
-    return removed, low, alive
+    if low == bound:
+        return removed, low, alive, None
+    count, clique, left = raised
+    if not any(step[0] == "c" for step in steps[:count]):
+        return removed, low, alive, (_members(clique), [])
+    return removed, low, alive, (
+        list(range(len(adj))), steps[:count] + [("dv", u) for u in _members(left & ~clique)])
 
 
 def _components(adj: list[int], alive: int) -> list[int]:
@@ -413,18 +449,30 @@ def _restrict(adj: list[int], members: list[int]) -> list[int]:
     return out
 
 
-def _by_components(kernel, adj: list[int], alive: int) -> tuple[int, list[int]]:
-    """Width and order, by index, from kernel run on each component of the
-    graph on alive, components by lowest vertex, highest first; a
-    one-vertex component has width 0 without a kernel call.  (-1, []) when
-    alive is empty."""
-    value, order = -1, []
+def _by_components(settle, adj: list[int], alive: int, value: int = -1,
+                   lower: tuple | None = None) -> tuple[int, list[int], tuple | None]:
+    """Width, order and lower witness, by index, from settle run on each
+    component of the graph on alive, components by lowest vertex, highest
+    first.
+
+    settle returns a component's width, order and the (keep, steps) of its
+    lower witness, or None when a kernel decided it.  A one-vertex
+    component has width 0 and the witness ([0], []) without a call.  The
+    width starts at value, witnessed by lower, and a component wider than
+    every part before it brings its own witness; the witness is None once
+    any kernel ran.  (value, [], lower) when alive is empty."""
+    order, ran = [], False
     for comp in _components(adj, alive):
         members = _members(comp)
-        part, sub = kernel(_restrict(adj, members)) if len(members) > 1 else (0, [0])
-        value = max(value, part)
+        part, sub, witness = (settle(_restrict(adj, members)) if len(members) > 1
+                              else (0, [0], ([0], [])))
         order.extend(members[i] for i in sub)
-    return value, order
+        if witness is None:
+            ran = True
+        elif part > value:
+            lower = [members[i] for i in witness[0]], witness[1]
+        value = max(value, part)
+    return value, order, None if ran else lower
 
 
 def _min_fill(adj: list[int]) -> tuple[int, list[int]]:
@@ -639,57 +687,25 @@ def _settle_component(masks: list[int]) -> tuple[int, list[int], tuple | None]:
     leave lo < hi, the peel with bound lo shrinks it before the kernel
     sees what is left: each vertex it eliminates has degree at most low,
     the bound it returns, and lo <= low <= tw, so tw = max(low, tw(rest)).
-    When the peel leaves nothing, tw = low, witnessed by lo's steps or,
-    when low > lo, by the clique of a simplicial vertex it eliminated."""
+    low is witnessed by lo's steps, or, when low > lo, by the witness the
+    peel recorded; when the peel leaves nothing, that witness settles the
+    component at low."""
     if len(masks) < BOUNDS_MIN_VERTICES:
-        value, order = kernels.treewidth_dp(masks)
-        return value, order, None
+        return _treewidth_kernel(masks)
     hi, order = _min_fill(masks)
     lo, steps = _lower_bound(masks, hi)
     if lo == hi:
         return hi, order, (range(len(masks)), steps)
     adj = list(masks)
-    removed, low, alive = _peel(adj, lo)
-    if not alive:
-        if low == lo:
-            return low, removed, (range(len(masks)), steps)
-        return low, removed, _peeled_clique(masks, removed, low)
-    value, rest = _by_components(kernels.treewidth_dp, adj, alive)
-    return max(low, value), removed + rest, None
+    removed, low, alive, peeled = _peel(adj, lo)
+    value, rest, witness = _by_components(_treewidth_kernel, adj, alive, low,
+                                          peeled or (range(len(masks)), steps))
+    return value, removed + rest, witness
 
 
-def _peeled_clique(masks: list[int], removed: list[int],
-                   degree: int) -> tuple[list[int], list[tuple]]:
-    """The (keep, steps) of a lower witness for degree: the first vertex
-    that `_peel` eliminated from masks, in the order removed, while
-    simplicial and of that degree, makes with its neighbors then a clique
-    of a minor of masks.
-
-    The peel's eliminations are replayed: a simplicial vertex is deleted,
-    an almost-simplicial one contracted into the neighbor w that its
-    other neighbors are all adjacent to.  When no vertex before the
-    clique's was contracted, the clique is one of the graph on masks:
-    keep is the clique and there are no steps.  Otherwise keep is every
-    vertex, and the steps replay the eliminations before it and delete
-    every vertex outside the clique."""
-    adj = list(masks)
-    alive = (1 << len(adj)) - 1
-    steps: list[tuple] = []
-    for v in removed:
-        nb = adj[v]
-        if not _is_clique(adj, nb):
-            w = next(u for u in _members(nb) if _is_clique(adj, nb ^ 1 << u))
-            steps.append(("c", v, w))
-        elif nb.bit_count() == degree:
-            clique = nb | 1 << v
-            if not any(step[0] == "c" for step in steps):
-                return _members(clique), []
-            return list(range(len(adj))), steps + [("dv", u) for u in _members(alive & ~clique)]
-        else:
-            steps.append(("dv", v))
-        _eliminate(adj, v)
-        alive ^= 1 << v
-    raise InconsistencyError(f"no peeled vertex had degree {degree}")
+def _treewidth_kernel(masks: list[int]) -> tuple[int, list[int], None]:
+    """The tree-width kernel on masks, which leaves no lower witness."""
+    return (*kernels.treewidth_dp(masks), None)
 
 
 def _lower_witness(ids: list[int], keep: list[int], steps: list[tuple]) -> MinorScript:
@@ -718,26 +734,11 @@ def exact_treewidth(g: Graph) -> WidthReport:
         return WidthReport("tw", -1, trivial_tree_decomposition(g))
     ids = g.vertices_sorted()
     adj = g.masks()
-    removed, low, alive = _peel(adj)
-    value, order = low, list(removed)
-    kernel_used = False
-    lower = None  # (keep, steps) of the component witness that sets value
-    # the peel leaves no isolated vertex, so every component has an edge
-    for comp in _components(adj, alive):
-        members = _members(comp)
-        part, sub, witness = _settle_component(_restrict(adj, members))
-        order.extend(members[i] for i in sub)
-        if witness is None:
-            kernel_used = True
-        elif part > value:
-            keep, steps = witness
-            lower = [members[i] for i in keep], steps
-        value = max(value, part)
-    cert = elimination_decomposition(g, [ids[i] for i in order])
-    if kernel_used:
-        return _finish(g, "tw", value, cert)
-    keep, steps = lower or _peeled_clique(g.masks(), removed, low)
-    return _finish(g, "tw", value, cert, _lower_witness(ids, keep, steps))
+    removed, low, alive, peeled = _peel(adj)
+    value, order, witness = _by_components(_settle_component, adj, alive, low, peeled)
+    cert = elimination_decomposition(g, [ids[i] for i in removed + order])
+    script = None if witness is None else _lower_witness(ids, *witness)
+    return _finish(g, "tw", value, cert, script)
 
 
 def exact_pathwidth(g: Graph) -> WidthReport:
@@ -745,15 +746,15 @@ def exact_pathwidth(g: Graph) -> WidthReport:
     if g.n == 0:
         return WidthReport("pw", -1, trivial_path_decomposition(g))
     ids = g.vertices_sorted()
-    value, layout = _by_components(_pathwidth_above_bound, g.masks(), (1 << g.n) - 1)
+    value, layout, _ = _by_components(_pathwidth_above_bound, g.masks(), (1 << g.n) - 1)
     cert = layout_decomposition(g, [ids[i] for i in layout])
     return _finish(g, "pw", value, cert)
 
 
-def _pathwidth_above_bound(masks: list[int]) -> tuple[int, list[int]]:
+def _pathwidth_above_bound(masks: list[int]) -> tuple[int, list[int], None]:
     """The path-width kernel on masks, started at their minor-min-width
-    bound: mmw <= tw <= pw."""
-    return kernels.pathwidth_dp(masks, _minor_min_width(masks)[0])
+    bound: mmw <= tw <= pw.  The kernel decides, so there is no witness."""
+    return (*kernels.pathwidth_dp(masks, _minor_min_width(masks)[0]), None)
 
 
 def exact_width(g: Graph, parameter: str) -> WidthReport:

@@ -13,6 +13,10 @@ loop run with k, with the incremental ``_improved`` it called.
 ``min_fill_by_recount`` is min-fill as it was before its keys were kept
 by delta: after each elimination it counts again the fill of every
 neighbor of the eliminated vertex and of their neighbors.
+``peeled_clique`` is the tree-width peel's lower witness as it was found
+before the peel recorded it: the eliminations are replayed, with
+``_is_clique`` and ``_eliminate`` copied, up to the first simplicial
+vertex of the peel's degree.
 """
 
 
@@ -247,3 +251,43 @@ def lbn_plus(adj, k):
         adj, added = _improved(adj, k, fresh | 1 << u)
         steps += added
     return None
+
+
+def _is_clique(adj, mask):
+    rest = mask
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        if mask & ~adj[b.bit_length() - 1] != b:
+            return False
+    return True
+
+
+def _eliminate(adj, v):
+    nb = rest = adj[v]
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        u = b.bit_length() - 1
+        adj[u] = (adj[u] | nb) & ~(b | 1 << v)
+
+
+def peeled_clique(masks, removed, degree):
+    adj = list(masks)
+    alive = (1 << len(adj)) - 1
+    steps = []
+    for v in removed:
+        nb = adj[v]
+        if not _is_clique(adj, nb):
+            w = next(u for u in _members(nb) if _is_clique(adj, nb ^ 1 << u))
+            steps.append(("c", v, w))
+        elif nb.bit_count() == degree:
+            clique = nb | 1 << v
+            if not any(step[0] == "c" for step in steps):
+                return _members(clique), []
+            return list(range(len(adj))), steps + [("dv", u) for u in _members(alive & ~clique)]
+        else:
+            steps.append(("dv", v))
+        _eliminate(adj, v)
+        alive ^= 1 << v
+    raise AssertionError(f"no peeled vertex had degree {degree}")

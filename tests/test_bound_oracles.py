@@ -10,7 +10,9 @@ bound is the floor the current one must reach.  That search, LBN+, is
 minor-min-width's loop run with k; it must find a witness exactly where
 the frozen copy of its earlier, separate loop does, with the same steps.
 The peel, run with bound -1 as on the whole graph, must match the frozen
-simplicial peel, which has no bound.
+simplicial peel, which has no bound.  The lower witness the peel records
+as it eliminates must be the one the frozen replay of its eliminations
+finds, at every bound.
 """
 
 import pytest
@@ -21,6 +23,8 @@ from twpw import exact
 from twpw.graphs import Graph
 from twpw.harness import SplitMix64, random_graph
 from twpw.minors import replay_lower_witness
+
+from test_solver_layer import almost_simplicial_graphs, seeded_graphs
 
 SEEDED = [random_graph(SplitMix64(seed), n, p)
           for seed in (1, 2, 3) for n in range(9, 17) for p in (2, 4, 5, 6, 8)]
@@ -130,13 +134,32 @@ def test_peel_split_and_restrict(cases):
         assert exact._components(masks, full) == frozen.components(masks, full), masks
         ours, theirs = list(masks), list(masks)
         peeled = exact._peel(ours, -1)
-        assert peeled == frozen.peel_simplicial(theirs), masks
+        assert peeled[:3] == frozen.peel_simplicial(theirs), masks
         assert ours == theirs, masks
         comps = exact._components(ours, peeled[2])
         assert comps == frozen.components(theirs, peeled[2]), masks
         for comp in comps:
             members = frozen._members(comp)
             assert exact._restrict(ours, members) == frozen.restrict(theirs, members)
+
+
+def test_the_peel_records_the_replayed_witness():
+    """Wherever the peel raises its bound, its witness is the frozen
+    replay's, over every bound from -1 to the lower bound."""
+    compared = contracted = 0
+    for g in all_graphs_up_to(7) + seeded_graphs() + almost_simplicial_graphs():
+        masks = g.masks()
+        lo, _ = exact._lower_bound(masks, exact._min_fill(masks)[0])
+        for bound in range(-1, lo + 1):
+            removed, low, _, witness = exact._peel(list(masks), bound)
+            if low == bound:
+                assert witness is None, (masks, bound)
+                continue
+            assert witness == frozen.peeled_clique(masks, removed, low), (masks, bound)
+            compared += 1
+            contracted += any(step[0] == "c" for step in witness[1])
+    assert compared > 1000
+    assert contracted > 0
 
 
 def test_inputs_are_not_changed():

@@ -195,7 +195,7 @@ def dense_graph():
 class TestBranches:
     def test_tree_is_fully_reduced(self, kernel_calls):
         g = random_tree(SplitMix64(5), 12)
-        removed, low, alive = exact._peel(g.masks())
+        removed, low, alive, _ = exact._peel(g.masks())
         assert (len(removed), low, alive) == (12, 1, 0)
         assert exact_treewidth(g).value == 1
         assert kernel_calls["tw"] == []
@@ -210,8 +210,9 @@ class TestBranches:
         assert kernel_calls["tw"] == []
 
     def test_reduced_graph_goes_to_the_kernel(self, kernel_calls):
-        # the roof of the house is simplicial; the 4-cycle under it is not
-        assert exact._peel(HOUSE.masks()) == ([4], 2, 0b1111)
+        # the roof of the house is simplicial; the 4-cycle under it is not,
+        # and the roof's triangle witnesses the degree it went with
+        assert exact._peel(HOUSE.masks()) == ([4], 2, 0b1111, ([2, 3, 4], []))
         assert exact_treewidth(HOUSE).value == 2
         assert kernel_calls["tw"] == [4]
 
@@ -250,8 +251,15 @@ class TestBoundedPeel:
         masks = Graph(range(9), K44 + [(0, 8), (1, 8), (4, 8)]).masks()
         assert [v for v in range(9) if exact._eliminable(masks, v, 3)] == [8]
         assert not any(exact._eliminable(masks, v, 2) for v in range(9))
-        assert exact._peel(list(masks), 2) == ([], 2, 0b111111111)
-        assert exact._peel(list(masks), 3) == ([8], 3, 0b11111111)
+        assert exact._peel(list(masks), 2) == ([], 2, 0b111111111, None)
+        assert exact._peel(list(masks), 3) == ([8], 3, 0b11111111, None)
+
+    def test_eliminable_names_the_vertex_it_goes_into(self):
+        # 0 and 1 are both a w for 8, and the lowest is named
+        masks = Graph(range(9), K44 + [(0, 8), (1, 8), (4, 8)]).masks()
+        assert exact._eliminable(masks, 8, 3) == 1 << 0
+        assert exact._eliminable(HOUSE.masks(), 4, -1) == 1 << 4
+        assert exact._eliminable(cycle_graph(4).masks(), 0, -1) == 0
 
     def test_fill_joins_w_to_the_other_neighbors(self):
         masks = Graph(range(9), K44 + [(0, 8), (1, 8), (4, 8)]).masks()
@@ -264,7 +272,11 @@ class TestBoundedPeel:
         # sees 0 and 1 only, joins 0 and 1 and makes 9 simplicial
         masks = Graph(range(10), K44 + [(0, 8), (1, 8), (0, 9), (1, 9), (4, 9)]).masks()
         assert [v for v in range(10) if exact._eliminable(masks, v, 2)] == [8]
-        assert exact._peel(masks, 2) == ([8, 9], 3, 0b11111111)
+        # 9 raises the bound to 3 after 8 was contracted into 0: its
+        # clique is one of the graph left by that contraction
+        witness = (list(range(10)), [("c", 8, 0), ("dv", 2), ("dv", 3), ("dv", 5),
+                                     ("dv", 6), ("dv", 7)])
+        assert exact._peel(masks, 2) == ([8, 9], 3, 0b11111111, witness)
         assert masks[:8] == Graph(range(8), K44 + [(0, 1)]).masks()
 
     def test_a_component_the_peel_removes_is_settled_by_the_bound(self, kernel_calls):
@@ -275,7 +287,7 @@ class TestBoundedPeel:
         hi = exact._min_fill(masks)[0]
         lo, steps = exact._lower_bound(masks, hi)
         assert (lo, hi) == (6, 7)
-        assert exact._peel(list(masks), lo)[1:] == (6, 0)
+        assert exact._peel(list(masks), lo)[1:] == (6, 0, None)
         report = exact_treewidth(g)
         assert (report.value, report.method) == (6, "bounds")
         assert kernel_calls["tw"] == []
@@ -289,7 +301,8 @@ class TestBoundedPeel:
         masks = g.masks()
         hi = exact._min_fill(masks)[0]
         assert (exact._lower_bound(masks, hi)[0], hi) == (4, 5)
-        assert exact._peel(list(masks), 4)[1:] == (5, 0)
+        witness = (list(range(9)), [("c", 4, 0), ("c", 5, 8), ("c", 3, 0)])
+        assert exact._peel(list(masks), 4)[1:] == (5, 0, witness)
         report = exact_treewidth(g)
         assert (report.value, report.method) == (5, "bounds")
         assert kernel_calls["tw"] == []
@@ -305,7 +318,7 @@ class TestBoundedPeel:
         assert exact._peel(list(masks))[0] == []
         hi = exact._min_fill(masks)[0]
         assert (exact._lower_bound(masks, hi)[0], hi) == (5, 6)
-        assert exact._peel(list(masks), 5) == ([2, 6], 5, 0b1110111011)
+        assert exact._peel(list(masks), 5) == ([2, 6], 5, 0b1110111011, None)
         assert_matches_kernel(g)
         assert kernel_calls["tw"] == [8]
         assert exact_treewidth(g).method == "subset-DP"
@@ -313,20 +326,20 @@ class TestBoundedPeel:
 
 class TestTieBreaks:
     def test_highest_simplicial_vertex_goes_first(self):
-        assert exact._peel(path_graph(5).masks()) == ([4, 3, 2, 1, 0], 1, 0)
+        assert exact._peel(path_graph(5).masks()) == ([4, 3, 2, 1, 0], 1, 0, ([3, 4], []))
 
     def test_components_by_lowest_vertex_highest_first(self):
         g = Graph(range(6), [(0, 5), (1, 3), (2, 4)])
         assert exact._components(g.masks(), 0b111111) == [0b10100, 0b1010, 0b100001]
-        value, layout = exact._by_components(exact._pathwidth_above_bound, g.masks(), 0b111111)
-        assert (value, layout) == (1, [4, 2, 3, 1, 5, 0])
+        assert (exact._by_components(exact._pathwidth_above_bound, g.masks(), 0b111111)
+                == (1, [4, 2, 3, 1, 5, 0], None))
 
     def test_connected_graph_keeps_the_kernel_layout(self):
         g = dense_graph()
         masks = g.masks()
         everything = (1 << g.n) - 1
         assert (exact._by_components(exact._pathwidth_above_bound, masks, everything)
-                == kernels.pathwidth_dp(masks, exact._minor_min_width(masks)[0]))
+                == (*kernels.pathwidth_dp(masks, exact._minor_min_width(masks)[0]), None))
 
 
 def assert_bounds_enclose(g):

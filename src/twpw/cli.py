@@ -14,6 +14,7 @@ capability guard exceeded.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import sys
 from dataclasses import dataclass
@@ -192,7 +193,8 @@ def cmd_apply(args) -> int:
     if carry is not None:
         if args.carry_out:
             write_td(state.decomposition, args.carry_out)
-        print(f"claimed {state.claimed_bound}")
+        # Decimal prints an int of any length; str stops at 4,300 digits
+        print(f"claimed {decimal.Decimal(state.claimed_bound)}")
     return 0
 
 

@@ -8,8 +8,11 @@ table row draws from its own generator seeded with cfg.seed + its index
 among the unary or the binary rows of the operation table, so rows can be
 re-run independently of one another.
 
-A failing check serializes its inputs and an operation transcript under the
-witness directory; the TAP line points at the bundle.
+`_check` builds every check.  A failing check serializes its inputs and an
+operation transcript under the witness directory; the TAP line points at
+the bundle.  `_stream` feeds the relations, ng and logbound suites: it
+checks the config, picks the solver and draws the samples from
+SplitMix64(cfg.seed), so the three suites draw the same graphs.
 
 Every graph a sweep checks is solved for both widths and both certificates
 (`_solve`).  The suites of one run share a `SolveTable` of those results,
@@ -197,9 +200,28 @@ def _write_witness(witness_dir, name, graphs, decs, transcript) -> tuple[str, ..
     return (str(bundle),)
 
 
+def _check(witness_dir, name, lhs, rhs, relation, passed, detail, bundle) -> BoundCheck:
+    """The check; when it failed, bundle() gives the (graphs, decompositions,
+    transcript lines) its witness bundle holds.  bundle is called only here
+    and only on a failure, so it may close over loop variables."""
+    witness = () if passed else _write_witness(witness_dir, name, *bundle())
+    return BoundCheck(name, lhs, rhs, relation, passed, detail, witness)
+
+
 def _solver(solved: SolveTable | None):
     """solved's solve, or a fresh table's when none is given."""
     return (SolveTable() if solved is None else solved).solve
+
+
+def _stream(cfg: SweepConfig, solved: SolveTable | None):
+    """(s, sample, solve) for each of cfg.samples graphs drawn from
+    SplitMix64(cfg.seed), after cfg is checked; solve is solved's, or a
+    fresh table's when none is given."""
+    _check_cfg(cfg)
+    solve = _solver(solved)
+    rng = SplitMix64(cfg.seed)
+    for s in range(cfg.samples):
+        yield s, sample_graph(rng, cfg.max_n), solve
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +230,8 @@ def _solver(solved: SolveTable | None):
 
 def run_relation_suite(cfg: SweepConfig, witness_dir=None,
                        solved: SolveTable | None = None) -> list[BoundCheck]:
-    _check_cfg(cfg)
-    solve = _solver(solved)
-    rng = SplitMix64(cfg.seed)
     checks: list[BoundCheck] = []
-    for s in range(cfg.samples):
-        g = sample_graph(rng, cfg.max_n)
+    for s, g, solve in _stream(cfg, solved):
         (tw, _), (pw, _) = solve(g)
         inv = graph_invariants(g)
         n, m = g.n, g.m
@@ -234,19 +252,11 @@ def run_relation_suite(cfg: SweepConfig, witness_dir=None,
         # unspecified, so report it in the detail and never assert it
         advisory = f"advisory width <= m/5.769 = {m / 5.769:.2f} + O(log n)"
         for rule, lhs, rhs in rows:
-            passed = lhs <= rhs
-            name = f"relations/{rule}/s{s:03d}"
-            detail = advisory if rule.startswith("edges-") else ""
-            witness = ()
-            if not passed:
-                witness = _write_witness(
-                    witness_dir, name, {"input": g}, {},
-                    [f"{rule}: {lhs} <= {rhs} failed",
-                     f"tw={tw} pw={pw} {inv}", advisory],
-                )
-            checks.append(
-                BoundCheck(name, lhs, rhs, "<=", passed, detail=detail, witness=witness)
-            )
+            checks.append(_check(
+                witness_dir, f"relations/{rule}/s{s:03d}", lhs, rhs, "<=", lhs <= rhs,
+                advisory if rule.startswith("edges-") else "",
+                lambda: ({"input": g}, {}, [f"{rule}: {lhs} <= {rhs} failed",
+                                            f"tw={tw} pw={pw} {inv}", advisory])))
     checks.sort(key=lambda c: c.name)
     return checks
 
@@ -324,16 +334,12 @@ def _run_rows(prefix, rows, cfg, witness_dir, solved=None) -> list[BoundCheck]:
                 passed, why = _eval_param(
                     result, carried, table, lower, exact[param], rel, param
                 )
-                name = f"{prefix}/{op.row}/{param}/s{s:03d}"
-                witness = ()
-                if not passed:
-                    decs = {} if carried is None else {"carried": carried.decomposition}
-                    witness = _write_witness(
-                        witness_dir, name, {"input": g, "result": result}, decs,
-                        transcript() + [why],
-                    )
-                checks.append(BoundCheck(name, exact[param], table, rel, passed,
-                                         detail=why, witness=witness))
+                checks.append(_check(
+                    witness_dir, f"{prefix}/{op.row}/{param}/s{s:03d}", exact[param],
+                    table, rel, passed, why,
+                    lambda: ({"input": g, "result": result},
+                             {} if carried is None else {"carried": carried.decomposition},
+                             transcript() + [why])))
     checks.sort(key=lambda c: c.name)
     return checks
 
@@ -355,12 +361,8 @@ def run_binary_table(cfg: SweepConfig, witness_dir=None,
 def run_nordhaus_gaddum(cfg: SweepConfig, witness_dir=None,
                         solved: SolveTable | None = None) -> BoundCheck:
     """Width of a graph plus width of its complement is at least n - 2."""
-    _check_cfg(cfg)
-    solve = _solver(solved)
-    rng = SplitMix64(cfg.seed)
     worst = None
-    for s in range(cfg.samples):
-        g = sample_graph(rng, cfg.max_n)
+    for s, g, solve in _stream(cfg, solved):
         co = unary.edge_complement(g).graph
         for kind, (w, _), (wco, _) in zip(("tw", "pw"), solve(g), solve(co)):
             total = w + wco
@@ -368,18 +370,12 @@ def run_nordhaus_gaddum(cfg: SweepConfig, witness_dir=None,
             if worst is None or margin < worst[0]:
                 worst = (margin, total, g.n - 2, kind, g, s)
     if worst is None:
-        return BoundCheck("nordhaus-gaddum", 0, 0, ">=", True, detail="no samples")
+        return _check(witness_dir, "nordhaus-gaddum", 0, 0, ">=", True, "no samples", None)
     margin, total, floor_, kind, g, s = worst
-    passed = margin >= 0
-    witness = ()
-    if not passed:
-        witness = _write_witness(
-            witness_dir, "nordhaus-gaddum", {"input": g}, {},
-            [f"sample {s}: {kind} sum {total} below n-2 = {floor_}"],
-        )
-    return BoundCheck("nordhaus-gaddum", total, floor_, ">=", passed,
-                      detail=f"worst case: {kind} sum on sample {s}",
-                      witness=witness)
+    return _check(witness_dir, "nordhaus-gaddum", total, floor_, ">=", margin >= 0,
+                  f"worst case: {kind} sum on sample {s}",
+                  lambda: ({"input": g}, {},
+                           [f"sample {s}: {kind} sum {total} below n-2 = {floor_}"]))
 
 
 _LOG_SLACK = 1e-9
@@ -394,13 +390,9 @@ def run_logbound(cfg: SweepConfig, witness_dir=None,
                  solved: SolveTable | None = None) -> BoundCheck:
     """Pathwidth stays within the logarithmic factor of treewidth, and the
     tree-to-path rewrite of an optimal certificate stays within it too."""
-    _check_cfg(cfg)
-    solve = _solver(solved)
-    rng = SplitMix64(cfg.seed)
     worst = None
     failures = []
-    for s in range(cfg.samples):
-        g = sample_graph(rng, cfg.max_n)
+    for s, g, solve in _stream(cfg, solved):
         (tw, tree), (pw, _) = solve(g)
         bound = log_path_bound(tw, g.n)
         rw = width(tree_to_path(g, tree))
@@ -409,21 +401,15 @@ def run_logbound(cfg: SweepConfig, witness_dir=None,
             if worst is None or margin < worst[0]:
                 worst = (margin, got, bound, kind, g, s)
             if got > bound + _LOG_SLACK:
-                failures.append((kind, got, bound, g, s))
+                failures.append((margin, got, bound, kind, g, s))
     if worst is None:
-        return BoundCheck("logbound", 0, 0, "<=", True, detail="no samples")
-    margin, got, bound, kind, g, s = worst
-    passed = not failures
-    witness = ()
-    if failures:
-        kind, got, bound, g, s = failures[0]
-        witness = _write_witness(
-            witness_dir, "logbound", {"input": g}, {},
-            [f"sample {s}: {kind} pathwidth {got} above bound {bound!r}"],
-        )
-    return BoundCheck("logbound", got, math.floor(bound + _LOG_SLACK), "<=",
-                      passed, detail=f"tightest: {kind} on sample {s}",
-                      witness=witness)
+        return _check(witness_dir, "logbound", 0, 0, "<=", True, "no samples", None)
+    # a failed check reports its first failure, a passed one its tightest case
+    margin, got, bound, kind, g, s = failures[0] if failures else worst
+    return _check(witness_dir, "logbound", got, math.floor(bound + _LOG_SLACK), "<=",
+                  not failures, f"tightest: {kind} on sample {s}",
+                  lambda: ({"input": g}, {},
+                           [f"sample {s}: {kind} pathwidth {got} above bound {bound!r}"]))
 
 
 SUITES = ("relations", "unary", "binary", "ng", "logbound")

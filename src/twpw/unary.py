@@ -22,11 +22,12 @@ from .decomposition import (
     trivial_tree_decomposition,
     width,
 )
-from .errors import ParameterError
+from .errors import CapabilityError, ParameterError
 from .graphs import (
     GRAPH_MAX_EDGES,
     Graph,
     _require_edge,
+    connected_components,
     drop_edge,
     drop_vertex,
     edited,
@@ -322,17 +323,39 @@ def _ball(adj, src: int, r: int) -> list[int]:
     return ball
 
 
+def _power_pairs(g: Graph, adj, r: int) -> int | None:
+    """The ordered pairs of distinct vertices within distance r, or None
+    once they pass 2 * GRAPH_MAX_EDGES.  A component of at most r + 1
+    vertices is complete in G^r, so it is counted in closed form."""
+    pairs = 0
+    for comp in connected_components(g):
+        if len(comp) <= r + 1:
+            pairs += len(comp) * (len(comp) - 1)
+            continue
+        for src in comp:
+            pairs += len(_ball(adj, src, r)) - 1
+            if pairs > 2 * GRAPH_MAX_EDGES:
+                return None
+    return pairs
+
+
 def graph_power(g: Graph, r: int, d: Decomposition | None = None) -> Result:
     """Connect vertices at distance at most r.  When the degree bound
     allows a result too large for a graph, its edges are counted first and
-    the result is refused (graphs.guard_size) before any edge is stored."""
+    the result is refused (graphs.guard_size) before any edge is stored;
+    the count stops once it passes the limit, and the refusal then gives
+    no exact count."""
     check_host(g, d)
     if r < 1:
         raise ParameterError("power needs d >= 1")
     adj = g.adjacency()
     reach = power_degree_bound(g, r) if g.n else 0
     if g.n * reach > 2 * GRAPH_MAX_EDGES:
-        guard_size(g.n, sum(len(_ball(adj, src, r)) - 1 for src in g.vertices) // 2)
+        pairs = _power_pairs(g, adj, r)
+        if pairs is None:
+            raise CapabilityError(f"graphs support at most {GRAPH_MAX_EDGES} edges, "
+                                  f"got more than {GRAPH_MAX_EDGES}")
+        guard_size(g.n, pairs // 2)
     edges = set()
     for src in g.vertices:
         for y in _ball(adj, src, r)[1:]:
@@ -351,8 +374,9 @@ def power_degree_bound(g: Graph, d: int) -> int:
     """Upper bound on |N_{G^d}(v)|: Delta * sum_{i<d} (Delta-1)^i.
 
     d is first clamped to n-1: every distance in G is below n, so
-    G^d = G^(n-1) once d >= n-1.  In closed form the bound is 0 for
-    Delta = 0, 1 for Delta = 1 and 2 * min(d, n-1) for Delta = 2."""
+    G^d = G^(n-1) once d >= n-1.  In closed form, with s = min(d, n-1),
+    the bound is 0 for Delta = 0, 1 for Delta = 1, 2 * s for Delta = 2 and
+    Delta * ((Delta-1)^s - 1) / (Delta-2) for Delta >= 3."""
     if d < 1:
         raise ParameterError("power needs d >= 1")
     if g.n == 0:
@@ -361,7 +385,7 @@ def power_degree_bound(g: Graph, d: int) -> int:
     steps = min(d, g.n - 1)
     if delta <= 2:
         return delta * (steps if delta == 2 else 1)
-    return delta * sum((delta - 1) ** i for i in range(steps))
+    return delta * ((delta - 1) ** steps - 1) // (delta - 2)
 
 
 def line_graph(g: Graph, d: Decomposition | None = None) -> Result:

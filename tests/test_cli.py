@@ -1,3 +1,4 @@
+import decimal
 import re
 import resource
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 from twpw import cli
 from twpw.cli import apply_opscript, main, parse_opscript
+from twpw.decomposition import TreeDecomposition
 from twpw.errors import ScriptError
 from twpw.fileformats import format_gr, format_td, parse_gr, read_gr, read_td
 from twpw.exact import exact_pathwidth, exact_treewidth
@@ -418,6 +420,24 @@ class TestApply:
         assert capsys.readouterr().err == (
             "error: graphs support at most 1000000 edges, got 1124250\n")
         assert built == [] and not out.exists()
+
+    def test_claim_of_more_than_4300_digits_prints_in_full(self, tmp_path, capsys):
+        # 3,600 disjoint claws, width 1; power 14399 gives 3,600 disjoint K4
+        # and claims 2 * (1 + 3 * (2^14399 - 1)) - 1, a 4,336-digit number
+        # that str() refuses at Python's default int-to-str limit
+        edges = [(4 * i, 4 * i + j) for i in range(3600) for j in (1, 2, 3)]
+        g = Graph(range(14400), edges)
+        td = TreeDecomposition(g, path_graph(len(edges)), dict(enumerate(edges)))
+        out = tmp_path / "out.gr"
+        assert main(["apply", gr(tmp_path, g), write(tmp_path / "s.ops", "power 14399\n"),
+                     str(out), "--carry", write(tmp_path / "g.td", format_td(td))]) == 0
+        claim = 6 * 2 ** 14399 - 5
+        printed = capsys.readouterr().out
+        assert printed.startswith("claimed 2037317970871950738924") and printed.endswith("\n")
+        digits = printed.removeprefix("claimed ").removesuffix("\n")
+        assert len(digits) == 4336 and digits.isdigit()
+        assert digits[-18:] == str(claim % 10 ** 18) and int(decimal.Decimal(digits)) == claim
+        assert read_gr(str(out)).m == 3600 * 6
 
     def test_script_errors_exit_2(self, tmp_path):
         g_path = gr(tmp_path, path_graph(3))

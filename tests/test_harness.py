@@ -11,6 +11,7 @@ import pytest
 from twpw import cli, harness, unary
 from twpw.decomposition import is_valid
 from twpw.errors import CapabilityError, ParameterError
+from twpw.exact import exact_pathwidth
 from twpw.fileformats import format_td, parse_gr, parse_td
 from twpw.graphs import Graph, complete_graph, is_connected, path_graph
 from twpw.operations import OPCODES
@@ -129,6 +130,20 @@ class TestSuites:
         assert ng.passed and lb.passed
         assert ng.relation == ">=" and lb.relation == "<="
 
+    def test_sample_suites_draw_the_same_graphs(self, monkeypatch):
+        # the SolveTable's sizing counts on relations, ng and logbound
+        # meeting the same samples
+        drawn = {}
+        real = harness.sample_graph
+        monkeypatch.setattr(harness, "sample_graph", lambda *args: drawn[suite].append(
+            real(*args)) or drawn[suite][-1])
+        cfg = SweepConfig(max_n=7, samples=15, seed=4)
+        for suite in ("relations", "ng", "logbound"):
+            drawn[suite] = []
+            run_suite(suite, cfg)
+        assert len(drawn["relations"]) == 15
+        assert drawn["relations"] == drawn["ng"] == drawn["logbound"]
+
     def test_check_names_are_unique(self):
         cfg = SweepConfig(max_n=4, samples=4, seed=7)
         for suite in harness.SUITES:
@@ -212,6 +227,16 @@ class TestLogBound:
         assert log_path_bound(0, 1) == pytest.approx(1.0)
         assert log_path_bound(2, 5) > log_path_bound(1, 5)
         assert log_path_bound(1, 50) > log_path_bound(1, 5)
+
+    def test_a_failed_check_reports_its_first_failure(self, monkeypatch):
+        # with every sample above the bound, sample 0's exact pathwidth
+        # fails first, though the rewritten one may be further above it
+        monkeypatch.setattr(harness, "log_path_bound", lambda tw, n: -1.0)
+        cfg = SweepConfig(max_n=5, samples=3, seed=2)
+        (check,) = run_suite("logbound", cfg)
+        first = exact_pathwidth(sample_graph(SplitMix64(cfg.seed), cfg.max_n)).value
+        assert (check.lhs, check.rhs, check.passed) == (first, -1, False)
+        assert check.detail == "tightest: exact on sample 0"
 
 
 class TestTapAndWitnesses:

@@ -257,3 +257,41 @@ def test_package_imports_are_found():
     )
     assert package_imports(source) == [
         "1: unary", "2: unary", "2: graphs", "3: unary", "4: minors", "5: graphs", "8: unary"]
+
+
+def calls_outside(source: str, names: set[str], owner: str) -> list[str]:
+    """Each call of a name in names, plain or as an attribute, outside the
+    top-level function owner, as "line: name" in line order."""
+    tree = ast.parse(source)
+    inside = {id(node) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == owner
+              for node in ast.walk(top)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in inside:
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in names:
+                found.append((node.lineno, name))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_harness_builds_every_check_in_one_place():
+    # one builder makes each check and writes each witness bundle, so a
+    # change to either touches one function
+    source = (SRC / "harness.py").read_text(encoding="utf-8")
+    assert calls_outside(source, {"BoundCheck", "_write_witness"}, "_check") == []
+
+
+def test_calls_outside_are_found():
+    source = (
+        "def _check(name):\n"
+        "    return BoundCheck(name, _write_witness(name))\n"
+        "def suite():\n"
+        "    checks = [harness.BoundCheck('a')]\n"
+        "    def inner():\n"
+        "        _write_witness('b')\n"
+        "    return _check('c')\n"
+        "EMPTY = BoundCheck('d')\n"
+    )
+    assert calls_outside(source, {"BoundCheck", "_write_witness"}, "_check") == [
+        "4: BoundCheck", "6: _write_witness", "8: BoundCheck"]

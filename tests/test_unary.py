@@ -4,7 +4,7 @@ import pytest
 
 from twpw import unary
 from twpw.decomposition import is_valid, width
-from twpw.errors import ParameterError
+from twpw.errors import CapabilityError, ParameterError
 from twpw.exact import exact_pathwidth, exact_treewidth
 from twpw.graphs import (
     Graph,
@@ -158,6 +158,33 @@ class TestDerivedGraphs:
                 steps = min(d, g.n - 1)
                 assert unary.power_degree_bound(g, d) == delta * sum(
                     (delta - 1) ** i for i in range(steps))
+
+    def test_power_degree_bound_is_quick_on_long_stars(self):
+        # K_{1,999} plus 8,000 isolated vertices: 8,998 powers of 998 summed
+        g = Graph(range(9000), [(0, j) for j in range(1, 1000)])
+        assert unary.power_degree_bound(g, 300) == 999 * sum(998 ** i for i in range(300))
+        start = time.perf_counter()
+        bound = unary.power_degree_bound(g, 8999)
+        assert time.perf_counter() - start < 0.5
+        assert bound == 999 * (998 ** 8999 - 1) // 997
+
+    def test_power_edge_count_stops_once_past_the_limit(self, monkeypatch):
+        balls = []
+        real = unary._ball
+        monkeypatch.setattr(unary, "_ball", lambda adj, src, r: balls.append(src) or real(
+            adj, src, r))
+        # P3000's balls at r = 1500 each hold at least 1501 vertices, so the
+        # ordered pairs pass 2,000,000 after at most 1,333 of them
+        with pytest.raises(CapabilityError) as raised:
+            unary.graph_power(path_graph(3000), 1500)
+        assert str(raised.value) == "graphs support at most 1000000 edges, got more than 1000000"
+        assert 0 < len(balls) <= 1333
+        # a component of at most r + 1 vertices is complete: counted without a ball
+        balls.clear()
+        with pytest.raises(CapabilityError, match="^graphs support at most 1000000 edges, "
+                                                  "got 1124250$"):
+            unary.graph_power(path_graph(1500), 1499)
+        assert balls == []
 
     def test_huge_power_is_power_n_minus_1(self):
         g = Graph(range(6), [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])

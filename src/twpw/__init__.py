@@ -13,7 +13,6 @@ from .decomposition import (
     ValidationReport,
     Violation,
     is_valid,
-    path_to_tree,
     remove_redundant_bags,
     tree_path_decomposition,
     tree_to_path,
@@ -98,7 +97,6 @@ __all__ = [
     "parse_gr",
     "parse_minor_script",
     "parse_td",
-    "path_to_tree",
     "read_gr",
     "read_td",
     "remove_redundant_bags",

@@ -53,14 +53,18 @@ def _graft(host: Graph, d: TreeDecomposition, f, pieces) -> TreeDecomposition:
     function g, and the link from d's node a to p's node b.  d's nodes
     become 0, 1, ... in id order, then each piece's nodes in turn; bags go
     through f for d and through g for a piece.  The tree lists d's edges,
-    then each piece's edges followed by its link."""
-    rank = {u: i for i, u in enumerate(d.tree.vertices_sorted())}
-    edges = [(rank[x], rank[y]) for x, y in d.tree.edges]
+    then each piece's edges followed by its link, each read off a rooting.
+
+    A piece may be linked at a node other than its own root (the one-sum
+    links at the lowest node holding w), so its rooting does not carry
+    over: the checked constructor walks the grafted tree to root it."""
+    rank = {u: i for i, u in enumerate(sorted(d.bags))}
+    edges = [(rank[x], rank[y]) for x, y in d._parent.items()]
     bags = {i: f(d.bags[u]) for u, i in rank.items()}
     for p, g, a, b in pieces:
         offset = len(bags)
-        prank = {u: offset + i for i, u in enumerate(p.tree.vertices_sorted())}
-        edges += [(prank[x], prank[y]) for x, y in p.tree.edges] + [(rank[a], prank[b])]
+        prank = {u: offset + i for i, u in enumerate(sorted(p.bags))}
+        edges += [(prank[x], prank[y]) for x, y in p._parent.items()] + [(rank[a], prank[b])]
         bags |= {i: g(p.bags[u]) for u, i in prank.items()}
     return TreeDecomposition(host, Graph(range(len(bags)), edges), bags)
 
@@ -77,7 +81,7 @@ def disjoint_union(g1: Graph, g2: Graph, d1=None, d2=None) -> Result:
         return Result(graph)
     f1, f2 = _through(m1.__getitem__), _through(m2.__getitem__)
     if isinstance(d1, TreeDecomposition):
-        lowest = (min(d1.tree.vertices), min(d2.tree.vertices))
+        lowest = (min(d1.bags), min(d2.bags))
         dec = _graft(graph, d1, f1, [(d2, f2, *lowest)])
     else:
         dec = PathDecomposition(graph, [*map(f1, d1.bags), *map(f2, d2.bags)])
@@ -179,7 +183,7 @@ def _substitute_neighbors(graph, v, nb, d1, d2, m2) -> Result:
     dec = _graft(
         graph, d1, lambda bag: (bag - {v}) | nb if v in bag else bag,
         [(d2, lambda bag: frozenset(map(m2.__getitem__, bag)) | nb,
-          _lowest(d1)[v], min(d2.tree.vertices))],
+          _lowest(d1)[v], min(d2.bags))],
     )
     return Result(graph, dec, claimed)
 
@@ -332,7 +336,7 @@ def corona(g1: Graph, g2: Graph, d1=None, d2=None) -> Result:
         return Result(graph, d1.rebag(graph, _through(m1.__getitem__)), w1)
     shifted = lambda i, bag: frozenset(m2[x] + i * n2 for x in bag)
     if isinstance(d1, TreeDecomposition):
-        lowest, top = _lowest(d1), min(d2.tree.vertices)
+        lowest, top = _lowest(d1), min(d2.bags)
         pieces = [(d2, lambda bag, i=i: shifted(i, bag) | {i}, lowest[x], top)
                   for i, x in enumerate(g1.vertices_sorted())]
         dec = _graft(graph, d1, _through(m1.__getitem__), pieces)

@@ -33,46 +33,50 @@ def _frozen(bag: Iterable[int]) -> frozenset[int]:
     return bag if type(bag) is frozenset else frozenset(map(int, bag))
 
 
-def _breadth_first(adj, root: int) -> dict[int, int]:
-    """Each node reached from root -> its parent, in breadth-first order
-    from root, which is its own parent.  adj[u] holds the neighbors of u."""
+def _tree_walk(adj, root: int) -> dict[int, int]:
+    """The parent of every node but root, in breadth-first order from root.
+
+    adj[u] holds the neighbors of u, with no loop and no repeat.  One walk
+    both roots the nodes and checks that they form a tree: it reaches every
+    node and reads 2(n - 1) neighbor entries, n - 1 edges; ParameterError
+    when it does not."""
     parent = {root: root}
     walk = [root]
+    reads = 0
     for u in walk:
-        for w in adj[u]:
+        nb = adj[u]
+        reads += len(nb)
+        for w in nb:
             if w not in parent:
                 parent[w] = u
                 walk.append(w)
-    return parent
-
-
-def _parents(tree: Graph, root: int) -> dict[int, int]:
-    """The parent of every node but root, in breadth-first order from root.
-
-    One walk both checks that tree is a tree (n - 1 edges and every node
-    reached) and roots it; ParameterError when it is not a tree."""
-    parent = _breadth_first(tree.adjacency(), root) if tree.m == tree.n - 1 else {}
-    if len(parent) != tree.n:
+    if len(walk) != len(adj) or reads != 2 * len(walk) - 2:
         raise ParameterError("decomposition nodes must form a tree")
     del parent[root]
     return parent
 
 
 def _contract(adj: dict[int, set[int]], bags: dict[int, frozenset[int]],
-              drop: int, keep: int) -> None:
+              into: dict[int, int], drop: int, keep: int) -> None:
     """Contract the tree edge drop-keep into keep, in place: drop's other
-    neighbors become keep's, and drop's node and bag are deleted."""
+    neighbors become keep's, drop's node and bag are deleted, and into
+    records that drop went into keep."""
     for w in adj[drop]:
         adj[w].discard(drop)
         if w != keep:
             adj[w].add(keep)
             adj[keep].add(w)
     del adj[drop], bags[drop]
+    into[drop] = keep
 
 
 class TreeDecomposition:
-    """A bag per tree node; the tree is a Graph over node ids.  The bags
-    are a read-only mapping, so a validated decomposition stays valid.
+    """A bag per tree node, and the tree rooted at one of its nodes.  The
+    bags are a read-only mapping, so a validated decomposition stays valid.
+
+    The rooting is the only stored shape: ``_parent`` maps every node but
+    ``_root`` to its parent, each node after its parent, and ``tree`` is
+    derived from it.
 
     A bag given as a frozenset is kept as it is, without a copy and
     without converting its members; any other iterable becomes
@@ -81,48 +85,53 @@ class TreeDecomposition:
     violation, as it does for any id outside the host.
     """
 
-    __slots__ = ("host", "tree", "bags", "_root", "_parent")
+    __slots__ = ("host", "bags", "_root", "_parent")
 
     def __init__(self, host: Graph, tree: Graph, bags: Mapping[int, Iterable[int]]):
         if tree.n == 0:
             raise ParameterError("decomposition needs at least one node")
         root = min(tree.vertices)
-        parent = _parents(tree, root)
+        parent = _tree_walk(tree.adjacency(), root)
         bagmap = {int(u): _frozen(bag) for u, bag in bags.items()}
         if set(bagmap) != set(tree.vertices):
             raise ParameterError("bags must be keyed exactly by the tree nodes")
         self.host = host
-        self.tree = tree
         self.bags = MappingProxyType(bagmap)
-        # the tree rooted at one of its nodes, for validate and for walks
-        # that need each node after its parent
         self._root = root
         self._parent = parent
 
     @classmethod
-    def _rooted(cls, host: Graph, tree: Graph, bags: dict[int, frozenset[int]],
+    def _rooted(cls, host: Graph, bags: dict[int, frozenset[int]],
                 root: int, parent: dict[int, int]) -> TreeDecomposition:
         """The decomposition with these parts, from a builder that made them
-        fit: bags frozen and keyed exactly by the nodes of the tree, and
-        parent mapping every node but root to its parent in the tree rooted
-        at root, each node after its parent.  Nothing is checked, so the
-        tree is neither walked nor given an adjacency."""
+        fit: bags frozen and keyed by the nodes, and parent mapping every
+        node but root to its parent, each node after its parent, so that
+        the parent pairs form a tree over the nodes.  Nothing is checked,
+        and no tree is built: ``tree`` derives it when it is read."""
         d = cls.__new__(cls)
-        d.host, d.tree, d.bags = host, tree, MappingProxyType(bags)
+        d.host, d.bags = host, MappingProxyType(bags)
         d._root, d._parent = root, parent
         return d
+
+    @property
+    def tree(self) -> Graph:
+        """The decomposition tree, built from the rooting each time it is
+        read: the nodes, and an edge from each node but the root to its
+        parent."""
+        return Graph._trusted(frozenset(self.bags), frozenset(
+            (u, p) if u < p else (p, u) for u, p in self._parent.items()))
 
     def rebag(self, host: Graph, f: Rebag) -> TreeDecomposition:
         """The same tree and node ids over host, each bag B replaced by f(B);
         the tree keeps its rooting."""
         bags = {u: _frozen(f(bag)) for u, bag in self.bags.items()}
-        return TreeDecomposition._rooted(host, self.tree, bags, self._root, self._parent)
+        return TreeDecomposition._rooted(host, bags, self._root, self._parent)
 
     def bag_items(self) -> list[tuple[int, frozenset[int]]]:
-        return [(u, self.bags[u]) for u in self.tree.vertices_sorted()]
+        return [(u, self.bags[u]) for u in sorted(self.bags)]
 
     def __repr__(self) -> str:
-        return f"TreeDecomposition(nodes={self.tree.n}, width={width(self)})"
+        return f"TreeDecomposition(nodes={len(self.bags)}, width={width(self)})"
 
 
 class PathDecomposition:
@@ -294,12 +303,6 @@ def trivial_path_decomposition(g: Graph) -> PathDecomposition:
     return PathDecomposition(g, [g.vertices])
 
 
-def path_to_tree(d: PathDecomposition) -> TreeDecomposition:
-    """View a path-decomposition as a tree-decomposition over a path."""
-    tree = Graph(range(len(d.bags)), [(i, i + 1) for i in range(len(d.bags) - 1)])
-    return TreeDecomposition(d.host, tree, dict(enumerate(d.bags)))
-
-
 def remove_redundant_bags(td: TreeDecomposition) -> TreeDecomposition:
     """Merge tree-adjacent bags where one contains the other.
 
@@ -313,17 +316,22 @@ def remove_redundant_bags(td: TreeDecomposition) -> TreeDecomposition:
     merge gives, in one pass.
 
     The result has no tree edge whose endpoint bags are nested, so a valid
-    input over a nonempty graph shrinks to at most |V| nodes.
+    input over a nonempty graph shrinks to at most |V| nodes.  It keeps
+    td's rooting, each kept node rooted as _contracted says; td itself is
+    the result when no tree edge joins nested bags.
     """
     if not validate(td.host, td).valid:
         raise ParameterError("decomposition invalid")
-    adj = {u: set(nb) for u, nb in td.tree.adjacency().items()}
     bags = dict(td.bags)
 
     def nested(u: int, v: int) -> bool:
         return bags[u] <= bags[v] or bags[v] <= bags[u]
 
-    heap = [e for e in td.tree.edges if nested(*e)]
+    heap = [(u, p) if u < p else (p, u) for u, p in td._parent.items() if nested(u, p)]
+    if not heap:
+        return td
+    adj = {u: set(nb) for u, nb in td.tree.adjacency().items()}
+    into: dict[int, int] = {}
     heapify(heap)
     while heap:
         u, v = heappop(heap)
@@ -331,12 +339,51 @@ def remove_redundant_bags(td: TreeDecomposition) -> TreeDecomposition:
             continue
         drop, keep = (u, v) if bags[u] <= bags[v] else (v, u)
         moved = adj[drop] - {keep}
-        _contract(adj, bags, drop, keep)
+        _contract(adj, bags, into, drop, keep)
         for w in moved:
             if nested(keep, w):
                 heappush(heap, (keep, w) if keep < w else (w, keep))
-    tree = Graph(adj, [(u, v) for u in adj for v in adj[u] if u < v])
-    return TreeDecomposition(td.host, tree, bags)
+    return _contracted(td, bags, into)
+
+
+def _drop_empty_bags_tree(td: TreeDecomposition) -> TreeDecomposition:
+    """td less its empty bags, unless every bag is empty: then one node
+    stays.  td itself when no bag is empty."""
+    empty = sorted(u for u, bag in td.bags.items() if not bag)
+    if not empty:
+        return td
+    adj = {u: set(nb) for u, nb in td.tree.adjacency().items()}
+    bags = dict(td.bags)
+    into: dict[int, int] = {}
+    # an empty bag crosses no vertex subtree, so its neighbors re-link
+    # freely; a contraction empties no bag, so the empty nodes are met in
+    # ascending order, each contracted into its lowest neighbor
+    for u in empty:
+        if len(bags) == 1:
+            break
+        _contract(adj, bags, into, u, min(adj[u]))
+    return _contracted(td, bags, into)
+
+
+def _contracted(td: TreeDecomposition, bags: dict[int, frozenset[int]],
+                into: dict[int, int]) -> TreeDecomposition:
+    """td with its tree edges contracted as into records, bags holding
+    the kept nodes' bags, under td's rooting.
+
+    The nodes kept as one node form a subtree of td's tree, which only its
+    top node joins to a node kept as another.  So the kept node of each
+    such subtree takes the kept node of its top node's parent, and td's
+    rooting, read in its order, lists each kept node after its parent."""
+    # a node goes into one that is still there, which may go on later: so
+    # resolved latest first, each node goes into its kept node at once
+    for u in reversed(into):
+        into[u] = into.get(into[u], into[u])
+    parent = {}
+    for u, p in td._parent.items():
+        ku, kp = into.get(u, u), into.get(p, p)
+        if ku != kp:
+            parent[ku] = kp
+    return TreeDecomposition._rooted(td.host, bags, into.get(td._root, td._root), parent)
 
 
 def tree_path_decomposition(t: Graph) -> PathDecomposition:
@@ -382,8 +429,8 @@ def tree_to_path(g: Graph, td: TreeDecomposition) -> PathDecomposition:
     if td.host != g:
         raise ParameterError("decomposition was built for a different graph")
     slim = remove_redundant_bags(td)  # validates td
-    if slim.tree.n == 1:
-        bags = [slim.bags[next(iter(slim.tree.vertices))]]
+    if len(slim.bags) == 1:
+        bags = list(slim.bags.values())
     else:
         spine = tree_path_decomposition(slim.tree)
         bags = [frozenset().union(*(slim.bags[u] for u in group)) for group in spine.bags]

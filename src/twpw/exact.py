@@ -165,16 +165,15 @@ def elimination_decomposition(g: Graph, order: list[int]) -> TreeDecomposition:
     Each N+ set is read once, by its parent, so the set operations add up
     to the size of the graph plus the total size of the bags, and the
     Python steps are linear in the number of vertices.  Each bag is frozen
-    once, and TreeDecomposition keeps it without a copy.  The tree's edges
-    join vertices of g, so it is built without Graph's checks.  Checking
-    the order costs O(n log n).
+    once, and TreeDecomposition keeps it without a copy.  Checking the
+    order costs O(n log n).
 
     A node's parent is found when a vertex of the parent node is
     eliminated, and the parent node's own parent only later, after its
     last vertex.  So the tree is rooted at the node that holds the last
     vertex eliminated, the parent pairs read in reverse of the order they
     were found list every node after its parent, and the decomposition is
-    built from these parts without walking the tree again.
+    these bags and this rooting: no tree is built or walked.
     """
     if sorted(order) != g.vertices_sorted():
         raise ParameterError("elimination order must list every vertex once")
@@ -210,9 +209,7 @@ def elimination_decomposition(g: Graph, order: list[int]) -> TreeDecomposition:
             if root is not None:
                 up.append((root, node))
             root = node
-    tree = Graph._trusted(frozenset(bags), frozenset(
-        (u, p) if u < p else (p, u) for u, p in up))
-    return TreeDecomposition._rooted(g, tree, bags, root, dict(reversed(up)))
+    return TreeDecomposition._rooted(g, bags, root, dict(reversed(up)))
 
 
 def layout_decomposition(g: Graph, order: list[int]) -> PathDecomposition:

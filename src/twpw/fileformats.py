@@ -9,7 +9,7 @@ order, so files written here parse back to graphs with ids 0..n-1.  A .gr
 header announcing more than ``GRAPH_MAX_VERTICES`` vertices or
 ``GRAPH_MAX_EDGES`` edges (see graphs.py) raises CapabilityError before
 anything is built.  The readers check every line themselves, so they build
-the graph and the rooted decomposition tree from what they checked, without
+the graph, and the decomposition's rooting, from what they checked, without
 a second pass over the edges.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from typing import Union
 
-from .decomposition import Decomposition, PathDecomposition, TreeDecomposition, _breadth_first
+from .decomposition import Decomposition, PathDecomposition, TreeDecomposition, _tree_walk
 from .errors import FormatError, ParameterError
 from .graphs import Graph, guard_size
 
@@ -148,8 +148,8 @@ def parse_td(text: str, host: Graph, kind: str = "tree") -> Decomposition:
     of range, a bad line) is checked on its own, so the first fault is
     raised in line order.  The counts and the tree edges are checked after
     the body, and one breadth-first walk checks that the nodes form a tree.
-    A tree is built from the checked edges and rooted by that walk from
-    node 0, so neither the tree nor its rooting is checked again.
+    A tree decomposition is its bags and its rooting: the walk from node 0
+    roots it, and no tree Graph is built, so nothing is checked again.
     """
     if kind not in ("tree", "path"):
         raise FormatError(f"unknown decomposition kind {kind!r}")
@@ -194,12 +194,9 @@ def parse_td(text: str, host: Graph, kind: str = "tree") -> Decomposition:
         raise FormatError(f"{r} bags need {r - 1} tree edges, file has {len(tree_edges)}")
     if maxbag != max(map(len, bags.values())):
         raise FormatError("header max bag size disagrees with the bags")
-    edges, adj = _tree_shape(r, tree_edges)
+    adj = _tree_shape(r, tree_edges)
     if kind == "tree":
-        parent = _spanning_walk(adj, 0)
-        del parent[0]
-        tree = Graph._trusted(frozenset(range(r)), frozenset(edges))
-        return TreeDecomposition._rooted(host, tree, bags, 0, parent)
+        return TreeDecomposition._rooted(host, bags, 0, _tree_walk(adj, 0))
     return PathDecomposition(host, [bags[u] for u in _path_order(adj)])
 
 
@@ -229,12 +226,10 @@ def _checked_bag(
         raise FormatError(f"bag {ident} holds out-of-range vertex {v}") from None
 
 
-def _tree_shape(
-    r: int, tree_edges: list[tuple[int, int]]
-) -> tuple[set[tuple[int, int]], list[list[int]]]:
-    """The tree edges over the nodes 0..r-1 as sorted pairs, and each
-    node's neighbors.  FormatError for the first loop or repeated edge in
-    line order, naming the bags 1-based."""
+def _tree_shape(r: int, tree_edges: list[tuple[int, int]]) -> list[list[int]]:
+    """Each node's neighbors along the tree edges over the nodes 0..r-1.
+    FormatError for the first loop or repeated edge in line order, naming
+    the bags 1-based."""
     adj: list[list[int]] = [[] for _ in range(r)]
     seen = set()
     for a, b in tree_edges:
@@ -246,18 +241,7 @@ def _tree_shape(
         seen.add(e)
         adj[a].append(b)
         adj[b].append(a)
-    return seen, adj
-
-
-def _spanning_walk(adj: list[list[int]], root: int) -> dict[int, int]:
-    """Each node -> its parent, in breadth-first order from root, which is
-    its own parent.  The edges of adj have no loop or repeat, and there is
-    one fewer than there are nodes, so they form a tree exactly when the
-    walk reaches every node; ParameterError when it does not."""
-    parent = _breadth_first(adj, root)
-    if len(parent) != len(adj):
-        raise ParameterError("decomposition nodes must form a tree")
-    return parent
+    return adj
 
 
 def _path_order(adj: list[list[int]]) -> list[int]:
@@ -268,7 +252,7 @@ def _path_order(adj: list[list[int]]) -> list[int]:
     (ParameterError) and, when no node has more than two neighbors (else
     FormatError), is the order."""
     start = next(u for u, nb in enumerate(adj) if len(nb) <= 1)
-    order = list(_spanning_walk(adj, start))
+    order = [start, *_tree_walk(adj, start)]
     if any(len(nb) > 2 for nb in adj):
         raise FormatError("decomposition tree is not path-shaped")
     return order

@@ -406,8 +406,9 @@ def run_logbound(cfg: SweepConfig, witness_dir=None,
         return _check(witness_dir, "logbound", 0, 0, "<=", True, "no samples", None)
     # a failed check reports its first failure, a passed one its tightest case
     margin, got, bound, kind, g, s = failures[0] if failures else worst
+    label = "first failure" if failures else "tightest"
     return _check(witness_dir, "logbound", got, math.floor(bound + _LOG_SLACK), "<=",
-                  not failures, f"tightest: {kind} on sample {s}",
+                  not failures, f"{label}: {kind} on sample {s}",
                   lambda: ({"input": g}, {},
                            [f"sample {s}: {kind} pathwidth {got} above bound {bound!r}"]))
 

@@ -18,7 +18,7 @@ from .decomposition import (
     Decomposition,
     PathDecomposition,
     TreeDecomposition,
-    _contract,
+    _drop_empty_bags_tree,
     trivial_tree_decomposition,
     width,
 )
@@ -54,50 +54,15 @@ def _hang_bags(d: TreeDecomposition, g2: Graph, leaves) -> TreeDecomposition:
     """d over g2 plus one leaf node per (anchor node, bag) of leaves,
     numbered from the largest node + 1 on; the tree keeps d's rooting,
     each new leaf a child of its anchor."""
-    z = max(d.tree.vertices) + 1
     bags = dict(d.bags)
-    edges = list(d.tree.edges)
     parent = dict(d._parent)
-    for i, (anchor, bag) in enumerate(leaves):
-        bags[z + i] = bag
-        edges.append((anchor, z + i))
-        parent[z + i] = anchor
-    return TreeDecomposition._rooted(g2, Graph(bags.keys(), edges), bags, d._root, parent)
+    for z, (anchor, bag) in enumerate(leaves, max(d.bags) + 1):
+        bags[z] = bag
+        parent[z] = anchor
+    return TreeDecomposition._rooted(g2, bags, d._root, parent)
 
 
 # --- vertex and edge surgery --------------------------------------------
-
-
-def _drop_empty_bags_tree(d: TreeDecomposition) -> TreeDecomposition:
-    adj = {u: set(nb) for u, nb in d.tree.adjacency().items()}
-    bags = dict(d.bags)
-    into = {}  # each contracted node -> the node it went into
-    # an empty bag crosses no vertex subtree, so its neighbors re-link
-    # freely; a contraction empties no bag, so the empty nodes are met in
-    # ascending order, each contracted into its lowest neighbor
-    for u in sorted(u for u, bag in bags.items() if not bag):
-        if len(bags) == 1:
-            break
-        into[u] = min(adj[u])
-        _contract(adj, bags, u, into[u])
-
-    def kept(u: int) -> int:
-        while u in into:
-            u = into[u]
-        return u
-
-    # the nodes kept as one node form a subtree of d's tree, which only its
-    # top node joins to a node kept as another; so d's rooting, read at
-    # those top nodes, roots the contracted tree with each node after its
-    # parent
-    parent = {}
-    for u, p in d._parent.items():
-        ku, kp = kept(u), kept(p)
-        if ku != kp:
-            parent[ku] = kp
-    tree = Graph._trusted(frozenset(bags), frozenset(
-        (u, p) if u < p else (p, u) for u, p in parent.items()))
-    return TreeDecomposition._rooted(d.host, tree, bags, kept(d._root), parent)
 
 
 def delete_vertex(g: Graph, v: int, d: Decomposition | None = None) -> Result:
@@ -156,7 +121,7 @@ def _steiner_nodes(d: TreeDecomposition, marked: set[int]) -> set[int]:
     both sides.  The marked nodes below each node are counted children
     first, along the rooting the decomposition keeps."""
     parent = d._parent  # each node after its parent; the root is omitted
-    below = {u: int(u in marked) for u in d.tree.vertices}
+    below = {u: int(u in marked) for u in d.bags}
     for u in reversed(parent):
         below[parent[u]] += below[u]
     keep = set(marked)
@@ -178,7 +143,7 @@ def identify_vertices(g: Graph, v: int, w: int, d: Decomposition | None = None) 
         # re-connect the two former subtrees by threading z along the tree
         for u in _steiner_nodes(d, marked):
             bags[u] = bags[u] | {z}
-        dec = TreeDecomposition._rooted(g2, d.tree, bags, d._root, d._parent)
+        dec = TreeDecomposition._rooted(g2, bags, d._root, d._parent)
         return Result(g2, dec, claimed)
     bags = [_rename_pair(bag, v, w, z) for bag in d.bags]
     idxs = [i for i, bag in enumerate(bags) if z in bag]
@@ -197,49 +162,45 @@ def contract_edge(g: Graph, v: int, w: int, d: Decomposition | None = None) -> R
 
 def forest_decomposition(g: Graph) -> TreeDecomposition:
     """Width-1 tree-decomposition of a forest: a bag per edge, a bag per
-    isolated vertex, components chained by their first nodes."""
+    isolated vertex, components chained by their first nodes.  The DFS
+    of each component hangs each edge's node off the node of the edge
+    above it (an edge at the component's root off the component's first
+    node), and each component's first node off the previous one's, so the
+    tree is rooted at node 0 with each node after its parent."""
     if not is_forest(g):
         raise ParameterError("input has a cycle")
     if g.n == 0:
         return trivial_tree_decomposition(g)
     adj = g.adjacency()
     bags: dict[int, frozenset[int]] = {}
-    tree_edges: list[tuple[int, int]] = []
-    anchors = []
-    counter = 0
+    parent: dict[int, int] = {}
+    anchor = 0  # the first node of the latest component
     seen: set[int] = set()
     for root in g.vertices_sorted():
         if root in seen:
             continue
         seen.add(root)
+        if bags:
+            parent[len(bags)] = anchor
+        anchor = len(bags)
         if not adj[root]:
-            bags[counter] = frozenset({root})
-            anchors.append(counter)
-            counter += 1
+            bags[anchor] = frozenset({root})
             continue
-        anchor = None
-        node_of: dict[int, int] = {}  # child vertex -> node of its parent edge
+        node_of = {root: anchor}  # vertex -> the node its child edges hang off
         stack = [(root, None)]
         while stack:
-            x, parent = stack.pop()
+            x, up = stack.pop()
             for c in sorted(adj[x], reverse=True):
-                if c == parent:
+                if c == up:
                     continue
                 seen.add(c)
-                bags[counter] = frozenset({x, c})
-                node_of[c] = counter
-                if x == root:
-                    if anchor is None:
-                        anchor = counter
-                    else:
-                        tree_edges.append((anchor, counter))
-                else:
-                    tree_edges.append((node_of[x], counter))
-                counter += 1
+                u = len(bags)
+                bags[u] = frozenset({x, c})
+                if u != anchor:
+                    parent[u] = node_of[x]
+                node_of[c] = u
                 stack.append((c, x))
-        anchors.append(anchor)
-    tree_edges.extend(zip(anchors, anchors[1:]))
-    return TreeDecomposition(g, Graph(range(counter), tree_edges), bags)
+    return TreeDecomposition._rooted(g, bags, 0, parent)
 
 
 def _subdivide(adj: dict[int, frozenset[int]], edges: set[tuple[int, int]],
@@ -323,20 +284,23 @@ def _ball(adj, src: int, r: int) -> list[int]:
     return ball
 
 
-def _power_pairs(g: Graph, adj, r: int) -> int | None:
-    """The ordered pairs of distinct vertices within distance r, or None
-    once they pass 2 * GRAPH_MAX_EDGES.  A component of at most r + 1
-    vertices is complete in G^r, so it is counted in closed form."""
+def _power_pairs(g: Graph, adj, r: int) -> tuple[int, dict[int, list[int]]] | None:
+    """The ordered pairs of distinct vertices within distance r, and the
+    ball of each vertex walked to count them; None once the pairs pass
+    2 * GRAPH_MAX_EDGES.  A component of at most r + 1 vertices is
+    complete in G^r, so it is counted in closed form and walks no ball."""
     pairs = 0
+    balls = {}
     for comp in connected_components(g):
         if len(comp) <= r + 1:
             pairs += len(comp) * (len(comp) - 1)
             continue
         for src in comp:
-            pairs += len(_ball(adj, src, r)) - 1
+            ball = balls[src] = _ball(adj, src, r)
+            pairs += len(ball) - 1
             if pairs > 2 * GRAPH_MAX_EDGES:
                 return None
-    return pairs
+    return pairs, balls
 
 
 def graph_power(g: Graph, r: int, d: Decomposition | None = None) -> Result:
@@ -344,21 +308,24 @@ def graph_power(g: Graph, r: int, d: Decomposition | None = None) -> Result:
     allows a result too large for a graph, its edges are counted first and
     the result is refused (graphs.guard_size) before any edge is stored;
     the count stops once it passes the limit, and the refusal then gives
-    no exact count."""
+    no exact count.  The edges are built from the balls the count walked,
+    and from a new walk for each vertex it did not."""
     check_host(g, d)
     if r < 1:
         raise ParameterError("power needs d >= 1")
     adj = g.adjacency()
     reach = power_degree_bound(g, r) if g.n else 0
+    balls = {}
     if g.n * reach > 2 * GRAPH_MAX_EDGES:
-        pairs = _power_pairs(g, adj, r)
-        if pairs is None:
+        counted = _power_pairs(g, adj, r)
+        if counted is None:
             raise CapabilityError(f"graphs support at most {GRAPH_MAX_EDGES} edges, "
                                   f"got more than {GRAPH_MAX_EDGES}")
+        pairs, balls = counted
         guard_size(g.n, pairs // 2)
     edges = set()
     for src in g.vertices:
-        for y in _ball(adj, src, r)[1:]:
+        for y in (balls.pop(src, None) or _ball(adj, src, r))[1:]:
             edges.add((src, y) if src < y else (y, src))
     g2 = Graph(g.vertices, edges)
     if d is None:

@@ -12,13 +12,12 @@ from functools import lru_cache
 import pytest
 
 import frozen_carriers as frozen
-from rooting import assert_rooting
+from rooting import assert_rooting, path_to_tree
 from smallgraphs import all_graphs_up_to
 from twpw import binary, unary
 from twpw.decomposition import (
     PathDecomposition,
     TreeDecomposition,
-    path_to_tree,
     remove_redundant_bags,
 )
 from twpw.exact import exact_pathwidth, exact_treewidth
@@ -215,11 +214,12 @@ def test_deleting_the_only_vertex_leaves_one_node():
 
 def slimmed(remove, d):
     """What remove gives on d: its tree edges and bags (or the exception
-    it raises)."""
+    it raises).  The rooting it keeps must fit its tree."""
     try:
         slim = remove(d)
     except Exception as exc:  # the oracle's exception is part of its outcome
         return type(exc).__name__, str(exc)
+    assert_rooting(slim)
     return sorted(slim.tree.edges), slim.bag_items()
 
 

@@ -8,7 +8,6 @@ from twpw.decomposition import (
     PathDecomposition,
     TreeDecomposition,
     is_valid,
-    path_to_tree,
     remove_redundant_bags,
     tree_path_decomposition,
     tree_to_path,
@@ -38,7 +37,7 @@ from twpw.graphs import (
 from twpw.harness import SplitMix64, random_graph, random_tree
 
 from frozen_validate import frozen_validate
-from rooting import assert_rooting
+from rooting import assert_rooting, path_to_tree
 from smallgraphs import all_graphs_up_to
 
 
@@ -149,7 +148,8 @@ class TestRebag:
         same = d.rebag(host, lambda bag: bag)
         assert type(same) is TreeDecomposition
         assert same.host is host
-        assert same.tree is d.tree
+        assert same._parent is d._parent and same._root == d._root
+        assert same.tree == d.tree
         assert dict(same.bags) == dict(d.bags)
         g, p = spider_path_fixture()
         same = p.rebag(host, lambda bag: bag)
@@ -780,7 +780,7 @@ class TestValidatorAgainstFrozenCheck:
             g = random_graph(rng, 2 + rng.next_below(8), (2, 5, 8)[rng.next_below(3)])
             td = exact_treewidth(g).certificate
             bad = map(frozenset, corrupt(rng, g, list(td.bags.values())))
-            bad_td = TreeDecomposition._rooted(g, td.tree, dict(zip(td.bags, bad)),
+            bad_td = TreeDecomposition._rooted(g, dict(zip(td.bags, bad)),
                                                td._root, td._parent)
             elsewhere += td._root != min(td.tree.vertices)
             report = validate(g, bad_td)
@@ -806,5 +806,5 @@ class TestValidatorAgainstFrozenCheck:
                             parent[w] = u
                             walk.append(w)
                 del parent[root]
-                rerooted = TreeDecomposition._rooted(g, d.tree, dict(d.bags), root, parent)
+                rerooted = TreeDecomposition._rooted(g, dict(d.bags), root, parent)
                 assert validate(g, rerooted) == expected

@@ -547,7 +547,7 @@ class TestReadersAgainstTwoPassOracles:
 def path_order(r, tree_edges):
     """_path_order of the tree edges over the nodes 1..r, read as
     1-based nodes, as the reachability oracle reads and returns them."""
-    _, adj = _tree_shape(r, [(a - 1, b - 1) for a, b in tree_edges])
+    adj = _tree_shape(r, [(a - 1, b - 1) for a, b in tree_edges])
     return [u + 1 for u in _path_order(adj)]
 
 

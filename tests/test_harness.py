@@ -236,7 +236,7 @@ class TestLogBound:
         (check,) = run_suite("logbound", cfg)
         first = exact_pathwidth(sample_graph(SplitMix64(cfg.seed), cfg.max_n)).value
         assert (check.lhs, check.rhs, check.passed) == (first, -1, False)
-        assert check.detail == "tightest: exact on sample 0"
+        assert check.detail == "first failure: exact on sample 0"
 
 
 class TestTapAndWitnesses:

@@ -114,8 +114,9 @@ def test_every_private_function_is_used():
 
 def test_every_public_function_has_a_user():
     # a public function that the package does not call and that neither the
-    # benchmark nor the README names is API that only the tests use
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    # benchmark nor the README names is API that only the tests use; a
+    # re-export in __init__ is not a use
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
     named = [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "README.md"]
     text = "\n".join(p.read_text(encoding="utf-8") for p in named)
     unused = []
@@ -295,3 +296,30 @@ def test_calls_outside_are_found():
     )
     assert calls_outside(source, {"BoundCheck", "_write_witness"}, "_check") == [
         "4: BoundCheck", "6: _write_witness", "8: BoundCheck"]
+
+
+def tree_reads(source: str) -> list[str]:
+    """Each read of an attribute named tree, as "line: tree" in line order."""
+    return [f"{line}: tree" for line in sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "tree")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "decomposition.py"],
+                         ids=lambda p: p.name)
+def test_only_decomposition_reads_the_tree(path):
+    # a tree-decomposition stores its bags and its rooting, and derives its
+    # tree from them; a builder or carrier outside decomposition.py that
+    # read the tree would build a Graph the rooting already describes
+    assert tree_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_tree_reads_are_found():
+    source = (
+        "tree = d.bags\n"
+        "def graft(d, p):\n"
+        "    top = min(p.tree.vertices)\n"
+        "    return d.trees, tree_to_path(d), d.tree\n"
+        "nodes = sorted(getattr(d, 'tree').edges) + [x.tree.n for x in ds]\n"
+    )
+    assert tree_reads(source) == ["3: tree", "4: tree", "5: tree"]

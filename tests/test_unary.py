@@ -186,6 +186,28 @@ class TestDerivedGraphs:
             unary.graph_power(path_graph(1500), 1499)
         assert balls == []
 
+    def test_counted_power_walks_each_ball_once(self, monkeypatch):
+        balls = []
+        real = unary._ball
+        monkeypatch.setattr(unary, "_ball", lambda adj, src, r: balls.append(src) or real(
+            adj, src, r))
+        # a pendant at vertex 1 of P2000 gives Delta = 3, whose degree bound
+        # at r = 30 forces the count; the triangle is counted in closed form
+        # and walked only when the edges are built
+        g = Graph(range(2004), [(i, i + 1) for i in range(1999)]
+                  + [(1, 2000), (2001, 2002), (2002, 2003), (2001, 2003)])
+        res = unary.graph_power(g, 30)
+        assert sorted(balls) == g.vertices_sorted()
+        adj = g.adjacency()
+        want = set()
+        for src in g.vertices:  # distances by a breadth-first walk per vertex
+            dist, frontier = {src: 0}, [src]
+            for step in range(1, 31):
+                frontier = [y for x in frontier for y in adj[x] if y not in dist]
+                dist |= dict.fromkeys(frontier, step)
+            want |= {(src, y) for y in dist if src < y}
+        assert res.graph == Graph(g.vertices, want)
+
     def test_huge_power_is_power_n_minus_1(self):
         g = Graph(range(6), [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
         start = time.perf_counter()

@@ -52,21 +52,34 @@ def _graft(host: Graph, d: TreeDecomposition, f, pieces) -> TreeDecomposition:
     hung off it.  A piece is (p, g, a, b): tree-decomposition p, its bag
     function g, and the link from d's node a to p's node b.  d's nodes
     become 0, 1, ... in id order, then each piece's nodes in turn; bags go
-    through f for d and through g for a piece.  The tree lists d's edges,
-    then each piece's edges followed by its link, each read off a rooting.
+    through f for d and through g for a piece.
 
-    A piece may be linked at a node other than its own root (the one-sum
-    links at the lowest node holding w), so its rooting does not carry
-    over: the checked constructor walks the grafted tree to root it."""
+    The result is rooted at node 0, d's lowest node, and each piece hangs
+    from its link: d and every piece are re-rooted there first (see
+    `_rerooted`), so the rooting is built, not walked."""
     rank = {u: i for i, u in enumerate(sorted(d.bags))}
-    edges = [(rank[x], rank[y]) for x, y in d._parent.items()]
+    parent = {rank[x]: rank[y] for x, y in _rerooted(d, min(d.bags)).items()}
     bags = {i: f(d.bags[u]) for u, i in rank.items()}
     for p, g, a, b in pieces:
         offset = len(bags)
         prank = {u: offset + i for i, u in enumerate(sorted(p.bags))}
-        edges += [(prank[x], prank[y]) for x, y in p._parent.items()] + [(rank[a], prank[b])]
+        parent[prank[b]] = rank[a]
+        parent |= {prank[x]: prank[y] for x, y in _rerooted(p, b).items()}
         bags |= {i: g(p.bags[u]) for u, i in prank.items()}
-    return TreeDecomposition(host, Graph(range(len(bags)), edges), bags)
+    return TreeDecomposition._rooted(host, bags, 0, parent)
+
+
+def _rerooted(d: TreeDecomposition, root: int) -> dict[int, int]:
+    """d's rooting moved to node root: the parent path from root up to d's
+    root is reversed, and every other node keeps its parent.  The path
+    comes first, root's old parent first, so each node still comes after
+    its parent."""
+    path = [root]
+    while path[-1] != d._root:
+        path.append(d._parent[path[-1]])
+    parent = dict(zip(path[1:], path))
+    parent |= {x: y for x, y in d._parent.items() if x not in parent and x != root}
+    return parent
 
 
 # --- disjoint union and join ---------------------------------------------

@@ -31,12 +31,12 @@ kernel has to see:
      "Preprocessing rules for triangulation of probabilistic networks",
      Computational Intelligence 2005).  Every vertex eliminated has degree
      at most low, lo raised by the degrees of the simplicial ones, and
-     low <= tw, so tw = max(low, tw of what is left).  The peel records
-     low's witness as it eliminates.  When nothing is left, the component
-     is settled at low.  Smaller components skip this step so that their
-     certificates stay the kernel's, which the golden pins of the tests
-     are built on; the bounds would cost less there, not more (README,
-     "Solver layer").
+     low <= tw, so tw = max(low, tw of what is left).  The peel notes
+     the vertex that raised low as it eliminates.  When nothing is left,
+     the component is settled at low.  Smaller components skip this step
+     so that their certificates stay the kernel's, which the golden pins
+     of the tests are built on; the bounds would cost less there, not
+     more (README, "Solver layer").
   4. Run the kernel on every component left.
 
   `_by_components` is the one loop over components, for both widths.
@@ -84,9 +84,10 @@ peeled simplicial vertex gives the value, the script deletes every
 vertex outside that vertex's clique instead; when the peel had
 contracted vertices before it, the script first replays the peel's
 eliminations up to that vertex, contractions and deletions, since the
-clique is one of the graph they leave.  The peel records these steps as
-it eliminates and notes the vertex that last raised its bound with its
-clique (see `_peel`); nothing replays the peel afterwards.
+clique is one of the graph they leave.  The peel notes the vertex that
+last raised its bound with its clique as it eliminates, and the witness
+is built from that note only when it is the one returned (see `_peel`
+and `_peel_witness`); nothing replays the peel afterwards.
 
 Certificates and lower witnesses are checked before they are returned; a
 certificate whose width disagrees with the computed value, or a witness
@@ -97,6 +98,8 @@ inconsistency, never a return value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from . import kernels
 from .decomposition import (
@@ -344,21 +347,19 @@ def _peel(adj: list[int], bound: int = -1) -> tuple[list[int], int, int, tuple |
 
     Returns the eliminated vertices in order, low: bound raised to the
     largest degree one had when it was eliminated, the mask of the
-    vertices left, and the (keep, steps) of a lower witness for low when
-    low > bound, else None.  Eliminating an almost-simplicial v joins w
-    to v's other neighbors, which is contracting v into w.  An elimination
-    changes the neighborhoods of v's neighbors only, and joins only pairs
-    of them, so only they and the common neighbors of a joined pair are
-    tested again.  With bound -1 only simplicial vertices go, and no pair
-    is joined.
+    vertices left, and the raise note of low when low > bound, else None.
+    Eliminating an almost-simplicial v joins w to v's other neighbors,
+    which is contracting v into w.  An elimination changes the
+    neighborhoods of v's neighbors only, and joins only pairs of them, so
+    only they and the common neighbors of a joined pair are tested again.
+    With bound -1 only simplicial vertices go, and no pair is joined.
 
-    Each elimination is a minor step: ("dv", v) for a simplicial v, ("c",
-    v, w) for an almost-simplicial one.  The vertex that last raised low
-    was simplicial, so with its neighbors it made a clique of the graph
-    the steps before it left.  When none of them contracted, that clique
-    is one of adj: keep is the clique and there are no steps.  Otherwise
-    keep is every vertex, and the steps are those before it, then the
-    deletion of every vertex outside the clique.
+    The raise note is (count, clique, alive, into): the vertex that last
+    raised low was the count-th eliminated, clique is the mask of it and
+    its neighbors then, alive the mask of the vertices left after it, and
+    into[v] the bit of the vertex each eliminated v went into, v's own
+    when v was simplicial.  `_peel_witness` builds low's witness from it,
+    only where that witness is used.
     """
     into = [0] * len(adj)  # the bit of the vertex each ready vertex goes into
     alive = (1 << len(adj)) - 1
@@ -367,17 +368,15 @@ def _peel(adj: list[int], bound: int = -1) -> tuple[list[int], int, int, tuple |
         into[v] = _eliminable(adj, v, bound)
         if into[v]:
             ready |= 1 << v
-    removed, low, steps, raised = [], bound, [], None
+    removed, low, raised = [], bound, None
     while ready:
         v = ready.bit_length() - 1
         alive ^= 1 << v
-        removed.append(v)
         stale = adj[v]
         if stale.bit_count() > low:
             low = stale.bit_count()
-            raised = len(steps), stale | 1 << v, alive
-        w = into[v]
-        steps.append(("dv", v) if w == 1 << v else ("c", v, w.bit_length() - 1))
+            raised = len(removed), stale | 1 << v, alive, into
+        removed.append(v)
         for u, gains in _eliminate(adj, v):
             while gains:
                 b = gains & -gains
@@ -391,13 +390,28 @@ def _peel(adj: list[int], bound: int = -1) -> tuple[list[int], int, int, tuple |
             into[u] = _eliminable(adj, u, bound)
             if into[u]:
                 ready |= b
-    if low == bound:
-        return removed, low, alive, None
-    count, clique, left = raised
-    if not any(step[0] == "c" for step in steps[:count]):
-        return removed, low, alive, (_members(clique), [])
-    return removed, low, alive, (
-        list(range(len(adj))), steps[:count] + [("dv", u) for u in _members(left & ~clique)])
+    return removed, low, alive, raised
+
+
+def _peel_witness(removed: list[int], count: int, clique: int, alive: int,
+                  into: list[int]) -> tuple[list[int], list[tuple]]:
+    """The (keep, steps) of a lower witness for the bound that a peel which
+    eliminated removed noted as (count, clique, alive, into).
+
+    Each elimination is a minor step: ("dv", v) for a simplicial v, ("c",
+    v, w) for an almost-simplicial one.  The vertex that last raised the
+    bound was simplicial, so with its neighbors it made a clique of the
+    graph the steps before it left.  When none of them contracted, that
+    clique is one of the graph peeled: keep is the clique and there are
+    no steps.  Otherwise keep is every vertex, and the steps are those
+    before it, then the deletion of every vertex outside the clique.
+    """
+    before = removed[:count]
+    if all(into[v] == 1 << v for v in before):
+        return _members(clique), []
+    steps = [("dv", v) if into[v] == 1 << v else ("c", v, into[v].bit_length() - 1)
+             for v in before]
+    return list(range(len(into))), steps + [("dv", u) for u in _members(alive & ~clique)]
 
 
 def _components(adj: list[int], alive: int) -> list[int]:
@@ -447,7 +461,8 @@ def _restrict(adj: list[int], members: list[int]) -> list[int]:
 
 
 def _by_components(settle, adj: list[int], alive: int, value: int = -1,
-                   lower: tuple | None = None) -> tuple[int, list[int], tuple | None]:
+                   lower: Callable[[], tuple] | None = None
+                   ) -> tuple[int, list[int], tuple | None]:
     """Width, order and lower witness, by index, from settle run on each
     component of the graph on alive, components by lowest vertex, highest
     first.
@@ -455,21 +470,25 @@ def _by_components(settle, adj: list[int], alive: int, value: int = -1,
     settle returns a component's width, order and the (keep, steps) of its
     lower witness, or None when a kernel decided it.  A one-vertex
     component has width 0 and the witness ([0], []) without a call.  The
-    width starts at value, witnessed by lower, and a component wider than
-    every part before it brings its own witness; the witness is None once
-    any kernel ran.  (value, [], lower) when alive is empty."""
-    order, ran = [], False
+    width starts at value, and lower, when given, is a function that
+    builds value's witness: it is called only when that witness is the
+    one returned.  A component wider than every part before it brings its
+    own witness instead; the witness is None once any kernel ran.
+    (value, [], lower()) when alive is empty."""
+    order, ran, witness = [], False, None
     for comp in _components(adj, alive):
         members = _members(comp)
-        part, sub, witness = (settle(_restrict(adj, members)) if len(members) > 1
-                              else (0, [0], ([0], [])))
+        part, sub, found = (settle(_restrict(adj, members)) if len(members) > 1
+                            else (0, [0], ([0], [])))
         order.extend(members[i] for i in sub)
-        if witness is None:
+        if found is None:
             ran = True
         elif part > value:
-            lower = [members[i] for i in witness[0]], witness[1]
+            witness, lower = ([members[i] for i in found[0]], found[1]), None
         value = max(value, part)
-    return value, order, None if ran else lower
+    if ran:
+        return value, order, None
+    return value, order, lower() if lower else witness
 
 
 def _min_fill(adj: list[int]) -> tuple[int, list[int]]:
@@ -685,8 +704,8 @@ def _settle_component(masks: list[int]) -> tuple[int, list[int], tuple | None]:
     sees what is left: each vertex it eliminates has degree at most low,
     the bound it returns, and lo <= low <= tw, so tw = max(low, tw(rest)).
     low is witnessed by lo's steps, or, when low > lo, by the witness the
-    peel recorded; when the peel leaves nothing, that witness settles the
-    component at low."""
+    peel's raise note gives; when the peel leaves nothing, that witness
+    settles the component at low."""
     if len(masks) < BOUNDS_MIN_VERTICES:
         return _treewidth_kernel(masks)
     hi, order = _min_fill(masks)
@@ -694,9 +713,10 @@ def _settle_component(masks: list[int]) -> tuple[int, list[int], tuple | None]:
     if lo == hi:
         return hi, order, (range(len(masks)), steps)
     adj = list(masks)
-    removed, low, alive, peeled = _peel(adj, lo)
-    value, rest, witness = _by_components(_treewidth_kernel, adj, alive, low,
-                                          peeled or (range(len(masks)), steps))
+    removed, low, alive, raised = _peel(adj, lo)
+    lower = (partial(_peel_witness, removed, *raised) if raised
+             else lambda: (range(len(masks)), steps))
+    value, rest, witness = _by_components(_treewidth_kernel, adj, alive, low, lower)
     return value, removed + rest, witness
 
 
@@ -731,8 +751,9 @@ def exact_treewidth(g: Graph) -> WidthReport:
         return WidthReport("tw", -1, trivial_tree_decomposition(g))
     ids = g.vertices_sorted()
     adj = g.masks()
-    removed, low, alive, peeled = _peel(adj)
-    value, order, witness = _by_components(_settle_component, adj, alive, low, peeled)
+    removed, low, alive, raised = _peel(adj)
+    lower = raised and partial(_peel_witness, removed, *raised)
+    value, order, witness = _by_components(_settle_component, adj, alive, low, lower)
     cert = elimination_decomposition(g, [ids[i] for i in removed + order])
     script = None if witness is None else _lower_witness(ids, *witness)
     return _finish(g, "tw", value, cert, script)

@@ -9,10 +9,12 @@ refused with ValueError before a table is allocated.  Among optimal
 vertices each kernel picks the lowest index; certificates and golden
 outputs depend on that order, so the tie-break is part of the contract.
 
-The tree-width kernel fills one table entry per subset.  The path-width
-kernel works on whole subset families instead: a family of subsets of the
-n vertices is one Python int of 2^n bits whose bit S is set when the subset
-with mask S belongs to it (at most 8 KB at n = 16).  One big-int operation
+The tree-width kernel fills one table entry per subset, a byte each in
+one bytearray (64 KB at n = 16), and reads its order back from the
+values alone.  The path-width kernel works on whole subset families
+instead: a family of subsets of the n vertices is one Python int of 2^n
+bits whose bit S is set when the subset with mask S belongs to it (at
+most 8 KB at n = 16).  One big-int operation
 then acts on all subsets at once: & and | intersect and unite families,
 and shifting a family that avoids v left by 2^v adds v to each member.
 It can start from a lower bound the caller knows, since the families
@@ -126,20 +128,24 @@ def treewidth_dp(masks: list[int]) -> tuple[int, list[int]]:
     where Q(S - v, v) counts the vertices outside S adjacent to the
     component C of v in G[S].  Q depends only on C, so G[S] is split into
     its components once per subset and Q is counted once per component;
-    a component whose Q already exceeds the best value found is skipped.
-    Among minimizing vertices the lowest index is chosen.  Returns
+    a component whose Q is at least the best value found is skipped.
+
+    The table is one bytearray of 2^n entries (64 KB at n = 16): every
+    value is at most n - 1.  value[{}] is stored as 0 rather than -1:
+    Q >= 0, so max(value[{}], Q) is Q either way, and the read-back only
+    asks whether value[{}] is at most some value >= 0.  No choice is
+    stored.  The order is read back along the n subsets of the path down
+    from V: at each S, the lowest-index v with max(value[S - v], Q(S - v,
+    v)) = value[S] is eliminated last, then S - v is read.  Returns
     (tree-width, elimination order), (-1, []) for the empty graph.
     """
     n = _check_masks(masks)
     if n == 0:
         return -1, []
     full = (1 << n) - 1
-    value = [0] * (full + 1)
-    choice = [0] * (full + 1)
-    value[0] = -1
+    value = bytearray(full + 1)
     for s in range(1, full + 1):
         best = n
-        bestbit = 0
         left = s
         while left:
             low = left & -left
@@ -156,7 +162,7 @@ def treewidth_dp(masks: list[int]) -> tuple[int, list[int]]:
                 frontier = nb & s & ~comp
             left ^= comp
             q = (nb & ~s).bit_count()
-            if q > best or (q == best and low > bestbit):
+            if q >= best:
                 continue
             while comp:
                 b = comp & -comp
@@ -164,19 +170,44 @@ def treewidth_dp(masks: list[int]) -> tuple[int, list[int]]:
                 cand = value[s ^ b]
                 if cand < q:
                     cand = q
-                if cand < best or (cand == best and b < bestbit):
+                if cand < best:
                     best = cand
-                    bestbit = b
         value[s] = best
-        choice[s] = bestbit.bit_length() - 1
+    return value[full], _elimination_order(masks, value)
+
+
+def _elimination_order(masks: list[int], value: bytearray) -> list[int]:
+    """The elimination order read back from the tree-width table: from V,
+    repeatedly remove the lowest-index v with max(value[S - v], Q(S - v,
+    v)) = value[S], the vertex the recurrence's lowest-index tie-break
+    picks.  value[S] is that maximum's minimum over v in S, so v
+    qualifies exactly when value[S - v] and Q are both at most value[S]."""
     order = []
-    s = full
+    s = len(value) - 1
     while s:
-        v = choice[s]
+        k = value[s]
+        v = next(v for v in range(len(masks)) if s >> v & 1
+                 and value[s ^ 1 << v] <= k and _outside(masks, s, v) <= k)
         order.append(v)
         s ^= 1 << v
     order.reverse()
-    return value[full], order
+    return order
+
+
+def _outside(masks: list[int], s: int, v: int) -> int:
+    """Q(S - v, v): the vertices outside s adjacent to the component of v
+    in G[s]."""
+    comp = 1 << v
+    nb = masks[v]
+    frontier = nb & s & ~comp
+    while frontier:
+        comp |= frontier
+        while frontier:
+            fb = frontier & -frontier
+            nb |= masks[fb.bit_length() - 1]
+            frontier ^= fb
+        frontier = nb & s & ~comp
+    return (nb & ~s).bit_count()
 
 
 def pathwidth_dp(masks: list[int], start: int = 0) -> tuple[int, list[int]]:

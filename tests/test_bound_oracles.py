@@ -151,10 +151,11 @@ def test_the_peel_records_the_replayed_witness():
         masks = g.masks()
         lo, _ = exact._lower_bound(masks, exact._min_fill(masks)[0])
         for bound in range(-1, lo + 1):
-            removed, low, _, witness = exact._peel(list(masks), bound)
+            removed, low, _, raised = exact._peel(list(masks), bound)
             if low == bound:
-                assert witness is None, (masks, bound)
+                assert raised is None, (masks, bound)
                 continue
+            witness = exact._peel_witness(removed, *raised)
             assert witness == frozen.peeled_clique(masks, removed, low), (masks, bound)
             compared += 1
             contracted += any(step[0] == "c" for step in witness[1])

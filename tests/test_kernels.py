@@ -1,9 +1,12 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twpw import exact, kernels
 from twpw.graphs import Graph, complete_graph, is_connected, path_graph
-from twpw.harness import SplitMix64, random_graph
+from twpw.harness import SplitMix64, random_graph, sample_graph
+from twpw.unary import line_graph
 
 from smallgraphs import all_graphs_up_to
 
@@ -129,6 +132,51 @@ class TestTreewidthAgainstPerVertexOracle:
                 masks = g.masks()
                 assert kernels.treewidth_dp(masks) == per_vertex_treewidth_dp(masks), masks
         assert disconnected > 0
+
+    def test_seeded_graphs_of_14_to_16_vertices(self):
+        # the sizes where the table is large: 16 K to 64 K subsets
+        rng = SplitMix64(31)
+        for n, p in ((14, 2), (14, 8), (15, 5), (16, 2), (16, 5)):
+            masks = random_graph(rng, n, p).masks()
+            assert kernels.treewidth_dp(masks) == per_vertex_treewidth_dp(masks), masks
+
+    def test_line_graph_of_an_eight_vertex_sample(self):
+        # the shape the sweep's linegraph row sends: an 8-vertex, 16-edge
+        # sample whose line graph has 16 vertices
+        g = sample_graph(SplitMix64(37), 8)
+        assert (g.n, g.m) == (8, 16)
+        masks = line_graph(g).graph.masks()
+        assert len(masks) == 16
+        assert kernels.treewidth_dp(masks) == per_vertex_treewidth_dp(masks)
+
+
+class TestTreewidthTable:
+    def test_refusals_come_before_a_table_is_sized(self, monkeypatch):
+        def sized(n):
+            raise AssertionError("a table was sized")
+
+        monkeypatch.setattr(kernels, "bytearray", sized, raising=False)
+        for masks, message in BAD_MASKS.values():
+            with pytest.raises(ValueError, match=message):
+                kernels.treewidth_dp(masks)
+        with pytest.raises(ValueError, match="at most 16 vertices"):
+            kernels.treewidth_dp([0] * 17)
+        masks = complete_graph(16).masks()
+        masks[15] ^= 1 << 14
+        with pytest.raises(ValueError, match=r"asymmetric pair \(14, 15\)"):
+            kernels.treewidth_dp(masks)
+
+    def test_twelve_vertex_call_stays_far_below_a_list_table(self):
+        # 4 K subsets: a byte each is 4 KB, where a list slot each, for
+        # the value and the choice, took 64 KB
+        masks = random_graph(SplitMix64(5), 12, 5).masks()
+        tracemalloc.start()
+        try:
+            kernels.treewidth_dp(masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
 
 
 def loop_pathwidth_dp(masks):

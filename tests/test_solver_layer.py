@@ -212,7 +212,9 @@ class TestBranches:
     def test_reduced_graph_goes_to_the_kernel(self, kernel_calls):
         # the roof of the house is simplicial; the 4-cycle under it is not,
         # and the roof's triangle witnesses the degree it went with
-        assert exact._peel(HOUSE.masks()) == ([4], 2, 0b1111, ([2, 3, 4], []))
+        removed, low, alive, raised = exact._peel(HOUSE.masks())
+        assert (removed, low, alive) == ([4], 2, 0b1111)
+        assert exact._peel_witness(removed, *raised) == ([2, 3, 4], [])
         assert exact_treewidth(HOUSE).value == 2
         assert kernel_calls["tw"] == [4]
 
@@ -276,7 +278,9 @@ class TestBoundedPeel:
         # clique is one of the graph left by that contraction
         witness = (list(range(10)), [("c", 8, 0), ("dv", 2), ("dv", 3), ("dv", 5),
                                      ("dv", 6), ("dv", 7)])
-        assert exact._peel(masks, 2) == ([8, 9], 3, 0b11111111, witness)
+        removed, low, alive, raised = exact._peel(masks, 2)
+        assert (removed, low, alive) == ([8, 9], 3, 0b11111111)
+        assert exact._peel_witness(removed, *raised) == witness
         assert masks[:8] == Graph(range(8), K44 + [(0, 1)]).masks()
 
     def test_a_component_the_peel_removes_is_settled_by_the_bound(self, kernel_calls):
@@ -302,7 +306,8 @@ class TestBoundedPeel:
         hi = exact._min_fill(masks)[0]
         assert (exact._lower_bound(masks, hi)[0], hi) == (4, 5)
         witness = (list(range(9)), [("c", 4, 0), ("c", 5, 8), ("c", 3, 0)])
-        assert exact._peel(list(masks), 4)[1:] == (5, 0, witness)
+        removed, low, alive, raised = exact._peel(list(masks), 4)
+        assert (low, alive, exact._peel_witness(removed, *raised)) == (5, 0, witness)
         report = exact_treewidth(g)
         assert (report.value, report.method) == (5, "bounds")
         assert kernel_calls["tw"] == []
@@ -326,7 +331,9 @@ class TestBoundedPeel:
 
 class TestTieBreaks:
     def test_highest_simplicial_vertex_goes_first(self):
-        assert exact._peel(path_graph(5).masks()) == ([4, 3, 2, 1, 0], 1, 0, ([3, 4], []))
+        removed, low, alive, raised = exact._peel(path_graph(5).masks())
+        assert (removed, low, alive) == ([4, 3, 2, 1, 0], 1, 0)
+        assert exact._peel_witness(removed, *raised) == ([3, 4], [])
 
     def test_components_by_lowest_vertex_highest_first(self):
         g = Graph(range(6), [(0, 5), (1, 3), (2, 4)])
